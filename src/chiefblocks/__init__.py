@@ -74,7 +74,6 @@ from .lattice import (
     join,
     meet,
     normal_subgroups,
-    oracle_all_subgroups,
 )
 from .products import (
     Factorization,

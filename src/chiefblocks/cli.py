@@ -302,7 +302,6 @@ class AnalysisReport:
 @dataclass
 class AnalyzeOptions:
     components: bool = False
-    blocks: bool = True
     factorization_parts: Optional[list] = None
     extend_normal: Optional[list] = None
     element_cap: int = DEFAULT_ELEMENT_CAP
@@ -361,37 +360,36 @@ def analyze(spec: GroupSpec, options: Optional[AnalyzeOptions] = None
     out.append("  edges: " + " ".join(f"f{i}--f{j}" for i, j in assoc_edges))
     rep.graphs["association-graph"] = {"nodes": labels, "edges": assoc_edges}
 
-    if opts.blocks:
-        bp = chief_blocks(g, lat)
-        out.append("blocks:")
-        out.append(f"  count: {len(bp)}")
-        for b in bp.blocks:
-            cm = b.centralizer
-            mc = minimal_cover(g, b, lat)
-            upper = uppermost_representative(g, b, lat)
-            lower = lowermost_representative(g, b, lat)
-            out.append(f"  b{b.block_id}:")
-            out.append(f"    centralizer: order={cm.order}"
-                       f" fp={_fingerprint(cm.members)}")
-            out.append(f"    representatives: {len(b.representatives)}")
-            out.append("    minimally_covered: True")
-            out.append(f"    minimal_cover: order={mc.order}"
-                       f" fp={_fingerprint(mc.members)}")
-            out.append(f"    uppermost: {upper.k.order}/{upper.l.order}")
-            out.append(f"    lowermost: {lower.k.order}/{lower.l.order}")
-        rels = set(bp.relation_pairs())
-        out.append("  order_relations: "
-                   + (" ".join(f"b{i}<b{j}" for i, j in sorted(rels))
-                      or "none"))
-        ids = [b.block_id for b in bp.blocks]
-        hasse = sorted((i, j) for i, j in rels
-                       if not any((i, k) in rels and (k, j) in rels
-                                  for k in ids))
-        rep.graphs["block-poset"] = {
-            "nodes": [f"b{b.block_id} C-order={b.centralizer.order}"
-                      for b in bp.blocks],
-            "edges": hasse,
-        }
+    bp = chief_blocks(g, lat)
+    out.append("blocks:")
+    out.append(f"  count: {len(bp)}")
+    for b in bp.blocks:
+        cm = b.centralizer
+        mc = minimal_cover(g, b, lat)
+        upper = uppermost_representative(g, b, lat)
+        lower = lowermost_representative(g, b, lat)
+        out.append(f"  b{b.block_id}:")
+        out.append(f"    centralizer: order={cm.order}"
+                   f" fp={_fingerprint(cm.members)}")
+        out.append(f"    representatives: {len(b.representatives)}")
+        out.append("    minimally_covered: True")
+        out.append(f"    minimal_cover: order={mc.order}"
+                   f" fp={_fingerprint(mc.members)}")
+        out.append(f"    uppermost: {upper.k.order}/{upper.l.order}")
+        out.append(f"    lowermost: {lower.k.order}/{lower.l.order}")
+    rels = set(bp.relation_pairs())
+    out.append("  order_relations: "
+               + (" ".join(f"b{i}<b{j}" for i, j in sorted(rels))
+                  or "none"))
+    ids = [b.block_id for b in bp.blocks]
+    hasse = sorted((i, j) for i, j in rels
+                   if not any((i, k) in rels and (k, j) in rels
+                              for k in ids))
+    rep.graphs["block-poset"] = {
+        "nodes": [f"b{b.block_id} C-order={b.centralizer.order}"
+                  for b in bp.blocks],
+        "edges": hasse,
+    }
 
     if opts.components:
         cr = component_report(g)
@@ -474,8 +472,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
     a = sub.add_parser("analyze", help="analyze a group spec")
     a.add_argument("--spec", required=True, help="path to a JSON spec file")
-    a.add_argument("--blocks", action="store_true",
-                   help="include the chief block section (on by default)")
     a.add_argument("--components", action="store_true",
                    help="include components and semisimple verdicts")
     a.add_argument("--factorization",
@@ -500,7 +496,6 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
             spec = parse_spec(fh.read())
         opts = AnalyzeOptions(
             components=args.components,
-            blocks=True,
             element_cap=args.element_cap,
             node_cap=args.node_cap,
             seed=args.seed,

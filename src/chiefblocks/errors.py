@@ -21,10 +21,6 @@ class SearchCapExceeded(CapError):
     """An automorphism/isomorphism search exceeded its candidate budget."""
 
 
-class OracleBoundExceeded(CapError):
-    """The brute-force subgroup oracle was asked about a group that is too large."""
-
-
 class InvalidPermutation(ChiefblocksError):
     """A supplied generator is not a bijection on its domain."""
 

@@ -16,6 +16,7 @@ from .blocks import (
     BlockPoset,
     ChiefBlock,
     chief_blocks,
+    covers,
     lowermost_representative,
     minimal_cover,
 )
@@ -35,7 +36,6 @@ from .factors import (
     make_factor,
 )
 from .group import (
-    FiniteGroup,
     Homomorphism,
     Subgroup,
     ambient_subgroup,
@@ -93,7 +93,6 @@ def extend_block(ambient, h: Subgroup, a: ChiefBlock) -> ChiefBlock:
     _require_normal_sub(amb, h)
     if a.ambient.members != h.members:
         raise DifferentParents("block does not belong to the given subgroup")
-    g = amb.parent
     h_lat = normal_subgroups(h)
     h_a = minimal_cover(h, a, h_lat)
     m = normal_closure(amb, h_a.gens)
@@ -106,7 +105,7 @@ def extend_block(ambient, h: Subgroup, a: ChiefBlock) -> ChiefBlock:
     factor = make_factor(amb, m_node, n_node)
     if is_abelian_factor(factor):
         raise ExtensionCheckFailed("extension factor came out abelian")
-    if any(n_members < x.members < m.members for x in g_lat.nodes):
+    if not g_lat.is_cover(n_members, m.members):
         raise ExtensionCheckFailed("extension factor is not chief")
     bp = chief_blocks(amb, g_lat)
     out = bp.by_centralizer(factor_centralizer(factor).members)
@@ -138,14 +137,10 @@ def _conjugate_orbit(amb: Subgroup, members: frozenset) -> list[frozenset]:
 
 def _is_extension_checked(amb: Subgroup, h: Subgroup, a: ChiefBlock,
                           b: ChiefBlock, g_lat) -> bool:
+    """K covers b exactly when K meet H covers a, for every node K."""
     g = amb.parent
-    for k in g_lat.nodes:
-        covers_b = not k.members <= b.centralizer.members
-        kh = Subgroup(g, k.members & h.members)
-        covers_a = not kh.members <= a.centralizer.members
-        if covers_b != covers_a:
-            return False
-    return True
+    return all(covers(k, b) == covers(Subgroup(g, k.members & h.members), a)
+               for k in g_lat.nodes)
 
 
 def is_extension(ambient, h: Subgroup, a: ChiefBlock,
@@ -169,19 +164,11 @@ def is_extension(ambient, h: Subgroup, a: ChiefBlock,
 class StackingStructure:
     """The action of G on the minimally covered blocks of H, classified."""
 
-    def __init__(self, group: FiniteGroup, normal_sub: Subgroup,
-                 blocks_h: BlockPoset, action_perms: list[tuple[int, ...]],
-                 preorder: set[tuple[int, int]],
+    def __init__(self, blocks_h: BlockPoset, preorder: set[tuple[int, int]],
                  classes: list[tuple[frozenset, str]]):
-        self.group = group
-        self.normal_sub = normal_sub
         self.blocks_h = blocks_h
-        self.action_perms = action_perms
         self.preorder = preorder
         self.classes = classes
-
-    def act(self, elem: int, a: ChiefBlock) -> ChiefBlock:
-        return block_action(self.group, self.normal_sub, elem, a)
 
     def same_class(self, a: ChiefBlock, b: ChiefBlock) -> bool:
         return any(a.block_id in cls and b.block_id in cls
@@ -251,14 +238,10 @@ def stacking_structure(ambient, h: Subgroup) -> StackingStructure:
     """Preorder, stacking classes and per-class kind for the blocks of H."""
     amb = ambient_subgroup(ambient)
     _require_normal_sub(amb, h)
-    g = amb.parent
     bp = chief_blocks(h)
     perms = _action_permutations(amb, h, bp)
     n = len(bp.blocks)
     cents = [b.centralizer.members for b in bp.blocks]
-
-    def leq(i: int, j: int) -> bool:
-        return cents[i] <= cents[j]
 
     def lt(i: int, j: int) -> bool:
         return cents[i] < cents[j]
@@ -267,12 +250,12 @@ def stacking_structure(ambient, h: Subgroup) -> StackingStructure:
     for p in perms:
         for i in range(n):
             for j in range(n):
-                if leq(i, j) != leq(p[i], p[j]):
+                if (cents[i] <= cents[j]) != (cents[p[i]] <= cents[p[j]]):
                     raise InternalCheckError(
                         "block action failed to preserve the order")
 
     preorder = {(i, j) for i in range(n) for j in range(n)
-                if any(leq(p[i], j) for p in perms)}
+                if any(cents[p[i]] <= cents[j] for p in perms)}
     classes = []
     assigned = set()
     for i in range(n):
@@ -283,7 +266,7 @@ def stacking_structure(ambient, h: Subgroup) -> StackingStructure:
         assigned |= cls
         kind = classify_stacking_class(sorted(cls), lt, perms)
         classes.append((cls, kind))
-    return StackingStructure(g, h, bp, perms, preorder, classes)
+    return StackingStructure(bp, preorder, classes)
 
 
 class ExtensionPosetCheck:
@@ -304,17 +287,14 @@ def extension_poset_check(ambient, h: Subgroup) -> ExtensionPosetCheck:
     amb = ambient_subgroup(ambient)
     st = stacking_structure(amb, h)
     exts = {a.block_id: extend_block(amb, h, a) for a in st.blocks_h.blocks}
-    ok = True
     for a in st.blocks_h.blocks:
         for b in st.blocks_h.blocks:
             lhs = (exts[a.block_id].centralizer.members
                    <= exts[b.block_id].centralizer.members)
             rhs = (a.block_id, b.block_id) in st.preorder
             if lhs != rhs:
-                ok = False
-    if not ok:
-        raise InternalCheckError(
-            "extension order disagrees with the stacking preorder")
+                raise InternalCheckError(
+                    "extension order disagrees with the stacking preorder")
     # Same-class blocks must share their extension, distinct classes not.
     for a in st.blocks_h.blocks:
         for b in st.blocks_h.blocks:
@@ -347,7 +327,6 @@ def antichain_orbit_analysis(ambient, h: Subgroup,
     asserted equal.
     """
     amb = ambient_subgroup(ambient)
-    g = amb.parent
     st = stacking_structure(amb, h)
     kind = next(kind for cls, kind in st.classes if a.block_id in cls)
     cond1 = kind == "antichain-orbit"
@@ -355,12 +334,11 @@ def antichain_orbit_analysis(ambient, h: Subgroup,
     b = extend_block(amb, h, a)
     low = lowermost_representative(amb, b)
     m, n = low.k, low.l
+    # N <= M <= H with N normal in G, so N is a node of H's lattice and the
+    # minimal H-invariant subgroups of M/N are its upper covers inside M.
     h_lat = normal_subgroups(h)
-    invariants = [x for x in h_lat.nodes
-                  if n.members < x.members and x.members <= m.members]
-    minimal = [x for x in invariants
-               if not any(n.members < y.members < x.members
-                          for y in invariants)]
+    minimal = [x for x in h_lat.minimal_nodes_over(n.members)
+               if x.members <= m.members]
     cond2 = bool(minimal)
 
     cond3 = False
@@ -369,8 +347,7 @@ def antichain_orbit_analysis(ambient, h: Subgroup,
         reps_match = orbit == {x.members for x in minimal}
         # One minimal invariant over N must be a representative of a.
         is_rep = any(
-            not any(n.members < y.members < x.members for y in h_lat.nodes)
-            and factor_centralizer(
+            factor_centralizer(
                 make_factor(h, x, h_lat.node_with_members(n.members))
             ).members == a.centralizer.members
             for x in minimal)
@@ -407,7 +384,7 @@ def quotient_block_pullback(phi: Homomorphism) -> dict:
             pl = phi.preimage(f.l.members)
             pk_node = g_lat.node_with_members(pk)
             pl_node = g_lat.node_with_members(pl)
-            if any(pl < x.members < pk for x in g_lat.nodes):
+            if not g_lat.is_cover(pl, pk):
                 raise InternalCheckError("pullback factor is not chief")
             pulled = make_factor(g, pk_node, pl_node)
             _check_factor_isomorphic(phi, pulled, f)

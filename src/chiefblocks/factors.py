@@ -6,6 +6,7 @@ from typing import Optional
 
 from .errors import (
     DifferentParents,
+    InternalCheckError,
     NotAssociated,
     NotNormal,
     NotStrictlyNested,
@@ -20,7 +21,7 @@ from .group import (
     product_of_subgroups,
     subgroup_as_group,
 )
-from .lattice import NormalLattice, chief_factors, normal_subgroups
+from .lattice import NormalLattice, chief_factors, join, normal_subgroups
 
 
 class NormalFactor:
@@ -149,14 +150,11 @@ def common_compression(f1: NormalFactor, f2: NormalFactor) -> NormalFactor:
     """(K1K2)/(L1L2), an internal compression of both associated inputs."""
     if not are_associated(f1, f2):
         raise NotAssociated("common compression needs associated factors")
-    g = f1.ambient.parent
-    k = Subgroup(g, product_of_subgroups(f1.k, f2.k),
-                 list(dict.fromkeys(list(f1.k.gens) + list(f2.k.gens))))
-    l = Subgroup(g, product_of_subgroups(f1.l, f2.l),
-                 list(dict.fromkeys(list(f1.l.gens) + list(f2.l.gens))))
-    out = NormalFactor(f1.ambient, k, l)
-    assert is_internal_compression(f1, out)
-    assert is_internal_compression(f2, out)
+    out = NormalFactor(f1.ambient, join(f1.k, f2.k), join(f1.l, f2.l))
+    if not (is_internal_compression(f1, out)
+            and is_internal_compression(f2, out)):
+        raise InternalCheckError(
+            "common compression must compress both factors")
     return out
 
 
@@ -182,20 +180,3 @@ def association_graph(ambient, lat: Optional[NormalLattice] = None
 def centralizer_equal(f1: NormalFactor, f2: NormalFactor) -> bool:
     _same_ambient(f1, f2)
     return factor_centralizer(f1).members == factor_centralizer(f2).members
-
-
-def chief_association_conditions(f1: NormalFactor, f2: NormalFactor) -> tuple:
-    """The three equivalent tests for non-abelian chief factors.
-
-    Returns (associated, equal centralizers, product condition); the product
-    condition is K1L2 = K2L1 together with K1K2 > L1L2.
-    """
-    _same_ambient(f1, f2)
-    cond1 = are_associated(f1, f2)
-    cond2 = centralizer_equal(f1, f2)
-    k1l2 = product_of_subgroups(f1.k, f2.l)
-    k2l1 = product_of_subgroups(f2.k, f1.l)
-    k1k2 = product_of_subgroups(f1.k, f2.k)
-    l1l2 = product_of_subgroups(f1.l, f2.l)
-    cond3 = k1l2 == k2l1 and l1l2 < k1k2
-    return cond1, cond2, cond3

@@ -7,8 +7,12 @@ and ids are stable for the lifetime of the group.  Concrete constructions
 subclasses that implement multiplication on ids; groups built from
 permutations also expose the underlying permutation of each element.
 
-All objects here are immutable after construction, so concurrent read-only
-use is safe.
+Groups and subgroups are not immutable.  ``is_normal_in`` records a verified
+normality verdict in ``Subgroup.is_normal``, a subgroup's generators are
+computed on first use, and every analysis memoizes its results (lattices,
+classes, centers, factor groups, blocks, components) in the unbounded
+``FiniteGroup._cache`` dict.  Share a group between threads only with outside
+locking.
 """
 
 from __future__ import annotations
@@ -32,10 +36,6 @@ DEFAULT_ELEMENT_CAP = 30_000
 # Full Cayley tables are precomputed below this order; above it, products are
 # computed per call from the construction data.
 _MUL_TABLE_BOUND = 512
-
-# Pairwise commutators are enumerated over all element pairs below this
-# product of orders; larger inputs use generator commutators plus closure.
-_COMMUTATOR_PAIR_BOUND = 40_000
 
 
 class FiniteGroup:
@@ -262,13 +262,6 @@ class Homomorphism:
     def preimage(self, members: frozenset) -> frozenset:
         return frozenset(a for a, fa in enumerate(self.mapping)
                          if fa in members)
-
-    def compose(self, inner: "Homomorphism") -> "Homomorphism":
-        """self o inner."""
-        if inner.target is not self.source:
-            raise DifferentParents("composition endpoints do not match")
-        return Homomorphism(inner.source, self.target,
-                            [self.mapping[x] for x in inner.mapping])
 
     def __repr__(self):
         return (f"<Homomorphism {self.name or ''} {self.source.name}"
@@ -548,9 +541,6 @@ class CosetGroup(FiniteGroup):
     def _inv_impl(self, a: int) -> int:
         return self.coset_of[self.parent_group.inv(self.reps[a])]
 
-    def project(self, parent_id: int) -> int:
-        return self.coset_of[parent_id]
-
     def element_repr(self, a: int) -> str:
         return f"[{self.parent_group.element_repr(self.reps[a])}]"
 
@@ -704,12 +694,17 @@ def centralizer_subgroup(g_or_ambient, s: Iterable[int]) -> Subgroup:
     return Subgroup(g, members)
 
 
-def center(g: FiniteGroup) -> Subgroup:
-    z = g._cache.get("center")
+def center(ambient) -> Subgroup:
+    """Z of a FiniteGroup or a Subgroup, computed inside it and cached."""
+    amb = ambient_subgroup(ambient)
+    g = amb.parent
+    key = ("center", amb.members)
+    z = g._cache.get(key)
     if z is None:
-        z = centralizer_subgroup(g, g.generators)
-        z.is_normal = True
-        g._cache["center"] = z
+        z = centralizer_subgroup(amb, amb.gens)
+        if len(amb.members) == g.order:
+            z.is_normal = True
+        g._cache[key] = z
     return z
 
 
@@ -808,44 +803,37 @@ def conjugacy_classes(ambient) -> list[list[int]]:
     return classes
 
 
-def commutator_subgroup(g: FiniteGroup, a: Subgroup, b: Subgroup,
-                        method: str = "auto") -> Subgroup:
+def commutator_subgroup(g: FiniteGroup, a: Subgroup, b: Subgroup) -> Subgroup:
     """Subgroup generated by all commutators [x, y], x in A, y in B.
 
-    ``method`` selects between enumerating every element pair ("pairs"),
-    taking generator commutators and closing under conjugation inside <A, B>
-    ("generators"), or choosing by input size ("auto").  Both routes compute
-    the same subgroup; the generator route relies on [A,B] being normal in
-    <A, B> and generated by the normal closure of generator commutators.
+    [A, B] is normal in <A, B> and is the normal closure there of the
+    commutators of generators of A with generators of B.
     """
     if a.parent is not g or b.parent is not g:
         raise DifferentParents("operands live in different groups")
-    if method == "auto":
-        method = ("pairs" if a.order * b.order <= _COMMUTATOR_PAIR_BOUND
-                  else "generators")
-    if method == "pairs":
-        comms = {g.comm(x, y) for x in a.members for y in b.members}
-        return Subgroup(g, close_under_mul(g, sorted(comms)))
-    if method != "generators":
-        raise ValueError(f"unknown commutator method: {method}")
     span = Subgroup(g, close_under_mul(g, list(a.gens) + list(b.gens)),
                     list(a.gens) + list(b.gens))
     seed = sorted({g.comm(x, y) for x in a.gens for y in b.gens})
     return Subgroup(g, normal_closure(span, seed).members)
 
 
-def derived_subgroup(g: FiniteGroup) -> Subgroup:
-    d = g._cache.get("derived")
+def derived_subgroup(ambient) -> Subgroup:
+    """[G, G] of a FiniteGroup or a Subgroup, cached."""
+    amb = ambient_subgroup(ambient)
+    g = amb.parent
+    key = ("derived", amb.members)
+    d = g._cache.get(key)
     if d is None:
-        w = g.whole()
-        d = commutator_subgroup(g, w, w)
-        d.is_normal = True
-        g._cache["derived"] = d
+        d = commutator_subgroup(g, amb, amb)
+        if len(amb.members) == g.order:
+            d.is_normal = True
+        g._cache[key] = d
     return d
 
 
-def is_perfect(g: FiniteGroup) -> bool:
-    return derived_subgroup(g).order == g.order
+def is_perfect(ambient) -> bool:
+    amb = ambient_subgroup(ambient)
+    return derived_subgroup(amb).order == amb.order
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,8 @@
 
 Every operation takes either a FiniteGroup or a Subgroup as its ambient; in
 the latter case "normal" means normal in that subgroup, which is what the
-block-extension machinery needs.
+block-extension machinery needs.  Every layer asks ``NormalLattice`` whether
+L < K is a cover (no normal subgroup strictly between).
 """
 
 from __future__ import annotations
@@ -11,16 +12,14 @@ from typing import Iterator
 
 from .errors import (
     DifferentParents,
+    InternalCheckError,
     NodeCapExceeded,
     NotNested,
     NotNormal,
-    OracleBoundExceeded,
 )
 from .group import (
-    FiniteGroup,
     Subgroup,
     ambient_subgroup,
-    close_under_mul,
     conjugacy_classes,
     is_normal_in,
     normal_closure,
@@ -28,7 +27,6 @@ from .group import (
 )
 
 DEFAULT_NODE_CAP = 10_000
-_ORACLE_BOUND = 24
 
 
 class NormalLattice:
@@ -36,15 +34,18 @@ class NormalLattice:
 
     Nodes are deduplicated and sorted by (order, member tuple), so node
     indices are deterministic.  The lattice is closed under join (set
-    product) and meet (intersection) by construction.
+    product) and meet (intersection) by construction.  Its Hasse edges are
+    built once, on first use, and answer every cover question: ``covers``
+    lists them, ``is_cover`` tests one pair, and ``minimal_nodes_over`` and
+    ``maximal_nodes_under`` give the upper and lower covers of a node.
     """
 
     def __init__(self, ambient: Subgroup, nodes: list[Subgroup]):
         self.ambient = ambient
-        self.group = ambient.parent
         self.nodes = nodes
         self._index = {n.members: i for i, n in enumerate(nodes)}
-        self._covers: list[tuple[int, int]] | None = None
+        self._down: list[list[int]] | None = None
+        self._up: list[list[int]] | None = None
 
     def __len__(self):
         return len(self.nodes)
@@ -61,42 +62,51 @@ class NormalLattice:
     def contains_members(self, members: frozenset) -> bool:
         return members in self._index
 
-    def leq(self, i: int, j: int) -> bool:
-        return self.nodes[i].members <= self.nodes[j].members
+    def _hasse(self) -> tuple[list[list[int]], list[list[int]]]:
+        """Lower and upper covers of every node, as ascending index lists.
+
+        Nodes are sorted by order, so any node strictly between i and j has
+        an index between them.  Walking the candidates i below j from the
+        largest down, i is a lower cover of j unless a lower cover of j
+        found earlier contains it.
+        """
+        if self._down is None:
+            n = len(self.nodes)
+            down: list[list[int]] = [[] for _ in range(n)]
+            up: list[list[int]] = [[] for _ in range(n)]
+            for j in range(n):
+                mj = self.nodes[j].members
+                found: list[frozenset] = []
+                for i in range(j - 1, -1, -1):
+                    mi = self.nodes[i].members
+                    if mi < mj and not any(mi < c for c in found):
+                        found.append(mi)
+                        down[j].append(i)
+                down[j].reverse()
+                for i in down[j]:
+                    up[i].append(j)
+            self._down, self._up = down, up
+        return self._down, self._up
 
     def covers(self) -> list[tuple[int, int]]:
-        """Hasse edges (i, j) with node i covered by node j."""
-        if self._covers is None:
-            edges = []
-            n = len(self.nodes)
-            for i in range(n):
-                mi = self.nodes[i].members
-                for j in range(n):
-                    if i == j:
-                        continue
-                    mj = self.nodes[j].members
-                    if not (mi < mj):
-                        continue
-                    if any(k != i and k != j
-                           and mi < self.nodes[k].members < mj
-                           for k in range(n)):
-                        continue
-                    edges.append((i, j))
-            self._covers = sorted(edges)
-        return self._covers
+        """Hasse edges (i, j) with node i covered by node j, sorted."""
+        down, _ = self._hasse()
+        return sorted((i, j) for j in range(len(down)) for i in down[j])
+
+    def is_cover(self, lower: frozenset, upper: frozenset) -> bool:
+        """True iff both are nodes and ``upper`` covers ``lower``."""
+        j = self._index.get(upper)
+        return j is not None and self._index.get(lower) in self._hasse()[0][j]
 
     def minimal_nodes_over(self, members: frozenset) -> list[Subgroup]:
         """Nodes covering the given node in the lattice order."""
-        above = [n for n in self.nodes if members < n.members]
-        out = []
-        for n in above:
-            if not any(members < m.members < n.members for m in above):
-                out.append(n)
-        return out
+        up = self._hasse()[1][self._index[members]]
+        return [self.nodes[j] for j in up]
 
-    def between(self, lower: frozenset, upper: frozenset) -> list[Subgroup]:
-        return [n for n in self.nodes
-                if lower <= n.members and n.members <= upper]
+    def maximal_nodes_under(self, members: frozenset) -> list[Subgroup]:
+        """Nodes covered by the given node in the lattice order."""
+        down = self._hasse()[0][self._index[members]]
+        return [self.nodes[i] for i in down]
 
 
 def normal_subgroups(ambient, node_cap: int = DEFAULT_NODE_CAP
@@ -106,8 +116,8 @@ def normal_subgroups(ambient, node_cap: int = DEFAULT_NODE_CAP
     Atoms are the normal closures of conjugacy-class representatives; every
     normal subgroup is the join of the cyclic normal closures of its
     elements, so closing the atoms under pairwise join is complete.  The
-    completeness is cross-checked against brute-force enumeration in the
-    test-suite oracle for small orders.
+    test suite cross-checks completeness against brute-force enumeration
+    at small orders.
     """
     amb = ambient_subgroup(ambient)
     g = amb.parent
@@ -151,19 +161,28 @@ def normal_subgroups(ambient, node_cap: int = DEFAULT_NODE_CAP
     return lat
 
 
-def join(n: Subgroup, m: Subgroup) -> Subgroup:
-    """Join of two normal subgroups: their set product."""
-    if n.parent is not m.parent:
-        raise DifferentParents("join operands in different groups")
-    members = product_of_subgroups(n, m)
-    return Subgroup(n.parent, members,
-                    list(dict.fromkeys(list(n.gens) + list(m.gens))))
+def join(n: Subgroup, *others: Subgroup) -> Subgroup:
+    """Join of normal subgroups: their set product, with merged generators.
+
+    With no others the result is ``n`` itself.
+    """
+    out = n
+    for m in others:
+        if m.parent is not n.parent:
+            raise DifferentParents("join operands in different groups")
+        out = Subgroup(n.parent, product_of_subgroups(out, m),
+                       list(dict.fromkeys(list(out.gens) + list(m.gens))))
+    return out
 
 
-def meet(n: Subgroup, m: Subgroup) -> Subgroup:
-    if n.parent is not m.parent:
-        raise DifferentParents("meet operands in different groups")
-    return Subgroup(n.parent, n.members & m.members)
+def meet(n: Subgroup, *others: Subgroup) -> Subgroup:
+    """Intersection of subgroups; with no others the result is ``n`` itself."""
+    out = n
+    for m in others:
+        if m.parent is not n.parent:
+            raise DifferentParents("meet operands in different groups")
+        out = Subgroup(n.parent, out.members & m.members)
+    return out
 
 
 def is_chief_factor(ambient, k: Subgroup, l: Subgroup,
@@ -176,7 +195,7 @@ def is_chief_factor(ambient, k: Subgroup, l: Subgroup,
         raise NotNested("need L < K")
     if lat is None:
         lat = normal_subgroups(amb)
-    return not any(l.members < n.members < k.members for n in lat.nodes)
+    return lat.is_cover(l.members, k.members)
 
 
 def chief_factors(ambient, lat: NormalLattice | None = None) -> list:
@@ -197,9 +216,7 @@ def chief_series_iter(ambient, max_series: int | None = None,
     amb = ambient_subgroup(ambient)
     if lat is None:
         lat = normal_subgroups(amb)
-    up: dict[int, list[int]] = {}
-    for i, j in lat.covers():
-        up.setdefault(i, []).append(j)
+    up = lat._hasse()[1]
     bottom = lat.index_of(amb.parent.trivial_subgroup())
     top = lat.index_of(amb) if lat.contains_members(amb.members) else None
     count = 0
@@ -213,7 +230,7 @@ def chief_series_iter(ambient, max_series: int | None = None,
             count += 1
             yield [lat.nodes[i] for i in chain]
             return
-        for nxt in sorted(up.get(last, ())):
+        for nxt in up[last]:
             yield from walk(chain + [nxt])
 
     yield from walk([bottom])
@@ -227,10 +244,7 @@ def socle(ambient, lat: NormalLattice | None = None) -> Subgroup:
     atoms = lat.minimal_nodes_over(frozenset((0,)))
     if not atoms:
         return amb.parent.trivial_subgroup()
-    out = atoms[0]
-    for a in atoms[1:]:
-        out = join(out, a)
-    return out
+    return join(*atoms)
 
 
 def is_monolithic(ambient, lat: NormalLattice | None = None) -> bool:
@@ -241,43 +255,9 @@ def is_monolithic(ambient, lat: NormalLattice | None = None) -> bool:
     return len(lat.minimal_nodes_over(frozenset((0,)))) == 1
 
 
-def oracle_all_subgroups(g: FiniteGroup) -> list[Subgroup]:
-    """Every subgroup of g, by exhaustive closure of element subsets.
-
-    Test oracle with a hard order bound: starting from the trivial subgroup,
-    repeatedly extend each known subgroup by one new element and close.  Each
-    subgroup is generated by some finite set, so adding generators one at a
-    time reaches all of them; closure sizes divide the group order, which
-    keeps the walk short.
-    """
-    if g.order > _ORACLE_BOUND:
-        raise OracleBoundExceeded(
-            f"oracle handles orders up to {_ORACLE_BOUND}, got {g.order}")
-    seen: dict[frozenset, list[int]] = {frozenset((0,)): []}
-    worklist = [(frozenset((0,)), [])]
-    while worklist:
-        members, gens = worklist.pop()
-        for x in g.elements():
-            if x in members:
-                continue
-            new_gens = gens + [x]
-            closed = close_under_mul(g, [x], members, gens)
-            if closed not in seen:
-                seen[closed] = new_gens
-                worklist.append((closed, new_gens))
-    return [Subgroup(g, m, gs) for m, gs in
-            sorted(seen.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))]
-
-
-def oracle_normal_subgroups(g: FiniteGroup) -> list[Subgroup]:
-    """Brute-force normal subgroups: the oracle list filtered by normality."""
-    whole = g.whole()
-    return [s for s in oracle_all_subgroups(g) if is_normal_in(s, whole)]
-
-
 def jordan_holder_length(ambient) -> int:
-    """Common length of all chief series (asserted equal in the tests)."""
+    """Common length of all chief series, checked equal over every series."""
     lengths = {len(s) - 1 for s in chief_series_iter(ambient)}
     if len(lengths) != 1:
-        raise AssertionError(f"chief series of unequal lengths: {lengths}")
+        raise InternalCheckError(f"chief series of unequal lengths: {lengths}")
     return lengths.pop()

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import re
 
-from .errors import SpecError, UnknownName
+from .errors import InternalCheckError, SpecError, UnknownName
 from .group import (
     DEFAULT_ELEMENT_CAP,
     DirectProductGroup,
@@ -75,7 +75,8 @@ def quaternion8(cap: int = DEFAULT_ELEMENT_CAP) -> FiniteGroup:
     i = perm_from_cycles([[0, 1, 4, 5], [2, 3, 6, 7]], 8)
     j = perm_from_cycles([[0, 2, 4, 6], [1, 7, 5, 3]], 8)
     g = group_from_permutations([i, j], cap=cap, name="Q8")
-    assert g.order == 8
+    if g.order != 8:
+        raise InternalCheckError(f"Q8 came out of order {g.order}")
     return g
 
 
@@ -104,13 +105,15 @@ def _sl2(p: int, cap: int) -> FiniteGroup:
 
 def sl23(cap: int = DEFAULT_ELEMENT_CAP) -> FiniteGroup:
     g = _sl2(3, cap)
-    assert g.order == 24
+    if g.order != 24:
+        raise InternalCheckError(f"SL(2,3) came out of order {g.order}")
     return g
 
 
 def sl25(cap: int = DEFAULT_ELEMENT_CAP) -> FiniteGroup:
     g = _sl2(5, cap)
-    assert g.order == 120
+    if g.order != 120:
+        raise InternalCheckError(f"SL(2,5) came out of order {g.order}")
     return g
 
 
@@ -165,7 +168,8 @@ def extraspecial32(cap: int = DEFAULT_ELEMENT_CAP) -> CentralProductResult:
                      if x != 0 and q8a.element_order(x) == 2)
     res = central_product(q8a, q8b, [(minus_one, minus_one)], cap,
                           name="ES32")
-    assert res.group.order == 32
+    if res.group.order != 32:
+        raise InternalCheckError(f"ES32 came out of order {res.group.order}")
     return res
 
 

@@ -36,17 +36,18 @@ from .group import (
     semidirect_product,
     subgroup_as_group,
 )
+from .lattice import join, meet
 
 
 class Factorization:
     """A verified factorization of an ambient by normal parts."""
 
     def __init__(self, ambient: Subgroup, parts: list[Subgroup], kind: str,
-                 complements: dict):
+                 complements: list[Subgroup]):
         self.ambient = ambient
         self.parts = parts
         self.kind = kind  # generalized-central | quasi-direct | neither
-        self.complements = complements
+        self.complements = complements  # G_{S minus N}, in part order
 
     def __repr__(self):
         orders = ",".join(str(p.order) for p in self.parts)
@@ -54,30 +55,18 @@ class Factorization:
 
 
 def _check_parts(amb: Subgroup, parts: Sequence[Subgroup]) -> list[Subgroup]:
-    out = []
     for p in parts:
         if p.parent is not amb.parent:
             raise NotNormal("factorization part lives in a different group")
         if not is_normal_in(p, amb):
             raise NotNormal("factorization parts must be normal")
-        out.append(p)
-    return out
+    return list(parts)
 
 
-def join_of(amb: Subgroup, parts: Sequence[Subgroup]) -> frozenset:
-    """G_J: the subgroup generated by the listed parts."""
-    if not parts:
-        return frozenset((0,))
-    members = parts[0].members
-    for p in parts[1:]:
-        members = product_of_subgroups(
-            Subgroup(amb.parent, members), p)
-    return members
-
-
-def complements_of(amb: Subgroup, parts: Sequence[Subgroup]) -> list[frozenset]:
+def complements_of(amb: Subgroup, parts: Sequence[Subgroup]) -> list[Subgroup]:
     """G_{S minus N} for each part N, in part order."""
-    return [join_of(amb, [q for j, q in enumerate(parts) if j != i])
+    trivial = amb.parent.trivial_subgroup()
+    return [join(trivial, *parts[:i], *parts[i + 1:])
             for i in range(len(parts))]
 
 
@@ -91,91 +80,58 @@ def parts_commute(amb: Subgroup, parts: Sequence[Subgroup]) -> bool:
     return True
 
 
+def classify_factorization(ambient, parts: Sequence[Subgroup]
+                           ) -> Factorization:
+    """Validate the parts once, then classify them with their complements.
+
+    Generalized central: the parts generate the ambient and pairwise
+    commute.  Quasi-direct: additionally the complements meet trivially.
+    For at most one part that second condition holds whenever the parts
+    generate, so a single part is quasi-direct exactly when it is the
+    ambient.
+    """
+    amb = ambient_subgroup(ambient)
+    parts = _check_parts(amb, parts)
+    comps = complements_of(amb, parts)
+    span = join(comps[0], parts[0]).members if parts else frozenset((0,))
+    if span != amb.members or not parts_commute(amb, parts):
+        kind = "neither"
+    elif meet(amb, *comps).order == 1:
+        kind = "quasi-direct"
+    else:
+        kind = "generalized-central"
+    return Factorization(amb, parts, kind, comps)
+
+
 def is_generalized_central_factorization(ambient, parts: Sequence[Subgroup]
                                          ) -> bool:
     """Parts generate the ambient and pairwise commute."""
-    amb = ambient_subgroup(ambient)
-    parts = _check_parts(amb, parts)
-    return join_of(amb, parts) == amb.members and parts_commute(amb, parts)
+    return classify_factorization(ambient, parts).kind != "neither"
 
 
 def single_intersection_trivial(ambient, parts: Sequence[Subgroup]) -> bool:
     amb = ambient_subgroup(ambient)
-    inter = amb.members
-    for comp in complements_of(amb, parts):
-        inter = inter & comp
-    return inter == frozenset((0,))
+    return meet(amb, *complements_of(amb, parts)).order == 1
 
 
 def is_quasi_direct_factorization(ambient, parts: Sequence[Subgroup]) -> bool:
     """Generalized central plus trivially intersecting complements.
 
-    A single part is a quasi-direct factorization exactly when it equals the
-    ambient; for two or more parts the single-intersection criterion captures
-    the full independence property.
+    For two or more parts the single-intersection criterion captures the
+    full independence property.
     """
-    amb = ambient_subgroup(ambient)
-    parts = _check_parts(amb, parts)
-    if len(parts) <= 1:
-        return join_of(amb, parts) == amb.members
-    return (is_generalized_central_factorization(amb, parts)
-            and single_intersection_trivial(amb, parts))
-
-
-def independence_property(ambient, parts: Sequence[Subgroup]) -> bool:
-    """The full for-all-X independence property, checked exhaustively.
-
-    X ranges over families of subsets of the part set: whenever the family
-    has empty intersection, the corresponding joins must intersect trivially.
-    Exponential in 2^len(parts); intended for small part counts.
-    """
-    amb = ambient_subgroup(ambient)
-    parts = _check_parts(amb, parts)
-    n = len(parts)
-    subsets = list(itertools.chain.from_iterable(
-        itertools.combinations(range(n), k) for k in range(n + 1)))
-    joins = {s: join_of(amb, [parts[i] for i in s]) for s in subsets}
-    for family_size in range(1, len(subsets) + 1):
-        for family in itertools.combinations(subsets, family_size):
-            common = set(range(n))
-            for s in family:
-                common &= set(s)
-            if common:
-                continue
-            inter = amb.members
-            for s in family:
-                inter = inter & joins[s]
-            if inter != frozenset((0,)):
-                return False
-    return True
-
-
-def classify_factorization(ambient, parts: Sequence[Subgroup]
-                           ) -> Factorization:
-    amb = ambient_subgroup(ambient)
-    parts = _check_parts(amb, parts)
-    comps = complements_of(amb, parts)
-    if not is_generalized_central_factorization(amb, parts):
-        kind = "neither"
-    elif is_quasi_direct_factorization(amb, parts):
-        kind = "quasi-direct"
-    else:
-        kind = "generalized-central"
-    return Factorization(amb, list(parts), kind,
-                         {i: c for i, c in enumerate(comps)})
+    return classify_factorization(ambient, parts).kind == "quasi-direct"
 
 
 class DiagonalMapResult:
     """Outcome of the diagonal map into the product of complement quotients."""
 
     def __init__(self, kernel: Subgroup, injective: bool,
-                 codomain_order: int, hom: Optional[Homomorphism],
-                 coordinate_images: Optional[list[frozenset]]):
+                 codomain_order: int, hom: Optional[Homomorphism]):
         self.kernel = kernel
         self.injective = injective
         self.codomain_order = codomain_order
         self.hom = hom
-        self.coordinate_images = coordinate_images
 
 
 def diagonal_map(ambient, parts: Sequence[Subgroup],
@@ -187,39 +143,32 @@ def diagonal_map(ambient, parts: Sequence[Subgroup],
     is only materialized when its order fits under the cap; the kernel facts
     are checked either way.
     """
-    amb = ambient_subgroup(ambient)
-    parts = _check_parts(amb, parts)
-    if len(parts) < 2:
+    fact = classify_factorization(ambient, parts)
+    amb, comps = fact.ambient, fact.complements
+    if len(fact.parts) < 2:
         raise NotGeneralizedCentral("diagonal map needs at least two parts")
-    if not is_generalized_central_factorization(amb, parts):
+    if fact.kind == "neither":
         raise NotGeneralizedCentral(
             "diagonal map needs a generalized central factorization")
-    g = amb.parent
-    comps = complements_of(amb, parts)
-    kernel_members = amb.members
-    for c in comps:
-        kernel_members &= c
-    kernel = Subgroup(g, kernel_members)
-    quasi = is_quasi_direct_factorization(amb, parts)
+    kernel = meet(amb, *comps)
     injective = kernel.order == 1
-    if injective != quasi:
+    if injective != (fact.kind == "quasi-direct"):
         raise InternalCheckError("kernel triviality must match quasi-directness")
     # Central kernel: every part centralizes it, and the parts generate.
-    zmembers = center_of_ambient(amb)
-    if not kernel_members <= zmembers:
+    if not kernel.members <= center(amb).members:
         raise InternalCheckError("diagonal-map kernel must be central")
 
     amb_group, embed = subgroup_as_group(amb)
     quots = []
     for c in comps:
         csub = Subgroup(amb_group,
-                        frozenset(amb_group.coset_of[x] for x in c))
+                        frozenset(amb_group.coset_of[x] for x in c.members))
         quots.append(quotient(amb_group, csub))
     total = 1
     for q, _ in quots:
         total *= q.order
     if total > cap:
-        return DiagonalMapResult(kernel, injective, total, None, None)
+        return DiagonalMapResult(kernel, injective, total, None)
     codomain = quots[0][0]
     for q, _ in quots[1:]:
         codomain = direct_product(codomain, q, cap)
@@ -233,7 +182,6 @@ def diagonal_map(ambient, parts: Sequence[Subgroup],
     if hom.is_injective != injective:
         raise InternalCheckError("materialized injectivity disagrees")
     image = set(mapping)
-    coordinate_images = []
     sizes = [q.order for q, _ in quots]
     for i, (q, _) in enumerate(quots):
         # ids of the i-th coordinate subgroup inside the iterated product
@@ -246,16 +194,7 @@ def diagonal_map(ambient, parts: Sequence[Subgroup],
         if not coord <= image:
             raise InternalCheckError(
                 "diagonal image must meet each coordinate factor fully")
-        coordinate_images.append(frozenset(coord))
-    return DiagonalMapResult(kernel, injective, total, hom, coordinate_images)
-
-
-def center_of_ambient(amb: Subgroup) -> frozenset:
-    g = amb.parent
-    if amb.order == g.order:
-        return center(g).members
-    from .group import centralizer_subgroup
-    return centralizer_subgroup(amb, amb.gens).members & amb.members
+    return DiagonalMapResult(kernel, injective, total, hom)
 
 
 def subdirect_quasi_factorization(delta: Homomorphism,
@@ -299,19 +238,16 @@ def central_quotient_factorization(ambient, parts: Sequence[Subgroup],
     in G/N.  When M is proper, the surviving part images form a verified
     quasi-direct factorization of G/M.  Returns (M, factorization-or-None).
     """
-    amb = ambient_subgroup(ambient)
-    parts = _check_parts(amb, parts)
+    fact = classify_factorization(ambient, parts)
+    amb, parts = fact.ambient, fact.parts
     if len(parts) < 2:
         raise NotGeneralizedCentral("need a non-trivial factorization")
-    if not is_generalized_central_factorization(amb, parts):
+    if fact.kind == "neither":
         raise NotGeneralizedCentral("parts are not generalized central")
     if not is_normal_in(n, amb) or not n.members < amb.members:
         raise NotNormal("need a proper normal subgroup to quotient by")
     g = amb.parent
-    m_members = amb.members
-    for comp in complements_of(amb, parts):
-        m_members &= product_of_subgroups(Subgroup(g, comp), n)
-    m = Subgroup(g, m_members)
+    m = meet(amb, *[join(c, n) for c in fact.complements])
     # M/N central in G/N: [M, ambient] must land in N.
     for x in m.gens:
         for y in amb.gens:

@@ -21,6 +21,7 @@ from .group import (
     close_under_mul,
     derived_subgroup,
     is_normal_in,
+    is_perfect,
     normal_closure,
     quotient,
 )
@@ -43,12 +44,6 @@ class ComponentReport:
         self.type = type_
 
 
-def _center_of(sub: Subgroup) -> frozenset:
-    """Z(M) for a subgroup M, computed inside M."""
-    return (centralizer_subgroup(sub.parent, sub.gens).members
-            & sub.members)
-
-
 def components(ambient) -> list[Subgroup]:
     """All components of the ambient.
 
@@ -62,6 +57,9 @@ def components(ambient) -> list[Subgroup]:
     normal subgroup of M is central in M suffices: such an M is perfect, so
     it commutes with its other conjugates, making central-in-M subgroups
     central in the closure as well.
+
+    Only perfect N are swept: a component M is perfect, so its conjugates
+    are perfect, and N, which they generate, is perfect too.
     """
     amb = ambient_subgroup(ambient)
     g = amb.parent
@@ -72,7 +70,7 @@ def components(ambient) -> list[Subgroup]:
     lat = normal_subgroups(amb)
     found: dict[frozenset, Subgroup] = {}
     for n in lat.nodes:
-        if n.order == 1:
+        if n.order == 1 or not is_perfect(n):
             continue
         for m in normal_subgroups(n).nodes:
             if m.order == 1:
@@ -80,7 +78,7 @@ def components(ambient) -> list[Subgroup]:
             closure = normal_closure(amb, m.gens)
             if closure.members != n.members:
                 continue
-            zm = _center_of(m)
+            zm = center(m).members
             # condition (b): M/Z(M) non-abelian
             if all(g.comm(a, b) in zm for a in m.gens for b in m.gens):
                 continue
@@ -108,8 +106,7 @@ def semisimple_type(ambient) -> str:
     e = layer(amb)
     if e.members != amb.members:
         return NOT_SEMISIMPLE
-    zmembers = (centralizer_subgroup(amb, amb.gens).members & amb.members)
-    return STRICT_SEMISIMPLE if zmembers == {0} else SEMISIMPLE
+    return STRICT_SEMISIMPLE if center(amb).order == 1 else SEMISIMPLE
 
 
 def component_report(ambient) -> ComponentReport:
@@ -156,11 +153,8 @@ def simple_quotient_duality(g: FiniteGroup) -> list[tuple[Subgroup, Subgroup]]:
         raise NotSemisimpleType("duality needs semisimple type")
     lat = normal_subgroups(g)
     derived = derived_subgroup(g)
-    tops = {n.members for n in lat.nodes
-            if n.order < g.order
-            and not any(n.members < m.members for m in lat.nodes
-                        if m.order < g.order)
-            and not derived.members <= n.members}
+    tops = {n.members for n in lat.maximal_nodes_under(g.whole().members)
+            if not derived.members <= n.members}
     comps = components(g)
     cents = {}
     for m in comps:
@@ -175,14 +169,6 @@ def simple_quotient_duality(g: FiniteGroup) -> list[tuple[Subgroup, Subgroup]]:
                   key=lambda p: (p[0].order, p[0].sorted_members()))
 
 
-def _blocks_and_min(ambient):
-    bp = chief_blocks(ambient)
-    # Finite groups: every block is minimally covered; keep the filter
-    # explicit so the trichotomy below reads as defined.
-    minimal = [b for b in bp.blocks if bp.minimally_covered[b.block_id][0]]
-    return bp, minimal
-
-
 def charsimple_type(g: FiniteGroup,
                     search_cap: int = DEFAULT_SEARCH_CAP) -> str:
     """Classify a characteristically simple group: weak/semisimple/stacking.
@@ -192,13 +178,14 @@ def charsimple_type(g: FiniteGroup,
     translates descend strictly between any two of them.  Exactly one
     verdict is returned; the three cases are verified mutually exclusive.
     Abelian characteristically simple groups have no non-abelian chief
-    factors at all and so come out weak.
+    factors at all and so come out weak.  Every block of a finite group is
+    minimally covered, so all blocks take part.
     """
     if not is_characteristically_simple(g, search_cap):
         raise NotCharacteristicallySimple(
             f"{g.name} is not characteristically simple")
-    bp, minimal = _blocks_and_min(g)
-    weak = not minimal
+    blocks = chief_blocks(g).blocks
+    weak = not blocks
     has_component = bool(components(g))
     if weak and has_component:
         raise InternalCheckError("weak and semisimple verdicts collided")
@@ -206,18 +193,18 @@ def charsimple_type(g: FiniteGroup,
         return WEAK
     if has_component:
         return SEMISIMPLE
-    if not _is_stacking(g, bp, minimal, search_cap):
+    if not _is_stacking(g, blocks, search_cap):
         raise InternalCheckError("no verdict fits; classification broke")
     return STACKING
 
 
-def _is_stacking(g: FiniteGroup, bp, minimal,
+def _is_stacking(g: FiniteGroup, blocks,
                  search_cap: int = DEFAULT_SEARCH_CAP) -> bool:
     """For all minimally covered a, b: some automorphism moves a below b."""
     autos = automorphism_group(g, search_cap)
-    by_centralizer = {b.centralizer.members: b for b in minimal}
-    for a in minimal:
-        for b in minimal:
+    by_centralizer = {b.centralizer.members: b for b in blocks}
+    for a in blocks:
+        for b in blocks:
             if not any(_translate(g, auto.mapping, a, by_centralizer)
                        .centralizer.members < b.centralizer.members
                        for auto in autos):

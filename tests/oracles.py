@@ -1,0 +1,176 @@
+"""Brute-force reference implementations that the tests compare against.
+
+Each function here computes something the library computes faster, by the
+definition and without the library's shortcut.  They are slow by design and
+bounded to small inputs.
+"""
+
+from __future__ import annotations
+
+import itertools
+from typing import Sequence
+
+from chiefblocks.errors import CapError
+from chiefblocks.factors import (
+    NormalFactor,
+    are_associated,
+    centralizer_equal,
+)
+from chiefblocks.group import (
+    FiniteGroup,
+    Subgroup,
+    ambient_subgroup,
+    centralizer_subgroup,
+    close_under_mul,
+    is_normal_in,
+    normal_closure,
+    product_of_subgroups,
+)
+from chiefblocks.lattice import NormalLattice, normal_subgroups
+
+ORACLE_BOUND = 24
+
+
+class OracleBoundExceeded(CapError):
+    """The brute-force subgroup oracle was asked about a group that is too large."""
+
+
+def oracle_all_subgroups(g: FiniteGroup) -> list[Subgroup]:
+    """Every subgroup of g, by exhaustive closure of element subsets.
+
+    Starting from the trivial subgroup, repeatedly extend each known
+    subgroup by one new element and close.  Each subgroup is generated by
+    some finite set, so adding generators one at a time reaches all of them;
+    closure sizes divide the group order, which keeps the walk short.
+    """
+    if g.order > ORACLE_BOUND:
+        raise OracleBoundExceeded(
+            f"oracle handles orders up to {ORACLE_BOUND}, got {g.order}")
+    seen: dict[frozenset, list[int]] = {frozenset((0,)): []}
+    worklist = [(frozenset((0,)), [])]
+    while worklist:
+        members, gens = worklist.pop()
+        for x in g.elements():
+            if x in members:
+                continue
+            new_gens = gens + [x]
+            closed = close_under_mul(g, [x], members, gens)
+            if closed not in seen:
+                seen[closed] = new_gens
+                worklist.append((closed, new_gens))
+    return [Subgroup(g, m, gs) for m, gs in
+            sorted(seen.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))]
+
+
+def oracle_normal_subgroups(g: FiniteGroup) -> list[Subgroup]:
+    """Brute-force normal subgroups: the oracle list filtered by normality."""
+    whole = g.whole()
+    return [s for s in oracle_all_subgroups(g) if is_normal_in(s, whole)]
+
+
+def hasse_edges_triple_loop(lat: NormalLattice) -> list[tuple[int, int]]:
+    """Covering pairs (i, j): i < j with no third node strictly between."""
+    nodes = [n.members for n in lat.nodes]
+    n = len(nodes)
+    return sorted(
+        (i, j) for i in range(n) for j in range(n)
+        if nodes[i] < nodes[j]
+        and not any(k != i and k != j and nodes[i] < nodes[k] < nodes[j]
+                    for k in range(n)))
+
+
+def commutator_pairs(g: FiniteGroup, a: Subgroup, b: Subgroup) -> frozenset:
+    """[A, B] from the commutators of every element pair."""
+    comms = {g.comm(x, y) for x in a.members for y in b.members}
+    return close_under_mul(g, sorted(comms))
+
+
+def components_all_nodes(g: FiniteGroup) -> set[frozenset]:
+    """Components found by sweeping every lattice node, perfect or not.
+
+    Same acceptance test as ``semisimple.components``; Z(M) is taken as the
+    elements of M centralizing M's generators in the whole group.
+    """
+    amb = g.whole()
+    found = set()
+    for n in normal_subgroups(amb).nodes:
+        if n.order == 1:
+            continue
+        for m in normal_subgroups(n).nodes:
+            if m.order == 1:
+                continue
+            if normal_closure(amb, m.gens).members != n.members:
+                continue
+            zm = centralizer_subgroup(g, m.gens).members & m.members
+            if all(g.comm(a, b) in zm for a in m.gens for b in m.gens):
+                continue
+            if any(k.order < m.order and not k.members <= zm
+                   for k in normal_subgroups(m).nodes):
+                continue
+            found.add(m.members)
+    return found
+
+
+def refine_series_r_oracle(ambient, within: Subgroup, k: Subgroup,
+                           l: Subgroup) -> frozenset:
+    """Elementwise-search definition of the inner-action set."""
+    amb = ambient_subgroup(ambient)
+    g = amb.parent
+    out = []
+    k_sorted = sorted(k.members)
+    for x in sorted(within.members):
+        found = False
+        for cand in k_sorted:
+            if all(g.mul(g.conj(x, t), g.inv(g.conj(cand, t))) in l.members
+                   for t in k.gens):
+                found = True
+                break
+        if found:
+            out.append(x)
+    return frozenset(out)
+
+
+def independence_property(ambient, parts: Sequence[Subgroup]) -> bool:
+    """The full for-all-X independence property, checked exhaustively.
+
+    X ranges over families of subsets of the part set: whenever the family
+    has empty intersection, the corresponding joins must intersect trivially.
+    Joins are taken as generated subgroups.  Exponential in 2^len(parts);
+    intended for small part counts.
+    """
+    amb = ambient_subgroup(ambient)
+    g = amb.parent
+    n = len(parts)
+    subsets = list(itertools.chain.from_iterable(
+        itertools.combinations(range(n), k) for k in range(n + 1)))
+    joins = {s: close_under_mul(g, [x for i in s for x in parts[i].gens])
+             for s in subsets}
+    for family_size in range(1, len(subsets) + 1):
+        for family in itertools.combinations(subsets, family_size):
+            common = set(range(n))
+            for s in family:
+                common &= set(s)
+            if common:
+                continue
+            inter = amb.members
+            for s in family:
+                inter = inter & joins[s]
+            if inter != frozenset((0,)):
+                return False
+    return True
+
+
+def chief_association_conditions(f1: NormalFactor, f2: NormalFactor) -> tuple:
+    """The three equivalent tests for non-abelian chief factors.
+
+    Returns (associated, equal centralizers, product condition); the product
+    condition is K1L2 = K2L1 together with K1K2 > L1L2.
+    """
+    cond1 = are_associated(f1, f2)
+    cond2 = centralizer_equal(f1, f2)
+    k1l2 = product_of_subgroups(f1.k, f2.l)
+    k2l1 = product_of_subgroups(f2.k, f1.l)
+    k1k2 = product_of_subgroups(f1.k, f2.k)
+    l1l2 = product_of_subgroups(f1.l, f2.l)
+    cond3 = k1l2 == k2l1 and l1l2 < k1k2
+    return cond1, cond2, cond3

@@ -17,6 +17,7 @@ from chiefblocks.autos import is_characteristically_simple
 from chiefblocks.blocks import (
     chief_blocks,
     covering_filter,
+    covers,
     lowermost_representative,
     minimal_cover,
     refine_series,
@@ -25,7 +26,6 @@ from chiefblocks.blocks import (
 from chiefblocks.cli import AnalyzeOptions, analyze, parse_spec
 from chiefblocks.factors import (
     are_associated,
-    chief_association_conditions,
     factor_centralizer,
     is_abelian_factor,
     is_internal_compression,
@@ -41,12 +41,10 @@ from chiefblocks.lattice import (
     chief_series_iter,
     meet,
     normal_subgroups,
-    oracle_normal_subgroups,
 )
 from chiefblocks.products import (
     central_quotient_factorization,
     diagonal_map,
-    independence_property,
     is_quasi_direct_factorization,
     single_intersection_trivial,
 )
@@ -60,6 +58,13 @@ from chiefblocks.semisimple import (
     quotient_components,
     semisimple_type,
     simple_quotient_duality,
+)
+from oracles import (
+    chief_association_conditions,
+    commutator_pairs,
+    independence_property,
+    oracle_all_subgroups,
+    oracle_normal_subgroups,
 )
 
 
@@ -83,7 +88,6 @@ def criterion(n, name):
 def test_criterion_1_klein_four():
     start = time.monotonic()
     v4 = named.klein_four()
-    from chiefblocks.lattice import oracle_all_subgroups
     assert len(oracle_all_subgroups(v4)) == 5
     lat = normal_subgroups(v4)
     series = list(chief_series_iter(v4, lat=lat))
@@ -235,8 +239,8 @@ def test_criterion_5_oracles(corpus):
         lat = normal_subgroups(g)
         for a in lat.nodes:
             for b in lat.nodes:
-                assert commutator_subgroup(g, a, b, "pairs").members \
-                    == commutator_subgroup(g, a, b, "generators").members
+                assert commutator_subgroup(g, a, b).members \
+                    == commutator_pairs(g, a, b)
 
 
 @criterion(6, "products and independence")
@@ -332,7 +336,7 @@ def test_criterion_7_semisimple(corpus):
             for b in bp.blocks:
                 assert (a.centralizer.members <= b.centralizer.members) \
                     == (a is b)
-            assert chief_blocks(g).minimally_covered[a.block_id][0]
+            assert covers(minimal_cover(g, a), a)
 
 
 @criterion(8, "block extension suite")

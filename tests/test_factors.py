@@ -14,7 +14,6 @@ from chiefblocks.factors import (
     are_associated,
     association_graph,
     centralizer_equal,
-    chief_association_conditions,
     common_compression,
     factor_centralizer,
     factor_group,
@@ -24,6 +23,7 @@ from chiefblocks.factors import (
 )
 from chiefblocks.group import direct_product, subgroup_generated
 from chiefblocks.lattice import chief_factors, normal_subgroups
+from oracles import chief_association_conditions
 
 
 def klein_pieces():
@@ -209,6 +209,19 @@ def test_common_compression():
     f2 = make_factor(prod, prod.whole(), right)
     cc = common_compression(f1, f2)
     assert cc.k.order == 3600 and cc.l.order == 60
+
+
+def test_common_compression_check_raises(monkeypatch):
+    """The compression self-check is a raise, so it also runs under -O."""
+    import chiefblocks.factors as factors_mod
+    from chiefblocks.errors import InternalCheckError
+    v4, lat, a1, a2, a3 = klein_pieces()
+    lower = make_factor(v4, a1, v4.trivial_subgroup())
+    upper = make_factor(v4, v4.whole(), a2)
+    monkeypatch.setattr(factors_mod, "is_internal_compression",
+                        lambda f1, f2: False)
+    with pytest.raises(InternalCheckError):
+        common_compression(lower, upper)
 
 
 def test_association_graph_shapes(corpus):

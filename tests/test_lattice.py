@@ -7,7 +7,6 @@ from chiefblocks.errors import (
     DifferentParents,
     NodeCapExceeded,
     NotNested,
-    OracleBoundExceeded,
 )
 from chiefblocks.group import direct_product, is_normal_in
 from chiefblocks.lattice import (
@@ -18,6 +17,10 @@ from chiefblocks.lattice import (
     jordan_holder_length,
     meet,
     normal_subgroups,
+)
+from oracles import (
+    OracleBoundExceeded,
+    hasse_edges_triple_loop,
     oracle_all_subgroups,
     oracle_normal_subgroups,
 )
@@ -148,3 +151,28 @@ def test_hasse_covers_of_klein_four():
     assert len(lat.covers()) == 6
     bottom = lat.index_of(v4.trivial_subgroup())
     assert sum(1 for i, j in lat.covers() if i == bottom) == 3
+
+
+def test_covers_match_triple_loop(corpus):
+    """One-pass Hasse edges equal the definitional triple loop."""
+    c2, c4 = named.cyclic(2), named.cyclic(4)
+    extra = [
+        direct_product(direct_product(c2, c2), direct_product(c2, c2)),
+        direct_product(named.quaternion8(), named.dihedral(8)),
+        direct_product(direct_product(c4, c4), c2),
+    ]
+    for g in list(corpus.values()) + extra:
+        lat = normal_subgroups(g)
+        edges = lat.covers()
+        assert edges == hasse_edges_triple_loop(lat), g.name
+        edge_set = set(edges)
+        for i, lo in enumerate(lat.nodes):
+            for j, hi in enumerate(lat.nodes):
+                assert lat.is_cover(lo.members, hi.members) \
+                    == ((i, j) in edge_set)
+            ups = lat.minimal_nodes_over(lo.members)
+            downs = lat.maximal_nodes_under(lo.members)
+            assert [lat.index_of(n) for n in ups] \
+                == [j for a, j in edges if a == i]
+            assert [lat.index_of(n) for n in downs] \
+                == sorted(a for a, j in edges if j == i)

@@ -17,13 +17,13 @@ from chiefblocks.products import (
     central_quotient_factorization,
     compression_semidirect,
     diagonal_map,
-    independence_property,
     is_generalized_central_factorization,
     is_quasi_direct_factorization,
     single_intersection_trivial,
     subdirect_quasi_factorization,
 )
 from chiefblocks.semisimple import semisimple_type
+from oracles import independence_property
 
 
 def klein_parts():
@@ -149,7 +149,7 @@ def test_independence_matches_single_intersection(small_corpus):
 
 def test_nonredundancy_of_quasi_direct_parts(corpus):
     """Distinct subsets of a quasi-direct factorization have distinct joins."""
-    from chiefblocks.products import join_of
+    from chiefblocks.lattice import join
     v4, ais = klein_parts()
     cases = [(corpus["A5xA5"],
               [corpus["A5xA5"].left_factor, corpus["A5xA5"].right_factor]),
@@ -160,7 +160,8 @@ def test_nonredundancy_of_quasi_direct_parts(corpus):
         subsets = list(itertools.chain.from_iterable(
             itertools.combinations(range(len(parts)), k)
             for k in range(len(parts) + 1)))
-        joins = [join_of(amb, [parts[i] for i in s]) for s in subsets]
+        joins = [join(amb.parent.trivial_subgroup(),
+                      *[parts[i] for i in s]).members for s in subsets]
         for (s1, j1), (s2, j2) in itertools.combinations(
                 zip(subsets, joins), 2):
             assert (s1 == s2) == (j1 == j2)

@@ -34,6 +34,16 @@ from chiefblocks.semisimple import (
     semisimple_type,
     simple_quotient_duality,
 )
+from oracles import components_all_nodes
+
+
+def test_perfect_node_sweep_matches_all_nodes(corpus):
+    """Sweeping only perfect lattice nodes loses no component."""
+    for name, g in corpus.items():
+        if g.order > 7200:
+            continue
+        assert {c.members for c in components(g)} \
+            == components_all_nodes(g), name
 
 
 def test_component_examples(corpus):
