@@ -10,7 +10,7 @@ Chief-factor tests go through the cover relation of the normal lattice.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 from .errors import (
     AbelianFactor,
@@ -35,7 +35,6 @@ from .group import (
     product_of_subgroups,
 )
 from .lattice import (
-    NormalLattice,
     chief_factors,
     is_monolithic,
     meet,
@@ -112,7 +111,7 @@ class BlockPoset:
         return sorted(out)
 
 
-def chief_blocks(ambient, lat: Optional[NormalLattice] = None) -> BlockPoset:
+def chief_blocks(ambient) -> BlockPoset:
     """Partition the non-abelian chief factors by centralizer equality.
 
     Centralizer equality coincides with association for non-abelian chief
@@ -125,11 +124,9 @@ def chief_blocks(ambient, lat: Optional[NormalLattice] = None) -> BlockPoset:
     cached = g._cache.get(key)
     if cached is not None:
         return cached
-    if lat is None:
-        lat = normal_subgroups(amb)
     groups: dict[frozenset, list[NormalFactor]] = {}
     cents: dict[frozenset, Subgroup] = {}
-    for f in chief_factors(amb, lat):
+    for f in chief_factors(amb):
         if is_abelian_factor(f):
             continue
         c = factor_centralizer(f)
@@ -180,36 +177,28 @@ def covers(x: Union[NormalFactor, Subgroup], a: ChiefBlock) -> bool:
     return cover_status(x, a) == "covers"
 
 
-def covering_filter(ambient, a: ChiefBlock,
-                    lat: Optional[NormalLattice] = None) -> list[Subgroup]:
+def covering_filter(ambient, a: ChiefBlock) -> list[Subgroup]:
     """All normal subgroups of the ambient covering the block."""
-    amb = ambient_subgroup(ambient)
-    if lat is None:
-        lat = normal_subgroups(amb)
     c = a.centralizer.members
-    return [n for n in lat.nodes if not n.members <= c]
+    return [n for n in normal_subgroups(ambient).nodes
+            if not n.members <= c]
 
 
-def minimal_cover(ambient, a: ChiefBlock,
-                  lat: Optional[NormalLattice] = None) -> Subgroup:
+def minimal_cover(ambient, a: ChiefBlock) -> Subgroup:
     """Intersection of the covering filter; verified to cover the block.
 
     The filter is closed under pairwise intersection and is finite, so the
     intersection itself covers the block and the filter is principal.
     """
     amb = ambient_subgroup(ambient)
-    if lat is None:
-        lat = normal_subgroups(amb)
-    filt = covering_filter(amb, a, lat)
-    node = lat.node_with_members(meet(amb, *filt).members)
+    filt = covering_filter(amb, a)
+    node = normal_subgroups(amb).node_with_members(meet(amb, *filt).members)
     if not covers(node, a):
         raise InternalCheckError("filter intersection fails to cover")
     return node
 
 
-def uppermost_representative(ambient, a: ChiefBlock,
-                             lat: Optional[NormalLattice] = None
-                             ) -> NormalFactor:
+def uppermost_representative(ambient, a: ChiefBlock) -> NormalFactor:
     """The socle representative of the monolithic quotient by C.
 
     With C the block centralizer, the quotient of the ambient by C is
@@ -217,8 +206,7 @@ def uppermost_representative(ambient, a: ChiefBlock,
     block and an internal compression of every representative.
     """
     amb = ambient_subgroup(ambient)
-    if lat is None:
-        lat = normal_subgroups(amb)
+    lat = normal_subgroups(amb)
     c = a.centralizer
     over_c = lat.minimal_nodes_over(c.members)
     if len(over_c) != 1:
@@ -236,16 +224,13 @@ def uppermost_representative(ambient, a: ChiefBlock,
     return rep
 
 
-def lowermost_representative(ambient, a: ChiefBlock,
-                             lat: Optional[NormalLattice] = None
-                             ) -> NormalFactor:
+def lowermost_representative(ambient, a: ChiefBlock) -> NormalFactor:
     """G_a / C_{G_a}(a) for the minimal cover G_a of the block."""
     amb = ambient_subgroup(ambient)
-    if lat is None:
-        lat = normal_subgroups(amb)
-    g_a = minimal_cover(amb, a, lat)
-    bottom = Subgroup(amb.parent, g_a.members & a.centralizer.members)
-    rep = make_factor(amb, g_a, lat.node_with_members(bottom.members))
+    g_a = minimal_cover(amb, a)
+    bottom = normal_subgroups(amb).node_with_members(
+        g_a.members & a.centralizer.members)
+    rep = make_factor(amb, g_a, bottom)
     cf = factor_centralizer(rep)
     if cf.members != a.centralizer.members or is_abelian_factor(rep):
         raise InternalCheckError("lowermost representative not in the block")
@@ -256,8 +241,7 @@ def lowermost_representative(ambient, a: ChiefBlock,
     return rep
 
 
-def block_le(a: ChiefBlock, b: ChiefBlock,
-             lat: Optional[NormalLattice] = None) -> bool:
+def block_le(a: ChiefBlock, b: ChiefBlock) -> bool:
     """a <= b iff C(a) <= C(b); cross-validated two independent ways.
 
     The covering characterization (every normal subgroup covering b covers a)
@@ -268,17 +252,14 @@ def block_le(a: ChiefBlock, b: ChiefBlock,
             or a.ambient.members != b.ambient.members):
         raise DifferentParents("blocks of different ambients")
     amb = a.ambient
-    if lat is None:
-        lat = normal_subgroups(amb)
     verdict = a.centralizer.members <= b.centralizer.members
-    by_covering = all(covers(n, a)
-                      for n in covering_filter(amb, b, lat))
+    by_covering = all(covers(n, a) for n in covering_filter(amb, b))
     if by_covering != verdict:
         raise InternalCheckError("covering characterization disagrees")
     # Stated for the reversed pair: x <= y iff the minimal cover of x is
     # contained in the minimal cover of y.
-    by_min_cover = (minimal_cover(amb, a, lat).members
-                    <= minimal_cover(amb, b, lat).members)
+    by_min_cover = (minimal_cover(amb, a).members
+                    <= minimal_cover(amb, b).members)
     if by_min_cover != verdict:
         raise InternalCheckError("minimal-cover characterization disagrees")
     return verdict
@@ -297,8 +278,7 @@ def inner_action_members(ambient, within: Subgroup, k: Subgroup,
     return ck & within.members
 
 
-def refine_series(ambient, series: Sequence[Subgroup], f: NormalFactor,
-                  lat: Optional[NormalLattice] = None
+def refine_series(ambient, series: Sequence[Subgroup], f: NormalFactor
                   ) -> tuple[int, Subgroup, Subgroup]:
     """Locate and construct the unique factor of a series associated to f.
 
@@ -309,8 +289,7 @@ def refine_series(ambient, series: Sequence[Subgroup], f: NormalFactor,
     """
     amb = ambient_subgroup(ambient)
     g = amb.parent
-    if lat is None:
-        lat = normal_subgroups(amb)
+    lat = normal_subgroups(amb)
     if f.ambient.parent is not g or f.ambient.members != amb.members:
         raise DifferentParents("factor belongs to a different ambient")
     if not series or series[0].order != 1 or series[-1].members != amb.members:

@@ -92,6 +92,16 @@ def _freeze(x):
     return x
 
 
+def _is_id(x) -> bool:
+    """An int that is not a bool (JSON true/false parse as bools)."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _need_list(raw, field: str, path: str) -> None:
+    if not isinstance(raw[field], list):
+        raise ParseError(f"{path}.{field}: expected a list")
+
+
 def _validate_spec(raw, path: str) -> GroupSpec:
     if not isinstance(raw, dict):
         raise ParseError(f"{path}: expected an object")
@@ -115,10 +125,14 @@ def _validate_spec(raw, path: str) -> GroupSpec:
         return GroupSpec(kind="named", name=raw["name"])
     if kind == "perm":
         need("points", "generators")
-        if not isinstance(raw["points"], int) or raw["points"] < 1:
+        if not _is_id(raw["points"]) or raw["points"] < 1:
             raise ParseError(f"{path}.points: expected a positive integer")
         gens = raw["generators"]
-        if not isinstance(gens, list):
+        if not (isinstance(gens, list) and all(
+                isinstance(gen, list) and all(
+                    isinstance(c, list) and all(_is_id(i) for i in c)
+                    for c in gen)
+                for gen in gens)):
             raise ParseError(f"{path}.generators: expected a list of cycle lists")
         return GroupSpec(kind="perm", points=raw["points"],
                          generators=_freeze(gens))
@@ -129,6 +143,7 @@ def _validate_spec(raw, path: str) -> GroupSpec:
                          right=_validate_spec(raw["right"], path + ".right"))
     if kind == "central_product":
         need("left", "right", "identify")
+        _need_list(raw, "identify", path)
         return GroupSpec(kind="central_product",
                          left=_validate_spec(raw["left"], path + ".left"),
                          right=_validate_spec(raw["right"], path + ".right"),
@@ -142,6 +157,7 @@ def _validate_spec(raw, path: str) -> GroupSpec:
                          top=_validate_spec(raw["top"], path + ".top"),
                          action=_freeze(raw["action"]))
     need("group", "kernel")
+    _need_list(raw, "kernel", path)
     return GroupSpec(kind="quotient",
                      group=_validate_spec(raw["group"], path + ".group"),
                      kernel=_freeze(raw["kernel"]))
@@ -258,8 +274,10 @@ def _extend_action_tables(base: FiniteGroup, top: FiniteGroup,
             f"action needs {len(gens)} tables (one per top generator), "
             f"got {len(gen_tables)}")
     for t in gen_tables:
-        if len(t) != base.order:
+        if not isinstance(t, (list, tuple)) or len(t) != base.order:
             raise BadAction("action table length differs from base order")
+        if not all(_is_id(x) and 0 <= x < base.order for x in t):
+            raise BadAction("action table entries must be base element ids")
     tables: dict[int, list[int]] = {0: list(range(base.order))}
     frontier = [0]
     while frontier:
@@ -345,7 +363,7 @@ def analyze(spec: GroupSpec, options: Optional[AnalyzeOptions] = None
         "edges": edges,
     }
 
-    verts, assoc_edges = association_graph(g, lat)
+    verts, assoc_edges = association_graph(g)
     out.append("chief_factors:")
     out.append(f"  count: {len(verts)}")
     labels = []
@@ -360,14 +378,14 @@ def analyze(spec: GroupSpec, options: Optional[AnalyzeOptions] = None
     out.append("  edges: " + " ".join(f"f{i}--f{j}" for i, j in assoc_edges))
     rep.graphs["association-graph"] = {"nodes": labels, "edges": assoc_edges}
 
-    bp = chief_blocks(g, lat)
+    bp = chief_blocks(g)
     out.append("blocks:")
     out.append(f"  count: {len(bp)}")
     for b in bp.blocks:
         cm = b.centralizer
-        mc = minimal_cover(g, b, lat)
-        upper = uppermost_representative(g, b, lat)
-        lower = lowermost_representative(g, b, lat)
+        mc = minimal_cover(g, b)
+        upper = uppermost_representative(g, b)
+        lower = lowermost_representative(g, b)
         out.append(f"  b{b.block_id}:")
         out.append(f"    centralizer: order={cm.order}"
                    f" fp={_fingerprint(cm.members)}")

@@ -93,27 +93,26 @@ def extend_block(ambient, h: Subgroup, a: ChiefBlock) -> ChiefBlock:
     _require_normal_sub(amb, h)
     if a.ambient.members != h.members:
         raise DifferentParents("block does not belong to the given subgroup")
-    h_lat = normal_subgroups(h)
-    h_a = minimal_cover(h, a, h_lat)
+    h_a = minimal_cover(h, a)
     m = normal_closure(amb, h_a.gens)
     n_members = m.members
     for cmem in _conjugate_orbit(amb, a.centralizer.members):
         n_members &= cmem
-    g_lat = normal_subgroups(amb)
-    m_node = g_lat.node_with_members(m.members)
-    n_node = g_lat.node_with_members(n_members)
+    lat = normal_subgroups(amb)
+    m_node = lat.node_with_members(m.members)
+    n_node = lat.node_with_members(n_members)
     factor = make_factor(amb, m_node, n_node)
     if is_abelian_factor(factor):
         raise ExtensionCheckFailed("extension factor came out abelian")
-    if not g_lat.is_cover(n_members, m.members):
+    if not lat.is_cover(n_members, m.members):
         raise ExtensionCheckFailed("extension factor is not chief")
-    bp = chief_blocks(amb, g_lat)
-    out = bp.by_centralizer(factor_centralizer(factor).members)
-    low = lowermost_representative(amb, out, g_lat)
+    out = chief_blocks(amb).by_centralizer(
+        factor_centralizer(factor).members)
+    low = lowermost_representative(amb, out)
     if low.k.members != m.members or low.l.members != n_members:
         raise ExtensionCheckFailed(
             "extension factor is not the lowermost representative")
-    if not _is_extension_checked(amb, h, a, out, g_lat):
+    if not _is_extension_checked(amb, h, a, out):
         raise ExtensionCheckFailed("covers-iff verification failed")
     return out
 
@@ -136,11 +135,11 @@ def _conjugate_orbit(amb: Subgroup, members: frozenset) -> list[frozenset]:
 
 
 def _is_extension_checked(amb: Subgroup, h: Subgroup, a: ChiefBlock,
-                          b: ChiefBlock, g_lat) -> bool:
+                          b: ChiefBlock) -> bool:
     """K covers b exactly when K meet H covers a, for every node K."""
     g = amb.parent
     return all(covers(k, b) == covers(Subgroup(g, k.members & h.members), a)
-               for k in g_lat.nodes)
+               for k in normal_subgroups(amb).nodes)
 
 
 def is_extension(ambient, h: Subgroup, a: ChiefBlock,
@@ -153,9 +152,8 @@ def is_extension(ambient, h: Subgroup, a: ChiefBlock,
     amb = ambient_subgroup(ambient)
     if h.parent is not amb.parent:
         raise DifferentParents("subgroup belongs to a different group")
-    g_lat = normal_subgroups(amb)
-    passing = [c for c in chief_blocks(amb, g_lat)
-               if _is_extension_checked(amb, h, a, c, g_lat)]
+    passing = [c for c in chief_blocks(amb)
+               if _is_extension_checked(amb, h, a, c)]
     if len(passing) > 1:
         raise InternalCheckError("extension uniqueness violated")
     return any(c == b for c in passing)
@@ -336,8 +334,8 @@ def antichain_orbit_analysis(ambient, h: Subgroup,
     m, n = low.k, low.l
     # N <= M <= H with N normal in G, so N is a node of H's lattice and the
     # minimal H-invariant subgroups of M/N are its upper covers inside M.
-    h_lat = normal_subgroups(h)
-    minimal = [x for x in h_lat.minimal_nodes_over(n.members)
+    lat = normal_subgroups(h)
+    minimal = [x for x in lat.minimal_nodes_over(n.members)
                if x.members <= m.members]
     cond2 = bool(minimal)
 
@@ -348,7 +346,7 @@ def antichain_orbit_analysis(ambient, h: Subgroup,
         # One minimal invariant over N must be a representative of a.
         is_rep = any(
             factor_centralizer(
-                make_factor(h, x, h_lat.node_with_members(n.members))
+                make_factor(h, x, lat.node_with_members(n.members))
             ).members == a.centralizer.members
             for x in minimal)
         q, _ = factor_group(low)
@@ -374,17 +372,16 @@ def quotient_block_pullback(phi: Homomorphism) -> dict:
     if not phi.is_surjective:
         raise NotSurjective("block pullback needs a surjection")
     g, h = phi.source, phi.target
-    h_lat = normal_subgroups(h)
-    g_lat = normal_subgroups(g)
+    lat = normal_subgroups(g)
     mapping: dict[NormalFactor, NormalFactor] = {}
     cents: dict[NormalFactor, frozenset] = {}
-    for b in chief_blocks(h, h_lat):
+    for b in chief_blocks(h):
         for f in b.representatives:
             pk = phi.preimage(f.k.members)
             pl = phi.preimage(f.l.members)
-            pk_node = g_lat.node_with_members(pk)
-            pl_node = g_lat.node_with_members(pl)
-            if not g_lat.is_cover(pl, pk):
+            pk_node = lat.node_with_members(pk)
+            pl_node = lat.node_with_members(pl)
+            if not lat.is_cover(pl, pk):
                 raise InternalCheckError("pullback factor is not chief")
             pulled = make_factor(g, pk_node, pl_node)
             _check_factor_isomorphic(phi, pulled, f)

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from typing import Optional
-
 from .errors import (
     DifferentParents,
     InternalCheckError,
@@ -21,7 +19,7 @@ from .group import (
     product_of_subgroups,
     subgroup_as_group,
 )
-from .lattice import NormalLattice, chief_factors, join, normal_subgroups
+from .lattice import chief_factors, join
 
 
 class NormalFactor:
@@ -158,17 +156,14 @@ def common_compression(f1: NormalFactor, f2: NormalFactor) -> NormalFactor:
     return out
 
 
-def association_graph(ambient, lat: Optional[NormalLattice] = None
-                      ) -> tuple[list[NormalFactor], list[tuple[int, int]]]:
+def association_graph(
+        ambient) -> tuple[list[NormalFactor], list[tuple[int, int]]]:
     """All chief factors (abelian included) with association edges.
 
     Returns (vertices, edges); edges are index pairs (i, j), i < j, between
     distinct associated factors.
     """
-    amb = ambient_subgroup(ambient)
-    if lat is None:
-        lat = normal_subgroups(amb)
-    verts = chief_factors(amb, lat)
+    verts = chief_factors(ambient)
     edges = []
     for i in range(len(verts)):
         for j in range(i + 1, len(verts)):

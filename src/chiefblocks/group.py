@@ -753,8 +753,10 @@ def product_of_subgroups(a: Subgroup, b: Subgroup) -> frozenset:
         small, big = b, a
         # AB = BA is assumed, so accumulating cosets of the big side from the
         # small side is still the same element set.
-    result = set(big.members)
     bigm = big.members
+    if small.members <= bigm:
+        return bigm
+    result = set(bigm)
     for x in sorted(small.members):
         if x not in result:
             result.update(g.mul(x, m) for m in bigm)

@@ -2,8 +2,11 @@
 
 Every operation takes either a FiniteGroup or a Subgroup as its ambient; in
 the latter case "normal" means normal in that subgroup, which is what the
-block-extension machinery needs.  Every layer asks ``NormalLattice`` whether
-L < K is a cover (no normal subgroup strictly between).
+block-extension machinery needs.  ``normal_subgroups`` builds the lattice
+of an ambient once, by a breadth-first search of upper covers from the
+trivial subgroup, and caches it per ambient; every layer reads it from
+there and asks ``NormalLattice`` whether L < K is a cover (no normal
+subgroup strictly between).
 """
 
 from __future__ import annotations
@@ -30,22 +33,27 @@ DEFAULT_NODE_CAP = 10_000
 
 
 class NormalLattice:
-    """All subgroups of the ambient that are normal in it.
+    """All subgroups of the ambient that are normal in it, with covers.
 
     Nodes are deduplicated and sorted by (order, member tuple), so node
-    indices are deterministic.  The lattice is closed under join (set
-    product) and meet (intersection) by construction.  Its Hasse edges are
-    built once, on first use, and answer every cover question: ``covers``
-    lists them, ``is_cover`` tests one pair, and ``minimal_nodes_over`` and
-    ``maximal_nodes_under`` give the upper and lower covers of a node.
+    indices are deterministic.  ``up`` maps each node's member set to the
+    nodes covering it; the lower covers are derived from it.  These Hasse
+    edges answer every cover question: ``covers`` lists them, ``is_cover``
+    tests one pair, and ``minimal_nodes_over`` and ``maximal_nodes_under``
+    give the upper and lower covers of a node.
     """
 
-    def __init__(self, ambient: Subgroup, nodes: list[Subgroup]):
+    def __init__(self, ambient: Subgroup, nodes: list[Subgroup],
+                 up: dict[frozenset, list[Subgroup]]):
         self.ambient = ambient
         self.nodes = nodes
         self._index = {n.members: i for i, n in enumerate(nodes)}
-        self._down: list[list[int]] | None = None
-        self._up: list[list[int]] | None = None
+        self._up = [sorted(self._index[m.members] for m in up[n.members])
+                    for n in nodes]
+        self._down: list[list[int]] = [[] for _ in nodes]
+        for i, js in enumerate(self._up):
+            for j in js:
+                self._down[j].append(i)
 
     def __len__(self):
         return len(self.nodes)
@@ -62,101 +70,77 @@ class NormalLattice:
     def contains_members(self, members: frozenset) -> bool:
         return members in self._index
 
-    def _hasse(self) -> tuple[list[list[int]], list[list[int]]]:
-        """Lower and upper covers of every node, as ascending index lists.
-
-        Nodes are sorted by order, so any node strictly between i and j has
-        an index between them.  Walking the candidates i below j from the
-        largest down, i is a lower cover of j unless a lower cover of j
-        found earlier contains it.
-        """
-        if self._down is None:
-            n = len(self.nodes)
-            down: list[list[int]] = [[] for _ in range(n)]
-            up: list[list[int]] = [[] for _ in range(n)]
-            for j in range(n):
-                mj = self.nodes[j].members
-                found: list[frozenset] = []
-                for i in range(j - 1, -1, -1):
-                    mi = self.nodes[i].members
-                    if mi < mj and not any(mi < c for c in found):
-                        found.append(mi)
-                        down[j].append(i)
-                down[j].reverse()
-                for i in down[j]:
-                    up[i].append(j)
-            self._down, self._up = down, up
-        return self._down, self._up
-
     def covers(self) -> list[tuple[int, int]]:
         """Hasse edges (i, j) with node i covered by node j, sorted."""
-        down, _ = self._hasse()
-        return sorted((i, j) for j in range(len(down)) for i in down[j])
+        return [(i, j) for i, js in enumerate(self._up) for j in js]
 
     def is_cover(self, lower: frozenset, upper: frozenset) -> bool:
         """True iff both are nodes and ``upper`` covers ``lower``."""
         j = self._index.get(upper)
-        return j is not None and self._index.get(lower) in self._hasse()[0][j]
+        return j is not None and self._index.get(lower) in self._down[j]
 
     def minimal_nodes_over(self, members: frozenset) -> list[Subgroup]:
         """Nodes covering the given node in the lattice order."""
-        up = self._hasse()[1][self._index[members]]
-        return [self.nodes[j] for j in up]
+        return [self.nodes[j] for j in self._up[self._index[members]]]
 
     def maximal_nodes_under(self, members: frozenset) -> list[Subgroup]:
         """Nodes covered by the given node in the lattice order."""
-        down = self._hasse()[0][self._index[members]]
-        return [self.nodes[i] for i in down]
+        return [self.nodes[i] for i in self._down[self._index[members]]]
 
 
 def normal_subgroups(ambient, node_cap: int = DEFAULT_NODE_CAP
                      ) -> NormalLattice:
-    """Enumerate the normal subgroups of the ambient.
+    """The normal lattice of the ambient, by a breadth-first search of covers.
 
-    Atoms are the normal closures of conjugacy-class representatives; every
-    normal subgroup is the join of the cyclic normal closures of its
-    elements, so closing the atoms under pairwise join is complete.  The
-    test suite cross-checks completeness against brute-force enumeration
-    at small orders.
+    Atoms are the cyclic normal closures ncl(x) of conjugacy-class
+    representatives.  Starting from the trivial subgroup, the upper covers
+    of a node N are the minimal members of {N*A : A an atom, A not in N}.
+    This is complete: a cover M of N equals N*ncl(x) for any x in M outside
+    N, and a minimal product has no normal subgroup strictly between it and
+    N.  So one search yields every node and every Hasse edge.
+
+    The lattice is cached per ambient.  ``node_cap`` bounds a build, which
+    raises NodeCapExceeded as soon as the lattice would exceed it; a lattice
+    already built is returned as it is.
     """
     amb = ambient_subgroup(ambient)
     g = amb.parent
-    key = ("lattice", amb.members, node_cap)
+    key = ("lattice", amb.members)
     cached = g._cache.get(key)
     if cached is not None:
         return cached
 
     atoms: dict[frozenset, Subgroup] = {}
-    for cls in conjugacy_classes(amb):
-        rep = cls[0]
-        if rep == 0:
-            continue
-        sub = normal_closure(amb, [rep])
+    for cls in conjugacy_classes(amb)[1:]:
+        sub = normal_closure(amb, [cls[0]])
         atoms.setdefault(sub.members, sub)
 
+    normal = True if amb.order == g.order else None
     trivial = Subgroup(g, frozenset((0,)), [], True)
-    nodes: dict[frozenset, Subgroup] = {trivial.members: trivial}
-    for s in atoms.values():
-        nodes.setdefault(s.members, s)
-    worklist = list(nodes.values())
-    while worklist:
-        a = worklist.pop()
-        for b in list(nodes.values()):
-            j = product_of_subgroups(a, b)
-            if j not in nodes:
-                if len(nodes) >= node_cap:
-                    raise NodeCapExceeded(
-                        f"normal lattice exceeded node cap {node_cap}")
-                s = Subgroup(g, j, None,
-                             True if amb.order == g.order else None)
-                nodes[j] = s
-                worklist.append(s)
+    nodes = {trivial.members: trivial}
+    up: dict[frozenset, list[Subgroup]] = {}
+    queue = [trivial]
+    for n in queue:  # the queue grows while it is walked: breadth first
+        covers: list[frozenset] = []  # the minimal products so far
+        for a in atoms.values():
+            if a.members <= n.members:
+                continue
+            m = product_of_subgroups(n, a)
+            if not any(c <= m for c in covers):
+                covers = [c for c in covers if not m < c] + [m]
+        for m in covers:
+            if m in nodes:
+                continue
+            if len(nodes) >= node_cap:
+                raise NodeCapExceeded(
+                    f"normal lattice exceeded node cap {node_cap}")
+            nodes[m] = atoms.get(m) or Subgroup(g, m, None, normal)
+            queue.append(nodes[m])
+        up[n.members] = [nodes[m] for m in covers]
 
-    if amb.members not in nodes:
-        nodes[amb.members] = amb
     ordered = sorted(nodes.values(),
                      key=lambda s: (s.order, s.sorted_members()))
-    lat = NormalLattice(amb, ordered)
+    lat = NormalLattice(amb, ordered, up)
     g._cache[key] = lat
     return lat
 
@@ -185,40 +169,32 @@ def meet(n: Subgroup, *others: Subgroup) -> Subgroup:
     return out
 
 
-def is_chief_factor(ambient, k: Subgroup, l: Subgroup,
-                    lat: NormalLattice | None = None) -> bool:
+def is_chief_factor(ambient, k: Subgroup, l: Subgroup) -> bool:
     """True iff no normal subgroup of the ambient sits strictly between."""
     amb = ambient_subgroup(ambient)
     if not is_normal_in(k, amb) or not is_normal_in(l, amb):
         raise NotNormal("chief-factor test needs normal subgroups")
     if not l.members < k.members:
         raise NotNested("need L < K")
-    if lat is None:
-        lat = normal_subgroups(amb)
-    return lat.is_cover(l.members, k.members)
+    return normal_subgroups(amb).is_cover(l.members, k.members)
 
 
-def chief_factors(ambient, lat: NormalLattice | None = None) -> list:
+def chief_factors(ambient) -> list:
     """Covering pairs of the lattice, as NormalFactor values."""
     from .factors import NormalFactor
 
     amb = ambient_subgroup(ambient)
-    if lat is None:
-        lat = normal_subgroups(amb)
+    lat = normal_subgroups(amb)
     return [NormalFactor(amb, lat.nodes[j], lat.nodes[i])
             for i, j in lat.covers()]
 
 
-def chief_series_iter(ambient, max_series: int | None = None,
-                      lat: NormalLattice | None = None
+def chief_series_iter(ambient, max_series: int | None = None
                       ) -> Iterator[list[Subgroup]]:
     """Maximal chains of the lattice from the trivial node to the ambient."""
     amb = ambient_subgroup(ambient)
-    if lat is None:
-        lat = normal_subgroups(amb)
-    up = lat._hasse()[1]
-    bottom = lat.index_of(amb.parent.trivial_subgroup())
-    top = lat.index_of(amb) if lat.contains_members(amb.members) else None
+    lat = normal_subgroups(amb)
+    top = lat.index_of(amb)
     count = 0
 
     def walk(chain: list[int]) -> Iterator[list[Subgroup]]:
@@ -230,29 +206,25 @@ def chief_series_iter(ambient, max_series: int | None = None,
             count += 1
             yield [lat.nodes[i] for i in chain]
             return
-        for nxt in up[last]:
+        for nxt in lat._up[last]:
             yield from walk(chain + [nxt])
 
-    yield from walk([bottom])
+    yield from walk([0])
 
 
-def socle(ambient, lat: NormalLattice | None = None) -> Subgroup:
+def socle(ambient) -> Subgroup:
     """Join of the minimal normal subgroups (trivial when there are none)."""
     amb = ambient_subgroup(ambient)
-    if lat is None:
-        lat = normal_subgroups(amb)
-    atoms = lat.minimal_nodes_over(frozenset((0,)))
+    atoms = normal_subgroups(amb).minimal_nodes_over(frozenset((0,)))
     if not atoms:
         return amb.parent.trivial_subgroup()
     return join(*atoms)
 
 
-def is_monolithic(ambient, lat: NormalLattice | None = None) -> bool:
+def is_monolithic(ambient) -> bool:
     """Exactly one minimal normal subgroup."""
     amb = ambient_subgroup(ambient)
-    if lat is None:
-        lat = normal_subgroups(amb)
-    return len(lat.minimal_nodes_over(frozenset((0,)))) == 1
+    return len(normal_subgroups(amb).minimal_nodes_over(frozenset((0,)))) == 1
 
 
 def jordan_holder_length(ambient) -> int:

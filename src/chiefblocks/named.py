@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import re
 
-from .errors import InternalCheckError, SpecError, UnknownName
+from .errors import CapExceeded, InternalCheckError, SpecError, UnknownName
 from .group import (
     DEFAULT_ELEMENT_CAP,
     DirectProductGroup,
@@ -218,6 +218,12 @@ def build_named(name: str, cap: int = DEFAULT_ELEMENT_CAP) -> FiniteGroup:
     m = _PARAM_RE.match(name)
     if m:
         kind, n = m.group(1), int(m.group(2))
+        # Refuse before allocating an n-point permutation: each family's
+        # order is at least its point count (n, or n/2 for Dn; An is
+        # trivial below 3 points).
+        points = n // 2 if kind == "D" else n
+        if points > cap and (kind != "A" or n >= 3):
+            raise CapExceeded(f"closure exceeded element cap {cap}")
         if kind == "C":
             return cyclic(n, cap)
         if kind == "S":

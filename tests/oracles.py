@@ -22,6 +22,7 @@ from chiefblocks.group import (
     ambient_subgroup,
     centralizer_subgroup,
     close_under_mul,
+    conjugacy_classes,
     is_normal_in,
     normal_closure,
     product_of_subgroups,
@@ -66,6 +67,32 @@ def oracle_normal_subgroups(g: FiniteGroup) -> list[Subgroup]:
     """Brute-force normal subgroups: the oracle list filtered by normality."""
     whole = g.whole()
     return [s for s in oracle_all_subgroups(g) if is_normal_in(s, whole)]
+
+
+def normal_subgroups_join_closure(ambient) -> set[frozenset]:
+    """Member sets of the normal subgroups, by closing atoms under join.
+
+    Atoms are the normal closures of conjugacy-class representatives; every
+    normal subgroup is the join of the cyclic normal closures of its
+    elements, so closing the atoms under pairwise join is complete.  Costs
+    one set product per pair of nodes.
+    """
+    amb = ambient_subgroup(ambient)
+    g = amb.parent
+    trivial = Subgroup(g, frozenset((0,)), [])
+    nodes = {trivial.members: trivial}
+    for cls in conjugacy_classes(amb)[1:]:
+        sub = normal_closure(amb, [cls[0]])
+        nodes.setdefault(sub.members, sub)
+    worklist = list(nodes.values())
+    while worklist:
+        a = worklist.pop()
+        for b in list(nodes.values()):
+            j = product_of_subgroups(a, b)
+            if j not in nodes:
+                nodes[j] = Subgroup(g, j)
+                worklist.append(nodes[j])
+    return set(nodes) | {amb.members}
 
 
 def hasse_edges_triple_loop(lat: NormalLattice) -> list[tuple[int, int]]:

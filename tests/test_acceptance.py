@@ -90,9 +90,9 @@ def test_criterion_1_klein_four():
     v4 = named.klein_four()
     assert len(oracle_all_subgroups(v4)) == 5
     lat = normal_subgroups(v4)
-    series = list(chief_series_iter(v4, lat=lat))
+    series = list(chief_series_iter(v4))
     assert len(series) == 3
-    factors = chief_factors(v4, lat)
+    factors = chief_factors(v4)
     assert len(factors) == 6
 
     triv, whole = v4.trivial_subgroup(), v4.whole()
@@ -108,7 +108,7 @@ def test_criterion_1_klein_four():
         assert are_associated(f1, f2) == lower_upper
 
     from chiefblocks.factors import association_graph
-    verts, edges = association_graph(v4, lat)
+    verts, edges = association_graph(v4)
     assert len(verts) == 6 and len(edges) == 6
     adj = {i: [] for i in range(6)}
     for i, j in edges:
@@ -147,7 +147,7 @@ def test_criterion_2_association_suite():
     groups = _fresh_corpus()
     for name, g in groups.items():
         lat = normal_subgroups(g)
-        nonab = [f for f in chief_factors(g, lat)
+        nonab = [f for f in chief_factors(g)
                  if not is_abelian_factor(f)]
         # partition by pairwise association
         assoc_classes = []
@@ -179,11 +179,11 @@ def test_criterion_2_association_suite():
 def test_criterion_3_refinement(corpus):
     for name, g in corpus.items():
         lat = normal_subgroups(g)
-        nonab = [f for f in chief_factors(g, lat)
+        nonab = [f for f in chief_factors(g)
                  if not is_abelian_factor(f)]
-        for series in chief_series_iter(g, lat=lat):
+        for series in chief_series_iter(g):
             for f in nonab:
-                i, b, d = refine_series(g, series, f, lat)
+                i, b, d = refine_series(g, series, f)
                 out = make_factor(g, d, b)
                 assert are_associated(out, f)
                 assert not any(b.members < n.members < d.members
@@ -207,15 +207,15 @@ def test_criterion_3_refinement(corpus):
 def test_criterion_4_covering_filters(corpus):
     for name, g in corpus.items():
         lat = normal_subgroups(g)
-        for block in chief_blocks(g, lat).blocks:
-            filt = covering_filter(g, block, lat)
+        for block in chief_blocks(g).blocks:
+            filt = covering_filter(g, block)
             filt_members = {n.members for n in filt}
             for x, y in itertools.combinations(filt, 2):
                 assert meet(x, y).members in filt_members, name
-            g_a = minimal_cover(g, block, lat)
+            g_a = minimal_cover(g, block)
             assert not g_a.members <= block.centralizer.members
-            lower = lowermost_representative(g, block, lat)
-            upper = uppermost_representative(g, block, lat)
+            lower = lowermost_representative(g, block)
+            upper = uppermost_representative(g, block)
             for rep in block.representatives:
                 assert is_internal_compression(lower, rep)
                 assert is_internal_compression(rep, upper)

@@ -174,8 +174,8 @@ def test_cover_realize_over_all_series(corpus):
     for name in ("S5", "SL23", "SL25", "A5xA5", "A5wrC2", "S5wrC2"):
         g = corpus[name]
         lat = normal_subgroups(g)
-        blocks = chief_blocks(g, lat).blocks
-        for series in chief_series_iter(g, lat=lat):
+        blocks = chief_blocks(g).blocks
+        for series in chief_series_iter(g):
             for b in blocks:
                 hits = [
                     j for j in range(len(series) - 1)
@@ -199,8 +199,8 @@ def test_unique_associate_split_on_chains(corpus):
     for name in ("SL25", "A5xA5", "A5wrC2"):
         g = corpus[name]
         lat = normal_subgroups(g)
-        for series in chief_series_iter(g, lat=lat):
-            for b in chief_blocks(g, lat).blocks:
+        for series in chief_series_iter(g):
+            for b in chief_blocks(g).blocks:
                 down = [s for s in series
                         if s.members <= b.centralizer.members]
                 up = [s for s in series
@@ -263,7 +263,7 @@ def test_inner_action_set_matches_element_search(corpus):
     for name in ("S4", "SL23", "SL25"):
         g = corpus[name]
         lat = normal_subgroups(g)
-        for f in chief_factors(g, lat):
+        for f in chief_factors(g):
             c = factor_centralizer(f)
             for w in lat.nodes:
                 fast = inner_action_members(g, w, f.k, c)
@@ -275,9 +275,9 @@ def test_refinement_on_all_series_and_factors(corpus):
     for name in ("S5", "SL25", "A5xA5", "A5wrC2"):
         g = corpus[name]
         lat = normal_subgroups(g)
-        nonab = [f for f in chief_factors(g, lat)
+        nonab = [f for f in chief_factors(g)
                  if not is_abelian_factor(f)]
-        for series in chief_series_iter(g, lat=lat):
+        for series in chief_series_iter(g):
             for f in nonab:
                 i, b, d = refine_series(g, series, f)
                 out = make_factor(g, d, b)

@@ -264,6 +264,27 @@ def test_cli_internal_failure_exit_code(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
 
 
+_C3 = '{"kind":"named","name":"C3"}'
+_C2 = '{"kind":"named","name":"C2"}'
+
+
+@pytest.mark.parametrize("spec", [
+    '{"kind":"perm","points":3,"generators":[[["a",1]]]}',
+    '{"kind":"perm","points":3,"generators":[[0,1]]}',
+    '{"kind":"perm","points":true,"generators":[]}',
+    f'{{"kind":"semidirect","base":{_C3},"top":{_C2},"action":[[0,5,1]]}}',
+    f'{{"kind":"quotient","group":{_C3},"kernel":5}}',
+    f'{{"kind":"central_product","left":{_C2},"right":{_C2},'
+    '"identify":5}',
+], ids=["cycle-entry", "cycle", "points", "action-entry", "kernel",
+        "identify"])
+def test_cli_mistyped_spec_fields_are_input_errors(spec, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(spec)
+    assert run(["analyze", "--spec", str(bad)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_cli_invalid_permutation_is_input_error(tmp_path, capsys):
     bad = tmp_path / "badperm.json"
     bad.write_text('{"kind":"perm","points":3,"generators":[[[0,0,1]]]}')

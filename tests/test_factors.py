@@ -179,7 +179,7 @@ def test_ordered_factors_share_no_associate(corpus):
     for name in ("V4", "S4", "SL23", "SL25", "A5xA5"):
         g = corpus[name]
         lat = normal_subgroups(g)
-        factors = chief_factors(g, lat)
+        factors = chief_factors(g)
         for f1 in factors:
             for f2 in factors:
                 if not f1.k.members <= f2.l.members:

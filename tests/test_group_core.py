@@ -81,6 +81,17 @@ def test_cap_exceeded_during_closure():
         group_from_permutations(gens, 5, cap=30)
 
 
+@pytest.mark.parametrize("name", ["C101", "S101", "A101", "D202"])
+def test_oversized_named_family_refused_before_allocating(name, monkeypatch):
+    """101 points exceed a cap of 100; no permutation may be built."""
+    def no_alloc(*args):
+        raise AssertionError("allocated a permutation")
+
+    monkeypatch.setattr(named, "perm_from_cycles", no_alloc)
+    with pytest.raises(CapExceeded, match="closure exceeded element cap 100"):
+        named.build_named(name, cap=100)
+
+
 # -- products ----------------------------------------------------------------
 
 def test_klein_four_is_c2_times_c2():

@@ -21,6 +21,7 @@ from chiefblocks.lattice import (
 from oracles import (
     OracleBoundExceeded,
     hasse_edges_triple_loop,
+    normal_subgroups_join_closure,
     oracle_all_subgroups,
     oracle_normal_subgroups,
 )
@@ -44,6 +45,21 @@ def test_lattice_matches_oracle_on_small_corpus(small_corpus):
         computed = {n.members for n in normal_subgroups(g).nodes}
         oracle = {s.members for s in oracle_normal_subgroups(g)}
         assert computed == oracle
+
+
+def test_lattice_matches_join_closure(corpus):
+    """The cover search finds the nodes of the pairwise-join closure."""
+    c2, c4 = named.cyclic(2), named.cyclic(4)
+    c2_4 = direct_product(direct_product(c2, c2), direct_product(c2, c2))
+    extra = [
+        direct_product(c2_4, c2),
+        direct_product(named.quaternion8(), named.dihedral(8)),
+        direct_product(named.dihedral(8), named.symmetric(4)),
+        direct_product(direct_product(c4, c4), c2),
+    ]
+    for g in [g for g in corpus.values() if g.order <= 7200] + extra:
+        computed = {n.members for n in normal_subgroups(g).nodes}
+        assert computed == normal_subgroups_join_closure(g), g.name
 
 
 def test_lattice_node_orders():
@@ -112,9 +128,9 @@ def test_chief_series_counts(corpus):
 def test_series_steps_are_chief(small_corpus):
     for g in small_corpus.values():
         lat = normal_subgroups(g)
-        for series in chief_series_iter(g, lat=lat):
+        for series in chief_series_iter(g):
             for lo, hi in zip(series, series[1:]):
-                assert is_chief_factor(g, hi, lo, lat)
+                assert is_chief_factor(g, hi, lo)
 
 
 def test_equal_series_lengths(corpus):
@@ -130,6 +146,17 @@ def test_node_cap_enforced():
     g = direct_product(g, c2)  # elementary abelian of order 32
     with pytest.raises(NodeCapExceeded):
         normal_subgroups(g, node_cap=20)
+    # C256 has 9 normal subgroups: the trivial one and 8 atoms.
+    c256 = named.cyclic(256)
+    with pytest.raises(NodeCapExceeded,
+                       match="normal lattice exceeded node cap 5"):
+        normal_subgroups(c256, node_cap=5)
+    assert len(normal_subgroups(c256, node_cap=9)) == 9
+
+
+def test_lattice_cached_by_ambient_alone():
+    g = direct_product(named.quaternion8(), named.cyclic(2))
+    assert normal_subgroups(g, node_cap=500) is normal_subgroups(g)
 
 
 def test_sublattice_of_subgroup():
