@@ -2,9 +2,9 @@
 
 The search picks a small generating set greedily, enumerates image tuples
 compatible with element orders, and keeps the assignments that extend to a
-bijective homomorphism.  Extension is checked by walking the Cayley graph of
-the source: a partial map that survives every edge (x, x*g) is multiplicative
-on all of the group.
+bijective homomorphism.  Extension is ``group.extend_by_images``, a walk of
+the Cayley graph of the source: a partial map that survives every edge
+(x, x*g) is multiplicative on the subgroup the chosen generators generate.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from .group import (
     center,
     close_under_mul,
     derived_subgroup,
+    extend_by_images,
     subgroup_as_group,
 )
 
@@ -50,34 +51,6 @@ def greedy_generating_set(g: FiniteGroup) -> list[int]:
         gens.append(best)
         closed = best_closed
     return gens
-
-
-def extend_by_images(src: FiniteGroup, tgt: FiniteGroup,
-                     gens: Sequence[int],
-                     images: Sequence[int]) -> Optional[list[int]]:
-    """Extend gens -> images to a homomorphism table, or return None.
-
-    Walks the Cayley graph of ``src`` from the identity; every edge is
-    checked, so a returned table is multiplicative everywhere.
-    """
-    mapping = [-1] * src.order
-    mapping[0] = 0
-    frontier = [0]
-    pairs = list(zip(gens, images))
-    while frontier:
-        nxt = []
-        for x in frontier:
-            fx = mapping[x]
-            for gen, img in pairs:
-                y = src.mul(x, gen)
-                fy = tgt.mul(fx, img)
-                if mapping[y] == -1:
-                    mapping[y] = fy
-                    nxt.append(y)
-                elif mapping[y] != fy:
-                    return None
-        frontier = nxt
-    return mapping
 
 
 def _image_candidates(src: FiniteGroup, tgt: FiniteGroup,
@@ -115,7 +88,7 @@ def iter_isomorphisms(src: FiniteGroup, tgt: FiniteGroup,
             budget -= 1
             # Partial-relation pruning: the assignment so far must already
             # extend consistently on the subgroup the chosen gens generate.
-            table = extend_by_images(src, tgt, gens[:k + 1], trial)
+            table = extend_by_images(src, gens[:k + 1], trial, tgt.mul, 0)
             if table is None:
                 continue
             if k + 1 == len(gens):

@@ -150,8 +150,12 @@ def _validate_spec(raw, path: str) -> GroupSpec:
                          identify=_freeze(raw["identify"]))
     if kind == "semidirect":
         need("base", "top", "action")
-        if not isinstance(raw["action"], list):
-            raise BadAction(f"{path}.action: expected a list of tables")
+        act = raw["action"]
+        if not (isinstance(act, list) and all(
+                isinstance(t, list) and all(_is_id(x) for x in t)
+                for t in act)):
+            raise BadAction(
+                f"{path}.action: expected a list of tables of element ids")
         return GroupSpec(kind="semidirect",
                          base=_validate_spec(raw["base"], path + ".base"),
                          top=_validate_spec(raw["top"], path + ".top"),
@@ -200,14 +204,14 @@ def _thaw(x):
 
 def resolve_element(g: FiniteGroup, item, path: str = "element") -> int:
     """An element id (int) or a word in group generators (list of indices)."""
-    if isinstance(item, int):
+    if _is_id(item):
         if not 0 <= item < g.order:
             raise ParseError(f"{path}: element id {item} out of range")
         return item
     if isinstance(item, (list, tuple)):
         out = 0
         for i in item:
-            if not isinstance(i, int) or not 0 <= i < len(g.generators):
+            if not _is_id(i) or not 0 <= i < len(g.generators):
                 raise ParseError(
                     f"{path}: generator index {i!r} out of range")
             out = g.mul(out, g.generators[i])
@@ -251,9 +255,8 @@ def build_group(spec: GroupSpec, cap: int = DEFAULT_ELEMENT_CAP) -> FiniteGroup:
     if spec.kind == "semidirect":
         base = build_group(spec.base, cap)
         top = build_group(spec.top, cap)
-        tables = _extend_action_tables(base, top, spec.action)
         try:
-            return semidirect_product(base, top, tables, cap)
+            return semidirect_product(base, top, _thaw(spec.action), cap)
         except (ActionNotAutomorphism, ActionNotHomomorphism) as e:
             raise BadAction(str(e)) from e
     grp = build_group(spec.group, cap)
@@ -263,40 +266,6 @@ def build_group(spec: GroupSpec, cap: int = DEFAULT_ELEMENT_CAP) -> FiniteGroup:
     except NotNormal as e:
         raise SpecError(f"kernel is not normal: {e}") from e
     return q
-
-
-def _extend_action_tables(base: FiniteGroup, top: FiniteGroup,
-                          gen_tables) -> list[list[int]]:
-    """Extend per-generator automorphism tables to all of the top group."""
-    gens = top.generators
-    if len(gen_tables) != len(gens):
-        raise BadAction(
-            f"action needs {len(gens)} tables (one per top generator), "
-            f"got {len(gen_tables)}")
-    for t in gen_tables:
-        if not isinstance(t, (list, tuple)) or len(t) != base.order:
-            raise BadAction("action table length differs from base order")
-        if not all(_is_id(x) and 0 <= x < base.order for x in t):
-            raise BadAction("action table entries must be base element ids")
-    tables: dict[int, list[int]] = {0: list(range(base.order))}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for h in frontier:
-            th = tables[h]
-            for gidx, gen in enumerate(gens):
-                h2 = top.mul(h, gen)
-                tg = gen_tables[gidx]
-                t2 = [th[tg[x]] for x in range(base.order)]
-                if h2 in tables:
-                    if tables[h2] != t2:
-                        raise BadAction(
-                            "generator tables do not define a homomorphism")
-                else:
-                    tables[h2] = t2
-                    nxt.append(h2)
-        frontier = nxt
-    return [tables[h] for h in top.elements()]
 
 
 # ---------------------------------------------------------------------------

@@ -71,9 +71,6 @@ class FiniteGroup:
             last, x = x, self.mul(x, a)
         return last
 
-    def element_repr(self, a: int) -> str:
-        return str(a)
-
     # -- core operations -----------------------------------------------------
 
     def mul(self, a: int, b: int) -> int:
@@ -209,6 +206,39 @@ class Subgroup:
         return f"<Subgroup order={self.order} of {self.parent.name}>"
 
 
+def extend_by_images(src: FiniteGroup, gens: Sequence[int],
+                     images: Sequence, compose, identity
+                     ) -> Optional[list]:
+    """Extend gens -> images to a multiplicative table on <gens>, or None.
+
+    Walks the Cayley graph of ``src`` breadth-first from the identity, which
+    maps to ``identity``; the edge x -> x*g sends f(x) to
+    ``compose(f(x), image of g)``.  Every edge is checked, and the first one
+    whose end already carries a different value returns None.  A returned
+    table therefore satisfies f(x*g) = f(x)*f(g) on all of <gens>; entries
+    outside <gens> are None.  The target is anything ``compose`` combines:
+    element ids under ``tgt.mul`` or automorphism tables under composition.
+    """
+    mapping: list = [None] * src.order
+    mapping[0] = identity
+    frontier = [0]
+    pairs = list(zip(gens, images))
+    while frontier:
+        nxt = []
+        for x in frontier:
+            fx = mapping[x]
+            for gen, img in pairs:
+                y = src.mul(x, gen)
+                fy = compose(fx, img)
+                if mapping[y] is None:
+                    mapping[y] = fy
+                    nxt.append(y)
+                elif mapping[y] != fy:
+                    return None
+        frontier = nxt
+    return mapping
+
+
 class Homomorphism:
     """A total id-to-id map between finite groups."""
 
@@ -227,18 +257,18 @@ class Homomorphism:
     def validate(self) -> "Homomorphism":
         """Exhaustively verify the homomorphism property.
 
-        Checking f(x*g) = f(x)*f(g) over all x and generators g suffices:
-        multiplicativity on words in the generators follows by induction.
+        The images of the source generators are extended along the Cayley
+        graph by ``extend_by_images``; the map is a homomorphism iff that
+        walk succeeds and reproduces the map.  This checks f(1) = 1 and
+        f(x*g) = f(x)*f(g) for every x and generator g, which suffices by
+        induction on word length.
         """
-        if self.mapping[0] != 0:
-            raise HomomorphismError("identity does not map to identity")
-        src, tgt, f = self.source, self.target, self.mapping
-        for g in src.generators:
-            fg = f[g]
-            for x in src.elements():
-                if f[src.mul(x, g)] != tgt.mul(f[x], fg):
-                    raise HomomorphismError(
-                        f"map is not multiplicative at x={x}, g={g}")
+        src, f = self.source, self.mapping
+        gens = src.generators
+        if extend_by_images(src, gens, [f[g] for g in gens],
+                            self.target.mul, 0) != f:
+            raise HomomorphismError(
+                "map does not extend its generator images multiplicatively")
         return self
 
     @property
@@ -299,9 +329,6 @@ class PermGroup(FiniteGroup):
 
     def permutation_of(self, a: int):
         return self.perms[a]
-
-    def element_repr(self, a: int) -> str:
-        return _perm.cycle_notation(self.perms[a])
 
 
 def group_from_permutations(generators: Iterable, n_points: int | None = None,
@@ -389,10 +416,6 @@ class DirectProductGroup(FiniteGroup):
         a1, a2 = divmod(a, self._r)
         return self.left.inv(a1) * self._r + self.right.inv(a2)
 
-    def element_repr(self, a: int) -> str:
-        a1, a2 = divmod(a, self._r)
-        return f"({self.left.element_repr(a1)},{self.right.element_repr(a2)})"
-
 
 def direct_product(g: FiniteGroup, h: FiniteGroup,
                    cap: int = DEFAULT_ELEMENT_CAP,
@@ -403,22 +426,45 @@ def direct_product(g: FiniteGroup, h: FiniteGroup,
 class SemidirectProductGroup(FiniteGroup):
     """Split extension base x| top for an explicit automorphism action.
 
-    ``action[h]`` is the image table of the automorphism by which top element
-    h acts on the base; tables are verified to be automorphisms and the
-    assignment to be multiplicative before the group is built.
+    ``gen_tables[i]`` is the image table of the automorphism by which
+    ``top.generators[i]`` acts on the base.  Each must be a bijection that
+    validates as a homomorphism of the base (else ActionNotAutomorphism).
+    ``action[h]``, the table of every top element h, then comes from one
+    ``extend_by_images`` walk of the Cayley graph of top under table
+    composition; an edge on which two products disagree means the tables
+    define no homomorphism top -> Aut(base) (ActionNotHomomorphism).
     """
 
     def __init__(self, base: FiniteGroup, top: FiniteGroup,
-                 action: Sequence[Sequence[int]],
+                 gen_tables: Sequence[Sequence[int]],
                  cap: int = DEFAULT_ELEMENT_CAP, name: str | None = None):
         order = base.order * top.order
         if order > cap:
             raise CapExceeded(
                 f"semidirect product order {order} exceeds cap {cap}")
-        _check_action(base, top, action)
+        if len(gen_tables) != len(top.generators):
+            raise ActionNotHomomorphism(
+                f"action needs {len(top.generators)} tables (one per top "
+                f"generator), got {len(gen_tables)}")
+        n = base.order
+        for i, t in enumerate(gen_tables):
+            if sorted(t) != list(range(n)):
+                raise ActionNotAutomorphism(
+                    f"table {i} is not a bijection of the base")
+            try:
+                Homomorphism(base, base, t).validate()
+            except HomomorphismError:
+                raise ActionNotAutomorphism(
+                    f"table {i} is not multiplicative") from None
+        action = extend_by_images(
+            top, top.generators, gen_tables,
+            lambda th, tg: [th[x] for x in tg], list(range(n)))
+        if action is None:
+            raise ActionNotHomomorphism(
+                "generator tables do not define a homomorphism")
         self.base = base
         self.top = top
-        self.action = [list(t) for t in action]
+        self.action = action
         self._t = top.order
         gens = ([n * self._t for n in base.generators]
                 + list(top.generators))
@@ -453,50 +499,13 @@ class SemidirectProductGroup(FiniteGroup):
         hi = self.top.inv(h)
         return self.action[hi][self.base.inv(n)] * self._t + hi
 
-    def element_repr(self, a: int) -> str:
-        n, h = divmod(a, self._t)
-        return f"({self.base.element_repr(n)};{self.top.element_repr(h)})"
-
-
-def _check_action(base: FiniteGroup, top: FiniteGroup, action) -> None:
-    if len(action) != top.order:
-        raise ActionNotHomomorphism(
-            "action must supply one table per acting element")
-    n = base.order
-    gens = base.generators or []
-    for h, table in enumerate(action):
-        if len(table) != n or len(set(table)) != n:
-            raise ActionNotAutomorphism(
-                f"table for element {h} is not a bijection of the base")
-        if table[0] != 0:
-            raise ActionNotAutomorphism(
-                f"table for element {h} moves the identity")
-        # Multiplicativity on (x, g) for generators g extends to all pairs.
-        for g in gens:
-            tg = table[g]
-            for x in base.elements():
-                if table[base.mul(x, g)] != base.mul(table[x], tg):
-                    raise ActionNotAutomorphism(
-                        f"table for element {h} is not multiplicative")
-    ident = action[0]
-    if any(ident[g] != g for g in gens):
-        raise ActionNotHomomorphism("identity must act trivially")
-    for h1 in top.elements():
-        t1 = action[h1]
-        for h2 in top.elements():
-            t2 = action[h2]
-            t12 = action[top.mul(h1, h2)]
-            # Two automorphisms agreeing on generators are equal.
-            if any(t12[g] != t1[t2[g]] for g in gens):
-                raise ActionNotHomomorphism(
-                    f"action is not multiplicative at ({h1}, {h2})")
-
 
 def semidirect_product(base: FiniteGroup, top: FiniteGroup,
-                       action: Sequence[Sequence[int]],
+                       gen_tables: Sequence[Sequence[int]],
                        cap: int = DEFAULT_ELEMENT_CAP,
                        name: str | None = None) -> SemidirectProductGroup:
-    return SemidirectProductGroup(base, top, action, cap, name)
+    """base x| top with one action table per element of ``top.generators``."""
+    return SemidirectProductGroup(base, top, gen_tables, cap, name)
 
 
 class CosetGroup(FiniteGroup):
@@ -540,9 +549,6 @@ class CosetGroup(FiniteGroup):
 
     def _inv_impl(self, a: int) -> int:
         return self.coset_of[self.parent_group.inv(self.reps[a])]
-
-    def element_repr(self, a: int) -> str:
-        return f"[{self.parent_group.element_repr(self.reps[a])}]"
 
 
 def quotient(g: FiniteGroup, n: Subgroup) -> tuple:
@@ -843,9 +849,10 @@ def is_perfect(ambient) -> bool:
 # ---------------------------------------------------------------------------
 
 _ASSOC_EXHAUSTIVE_BOUND = 60
+_ASSOC_SAMPLES = 2000
 
 
-def verify_group_axioms(g: FiniteGroup, rng=None, samples: int = 2000) -> None:
+def verify_group_axioms(g: FiniteGroup, rng=None) -> None:
     """Check identity, inverses, and associativity.
 
     Identity and inverse laws are checked exhaustively.  Associativity is
@@ -866,7 +873,7 @@ def verify_group_axioms(g: FiniteGroup, rng=None, samples: int = 2000) -> None:
             import random
             rng = random.Random(0)
         triples = ((rng.randrange(n), rng.randrange(n), rng.randrange(n))
-                   for _ in range(samples))
+                   for _ in range(_ASSOC_SAMPLES))
     for a, b, c in triples:
         if g.mul(g.mul(a, b), c) != g.mul(a, g.mul(b, c)):
             raise InternalCheckError(

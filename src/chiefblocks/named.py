@@ -173,21 +173,21 @@ def extraspecial32(cap: int = DEFAULT_ELEMENT_CAP) -> CentralProductResult:
     return res
 
 
-def swap_action_tables(prod: DirectProductGroup) -> list[list[int]]:
-    """Action tables for C2 swapping the coordinates of G x G."""
+def swap_action_table(prod: DirectProductGroup) -> list[int]:
+    """The automorphism of G x G swapping its coordinates."""
     r = prod.right.order
     swap = [0] * prod.order
     for a in range(prod.left.order):
         for b in range(r):
             swap[a * r + b] = b * r + a
-    return [list(range(prod.order)), swap]
+    return swap
 
 
 def wreath_c2(g: FiniteGroup, cap: int = DEFAULT_ELEMENT_CAP,
               name: str | None = None) -> FiniteGroup:
-    """G wr C2: the coordinate swap acting on G x G."""
+    """G wr C2: the generator of C2 swaps the coordinates of G x G."""
     base = direct_product(g, g, cap)
-    return semidirect_product(base, cyclic(2, cap), swap_action_tables(base),
+    return semidirect_product(base, cyclic(2, cap), [swap_action_table(base)],
                               cap, name=name or f"{g.name}wrC2")
 
 

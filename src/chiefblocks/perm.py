@@ -55,23 +55,3 @@ def perm_from_cycles(cycles, n: int) -> Perm:
         for i, x in enumerate(cyc):
             images[x] = cyc[(i + 1) % len(cyc)]
     return tuple(images)
-
-
-def cycle_notation(p: Perm) -> str:
-    """Render in disjoint-cycle notation; the identity renders as '()'."""
-    n = len(p)
-    seen = [False] * n
-    parts = []
-    for start in range(n):
-        if seen[start] or p[start] == start:
-            seen[start] = True
-            continue
-        cyc = [start]
-        seen[start] = True
-        nxt = p[start]
-        while nxt != start:
-            cyc.append(nxt)
-            seen[nxt] = True
-            nxt = p[nxt]
-        parts.append("(" + " ".join(str(x) for x in cyc) + ")")
-    return "".join(parts) if parts else "()"

@@ -230,8 +230,7 @@ def subdirect_quasi_factorization(delta: Homomorphism,
 
 
 def central_quotient_factorization(ambient, parts: Sequence[Subgroup],
-                                   n: Subgroup,
-                                   cap: int = DEFAULT_ELEMENT_CAP) -> tuple:
+                                   n: Subgroup) -> tuple:
     """Quotient a generalized central factorization to a quasi-direct one.
 
     M is the intersection of the complement-times-N subgroups; M/N is central
@@ -296,13 +295,12 @@ class CompressionSemidirect:
 
 
 def compression_semidirect(psi: Homomorphism,
-                           over: Optional[Subgroup] = None,
-                           cap: int = DEFAULT_ELEMENT_CAP
+                           over: Optional[Subgroup] = None
                            ) -> CompressionSemidirect:
     """Factor psi: G -> H through the equivariant semidirect product.
 
     Builds P = G x| O for the conjugation action pulled back through psi,
-    where O defaults to all of H.  pi(g, o) = psi(g) o maps P onto the span
+    given by one table per generator of O, where O defaults to all of H.  pi(g, o) = psi(g) o maps P onto the span
     of psi(G) and O with kernel {(g^-1, psi(g)) : psi(g) in O}; iota embeds G
     with psi = pi o iota.  All stated kernel and intersection facts are
     verified on the constructed group.
@@ -317,17 +315,14 @@ def compression_semidirect(psi: Homomorphism,
     if o_sub.parent is not h_grp:
         raise ImageNotNormal("the open subgroup must live in the codomain")
     o_grp, o_embed = subgroup_as_group(o_sub)
-    if g_grp.order * o_grp.order > cap:
+    if g_grp.order * o_grp.order > DEFAULT_ELEMENT_CAP:
         raise CapExceeded("semidirect factorization exceeds the element cap")
 
     back = {psi.mapping[x]: x for x in g_grp.elements()}
-    tables = []
-    for o_local in o_grp.elements():
-        h = o_embed(o_local)
-        hi = h_grp.inv(h)
-        tables.append([back[h_grp.mul(h_grp.mul(h, psi.mapping[x]), hi)]
-                       for x in g_grp.elements()])
-    prod = semidirect_product(g_grp, o_grp, tables, cap,
+    tables = [[back[h_grp.conj(o_embed(o), psi.mapping[x])]
+               for x in g_grp.elements()]
+              for o in o_grp.generators]
+    prod = semidirect_product(g_grp, o_grp, tables,
                               name=f"{g_grp.name}:|{o_grp.name}")
 
     pi = Homomorphism(

@@ -99,6 +99,16 @@ def test_build_semidirect_spec():
     }))
     with pytest.raises(BadAction):
         build_group(bad)
+    # well-typed bijective automorphism of C3, but the generator of C3
+    # cannot act by it: its cube would act non-trivially
+    no_hom = parse_spec(json.dumps({
+        "kind": "semidirect",
+        "base": {"kind": "named", "name": "C3"},
+        "top": {"kind": "named", "name": "C3"},
+        "action": [[0, 2, 1]],
+    }))
+    with pytest.raises(BadAction, match="do not define a homomorphism"):
+        build_group(no_hom)
 
 
 def test_build_central_product_spec():
@@ -266,6 +276,7 @@ def test_cli_internal_failure_exit_code(tmp_path, capsys, monkeypatch):
 
 _C3 = '{"kind":"named","name":"C3"}'
 _C2 = '{"kind":"named","name":"C2"}'
+_S3 = '{"kind":"named","name":"S3"}'
 
 
 @pytest.mark.parametrize("spec", [
@@ -276,12 +287,25 @@ _C2 = '{"kind":"named","name":"C2"}'
     f'{{"kind":"quotient","group":{_C3},"kernel":5}}',
     f'{{"kind":"central_product","left":{_C2},"right":{_C2},'
     '"identify":5}',
+    f'{{"kind":"quotient","group":{_S3},"kernel":[false]}}',
+    f'{{"kind":"quotient","group":{_S3},"kernel":[[true]]}}',
+    f'{{"kind":"central_product","left":{_C2},"right":{_C2},'
+    '"identify":[[true,true]]}',
 ], ids=["cycle-entry", "cycle", "points", "action-entry", "kernel",
-        "identify"])
+        "identify", "kernel-bool-id", "kernel-bool-index",
+        "identify-bool-ids"])
 def test_cli_mistyped_spec_fields_are_input_errors(spec, tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(spec)
     assert run(["analyze", "--spec", str(bad)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_cli_extend_normal_bool_id_is_input_error(tmp_path, capsys):
+    spec_file = tmp_path / "s3.json"
+    spec_file.write_text(_S3)
+    assert run(["analyze", "--spec", str(spec_file),
+                "--extend-normal", "[false]"]) == 2
     assert capsys.readouterr().err.startswith("error: ")
 
 

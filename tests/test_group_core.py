@@ -124,7 +124,7 @@ def test_a5_squared_embeddings_are_normal():
 def test_trivial_action_recovers_direct_product():
     c3, c2 = named.cyclic(3), named.cyclic(2)
     ident = list(range(3))
-    semi = semidirect_product(c3, c2, [ident, ident])
+    semi = semidirect_product(c3, c2, [ident])
     prod = direct_product(c3, c2)
     assert all(semi.mul(a, b) == prod.mul(a, b)
                for a in semi.elements() for b in semi.elements())
@@ -133,7 +133,7 @@ def test_trivial_action_recovers_direct_product():
 def test_inversion_action_gives_s3():
     c3, c2 = named.cyclic(3), named.cyclic(2)
     invert_table = [c3.inv(x) for x in c3.elements()]
-    s3 = semidirect_product(c3, c2, [list(range(3)), invert_table])
+    s3 = semidirect_product(c3, c2, [invert_table])
     assert s3.order == 6
     assert center(s3).order == 1
     assert not s3.is_abelian
@@ -155,15 +155,18 @@ def test_wreath_swap_conjugation():
 
 def test_bad_action_rejected():
     c3, c2 = named.cyclic(3), named.cyclic(2)
-    with pytest.raises(ActionNotAutomorphism):
-        semidirect_product(c3, c2, [list(range(3)), [0, 0, 1]])
-    shift = [1, 2, 0]  # translation, not an automorphism (moves identity)
-    with pytest.raises(ActionNotAutomorphism):
-        semidirect_product(c3, c2, [list(range(3)), shift])
-    # inversion for both elements: identity must act trivially
     inv_t = [c3.inv(x) for x in c3.elements()]
-    with pytest.raises(ActionNotHomomorphism):
-        semidirect_product(c3, c2, [inv_t, inv_t])
+    with pytest.raises(ActionNotAutomorphism, match="not a bijection"):
+        semidirect_product(c3, c2, [[0, 0, 1]])
+    shift = [1, 2, 0]  # translation, not an automorphism (moves identity)
+    with pytest.raises(ActionNotAutomorphism, match="not multiplicative"):
+        semidirect_product(c3, c2, [shift])
+    with pytest.raises(ActionNotHomomorphism, match="needs 1 tables"):
+        semidirect_product(c3, c2, [list(range(3)), inv_t])
+    # the generator g of C3 cannot act by inversion: g^3 = 1 would act by
+    # inversion^3 = inversion, not trivially
+    with pytest.raises(ActionNotHomomorphism, match="do not define a hom"):
+        semidirect_product(c3, c3, [inv_t])
 
 
 # -- quotients ----------------------------------------------------------------

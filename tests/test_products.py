@@ -215,6 +215,14 @@ def test_compression_a5_into_s5(corpus):
     # over the full codomain: pi surjective onto S5, anti-diagonal kernel
     r_full = compression_semidirect(psi)
     assert r_full.product.order == 7200
+    # the action extended from O's generator tables is conjugation through
+    # psi at every element of O
+    o_grp, o_embed = subgroup_as_group(s5.whole())
+    assert r_full.product.top is o_grp
+    back = {psi(x): x for x in a5_grp.elements()}
+    for o in o_grp.elements():
+        assert r_full.product.action[o] == [
+            back[s5.conj(o_embed(o), psi(x))] for x in a5_grp.elements()]
     assert r_full.proper
     assert r_full.pi_image.order == 120
     assert r_full.ker_pi.order == 60
