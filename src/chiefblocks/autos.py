@@ -100,34 +100,23 @@ def iter_isomorphisms(src: FiniteGroup, tgt: FiniteGroup,
     yield from assign(0, [])
 
 
-def find_isomorphism(src: FiniteGroup, tgt: FiniteGroup,
-                     search_cap: int = DEFAULT_SEARCH_CAP
-                     ) -> Optional[Homomorphism]:
-    for iso in iter_isomorphisms(src, tgt, search_cap):
-        return iso
-    return None
-
-
 def iter_automorphisms(g: FiniteGroup,
                        search_cap: int = DEFAULT_SEARCH_CAP
                        ) -> Iterator[Homomorphism]:
     yield from iter_isomorphisms(g, g, search_cap)
 
 
-def automorphism_group(g: FiniteGroup,
-                       search_cap: int = DEFAULT_SEARCH_CAP
-                       ) -> list[Homomorphism]:
+def automorphism_group(g: FiniteGroup) -> list[Homomorphism]:
     """Complete list of automorphisms found by generator-image search."""
-    key = ("automorphisms", search_cap)
-    cached = g._cache.get(key)
+    cached = g._cache.get("automorphisms")
     if cached is None:
-        cached = list(iter_automorphisms(g, search_cap))
-        g._cache[key] = cached
+        cached = list(iter_automorphisms(g))
+        g._cache["automorphisms"] = cached
     return cached
 
 
-def _complement_swap(g: FiniteGroup, n: Subgroup, m: Subgroup,
-                     search_cap: int) -> Optional[list[int]]:
+def _complement_swap(g: FiniteGroup, n: Subgroup,
+                     m: Subgroup) -> Optional[list[int]]:
     """An automorphism of g exchanging internal direct factors n and m.
 
     Requires g = n x m internally.  Built from an isomorphism phi: n -> m as
@@ -140,7 +129,7 @@ def _complement_swap(g: FiniteGroup, n: Subgroup, m: Subgroup,
     n_grp, n_embed = subgroup_as_group(n)
     m_grp, m_embed = subgroup_as_group(m)
     try:
-        phi = find_isomorphism(n_grp, m_grp, search_cap)
+        phi = next(iter_isomorphisms(n_grp, m_grp), None)
     except SearchCapExceeded:
         return None
     if phi is None:
@@ -157,8 +146,7 @@ def _complement_swap(g: FiniteGroup, n: Subgroup, m: Subgroup,
     return table
 
 
-def is_characteristically_simple(g: FiniteGroup,
-                                 search_cap: int = DEFAULT_SEARCH_CAP) -> bool:
+def is_characteristically_simple(g: FiniteGroup) -> bool:
     """True iff no proper non-trivial normal subgroup is automorphism-stable.
 
     Characteristic subgroups are normal, so only lattice nodes need to be
@@ -195,11 +183,11 @@ def is_characteristically_simple(g: FiniteGroup,
             if n.members not in unfused:
                 continue
             comp = centralizer_subgroup(g, n.gens)
-            table = _complement_swap(g, n, comp, search_cap)
+            table = _complement_swap(g, n, comp)
             if table is not None:
                 absorb(table)
         if unfused:
-            for auto in iter_automorphisms(g, search_cap):
+            for auto in iter_automorphisms(g):
                 absorb(auto.mapping)
                 if not unfused:
                     break

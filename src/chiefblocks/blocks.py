@@ -88,6 +88,7 @@ class BlockPoset:
     def __init__(self, ambient: Subgroup, blocks: list[ChiefBlock]):
         self.ambient = ambient
         self.blocks = blocks
+        self._by_centralizer = {b.centralizer.members: b for b in blocks}
 
     def __len__(self):
         return len(self.blocks)
@@ -96,10 +97,10 @@ class BlockPoset:
         return iter(self.blocks)
 
     def by_centralizer(self, members: frozenset) -> ChiefBlock:
-        for b in self.blocks:
-            if b.centralizer.members == members:
-                return b
-        raise KeyError("no block with the given centralizer")
+        b = self._by_centralizer.get(members)
+        if b is None:
+            raise KeyError("no block with the given centralizer")
+        return b
 
     def relation_pairs(self) -> list[tuple[int, int]]:
         """All strict order pairs (a.block_id, b.block_id) with a < b."""

@@ -3,7 +3,7 @@
 Spec files are JSON trees; see ``parse_spec``.  Reports are deterministic
 key/value text with a schema version, suitable for diffing under version
 control.  Exit codes: 0 success, 2 malformed input, 3 cap exceeded, 4
-internal assertion failure.
+failed internal check or any other unexpected error.
 """
 
 from __future__ import annotations
@@ -28,8 +28,6 @@ from .errors import (
     ActionNotHomomorphism,
     BadAction,
     CapError,
-    ChiefblocksError,
-    InternalCheckError,
     InvalidPermutation,
     NotNormal,
     ParseError,
@@ -40,6 +38,7 @@ from .extensions import extension_poset_check
 from .factors import association_graph, is_abelian_factor
 from .group import (
     DEFAULT_ELEMENT_CAP,
+    DEFAULT_NODE_CAP,
     FiniteGroup,
     Subgroup,
     center,
@@ -48,37 +47,32 @@ from .group import (
     subgroup_generated,
     verify_group_axioms,
 )
-from .lattice import DEFAULT_NODE_CAP, normal_subgroups
+from .lattice import normal_subgroups
 from .products import classify_factorization, diagonal_map
 from .semisimple import component_report
 
 SCHEMA_VERSION = 1
 TOOL_VERSION = "chiefblocks 0.1.0"
 
-_KINDS = ("perm", "direct", "semidirect", "quotient", "central_product",
-          "named")
+# Every field of a node of each kind; the subspec fields are validated last.
+_FIELDS = {
+    "perm": ("points", "generators"),
+    "direct": ("left", "right"),
+    "semidirect": ("base", "top", "action"),
+    "quotient": ("group", "kernel"),
+    "central_product": ("left", "right", "identify"),
+    "named": ("name",),
+}
+_KINDS = tuple(_FIELDS)
+_SUBSPECS = ("left", "right", "base", "top", "group")
 
 
-@dataclass(frozen=True)
-class GroupSpec:
-    """Validated tree-structured group description."""
+def parse_spec(text: str) -> dict:
+    """Parse JSON spec text and validate it; the spec is the JSON itself.
 
-    kind: str
-    name: Optional[str] = None
-    points: Optional[int] = None
-    generators: Optional[tuple] = None
-    left: Optional["GroupSpec"] = None
-    right: Optional["GroupSpec"] = None
-    identify: Optional[tuple] = None
-    base: Optional["GroupSpec"] = None
-    top: Optional["GroupSpec"] = None
-    action: Optional[tuple] = None
-    group: Optional["GroupSpec"] = None
-    kernel: Optional[tuple] = None
-
-
-def parse_spec(text: str) -> GroupSpec:
-    """Parse JSON spec text into a validated GroupSpec tree."""
+    Each node is an object with a ``kind`` and exactly that kind's fields;
+    ``build_group`` reads the validated tree by key.
+    """
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as e:
@@ -86,45 +80,28 @@ def parse_spec(text: str) -> GroupSpec:
     return _validate_spec(raw, "spec")
 
 
-def _freeze(x):
-    if isinstance(x, list):
-        return tuple(_freeze(v) for v in x)
-    return x
-
-
 def _is_id(x) -> bool:
     """An int that is not a bool (JSON true/false parse as bools)."""
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _need_list(raw, field: str, path: str) -> None:
-    if not isinstance(raw[field], list):
-        raise ParseError(f"{path}.{field}: expected a list")
-
-
-def _validate_spec(raw, path: str) -> GroupSpec:
+def _validate_spec(raw, path: str) -> dict:
+    """Check one spec node, then its subspecs in field order; return it."""
     if not isinstance(raw, dict):
         raise ParseError(f"{path}: expected an object")
     kind = raw.get("kind")
     if kind not in _KINDS:
         raise ParseError(f"{path}: kind must be one of {_KINDS}, got {kind!r}")
-    keys = set(raw) - {"kind"}
-
-    def need(*names):
-        missing = [n for n in names if n not in raw]
-        if missing:
-            raise ParseError(f"{path}: missing fields {missing} for {kind}")
-        extra = keys - set(names)
-        if extra:
-            raise ParseError(f"{path}: unexpected fields {sorted(extra)}")
-
-    if kind == "named":
-        need("name")
-        if not isinstance(raw["name"], str):
-            raise ParseError(f"{path}.name: expected a string")
-        return GroupSpec(kind="named", name=raw["name"])
+    fields = _FIELDS[kind]
+    missing = [n for n in fields if n not in raw]
+    if missing:
+        raise ParseError(f"{path}: missing fields {missing} for {kind}")
+    extra = set(raw) - {"kind"} - set(fields)
+    if extra:
+        raise ParseError(f"{path}: unexpected fields {sorted(extra)}")
+    if kind == "named" and not isinstance(raw["name"], str):
+        raise ParseError(f"{path}.name: expected a string")
     if kind == "perm":
-        need("points", "generators")
         if not _is_id(raw["points"]) or raw["points"] < 1:
             raise ParseError(f"{path}.points: expected a positive integer")
         gens = raw["generators"]
@@ -134,72 +111,20 @@ def _validate_spec(raw, path: str) -> GroupSpec:
                     for c in gen)
                 for gen in gens)):
             raise ParseError(f"{path}.generators: expected a list of cycle lists")
-        return GroupSpec(kind="perm", points=raw["points"],
-                         generators=_freeze(gens))
-    if kind == "direct":
-        need("left", "right")
-        return GroupSpec(kind="direct",
-                         left=_validate_spec(raw["left"], path + ".left"),
-                         right=_validate_spec(raw["right"], path + ".right"))
-    if kind == "central_product":
-        need("left", "right", "identify")
-        _need_list(raw, "identify", path)
-        return GroupSpec(kind="central_product",
-                         left=_validate_spec(raw["left"], path + ".left"),
-                         right=_validate_spec(raw["right"], path + ".right"),
-                         identify=_freeze(raw["identify"]))
+    for name in ("identify", "kernel"):
+        if name in fields and not isinstance(raw[name], list):
+            raise ParseError(f"{path}.{name}: expected a list")
     if kind == "semidirect":
-        need("base", "top", "action")
         act = raw["action"]
         if not (isinstance(act, list) and all(
                 isinstance(t, list) and all(_is_id(x) for x in t)
                 for t in act)):
             raise BadAction(
                 f"{path}.action: expected a list of tables of element ids")
-        return GroupSpec(kind="semidirect",
-                         base=_validate_spec(raw["base"], path + ".base"),
-                         top=_validate_spec(raw["top"], path + ".top"),
-                         action=_freeze(raw["action"]))
-    need("group", "kernel")
-    _need_list(raw, "kernel", path)
-    return GroupSpec(kind="quotient",
-                     group=_validate_spec(raw["group"], path + ".group"),
-                     kernel=_freeze(raw["kernel"]))
-
-
-def render_spec(spec: GroupSpec) -> str:
-    """Canonical JSON text; parse_spec(render_spec(s)) == s."""
-    return json.dumps(_spec_dict(spec), sort_keys=True)
-
-
-def _spec_dict(spec: GroupSpec) -> dict:
-    out = {"kind": spec.kind}
-    if spec.kind == "named":
-        out["name"] = spec.name
-    elif spec.kind == "perm":
-        out["points"] = spec.points
-        out["generators"] = _thaw(spec.generators)
-    elif spec.kind == "direct":
-        out["left"] = _spec_dict(spec.left)
-        out["right"] = _spec_dict(spec.right)
-    elif spec.kind == "central_product":
-        out["left"] = _spec_dict(spec.left)
-        out["right"] = _spec_dict(spec.right)
-        out["identify"] = _thaw(spec.identify)
-    elif spec.kind == "semidirect":
-        out["base"] = _spec_dict(spec.base)
-        out["top"] = _spec_dict(spec.top)
-        out["action"] = _thaw(spec.action)
-    else:
-        out["group"] = _spec_dict(spec.group)
-        out["kernel"] = _thaw(spec.kernel)
-    return out
-
-
-def _thaw(x):
-    if isinstance(x, tuple):
-        return [_thaw(v) for v in x]
-    return x
+    for name in fields:
+        if name in _SUBSPECS:
+            _validate_spec(raw[name], f"{path}.{name}")
+    return raw
 
 
 def resolve_element(g: FiniteGroup, item, path: str = "element") -> int:
@@ -208,7 +133,7 @@ def resolve_element(g: FiniteGroup, item, path: str = "element") -> int:
         if not 0 <= item < g.order:
             raise ParseError(f"{path}: element id {item} out of range")
         return item
-    if isinstance(item, (list, tuple)):
+    if isinstance(item, list):
         out = 0
         for i in item:
             if not _is_id(i) or not 0 <= i < len(g.generators):
@@ -220,47 +145,50 @@ def resolve_element(g: FiniteGroup, item, path: str = "element") -> int:
 
 
 def resolve_subgroup(g: FiniteGroup, items, path: str = "subgroup") -> Subgroup:
-    gens = [resolve_element(g, it, path) for it in items]
-    return subgroup_generated(g, gens)
+    """The subgroup generated by a list of ids and generator-index words."""
+    if not isinstance(items, list):
+        raise ParseError(f"{path}: expected a list of ids or words")
+    return subgroup_generated(g, [resolve_element(g, it, path) for it in items])
 
 
-def build_group(spec: GroupSpec, cap: int = DEFAULT_ELEMENT_CAP) -> FiniteGroup:
-    """Materialize a GroupSpec."""
+def build_group(spec: dict, cap: int = DEFAULT_ELEMENT_CAP) -> FiniteGroup:
+    """Materialize a spec that ``parse_spec`` validated, reading it by key."""
     from .group import direct_product, group_from_permutations, quotient, \
         semidirect_product
     from .perm import perm_from_cycles
 
-    if spec.kind == "named":
-        return _named.build_named(spec.name, cap)
-    if spec.kind == "perm":
+    kind = spec["kind"]
+    if kind == "named":
+        return _named.build_named(spec["name"], cap)
+    if kind == "perm":
         try:
-            perms = [perm_from_cycles(_thaw(cycles), spec.points)
-                     for cycles in spec.generators]
-            return group_from_permutations(perms, spec.points, cap)
+            perms = [perm_from_cycles(cycles, spec["points"])
+                     for cycles in spec["generators"]]
+            return group_from_permutations(perms, spec["points"], cap)
         except InvalidPermutation as e:
             raise ParseError(f"generators: {e}") from e
-    if spec.kind == "direct":
-        return direct_product(build_group(spec.left, cap),
-                              build_group(spec.right, cap), cap)
-    if spec.kind == "central_product":
-        left = build_group(spec.left, cap)
-        right = build_group(spec.right, cap)
+    if kind == "direct":
+        return direct_product(build_group(spec["left"], cap),
+                              build_group(spec["right"], cap), cap)
+    if kind == "central_product":
+        left = build_group(spec["left"], cap)
+        right = build_group(spec["right"], cap)
         pairs = []
-        for pair in spec.identify:
-            if not isinstance(pair, tuple) or len(pair) != 2:
+        for pair in spec["identify"]:
+            if not isinstance(pair, list) or len(pair) != 2:
                 raise ParseError("identify: expected [left, right] pairs")
-            pairs.append((resolve_element(left, _thaw(pair[0]), "identify"),
-                          resolve_element(right, _thaw(pair[1]), "identify")))
+            pairs.append((resolve_element(left, pair[0], "identify"),
+                          resolve_element(right, pair[1], "identify")))
         return _named.central_product(left, right, pairs, cap).group
-    if spec.kind == "semidirect":
-        base = build_group(spec.base, cap)
-        top = build_group(spec.top, cap)
+    if kind == "semidirect":
+        base = build_group(spec["base"], cap)
+        top = build_group(spec["top"], cap)
         try:
-            return semidirect_product(base, top, _thaw(spec.action), cap)
+            return semidirect_product(base, top, spec["action"], cap)
         except (ActionNotAutomorphism, ActionNotHomomorphism) as e:
             raise BadAction(str(e)) from e
-    grp = build_group(spec.group, cap)
-    kernel = resolve_subgroup(grp, _thaw(spec.kernel), "kernel")
+    grp = build_group(spec["group"], cap)
+    kernel = resolve_subgroup(grp, spec["kernel"], "kernel")
     try:
         q, _ = quotient(grp, kernel)
     except NotNormal as e:
@@ -296,16 +224,18 @@ class AnalyzeOptions:
     seed: int = 0
 
 
-def analyze(spec: GroupSpec, options: Optional[AnalyzeOptions] = None
+def analyze(spec: dict, options: Optional[AnalyzeOptions] = None
             ) -> AnalysisReport:
     """Run the full analysis pipeline and produce a deterministic report.
 
     The constructed group is checked against the group laws first; identity
     and inverses exhaustively, associativity exhaustively at small orders and
-    on seeded random triples above that.
+    on seeded random triples above that.  ``node_cap`` becomes the group's
+    cap, so it bounds every normal lattice the analysis builds.
     """
     opts = options or AnalyzeOptions()
     g = build_group(spec, opts.element_cap)
+    g.node_cap = opts.node_cap
     verify_group_axioms(g, random.Random(opts.seed))
     rep = AnalysisReport()
     out = rep.lines
@@ -319,7 +249,7 @@ def analyze(spec: GroupSpec, options: Optional[AnalyzeOptions] = None
     out.append(f"  perfect: {is_perfect(g)}")
     out.append(f"  provenance: {g.provenance}")
 
-    lat = normal_subgroups(g, opts.node_cap)
+    lat = normal_subgroups(g)
     out.append("normal_lattice:")
     out.append(f"  node_count: {len(lat)}")
     for i, node in enumerate(lat.nodes):
@@ -494,7 +424,8 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
                 except json.JSONDecodeError as e:
                     raise ParseError(f"invalid factorization JSON: {e.msg}",
                                      e.lineno, e.colno) from e
-            if not isinstance(payload, dict) or "parts" not in payload:
+            if not (isinstance(payload, dict)
+                    and isinstance(payload.get("parts"), list)):
                 raise ParseError("factorization file needs a 'parts' list")
             opts.factorization_parts = payload["parts"]
         if args.extend_normal:
@@ -517,12 +448,12 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     except CapError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
-    except (InternalCheckError, AssertionError, ChiefblocksError) as e:
-        print(f"internal error: {e}", file=sys.stderr)
-        return 4
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except Exception as e:
+        print(f"internal error: {e}", file=sys.stderr)
+        return 4
 
 
 def main() -> None:

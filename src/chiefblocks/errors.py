@@ -93,10 +93,6 @@ class NotCharacteristicallySimple(ChiefblocksError):
     """An operation requires a characteristically simple group."""
 
 
-class ExtensionCheckFailed(ChiefblocksError):
-    """The defining covers-iff property of a block extension failed to verify."""
-
-
 class StackingClassifyError(ChiefblocksError):
     """A stacking class satisfied neither or both of the two class kinds."""
 

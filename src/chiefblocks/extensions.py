@@ -22,7 +22,6 @@ from .blocks import (
 )
 from .errors import (
     DifferentParents,
-    ExtensionCheckFailed,
     InternalCheckError,
     NotNormal,
     NotSurjective,
@@ -40,6 +39,7 @@ from .group import (
     Subgroup,
     ambient_subgroup,
     conjugate_members,
+    group_from_permutations,
     is_normal_in,
     normal_closure,
 )
@@ -87,7 +87,7 @@ def extend_block(ambient, h: Subgroup, a: ChiefBlock) -> ChiefBlock:
     intersects M with every ambient conjugate of the centralizer of a in H.
     M/N is the lowermost representative of the extension.  The defining
     covers-iff property is then verified over the whole normal lattice of
-    the ambient; ExtensionCheckFailed is raised if it does not hold.
+    the ambient; InternalCheckError is raised if it does not hold.
     """
     amb = ambient_subgroup(ambient)
     _require_normal_sub(amb, h)
@@ -103,17 +103,17 @@ def extend_block(ambient, h: Subgroup, a: ChiefBlock) -> ChiefBlock:
     n_node = lat.node_with_members(n_members)
     factor = make_factor(amb, m_node, n_node)
     if is_abelian_factor(factor):
-        raise ExtensionCheckFailed("extension factor came out abelian")
+        raise InternalCheckError("extension factor came out abelian")
     if not lat.is_cover(n_members, m.members):
-        raise ExtensionCheckFailed("extension factor is not chief")
+        raise InternalCheckError("extension factor is not chief")
     out = chief_blocks(amb).by_centralizer(
         factor_centralizer(factor).members)
     low = lowermost_representative(amb, out)
     if low.k.members != m.members or low.l.members != n_members:
-        raise ExtensionCheckFailed(
+        raise InternalCheckError(
             "extension factor is not the lowermost representative")
     if not _is_extension_checked(amb, h, a, out):
-        raise ExtensionCheckFailed("covers-iff verification failed")
+        raise InternalCheckError("covers-iff verification failed")
     return out
 
 
@@ -177,32 +177,17 @@ def _action_permutations(amb: Subgroup, h: Subgroup,
                          bp: BlockPoset) -> list[tuple[int, ...]]:
     """The image of the ambient in the symmetric group on H's block ids.
 
-    Generator images are closed under composition, so the list realizes the
-    action of every ambient element.
+    A generator moves each block to the block keyed by its conjugated
+    centralizer.  ``group_from_permutations`` closes these permutations; the
+    closure has at most |ambient| elements, which is its cap.
     """
     g = amb.parent
-    nblocks = len(bp.blocks)
-    ident = tuple(range(nblocks))
-    cent_index = {b.centralizer.members: b.block_id for b in bp.blocks}
-    gen_perms = []
-    for x in amb.gens:
-        images = []
-        for b in bp.blocks:
-            images.append(cent_index[conjugate_members(
-                g, x, b.centralizer.members)])
-        gen_perms.append(tuple(images))
-    perms = {ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for q in gen_perms:
-                r = tuple(q[i] for i in p)
-                if r not in perms:
-                    perms.add(r)
-                    nxt.append(r)
-        frontier = nxt
-    return sorted(perms)
+    gen_perms = [
+        tuple(bp.by_centralizer(conjugate_members(
+            g, x, b.centralizer.members)).block_id for b in bp.blocks)
+        for x in amb.gens]
+    return sorted(group_from_permutations(gen_perms, len(bp.blocks),
+                                          amb.order).perms)
 
 
 def classify_stacking_class(members: Sequence[int],

@@ -32,6 +32,7 @@ from .errors import (
 )
 
 DEFAULT_ELEMENT_CAP = 30_000
+DEFAULT_NODE_CAP = 10_000
 
 # Full Cayley tables are precomputed below this order; above it, products are
 # computed per call from the construction data.
@@ -39,7 +40,12 @@ _MUL_TABLE_BOUND = 512
 
 
 class FiniteGroup:
-    """Base class for an explicitly enumerated finite group."""
+    """Base class for an explicitly enumerated finite group.
+
+    ``node_cap`` bounds every normal lattice of the group and its subgroups.
+    """
+
+    node_cap = DEFAULT_NODE_CAP
 
     def __init__(self, name: str, order: int, generators: Sequence[int],
                  provenance: str):
@@ -120,10 +126,6 @@ class FiniteGroup:
             )
             self._cache["abelian"] = cached
         return cached
-
-    def subgroup(self, members: Iterable[int], gens: Sequence[int] | None = None,
-                 is_normal: Optional[bool] = None) -> "Subgroup":
-        return Subgroup(self, frozenset(members), gens, is_normal)
 
     def whole(self) -> "Subgroup":
         s = self._cache.get("whole")
@@ -280,10 +282,9 @@ class Homomorphism:
         return len(set(self.mapping)) == self.target.order
 
     def image(self) -> Subgroup:
-        return self.target.subgroup(set(self.mapping),
-                                    gens=_dedup_nonidentity(
-                                        self.mapping[g] for g in
-                                        (self.source.generators or [])))
+        return Subgroup(self.target, frozenset(self.mapping),
+                        _dedup_nonidentity(self.mapping[g]
+                                           for g in self.source.generators))
 
     def kernel(self) -> Subgroup:
         members = frozenset(a for a, fa in enumerate(self.mapping) if fa == 0)
@@ -392,16 +393,9 @@ class DirectProductGroup(FiniteGroup):
             left, self, [a * self._r for a in left.elements()], "embed_left")
         self.embed_right = Homomorphism(
             right, self, list(right.elements()), "embed_right")
-        self.left_factor = self.subgroup(
-            set(self.embed_left.mapping),
-            gens=_dedup_nonidentity(self.embed_left.mapping[g]
-                                    for g in left.generators),
-            is_normal=True)
-        self.right_factor = self.subgroup(
-            set(self.embed_right.mapping),
-            gens=_dedup_nonidentity(self.embed_right.mapping[g]
-                                    for g in right.generators),
-            is_normal=True)
+        self.left_factor = self.embed_left.image()
+        self.right_factor = self.embed_right.image()
+        self.left_factor.is_normal = self.right_factor.is_normal = True
 
     def split(self, a: int) -> tuple:
         return divmod(a, self._r)
@@ -474,15 +468,9 @@ class SemidirectProductGroup(FiniteGroup):
             base, self, [n * self._t for n in base.elements()], "embed_base")
         self.embed_top = Homomorphism(
             top, self, list(top.elements()), "embed_top")
-        self.base_part = self.subgroup(
-            set(self.embed_base.mapping),
-            gens=_dedup_nonidentity(self.embed_base.mapping[g]
-                                    for g in base.generators),
-            is_normal=True)
-        self.top_part = self.subgroup(
-            set(self.embed_top.mapping),
-            gens=_dedup_nonidentity(self.embed_top.mapping[g]
-                                    for g in top.generators))
+        self.base_part = self.embed_base.image()
+        self.base_part.is_normal = True
+        self.top_part = self.embed_top.image()
 
     def split(self, a: int) -> tuple:
         return divmod(a, self._t)
@@ -852,12 +840,12 @@ _ASSOC_EXHAUSTIVE_BOUND = 60
 _ASSOC_SAMPLES = 2000
 
 
-def verify_group_axioms(g: FiniteGroup, rng=None) -> None:
+def verify_group_axioms(g: FiniteGroup, rng) -> None:
     """Check identity, inverses, and associativity.
 
     Identity and inverse laws are checked exhaustively.  Associativity is
-    checked over all triples up to order 60 and over seeded random triples
-    above that (a full triple sweep is cubic in the order).
+    checked over all triples up to order 60 and over random triples drawn
+    from ``rng`` above that (a full triple sweep is cubic in the order).
     """
     for a in g.elements():
         if g.mul(a, 0) != a or g.mul(0, a) != a:
@@ -869,9 +857,6 @@ def verify_group_axioms(g: FiniteGroup, rng=None) -> None:
     if n <= _ASSOC_EXHAUSTIVE_BOUND:
         triples = itertools.product(range(n), repeat=3)
     else:
-        if rng is None:
-            import random
-            rng = random.Random(0)
         triples = ((rng.randrange(n), rng.randrange(n), rng.randrange(n))
                    for _ in range(_ASSOC_SAMPLES))
     for a, b, c in triples:

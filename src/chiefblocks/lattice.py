@@ -29,8 +29,6 @@ from .group import (
     product_of_subgroups,
 )
 
-DEFAULT_NODE_CAP = 10_000
-
 
 class NormalLattice:
     """All subgroups of the ambient that are normal in it, with covers.
@@ -88,8 +86,7 @@ class NormalLattice:
         return [self.nodes[i] for i in self._down[self._index[members]]]
 
 
-def normal_subgroups(ambient, node_cap: int = DEFAULT_NODE_CAP
-                     ) -> NormalLattice:
+def normal_subgroups(ambient) -> NormalLattice:
     """The normal lattice of the ambient, by a breadth-first search of covers.
 
     Atoms are the cyclic normal closures ncl(x) of conjugacy-class
@@ -99,9 +96,9 @@ def normal_subgroups(ambient, node_cap: int = DEFAULT_NODE_CAP
     N, and a minimal product has no normal subgroup strictly between it and
     N.  So one search yields every node and every Hasse edge.
 
-    The lattice is cached per ambient.  ``node_cap`` bounds a build, which
-    raises NodeCapExceeded as soon as the lattice would exceed it; a lattice
-    already built is returned as it is.
+    The lattice is cached per ambient.  The ``node_cap`` of the ambient's
+    parent group bounds a build, which raises NodeCapExceeded as soon as the
+    lattice would exceed it; a lattice already built is returned as it is.
     """
     amb = ambient_subgroup(ambient)
     g = amb.parent
@@ -131,9 +128,9 @@ def normal_subgroups(ambient, node_cap: int = DEFAULT_NODE_CAP
         for m in covers:
             if m in nodes:
                 continue
-            if len(nodes) >= node_cap:
+            if len(nodes) >= g.node_cap:
                 raise NodeCapExceeded(
-                    f"normal lattice exceeded node cap {node_cap}")
+                    f"normal lattice exceeded node cap {g.node_cap}")
             nodes[m] = atoms.get(m) or Subgroup(g, m, None, normal)
             queue.append(nodes[m])
         up[n.members] = [nodes[m] for m in covers]

@@ -149,15 +149,10 @@ def central_product(left: FiniteGroup, right: FiniteGroup,
     kernel.is_normal = True
     q, proj = quotient(prod, kernel)
     q.name = name or f"{left.name}o{right.name}"
-    left_image = q.subgroup(
-        {proj(x) for x in prod.left_factor.members},
-        gens=[proj(x) for x in prod.left_factor.gens if proj(x) != 0],
-        is_normal=True)
-    right_image = q.subgroup(
-        {proj(x) for x in prod.right_factor.members},
-        gens=[proj(x) for x in prod.right_factor.gens if proj(x) != 0],
-        is_normal=True)
-    return CentralProductResult(q, proj, left_image, right_image)
+    images = [Subgroup(q, frozenset(proj(x) for x in f.members),
+                       [proj(x) for x in f.gens if proj(x) != 0], True)
+              for f in (prod.left_factor, prod.right_factor)]
+    return CentralProductResult(q, proj, *images)
 
 
 def extraspecial32(cap: int = DEFAULT_ELEMENT_CAP) -> CentralProductResult:

@@ -3,8 +3,8 @@ classification of characteristically simple groups."""
 
 from __future__ import annotations
 
-from .autos import DEFAULT_SEARCH_CAP, automorphism_group, is_characteristically_simple
-from .blocks import chief_blocks
+from .autos import automorphism_group, is_characteristically_simple
+from .blocks import BlockPoset, chief_blocks
 from .errors import (
     InternalCheckError,
     NotCharacteristicallySimple,
@@ -102,17 +102,22 @@ def layer(ambient) -> Subgroup:
 
 
 def semisimple_type(ambient) -> str:
-    amb = ambient_subgroup(ambient)
-    e = layer(amb)
-    if e.members != amb.members:
-        return NOT_SEMISIMPLE
-    return STRICT_SEMISIMPLE if center(amb).order == 1 else SEMISIMPLE
+    return component_report(ambient).type
 
 
 def component_report(ambient) -> ComponentReport:
+    """The components, their layer E, and the semisimple type.
+
+    The type comes from the one layer: semisimple when E is the whole
+    ambient, strict-semisimple when the ambient also has trivial center.
+    """
     amb = ambient_subgroup(ambient)
-    return ComponentReport(amb.parent, components(amb), layer(amb),
-                           semisimple_type(amb))
+    e = layer(amb)
+    if e.members != amb.members:
+        type_ = NOT_SEMISIMPLE
+    else:
+        type_ = STRICT_SEMISIMPLE if center(amb).order == 1 else SEMISIMPLE
+    return ComponentReport(amb.parent, components(amb), e, type_)
 
 
 def quotient_components(g: FiniteGroup, k: Subgroup) -> tuple:
@@ -169,8 +174,7 @@ def simple_quotient_duality(g: FiniteGroup) -> list[tuple[Subgroup, Subgroup]]:
                   key=lambda p: (p[0].order, p[0].sorted_members()))
 
 
-def charsimple_type(g: FiniteGroup,
-                    search_cap: int = DEFAULT_SEARCH_CAP) -> str:
+def charsimple_type(g: FiniteGroup) -> str:
     """Classify a characteristically simple group: weak/semisimple/stacking.
 
     Weak: no minimally covered blocks.  Semisimple: the group has a
@@ -181,11 +185,11 @@ def charsimple_type(g: FiniteGroup,
     factors at all and so come out weak.  Every block of a finite group is
     minimally covered, so all blocks take part.
     """
-    if not is_characteristically_simple(g, search_cap):
+    if not is_characteristically_simple(g):
         raise NotCharacteristicallySimple(
             f"{g.name} is not characteristically simple")
-    blocks = chief_blocks(g).blocks
-    weak = not blocks
+    bp = chief_blocks(g)
+    weak = not bp.blocks
     has_component = bool(components(g))
     if weak and has_component:
         raise InternalCheckError("weak and semisimple verdicts collided")
@@ -193,28 +197,22 @@ def charsimple_type(g: FiniteGroup,
         return WEAK
     if has_component:
         return SEMISIMPLE
-    if not _is_stacking(g, blocks, search_cap):
+    if not _is_stacking(g, bp):
         raise InternalCheckError("no verdict fits; classification broke")
     return STACKING
 
 
-def _is_stacking(g: FiniteGroup, blocks,
-                 search_cap: int = DEFAULT_SEARCH_CAP) -> bool:
+def _is_stacking(g: FiniteGroup, bp: BlockPoset) -> bool:
     """For all minimally covered a, b: some automorphism moves a below b."""
-    autos = automorphism_group(g, search_cap)
-    by_centralizer = {b.centralizer.members: b for b in blocks}
-    for a in blocks:
-        for b in blocks:
-            if not any(_translate(g, auto.mapping, a, by_centralizer)
-                       .centralizer.members < b.centralizer.members
-                       for auto in autos):
-                return False
+    autos = automorphism_group(g)
+    for a in bp.blocks:
+        moved = [bp.by_centralizer(frozenset(
+            auto.mapping[x] for x in a.centralizer.members)).centralizer.members
+            for auto in autos]
+        if not all(any(c < b.centralizer.members for c in moved)
+                   for b in bp.blocks):
+            return False
     return True
-
-
-def _translate(g, table, block, by_centralizer):
-    image = frozenset(table[x] for x in block.centralizer.members)
-    return by_centralizer[image]
 
 
 def block_type(ambient, a) -> str:

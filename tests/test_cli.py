@@ -10,7 +10,6 @@ from chiefblocks.cli import (
     build_group,
     emit_dot,
     parse_spec,
-    render_spec,
     resolve_element,
     run,
 )
@@ -28,10 +27,10 @@ A5A5_SPEC = ('{"kind":"direct","left":{"kind":"named","name":"A5"},'
 
 def test_parse_named_and_direct():
     spec = parse_spec(V4_SPEC)
-    assert spec.kind == "named" and spec.name == "V4"
+    assert spec["kind"] == "named" and spec["name"] == "V4"
     spec = parse_spec(A5A5_SPEC)
-    assert spec.kind == "direct"
-    assert spec.left.name == "A5" and spec.right.name == "A5"
+    assert spec["kind"] == "direct"
+    assert spec["left"]["name"] == "A5" and spec["right"]["name"] == "A5"
 
 
 def test_parse_unknown_name_surfaces_on_build():
@@ -48,18 +47,6 @@ def test_parse_errors_have_positions():
         parse_spec('{"kind":"direct","left":{"kind":"named","name":"A5"}}')
     with pytest.raises(ParseError):
         parse_spec('{"kind":"named","name":"V4","extra":1}')
-
-
-def test_spec_roundtrip():
-    for text in (
-        V4_SPEC,
-        A5A5_SPEC,
-        '{"kind":"perm","points":5,"generators":[[[0,1,2,3,4]],[[0,1,2]]]}',
-        '{"kind":"quotient","group":{"kind":"named","name":"S4"},'
-        '"kernel":[47]}',
-    ):
-        spec = parse_spec(text)
-        assert parse_spec(render_spec(spec)) == spec
 
 
 def test_build_perm_and_quotient_specs():
@@ -314,3 +301,51 @@ def test_cli_invalid_permutation_is_input_error(tmp_path, capsys):
     bad.write_text('{"kind":"perm","points":3,"generators":[[[0,0,1]]]}')
     assert run(["analyze", "--spec", str(bad)]) == 2
     capsys.readouterr()
+
+
+def test_cli_unexpected_error_exit_code(tmp_path, capsys, monkeypatch):
+    import chiefblocks.cli as cli
+
+    def boom(g):
+        raise RuntimeError("unexpected")
+
+    monkeypatch.setattr(cli, "association_graph", boom)
+    spec_file = tmp_path / "v4.json"
+    spec_file.write_text(V4_SPEC)
+    assert cli.run(["analyze", "--spec", str(spec_file)]) == 4
+    assert capsys.readouterr().err == "internal error: unexpected\n"
+
+
+@pytest.mark.parametrize("flags", [
+    ["--components"],
+    ["--extend-normal", "[[0],[1],[2],[3]]"],
+], ids=["components", "extend-normal"])
+def test_cli_node_cap_bounds_subgroup_lattices(flags, tmp_path, capsys):
+    # The lattice of A5wrC2 has 3 nodes; that of its base A5xA5 has 4.
+    wr_file = tmp_path / "wr.json"
+    wr_file.write_text('{"kind":"named","name":"A5wrC2"}')
+    assert run(["analyze", "--spec", str(wr_file), "--node-cap", "3",
+                *flags]) == 3
+    assert "node cap 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("parts", [{"parts": 5}, {"parts": [5]}],
+                         ids=["parts-not-list", "part-not-list"])
+def test_cli_malformed_factorization_is_input_error(parts, tmp_path, capsys):
+    spec_file = tmp_path / "v4.json"
+    spec_file.write_text(V4_SPEC)
+    parts_file = tmp_path / "parts.json"
+    parts_file.write_text(json.dumps(parts))
+    assert run(["analyze", "--spec", str(spec_file),
+                "--factorization", str(parts_file)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("subspec", ["5", "{}"], ids=["int", "object"])
+def test_cli_extend_normal_not_a_list_is_input_error(subspec, tmp_path,
+                                                     capsys):
+    spec_file = tmp_path / "v4.json"
+    spec_file.write_text(V4_SPEC)
+    assert run(["analyze", "--spec", str(spec_file),
+                "--extend-normal", subspec]) == 2
+    assert capsys.readouterr().err.startswith("error: ")

@@ -144,19 +144,25 @@ def test_node_cap_enforced():
     g = direct_product(direct_product(c2, c2),
                        direct_product(c2, c2))
     g = direct_product(g, c2)  # elementary abelian of order 32
+    g.node_cap = 20
     with pytest.raises(NodeCapExceeded):
-        normal_subgroups(g, node_cap=20)
+        normal_subgroups(g)
     # C256 has 9 normal subgroups: the trivial one and 8 atoms.
     c256 = named.cyclic(256)
+    c256.node_cap = 5
     with pytest.raises(NodeCapExceeded,
                        match="normal lattice exceeded node cap 5"):
-        normal_subgroups(c256, node_cap=5)
-    assert len(normal_subgroups(c256, node_cap=9)) == 9
+        normal_subgroups(c256)
+    c256.node_cap = 9
+    assert len(normal_subgroups(c256)) == 9
 
 
 def test_lattice_cached_by_ambient_alone():
     g = direct_product(named.quaternion8(), named.cyclic(2))
-    assert normal_subgroups(g, node_cap=500) is normal_subgroups(g)
+    g.node_cap = 500
+    lat = normal_subgroups(g)
+    g.node_cap = 1  # a lattice already built is returned as it is
+    assert normal_subgroups(g) is lat
 
 
 def test_sublattice_of_subgroup():

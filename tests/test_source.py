@@ -48,3 +48,20 @@ def test_no_unused_imports_in_library():
         found += [f"{path.name}:{line} {name}"
                   for name, line in _imported_names(tree) if name not in used]
     assert not found, f"unused imports in src: {found}"
+
+
+def test_traced_benchmark_names_exist():
+    """The traced benchmark swaps these names; a rename must fail here."""
+    import chiefblocks.cli as cli
+    from chiefblocks.lattice import NormalLattice
+
+    spans = SRC.parent.parent / "perfbench" / "spans.py"
+    tree = ast.parse(spans.read_text(encoding="utf-8"), str(spans))
+    calls = next(
+        ast.literal_eval(node.value) for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "CLI_CALLS"
+                for t in node.targets))
+    missing = [name for name in calls if not hasattr(cli, name)]
+    assert not missing, f"names the benchmark traces are gone: {missing}"
+    assert callable(getattr(NormalLattice, "covers", None))
