@@ -21,11 +21,9 @@ from .blocks import (
     cover_status,
     covering_filter,
     covers,
-    is_monolithic,
     lowermost_representative,
     minimal_cover,
     refine_series,
-    socle,
     uppermost_representative,
 )
 from .errors import ChiefblocksError
@@ -71,9 +69,9 @@ from .lattice import (
     chief_factors,
     chief_series_iter,
     is_chief_factor,
-    join,
-    meet,
+    is_monolithic,
     normal_subgroups,
+    socle,
 )
 from .products import (
     Factorization,

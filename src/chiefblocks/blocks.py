@@ -5,7 +5,8 @@ partial order compares centralizers by inclusion.  In the finite setting the
 covering filter of a block is always principal, so every block is minimally
 covered and carries both canonical representatives; ``minimal_cover``
 verifies that its intersection covers the block each time it is asked.
-Chief-factor tests go through the cover relation of the normal lattice.
+Chief-factor tests, covering filters and the block order read the normal
+lattice's covers and order by node index.
 """
 
 from __future__ import annotations
@@ -32,22 +33,8 @@ from .group import (
     ambient_subgroup,
     commutator_subgroup,
     is_normal_in,
-    product_of_subgroups,
 )
-from .lattice import (
-    chief_factors,
-    is_monolithic,
-    meet,
-    normal_subgroups,
-    socle,
-)
-
-__all__ = [
-    "ChiefBlock", "BlockPoset", "chief_blocks", "covers", "cover_status",
-    "covering_filter", "minimal_cover", "socle", "is_monolithic",
-    "uppermost_representative", "lowermost_representative", "block_le",
-    "refine_series", "inner_action_members",
-]
+from .lattice import chief_factors, normal_subgroups
 
 
 class ChiefBlock:
@@ -61,10 +48,6 @@ class ChiefBlock:
         self.centralizer = centralizer
         self.representatives = representatives
         self.block_id = block_id
-
-    @property
-    def group(self):
-        return self.ambient.parent
 
     def __eq__(self, other):
         return (isinstance(other, ChiefBlock)
@@ -180,9 +163,9 @@ def covers(x: Union[NormalFactor, Subgroup], a: ChiefBlock) -> bool:
 
 def covering_filter(ambient, a: ChiefBlock) -> list[Subgroup]:
     """All normal subgroups of the ambient covering the block."""
-    c = a.centralizer.members
-    return [n for n in normal_subgroups(ambient).nodes
-            if not n.members <= c]
+    lat = normal_subgroups(ambient)
+    c = lat.index_of(a.centralizer)
+    return [n for i, n in enumerate(lat.nodes) if not lat.le(i, c)]
 
 
 def minimal_cover(ambient, a: ChiefBlock) -> Subgroup:
@@ -191,12 +174,11 @@ def minimal_cover(ambient, a: ChiefBlock) -> Subgroup:
     The filter is closed under pairwise intersection and is finite, so the
     intersection itself covers the block and the filter is principal.
     """
-    amb = ambient_subgroup(ambient)
-    filt = covering_filter(amb, a)
-    node = normal_subgroups(amb).node_with_members(meet(amb, *filt).members)
-    if not covers(node, a):
+    lat = normal_subgroups(ambient)
+    m = lat.meet(*[lat.index_of(n) for n in covering_filter(ambient, a)])
+    if lat.le(m, lat.index_of(a.centralizer)):
         raise InternalCheckError("filter intersection fails to cover")
-    return node
+    return lat.nodes[m]
 
 
 def uppermost_representative(ambient, a: ChiefBlock) -> NormalFactor:
@@ -228,10 +210,10 @@ def uppermost_representative(ambient, a: ChiefBlock) -> NormalFactor:
 def lowermost_representative(ambient, a: ChiefBlock) -> NormalFactor:
     """G_a / C_{G_a}(a) for the minimal cover G_a of the block."""
     amb = ambient_subgroup(ambient)
+    lat = normal_subgroups(amb)
     g_a = minimal_cover(amb, a)
-    bottom = normal_subgroups(amb).node_with_members(
-        g_a.members & a.centralizer.members)
-    rep = make_factor(amb, g_a, bottom)
+    bottom = lat.meet(lat.index_of(g_a), lat.index_of(a.centralizer))
+    rep = make_factor(amb, g_a, lat.nodes[bottom])
     cf = factor_centralizer(rep)
     if cf.members != a.centralizer.members or is_abelian_factor(rep):
         raise InternalCheckError("lowermost representative not in the block")
@@ -248,19 +230,23 @@ def block_le(a: ChiefBlock, b: ChiefBlock) -> bool:
     The covering characterization (every normal subgroup covering b covers a)
     and the minimal-cover characterization (minimal cover of b contains that
     of a, stated in the reversed order) must agree with the centralizer test.
+    All three compare lattice nodes by index.
     """
     if (a.ambient.parent is not b.ambient.parent
             or a.ambient.members != b.ambient.members):
         raise DifferentParents("blocks of different ambients")
     amb = a.ambient
-    verdict = a.centralizer.members <= b.centralizer.members
-    by_covering = all(covers(n, a) for n in covering_filter(amb, b))
+    lat = normal_subgroups(amb)
+    ca, cb = lat.index_of(a.centralizer), lat.index_of(b.centralizer)
+    verdict = lat.le(ca, cb)
+    by_covering = not any(lat.le(lat.index_of(n), ca)
+                          for n in covering_filter(amb, b))
     if by_covering != verdict:
         raise InternalCheckError("covering characterization disagrees")
     # Stated for the reversed pair: x <= y iff the minimal cover of x is
     # contained in the minimal cover of y.
-    by_min_cover = (minimal_cover(amb, a).members
-                    <= minimal_cover(amb, b).members)
+    by_min_cover = lat.le(lat.index_of(minimal_cover(amb, a)),
+                          lat.index_of(minimal_cover(amb, b)))
     if by_min_cover != verdict:
         raise InternalCheckError("minimal-cover characterization disagrees")
     return verdict
@@ -272,11 +258,12 @@ def inner_action_members(ambient, within: Subgroup, k: Subgroup,
 
     The conjugation actions of g and k on the factor agree exactly when
     g*k^-1 centralizes the factor, so the set is (C*K) meet within, with C
-    the factor centralizer.  The test suite compares this with the
-    elementwise search over witnesses k.
+    the factor centralizer; all three are nodes of the ambient's lattice.
+    The test suite compares this with the elementwise search over witnesses k.
     """
-    ck = product_of_subgroups(c, k)
-    return ck & within.members
+    lat = normal_subgroups(ambient)
+    ck = lat.join(lat.index_of(c), lat.index_of(k))
+    return lat.nodes[lat.meet(ck, lat.index_of(within))].members
 
 
 def refine_series(ambient, series: Sequence[Subgroup], f: NormalFactor
@@ -315,26 +302,24 @@ def refine_series(ambient, series: Sequence[Subgroup], f: NormalFactor
     if idx is None:
         raise InternalCheckError("no series member escapes the centralizer")
 
-    upper = series[idx + 1]
-    b = Subgroup(g, c.members & upper.members)
-    r_members = inner_action_members(amb, upper, f.k, c)
-    r = Subgroup(g, r_members)
-    rk = commutator_subgroup(g, r, f.k)
-    a_sub = Subgroup(g, product_of_subgroups(rk, b))
-    aa = commutator_subgroup(g, a_sub, a_sub)
-    d = Subgroup(g, product_of_subgroups(aa, b))
+    upper = lat.index_of(series[idx + 1])
+    b = lat.meet(lat.index_of(c), upper)
+    r = lat.node_with_members(
+        inner_action_members(amb, series[idx + 1], f.k, c))
+    try:  # [R, K] and [A, A] are nodes: R, K and A are normal
+        a_sub = lat.nodes[lat.join(
+            lat.index_of(commutator_subgroup(g, r, f.k)), b)]
+        d = lat.join(lat.index_of(commutator_subgroup(g, a_sub, a_sub)), b)
+    except KeyError:
+        raise InternalCheckError(
+            "refinement is not made of normal subgroups") from None
+    b_node, d_node = lat.nodes[b], lat.nodes[d]
 
-    if not (series[idx].members <= b.members
-            and b.members < d.members
-            and d.members <= upper.members):
+    if not (lat.le(lat.index_of(series[idx]), b) and b != d
+            and lat.le(d, upper)):
         raise InternalCheckError("refinement landed outside its interval")
-    if not lat.contains_members(d.members) or not lat.contains_members(
-            b.members):
-        raise InternalCheckError("refinement is not made of normal subgroups")
-    d_node = lat.node_with_members(d.members)
-    b_node = lat.node_with_members(b.members)
     out = make_factor(amb, d_node, b_node)
-    if not lat.is_cover(b.members, d.members):
+    if not lat.is_cover(b_node.members, d_node.members):
         raise InternalCheckError("refined factor is not chief")
     if not are_associated(out, f):
         raise InternalCheckError("refined factor is not associated")

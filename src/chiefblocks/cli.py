@@ -28,6 +28,7 @@ from .errors import (
     ActionNotHomomorphism,
     BadAction,
     CapError,
+    CapExceeded,
     InvalidPermutation,
     NotNormal,
     ParseError,
@@ -161,6 +162,8 @@ def build_group(spec: dict, cap: int = DEFAULT_ELEMENT_CAP) -> FiniteGroup:
     if kind == "named":
         return _named.build_named(spec["name"], cap)
     if kind == "perm":
+        if spec["points"] > cap:  # refused before any permutation is built
+            raise CapExceeded(f"perm points exceed element cap {cap}")
         try:
             perms = [perm_from_cycles(cycles, spec["points"])
                      for cycles in spec["generators"]]
@@ -231,12 +234,23 @@ def analyze(spec: dict, options: Optional[AnalyzeOptions] = None
     The constructed group is checked against the group laws first; identity
     and inverses exhaustively, associativity exhaustively at small orders and
     on seeded random triples above that.  ``node_cap`` becomes the group's
-    cap, so it bounds every normal lattice the analysis builds.
+    cap, so it bounds every normal lattice the analysis builds.  Subgroups in
+    the options are resolved and checked normal before any lattice is built.
     """
     opts = options or AnalyzeOptions()
     g = build_group(spec, opts.element_cap)
     g.node_cap = opts.node_cap
     verify_group_axioms(g, random.Random(opts.seed))
+    parts = h = None
+    if opts.factorization_parts is not None:
+        parts = [resolve_subgroup(g, p, "factorization part")
+                 for p in opts.factorization_parts]
+        if not all(is_normal_in(p, g.whole()) for p in parts):
+            raise SpecError("factorization parts must be normal")
+    if opts.extend_normal is not None:
+        h = resolve_subgroup(g, opts.extend_normal, "extend-normal")
+        if not is_normal_in(h, g.whole()):
+            raise SpecError("--extend-normal subgroup must be normal")
     rep = AnalysisReport()
     out = rep.lines
     out.append(f"schema: {SCHEMA_VERSION}")
@@ -318,13 +332,7 @@ def analyze(spec: dict, options: Optional[AnalyzeOptions] = None
         out.append(f"  layer_order: {cr.layer.order}")
         out.append(f"  semisimple_type: {cr.type}")
 
-    if opts.factorization_parts is not None:
-        parts = [resolve_subgroup(g, p, "factorization part")
-                 for p in opts.factorization_parts]
-        for p in parts:
-            if not is_normal_in(p, g.whole()):
-                raise SpecError("factorization parts must be normal")
-            p.is_normal = True
+    if parts is not None:
         fact = classify_factorization(g, parts)
         out.append("factorization:")
         out.append("  part_orders: "
@@ -336,11 +344,7 @@ def analyze(spec: dict, options: Optional[AnalyzeOptions] = None
             out.append(f"  diagonal_kernel_order: {diag.kernel.order}")
             out.append(f"  diagonal_injective: {diag.injective}")
 
-    if opts.extend_normal is not None:
-        h = resolve_subgroup(g, opts.extend_normal, "extend-normal")
-        if not is_normal_in(h, g.whole()):
-            raise SpecError("--extend-normal subgroup must be normal")
-        h.is_normal = True
+    if h is not None:
         check = extension_poset_check(g, h)
         st = check.structure
         out.append("extension:")

@@ -1,4 +1,7 @@
-"""Normal factors K/L, their centralizers, and the association relation."""
+"""Normal factors K/L, their centralizers, and the association relation.
+
+K and L are lattice nodes, so association and compression read node indices.
+"""
 
 from __future__ import annotations
 
@@ -16,10 +19,9 @@ from .group import (
     ambient_subgroup,
     factor_centralizer_members,
     is_normal_in,
-    product_of_subgroups,
     subgroup_as_group,
 )
-from .lattice import chief_factors, join
+from .lattice import NormalLattice, chief_factors, normal_subgroups
 
 
 class NormalFactor:
@@ -36,10 +38,6 @@ class NormalFactor:
         self.k = k
         self.l = l
         self._hash = None
-
-    @property
-    def group(self):
-        return self.ambient.parent
 
     @property
     def order(self) -> int:
@@ -116,22 +114,28 @@ def is_abelian_factor(f: NormalFactor) -> bool:
                for a in f.k.gens for b in f.k.gens)
 
 
-def _same_ambient(f1: NormalFactor, f2: NormalFactor) -> None:
+def _lattice_nodes(f1: NormalFactor, f2: NormalFactor) -> tuple:
+    """The common ambient's lattice and the node indices K1, L1, K2, L2."""
     if (f1.ambient.parent is not f2.ambient.parent
             or f1.ambient.members != f2.ambient.members):
         raise DifferentParents("factors live in different ambient groups")
+    lat = normal_subgroups(f1.ambient)
+    return lat, [lat.index_of(s) for s in (f1.k, f1.l, f2.k, f2.l)]
+
+
+def associated_nodes(lat: NormalLattice, k1: int, l1: int, k2: int,
+                     l2: int) -> bool:
+    """K1L2 = K2L1 and Ki meet L1L2 = Li, on node indices."""
+    if lat.join(k1, l2) != lat.join(k2, l1):
+        return False
+    l12 = lat.join(l1, l2)
+    return lat.meet(k1, l12) == l1 and lat.meet(k2, l12) == l2
 
 
 def are_associated(f1: NormalFactor, f2: NormalFactor) -> bool:
     """K1L2 = K2L1, K1 meet L1L2 = L1, and K2 meet L1L2 = L2."""
-    _same_ambient(f1, f2)
-    k1l2 = product_of_subgroups(f1.k, f2.l)
-    k2l1 = product_of_subgroups(f2.k, f1.l)
-    if k1l2 != k2l1:
-        return False
-    l1l2 = product_of_subgroups(f1.l, f2.l)
-    return (f1.k.members & l1l2 == f1.l.members
-            and f2.k.members & l1l2 == f2.l.members)
+    lat, idx = _lattice_nodes(f1, f2)
+    return associated_nodes(lat, *idx)
 
 
 def is_internal_compression(f1: NormalFactor, f2: NormalFactor) -> bool:
@@ -139,16 +143,17 @@ def is_internal_compression(f1: NormalFactor, f2: NormalFactor) -> bool:
 
     Direction matters: requires K2 = K1L2 and L1 = K1 meet L2.
     """
-    _same_ambient(f1, f2)
-    return (f2.k.members == product_of_subgroups(f1.k, f2.l)
-            and f1.l.members == f1.k.members & f2.l.members)
+    lat, (k1, l1, k2, l2) = _lattice_nodes(f1, f2)
+    return lat.join(k1, l2) == k2 and lat.meet(k1, l2) == l1
 
 
 def common_compression(f1: NormalFactor, f2: NormalFactor) -> NormalFactor:
     """(K1K2)/(L1L2), an internal compression of both associated inputs."""
     if not are_associated(f1, f2):
         raise NotAssociated("common compression needs associated factors")
-    out = NormalFactor(f1.ambient, join(f1.k, f2.k), join(f1.l, f2.l))
+    lat, (k1, l1, k2, l2) = _lattice_nodes(f1, f2)
+    out = NormalFactor(f1.ambient, lat.nodes[lat.join(k1, k2)],
+                       lat.nodes[lat.join(l1, l2)])
     if not (is_internal_compression(f1, out)
             and is_internal_compression(f2, out)):
         raise InternalCheckError(
@@ -161,17 +166,12 @@ def association_graph(
     """All chief factors (abelian included) with association edges.
 
     Returns (vertices, edges); edges are index pairs (i, j), i < j, between
-    distinct associated factors.
+    distinct associated factors, tested on each factor's node indices.
     """
     verts = chief_factors(ambient)
-    edges = []
-    for i in range(len(verts)):
-        for j in range(i + 1, len(verts)):
-            if are_associated(verts[i], verts[j]):
-                edges.append((i, j))
+    lat = normal_subgroups(ambient)
+    nodes = [(lat.index_of(f.k), lat.index_of(f.l)) for f in verts]
+    edges = [(i, j) for i, (k1, l1) in enumerate(nodes)
+             for j in range(i + 1, len(nodes))
+             if associated_nodes(lat, k1, l1, *nodes[j])]
     return verts, edges
-
-
-def centralizer_equal(f1: NormalFactor, f2: NormalFactor) -> bool:
-    _same_ambient(f1, f2)
-    return factor_centralizer(f1).members == factor_centralizer(f2).members

@@ -6,7 +6,7 @@ block-extension machinery needs.  ``normal_subgroups`` builds the lattice
 of an ambient once, by a breadth-first search of upper covers from the
 trivial subgroup, and caches it per ambient; every layer reads it from
 there and asks ``NormalLattice`` whether L < K is a cover (no normal
-subgroup strictly between).
+subgroup strictly between) and for joins and meets, by node index.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from __future__ import annotations
 from typing import Iterator
 
 from .errors import (
-    DifferentParents,
     InternalCheckError,
     NodeCapExceeded,
     NotNested,
@@ -34,11 +33,14 @@ class NormalLattice:
     """All subgroups of the ambient that are normal in it, with covers.
 
     Nodes are deduplicated and sorted by (order, member tuple), so node
-    indices are deterministic.  ``up`` maps each node's member set to the
-    nodes covering it; the lower covers are derived from it.  These Hasse
-    edges answer every cover question: ``covers`` lists them, ``is_cover``
-    tests one pair, and ``minimal_nodes_over`` and ``maximal_nodes_under``
-    give the upper and lower covers of a node.
+    indices are deterministic and rise along the order.  ``up`` maps each
+    node's member set to the nodes covering it; the lower covers are derived
+    from it.  These Hasse edges answer every cover question: ``covers``
+    lists them, ``is_cover`` tests one pair, and ``minimal_nodes_over`` and
+    ``maximal_nodes_under`` give the upper and lower covers of a node.
+    Bitsets over node indices (bit j of ``_above[i]``, bit i of ``_below[j]``:
+    node i lies in node j) answer ``le``, ``join`` (the product, a lowest
+    common bit) and ``meet`` (the intersection, a highest common bit).
     """
 
     def __init__(self, ambient: Subgroup, nodes: list[Subgroup],
@@ -49,9 +51,15 @@ class NormalLattice:
         self._up = [sorted(self._index[m.members] for m in up[n.members])
                     for n in nodes]
         self._down: list[list[int]] = [[] for _ in nodes]
-        for i, js in enumerate(self._up):
+        self._below = [1 << i for i in range(len(nodes))]
+        for i, js in enumerate(self._up):  # lower covers come first
             for j in js:
                 self._down[j].append(i)
+                self._below[j] |= self._below[i]
+        self._above = [1 << i for i in range(len(nodes))]
+        for i in reversed(range(len(nodes))):
+            for j in self._up[i]:
+                self._above[i] |= self._above[j]
 
     def __len__(self):
         return len(self.nodes)
@@ -65,8 +73,23 @@ class NormalLattice:
     def node_with_members(self, members: frozenset) -> Subgroup:
         return self.nodes[self._index[members]]
 
-    def contains_members(self, members: frozenset) -> bool:
-        return members in self._index
+    def le(self, i: int, j: int) -> bool:
+        """True iff node i is contained in node j."""
+        return self._below[j] >> i & 1 == 1
+
+    def join(self, *idx: int) -> int:
+        """Index of the product of the given nodes (trivial if none)."""
+        bits = self._above[0]
+        for i in idx:
+            bits &= self._above[i]
+        return (bits & -bits).bit_length() - 1
+
+    def meet(self, *idx: int) -> int:
+        """Index of the intersection of the given nodes (the top if none)."""
+        bits = self._below[-1]
+        for i in idx:
+            bits &= self._below[i]
+        return bits.bit_length() - 1
 
     def covers(self) -> list[tuple[int, int]]:
         """Hasse edges (i, j) with node i covered by node j, sorted."""
@@ -142,30 +165,6 @@ def normal_subgroups(ambient) -> NormalLattice:
     return lat
 
 
-def join(n: Subgroup, *others: Subgroup) -> Subgroup:
-    """Join of normal subgroups: their set product, with merged generators.
-
-    With no others the result is ``n`` itself.
-    """
-    out = n
-    for m in others:
-        if m.parent is not n.parent:
-            raise DifferentParents("join operands in different groups")
-        out = Subgroup(n.parent, product_of_subgroups(out, m),
-                       list(dict.fromkeys(list(out.gens) + list(m.gens))))
-    return out
-
-
-def meet(n: Subgroup, *others: Subgroup) -> Subgroup:
-    """Intersection of subgroups; with no others the result is ``n`` itself."""
-    out = n
-    for m in others:
-        if m.parent is not n.parent:
-            raise DifferentParents("meet operands in different groups")
-        out = Subgroup(n.parent, out.members & m.members)
-    return out
-
-
 def is_chief_factor(ambient, k: Subgroup, l: Subgroup) -> bool:
     """True iff no normal subgroup of the ambient sits strictly between."""
     amb = ambient_subgroup(ambient)
@@ -211,11 +210,8 @@ def chief_series_iter(ambient, max_series: int | None = None
 
 def socle(ambient) -> Subgroup:
     """Join of the minimal normal subgroups (trivial when there are none)."""
-    amb = ambient_subgroup(ambient)
-    atoms = normal_subgroups(amb).minimal_nodes_over(frozenset((0,)))
-    if not atoms:
-        return amb.parent.trivial_subgroup()
-    return join(*atoms)
+    lat = normal_subgroups(ambient)
+    return lat.nodes[lat.join(*lat._up[0])]
 
 
 def is_monolithic(ambient) -> bool:
@@ -225,8 +221,11 @@ def is_monolithic(ambient) -> bool:
 
 
 def jordan_holder_length(ambient) -> int:
-    """Common length of all chief series, checked equal over every series."""
-    lengths = {len(s) - 1 for s in chief_series_iter(ambient)}
-    if len(lengths) != 1:
-        raise InternalCheckError(f"chief series of unequal lengths: {lengths}")
-    return lengths.pop()
+    """Length of every chief series; raises unless the lattice is graded."""
+    lat = normal_subgroups(ambient)
+    rank = [0] * len(lat)  # 0 = unranked; covers() lists lower nodes first
+    for i, j in lat.covers():
+        if rank[j] not in (0, rank[i] + 1):
+            raise InternalCheckError(f"normal lattice is not graded at n{j}")
+        rank[j] = rank[i] + 1
+    return rank[-1]

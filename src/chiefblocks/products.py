@@ -4,7 +4,8 @@ For a set S of normal subgroups, G_J denotes the join of a subset J.  S is a
 generalized central factorization when the parts generate and pairwise
 commute; it is quasi-direct when additionally the complements G_{S minus N}
 intersect trivially, which for at least two parts is equivalent to the full
-independence property over subsets of the power set.
+independence property over subsets of the power set.  Joins and meets are
+node-index lookups in the ambient's normal lattice, built on first use.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .group import (
     semidirect_product,
     subgroup_as_group,
 )
-from .lattice import join, meet
+from .lattice import normal_subgroups
 
 
 class Factorization:
@@ -63,10 +64,16 @@ def _check_parts(amb: Subgroup, parts: Sequence[Subgroup]) -> list[Subgroup]:
     return list(parts)
 
 
+def _meet_index(amb: Subgroup, subs: Sequence[Subgroup]) -> int:
+    lat = normal_subgroups(amb)
+    return lat.meet(*[lat.index_of(s) for s in subs])
+
+
 def complements_of(amb: Subgroup, parts: Sequence[Subgroup]) -> list[Subgroup]:
     """G_{S minus N} for each part N, in part order."""
-    trivial = amb.parent.trivial_subgroup()
-    return [join(trivial, *parts[:i], *parts[i + 1:])
+    lat = normal_subgroups(amb)
+    idx = [lat.index_of(p) for p in parts]
+    return [lat.nodes[lat.join(*idx[:i], *idx[i + 1:])]
             for i in range(len(parts))]
 
 
@@ -92,11 +99,12 @@ def classify_factorization(ambient, parts: Sequence[Subgroup]
     """
     amb = ambient_subgroup(ambient)
     parts = _check_parts(amb, parts)
+    lat = normal_subgroups(amb)
     comps = complements_of(amb, parts)
-    span = join(comps[0], parts[0]).members if parts else frozenset((0,))
-    if span != amb.members or not parts_commute(amb, parts):
+    span = lat.join(*[lat.index_of(p) for p in parts])
+    if span != len(lat) - 1 or not parts_commute(amb, parts):
         kind = "neither"
-    elif meet(amb, *comps).order == 1:
+    elif _meet_index(amb, comps) == 0:
         kind = "quasi-direct"
     else:
         kind = "generalized-central"
@@ -111,7 +119,7 @@ def is_generalized_central_factorization(ambient, parts: Sequence[Subgroup]
 
 def single_intersection_trivial(ambient, parts: Sequence[Subgroup]) -> bool:
     amb = ambient_subgroup(ambient)
-    return meet(amb, *complements_of(amb, parts)).order == 1
+    return _meet_index(amb, complements_of(amb, _check_parts(amb, parts))) == 0
 
 
 def is_quasi_direct_factorization(ambient, parts: Sequence[Subgroup]) -> bool:
@@ -150,7 +158,7 @@ def diagonal_map(ambient, parts: Sequence[Subgroup],
     if fact.kind == "neither":
         raise NotGeneralizedCentral(
             "diagonal map needs a generalized central factorization")
-    kernel = meet(amb, *comps)
+    kernel = normal_subgroups(amb).nodes[_meet_index(amb, comps)]
     injective = kernel.order == 1
     if injective != (fact.kind == "quasi-direct"):
         raise InternalCheckError("kernel triviality must match quasi-directness")
@@ -246,7 +254,9 @@ def central_quotient_factorization(ambient, parts: Sequence[Subgroup],
     if not is_normal_in(n, amb) or not n.members < amb.members:
         raise NotNormal("need a proper normal subgroup to quotient by")
     g = amb.parent
-    m = meet(amb, *[join(c, n) for c in fact.complements])
+    lat = normal_subgroups(amb)
+    m = lat.nodes[lat.meet(*[lat.join(lat.index_of(c), lat.index_of(n))
+                             for c in fact.complements])]
     # M/N central in G/N: [M, ambient] must land in N.
     for x in m.gens:
         for y in amb.gens:

@@ -46,6 +46,19 @@ def small_corpus(corpus):
     return {k: g for k, g in corpus.items() if g.order <= 24}
 
 
+@pytest.fixture(scope="session")
+def dense_corpus():
+    """p-groups and a product with many normal subgroups and chief factors."""
+    c2 = named.cyclic(2)
+    return {
+        "C2^4": direct_product(direct_product(c2, c2),
+                               direct_product(c2, c2)),
+        "Q8xD8": direct_product(named.quaternion8(), named.dihedral(8)),
+        "ES32": named.extraspecial32().group,
+        "D8xS4": direct_product(named.dihedral(8), named.symmetric(4)),
+    }
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     if ACCEPTANCE_RESULTS:
         terminalreporter.section("acceptance criteria")

@@ -14,7 +14,7 @@ from chiefblocks.errors import CapError
 from chiefblocks.factors import (
     NormalFactor,
     are_associated,
-    centralizer_equal,
+    factor_centralizer,
 )
 from chiefblocks.group import (
     FiniteGroup,
@@ -185,6 +185,28 @@ def independence_property(ambient, parts: Sequence[Subgroup]) -> bool:
             if inter != frozenset((0,)):
                 return False
     return True
+
+
+def centralizer_equal(f1: NormalFactor, f2: NormalFactor) -> bool:
+    """Equal factor centralizers, the key of blocks of non-abelian factors."""
+    return factor_centralizer(f1).members == factor_centralizer(f2).members
+
+
+def associated_by_products(f1: NormalFactor, f2: NormalFactor) -> bool:
+    """K1L2 = K2L1 and Ki meet L1L2 = Li, on element sets."""
+    k1l2 = product_of_subgroups(f1.k, f2.l)
+    k2l1 = product_of_subgroups(f2.k, f1.l)
+    if k1l2 != k2l1:
+        return False
+    l1l2 = product_of_subgroups(f1.l, f2.l)
+    return (f1.k.members & l1l2 == f1.l.members
+            and f2.k.members & l1l2 == f2.l.members)
+
+
+def compression_by_products(f1: NormalFactor, f2: NormalFactor) -> bool:
+    """K2 = K1L2 and L1 = K1 meet L2, on element sets."""
+    return (f2.k.members == product_of_subgroups(f1.k, f2.l)
+            and f1.l.members == f1.k.members & f2.l.members)
 
 
 def chief_association_conditions(f1: NormalFactor, f2: NormalFactor) -> tuple:

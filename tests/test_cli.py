@@ -296,6 +296,48 @@ def test_cli_extend_normal_bool_id_is_input_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("flags", [
+    ["--extend-normal", "{}"],
+    ["--extend-normal", "[[0]]"],
+    ["--factorization", "PARTS"],
+], ids=["extend-normal-object", "extend-normal-not-normal",
+        "factorization-bad-word"])
+def test_cli_bad_subgroup_refused_before_lattice(flags, tmp_path, capsys,
+                                                 monkeypatch):
+    import chiefblocks.cli as cli
+
+    def boom(g):
+        raise RuntimeError("the lattice was built")
+
+    monkeypatch.setattr(cli, "normal_subgroups", boom)
+    wr_file = tmp_path / "wr.json"
+    wr_file.write_text('{"kind":"named","name":"A5wrC2"}')
+    parts_file = tmp_path / "parts.json"
+    parts_file.write_text('{"parts": [["x"]]}')
+    flags = [str(parts_file) if f == "PARTS" else f for f in flags]
+    assert cli.run(["analyze", "--spec", str(wr_file), "--components",
+                    *flags]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("generators", ["[]", "[[[0,100]]]"])
+def test_cli_perm_points_over_cap_refused_before_allocation(
+        generators, tmp_path, capsys, monkeypatch):
+    import chiefblocks.perm as perm
+
+    def boom(*args):
+        raise RuntimeError("a permutation was allocated")
+
+    monkeypatch.setattr(perm, "identity_perm", boom)
+    monkeypatch.setattr(perm, "perm_from_cycles", boom)
+    spec_file = tmp_path / "perm.json"
+    spec_file.write_text(
+        f'{{"kind":"perm","points":101,"generators":{generators}}}')
+    assert run(["analyze", "--spec", str(spec_file),
+                "--element-cap", "100"]) == 3
+    assert "element cap 100" in capsys.readouterr().err
+
+
 def test_cli_invalid_permutation_is_input_error(tmp_path, capsys):
     bad = tmp_path / "badperm.json"
     bad.write_text('{"kind":"perm","points":3,"generators":[[[0,0,1]]]}')

@@ -13,7 +13,6 @@ from chiefblocks.errors import (
 from chiefblocks.factors import (
     are_associated,
     association_graph,
-    centralizer_equal,
     common_compression,
     factor_centralizer,
     factor_group,
@@ -23,7 +22,12 @@ from chiefblocks.factors import (
 )
 from chiefblocks.group import direct_product, subgroup_generated
 from chiefblocks.lattice import chief_factors, normal_subgroups
-from oracles import chief_association_conditions
+from oracles import (
+    associated_by_products,
+    centralizer_equal,
+    chief_association_conditions,
+    compression_by_products,
+)
 
 
 def klein_pieces():
@@ -110,6 +114,19 @@ def test_klein_association_pattern():
         assert not are_associated(f1, f2)
     for f1, f2 in itertools.combinations(uppers.values(), 2):
         assert not are_associated(f1, f2)
+
+
+def test_index_association_matches_set_products(small_corpus,
+                                                 dense_corpus):
+    """Association and compression by node index equal the set products."""
+    for g in list(small_corpus.values()) + list(dense_corpus.values()):
+        factors = chief_factors(g)
+        for f1 in factors:
+            for f2 in factors:
+                assert are_associated(f1, f2) \
+                    == associated_by_products(f1, f2), g.name
+                assert is_internal_compression(f1, f2) \
+                    == compression_by_products(f1, f2), g.name
 
 
 def test_association_is_reflexive(corpus):

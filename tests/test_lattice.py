@@ -4,18 +4,22 @@ import pytest
 
 from chiefblocks import named
 from chiefblocks.errors import (
-    DifferentParents,
+    InternalCheckError,
     NodeCapExceeded,
     NotNested,
 )
-from chiefblocks.group import direct_product, is_normal_in
+from chiefblocks.group import (
+    direct_product,
+    is_normal_in,
+    product_of_subgroups,
+    subgroup_generated,
+)
 from chiefblocks.lattice import (
+    NormalLattice,
     chief_factors,
     chief_series_iter,
     is_chief_factor,
-    join,
     jordan_holder_length,
-    meet,
     normal_subgroups,
 )
 from oracles import (
@@ -72,26 +76,34 @@ def test_lattice_node_orders():
         == [1, 60, 60, 3600]
 
 
-def test_lattice_closed_under_join_and_meet(small_corpus):
-    for g in small_corpus.values():
+def test_lattice_closed_under_join_and_meet(small_corpus, dense_corpus):
+    """Index join and meet are the set product and the intersection."""
+    for g in list(small_corpus.values()) + list(dense_corpus.values()):
         lat = normal_subgroups(g)
-        members = {n.members for n in lat.nodes}
-        for a in lat.nodes:
-            for b in lat.nodes:
-                assert join(a, b).members in members
-                assert meet(a, b).members in members
+        for i, a in enumerate(lat.nodes):
+            for j, b in enumerate(lat.nodes):
+                assert lat.nodes[lat.join(i, j)].members \
+                    == product_of_subgroups(a, b), g.name
+                assert lat.nodes[lat.meet(i, j)].members \
+                    == a.members & b.members, g.name
 
 
 def test_join_meet_examples():
     a5 = named.alternating(5)
     prod = direct_product(a5, a5)
-    assert join(prod.left_factor, prod.right_factor).order == 3600
-    assert meet(prod.left_factor, prod.left_factor).members \
-        == prod.left_factor.members
+    lat = normal_subgroups(prod)
+    left, right = lat.index_of(prod.left_factor), lat.index_of(
+        prod.right_factor)
+    assert lat.nodes[lat.join(left, right)].order == 3600
+    assert lat.meet(left, left) == left
+    assert lat.meet(left, right) == 0
+    assert lat.join() == 0 and lat.meet() == len(lat) - 1
+    assert lat.le(0, left) and not lat.le(left, right)
     es = named.extraspecial32()
-    assert meet(es.left_image, es.right_image).order == 2
-    with pytest.raises(DifferentParents):
-        join(prod.left_factor, named.alternating(5).whole())
+    es_lat = normal_subgroups(es.group)
+    mid = es_lat.meet(es_lat.index_of(es.left_image),
+                      es_lat.index_of(es.right_image))
+    assert es_lat.nodes[mid].order == 2
 
 
 def test_is_chief_factor_examples():
@@ -136,7 +148,34 @@ def test_series_steps_are_chief(small_corpus):
 def test_equal_series_lengths(corpus):
     for name in ("V4", "S4", "Q8", "D8", "SL23", "SL25", "ES32",
                  "A5xA5", "A5wrC2"):
-        jordan_holder_length(corpus[name])
+        lengths = {len(s) - 1 for s in chief_series_iter(corpus[name])}
+        assert lengths == {jordan_holder_length(corpus[name])}, name
+
+
+def test_jordan_holder_length_of_c2_6():
+    """615,195 maximal chains; the grading check reads 2,825 nodes once."""
+    c2 = named.cyclic(2)
+    c2_3 = direct_product(direct_product(c2, c2), c2)
+    assert jordan_holder_length(direct_product(c2_3, c2_3)) == 6
+
+
+def test_ungraded_lattice_raises():
+    """A pentagon 1 < Z < R < D8 beside 1 < <s> < D8 is not graded."""
+    d8 = named.dihedral(8)
+    rot = subgroup_generated(d8, [next(
+        x for x in d8.elements() if d8.element_order(x) == 4)])
+    z = subgroup_generated(d8, [next(
+        x for x in rot.members if d8.element_order(x) == 2)])
+    s = subgroup_generated(d8, [next(
+        x for x in d8.elements()
+        if d8.element_order(x) == 2 and x not in rot.members)])
+    one, whole = d8.trivial_subgroup(), d8.whole()
+    up = {one.members: [z, s], z.members: [rot], s.members: [whole],
+          rot.members: [whole], whole.members: []}
+    d8._cache[("lattice", whole.members)] = NormalLattice(
+        whole, [one, z, s, rot, whole], up)
+    with pytest.raises(InternalCheckError, match="not graded"):
+        jordan_holder_length(d8)
 
 
 def test_node_cap_enforced():

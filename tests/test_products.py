@@ -149,19 +149,18 @@ def test_independence_matches_single_intersection(small_corpus):
 
 def test_nonredundancy_of_quasi_direct_parts(corpus):
     """Distinct subsets of a quasi-direct factorization have distinct joins."""
-    from chiefblocks.lattice import join
     v4, ais = klein_parts()
     cases = [(corpus["A5xA5"],
               [corpus["A5xA5"].left_factor, corpus["A5xA5"].right_factor]),
              (v4, ais[:2])]
     for g, parts in cases:
-        amb = g.whole()
+        lat = normal_subgroups(g)
         assert is_quasi_direct_factorization(g, parts)
         subsets = list(itertools.chain.from_iterable(
             itertools.combinations(range(len(parts)), k)
             for k in range(len(parts) + 1)))
-        joins = [join(amb.parent.trivial_subgroup(),
-                      *[parts[i] for i in s]).members for s in subsets]
+        joins = [lat.join(*[lat.index_of(parts[i]) for i in s])
+                 for s in subsets]
         for (s1, j1), (s2, j2) in itertools.combinations(
                 zip(subsets, joins), 2):
             assert (s1 == s2) == (j1 == j2)
@@ -258,3 +257,5 @@ def test_factorization_parts_must_be_normal(corpus):
         is_quasi_direct_factorization(s4, [twisted, s4.whole()])
     with pytest.raises(NotNormal):
         is_generalized_central_factorization(s4, [twisted])
+    with pytest.raises(NotNormal):
+        single_intersection_trivial(s4, [twisted, s4.whole()])
