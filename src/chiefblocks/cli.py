@@ -231,11 +231,16 @@ def analyze(spec: dict, options: Optional[AnalyzeOptions] = None
             ) -> AnalysisReport:
     """Run the full analysis pipeline and produce a deterministic report.
 
-    The constructed group is checked against the group laws first; identity
-    and inverses exhaustively, associativity exhaustively at small orders and
-    on seeded random triples above that.  ``node_cap`` becomes the group's
-    cap, so it bounds every normal lattice the analysis builds.  Subgroups in
-    the options are resolved and checked normal before any lattice is built.
+    The constructed group is checked against the group laws first.  A group
+    of order <= 512 builds its Cayley table from one column per generator
+    and checks associativity exhaustively as it does (Light's test);
+    ``verify_group_axioms`` then checks identity and inverses exhaustively
+    and compares the table with the construction's product on every pair
+    up to order 89 and on seeded random triples above that.  A larger group
+    is checked for associativity on seeded random triples.  ``node_cap`` becomes the group's cap, so it bounds every
+    normal lattice the analysis builds, and the association stage refuses
+    more than ``factors.ASSOCIATION_PAIR_CAP`` pair tests.  Subgroups in the
+    options are resolved and checked normal before any lattice is built.
     """
     opts = options or AnalyzeOptions()
     g = build_group(spec, opts.element_cap)

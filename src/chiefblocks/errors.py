@@ -17,6 +17,10 @@ class NodeCapExceeded(CapError):
     """A normal-subgroup lattice grew past the configured node cap."""
 
 
+class WorkCapExceeded(CapError):
+    """An analysis stage would make more elementary tests than its cap."""
+
+
 class SearchCapExceeded(CapError):
     """An automorphism/isomorphism search exceeded its candidate budget."""
 

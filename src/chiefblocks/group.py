@@ -6,6 +6,10 @@ and ids are stable for the lifetime of the group.  Concrete constructions
 (permutation closure, direct and semidirect products, quotients) are
 subclasses that implement multiplication on ids; groups built from
 permutations also expose the underlying permutation of each element.
+Groups of order at most ``_MUL_TABLE_BOUND`` keep a dense Cayley table,
+derived from one right-multiplication column per generator by a walk of the
+Cayley graph that checks every edge, which is Light's exact associativity
+test; ``verify_group_axioms`` checks it against the construction's product.
 
 Groups and subgroups are not immutable.  ``is_normal_in`` records a verified
 normality verdict in ``Subgroup.is_normal``, a subgroup's generators are
@@ -34,8 +38,11 @@ from .errors import (
 DEFAULT_ELEMENT_CAP = 30_000
 DEFAULT_NODE_CAP = 10_000
 
-# Full Cayley tables are precomputed below this order; above it, products are
-# computed per call from the construction data.
+# Groups up to this order keep a dense Cayley table of columns, built from one
+# right-multiplication column per generator (``_cayley_table``), which checks
+# associativity exhaustively as it builds; ``verify_group_axioms`` compares
+# it with ``_mul_impl``.  Above it, products are computed per call from the
+# construction data.
 _MUL_TABLE_BOUND = 512
 
 
@@ -58,12 +65,37 @@ class FiniteGroup:
         self._elt_order: list[Optional[int]] = [None] * order
         self._elt_order[0] = 1
         self._cache: dict = {}
-        self._table: Optional[list[int]] = None
+        self._table: Optional[list[list[int]]] = None
         if order <= _MUL_TABLE_BOUND:
-            mul = self._mul_impl
-            self._table = [
-                mul(a, b) for a in range(order) for b in range(order)
-            ]
+            self._table = self._cayley_table()
+
+    def _cayley_table(self) -> list[list[int]]:
+        """Columns t[b][a] = ab, from one _mul_impl column per generator.
+
+        Column b is x -> xb.  ``extend_by_images`` walks the Cayley graph
+        from the identity, whose column is x -> x, and on the edge p -> pg
+        takes column pg to be column p followed by x -> xg, because
+        x(pg) = (xp)g.  It checks every edge, so the table obeys
+        t[pg][x] = t[p][x]g for all x, p and each generator g, with both
+        products by g taken from ``_mul_impl``.  That is Light's test, and
+        it is exact: induction along the walk gives (xy)z = x(yz) for every
+        z.  A conflicting edge means the product is not associative; an
+        element the walk misses means the generators do not generate.  ``verify_group_axioms`` checks the identity and
+        inverse laws and the table's agreement with ``_mul_impl``.
+        """
+        n = self.order
+        gens = self.generators
+        rmul = [[self._mul_impl(x, g) for x in range(n)] for g in gens]
+        cols = extend_by_images(self, gens, rmul,
+                                lambda col, img: [img[x] for x in col],
+                                list(range(n)))
+        if cols is None:
+            raise InternalCheckError(
+                f"associativity of {self.name} fails (Light's test)")
+        if None in cols:
+            raise InternalCheckError(
+                f"generators of {self.name} do not generate it")
+        return cols
 
     # -- construction hooks --------------------------------------------------
 
@@ -82,7 +114,7 @@ class FiniteGroup:
     def mul(self, a: int, b: int) -> int:
         t = self._table
         if t is not None:
-            return t[a * self.order + b]
+            return t[b][a]
         return self._mul_impl(a, b)
 
     def inv(self, a: int) -> int:
@@ -836,16 +868,21 @@ def is_perfect(ambient) -> bool:
 # structural verification
 # ---------------------------------------------------------------------------
 
-_ASSOC_EXHAUSTIVE_BOUND = 60
 _ASSOC_SAMPLES = 2000
 
 
 def verify_group_axioms(g: FiniteGroup, rng) -> None:
-    """Check identity, inverses, and associativity.
+    """Check identity, inverses and associativity of the multiplication.
 
-    Identity and inverse laws are checked exhaustively.  Associativity is
-    checked over all triples up to order 60 and over random triples drawn
-    from ``rng`` above that (a full triple sweep is cubic in the order).
+    Identity and inverse laws are checked exhaustively.  A tabled group
+    (order <= ``_MUL_TABLE_BOUND``) passed Light's exact associativity test
+    when its table was built (``FiniteGroup._cayley_table``).  The table
+    must also agree with ``_mul_impl``: on every pair up to order 89,
+    where the n^2 pairs cost no more calls than the sample, and above that
+    on the four products (a, b), (b, c), (ab, c), (a, bc) of each of 2,000
+    triples drawn from ``rng``.  An untabled group is checked for
+    associativity on 2,000 triples drawn from ``rng`` (a full triple sweep
+    is cubic in the order).
     """
     for a in g.elements():
         if g.mul(a, 0) != a or g.mul(0, a) != a:
@@ -853,13 +890,23 @@ def verify_group_axioms(g: FiniteGroup, rng) -> None:
         ia = g.inv(a)
         if g.mul(a, ia) != 0 or g.mul(ia, a) != 0:
             raise InternalCheckError(f"inverse law fails at {a}")
-    n = g.order
-    if n <= _ASSOC_EXHAUSTIVE_BOUND:
-        triples = itertools.product(range(n), repeat=3)
+    n, t = g.order, g._table
+    triples = ((rng.randrange(n), rng.randrange(n), rng.randrange(n))
+               for _ in range(_ASSOC_SAMPLES))
+    if t is None:
+        for a, b, c in triples:
+            if g.mul(g.mul(a, b), c) != g.mul(a, g.mul(b, c)):
+                raise InternalCheckError(
+                    f"associativity fails at ({a}, {b}, {c})")
+        return
+    if n * n <= 4 * _ASSOC_SAMPLES:  # order <= 89
+        pairs = itertools.product(range(n), repeat=2)
     else:
-        triples = ((rng.randrange(n), rng.randrange(n), rng.randrange(n))
-                   for _ in range(_ASSOC_SAMPLES))
-    for a, b, c in triples:
-        if g.mul(g.mul(a, b), c) != g.mul(a, g.mul(b, c)):
+        pairs = ((x, y) for a, b, c in triples
+                 for x, y in ((a, b), (b, c), (t[b][a], c),
+                              (a, t[c][b])))
+    mul = g._mul_impl
+    for a, b in pairs:
+        if t[b][a] != mul(a, b):
             raise InternalCheckError(
-                f"associativity fails at ({a}, {b}, {c})")
+                f"Cayley table differs from the construction at ({a}, {b})")

@@ -26,7 +26,7 @@ def check_perm(p, n: int | None = None) -> Perm:
 
 def compose(p: Perm, q: Perm) -> Perm:
     """(p*q)(i) = p(q(i)): apply q first."""
-    return tuple(p[i] for i in q)
+    return tuple([p[i] for i in q])
 
 
 def invert(p: Perm) -> Perm:

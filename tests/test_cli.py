@@ -391,3 +391,20 @@ def test_cli_extend_normal_not_a_list_is_input_error(subspec, tmp_path,
     assert run(["analyze", "--spec", str(spec_file),
                 "--extend-normal", subspec]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_cli_c2_6_refused_at_association_stage(tmp_path, capsys):
+    # 23,562 chief factors would need 277,572,141 association pair tests.
+    import time
+    spec = {"kind": "named", "name": "C2"}
+    for _ in range(5):
+        spec = {"kind": "direct", "left": spec,
+                "right": {"kind": "named", "name": "C2"}}
+    spec_file = tmp_path / "c2_6.json"
+    spec_file.write_text(json.dumps(spec))
+    t0 = time.monotonic()
+    assert run(["analyze", "--spec", str(spec_file)]) == 3
+    assert time.monotonic() - t0 < 60
+    err = capsys.readouterr().err
+    assert err.startswith("error: association stage: 23562 chief factors")
+    assert "277572141 pair tests" in err

@@ -9,6 +9,7 @@ from chiefblocks.errors import (
     NotAssociated,
     NotNormal,
     NotStrictlyNested,
+    WorkCapExceeded,
 )
 from chiefblocks.factors import (
     are_associated,
@@ -269,6 +270,17 @@ def test_association_graph_shapes(corpus):
     verts, edges = association_graph(corpus["A5xA5"])
     assert len(verts) == 4 and len(edges) == 2
     assert len({i for e in edges for i in e}) == 4
+
+
+def test_association_pair_cap(corpus, monkeypatch):
+    import chiefblocks.factors as factors
+    # V4 has 6 chief factors, so 15 pair tests.
+    monkeypatch.setattr(factors, "ASSOCIATION_PAIR_CAP", 15)
+    assert len(association_graph(corpus["V4"])[0]) == 6
+    monkeypatch.setattr(factors, "ASSOCIATION_PAIR_CAP", 14)
+    with pytest.raises(WorkCapExceeded, match="association stage: 6 chief "
+                       "factors need 15 pair tests, over the cap of 14"):
+        association_graph(corpus["V4"])
 
 
 def test_klein_nontransitivity_witness():

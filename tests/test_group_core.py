@@ -10,10 +10,13 @@ from chiefblocks.errors import (
     ActionNotHomomorphism,
     CapExceeded,
     HomomorphismError,
+    InternalCheckError,
     InvalidPermutation,
     NotNormal,
 )
 from chiefblocks.group import (
+    _MUL_TABLE_BOUND,
+    FiniteGroup,
     Homomorphism,
     center,
     centralizer_subgroup,
@@ -311,6 +314,94 @@ def test_axioms_hold_across_corpus(corpus):
     rng = random.Random(11)
     for g in corpus.values():
         verify_group_axioms(g, rng)
+
+
+# The smallest non-associative loop: 0 is the identity and every element is
+# its own inverse, but no group of order 5 has elements of order 2.
+LOOP5 = [[0, 1, 2, 3, 4],
+         [1, 0, 3, 4, 2],
+         [2, 4, 0, 1, 3],
+         [3, 2, 4, 0, 1],
+         [4, 3, 1, 2, 0]]
+
+
+class Loop5(FiniteGroup):
+    def __init__(self):
+        super().__init__("loop5", 5, [1, 2], "test")
+
+    def _mul_impl(self, a, b):
+        return LOOP5[a][b]
+
+    def _inv_impl(self, a):
+        return a
+
+
+class Copy(FiniteGroup):
+    """A copy of ``base`` on ``gens``, its product off by one at ``bad``."""
+
+    def __init__(self, base, gens, bad=None):
+        self.base, self.bad = base, bad
+        super().__init__("copy", base.order, gens, "test")
+
+    def _mul_impl(self, a, b):
+        c = self.base.mul(a, b)
+        return (c + 1) % self.order if (a, b) == self.bad else c
+
+    def _inv_impl(self, a):
+        return self.base.inv(a)
+
+
+def test_cayley_table_matches_construction(corpus, dense_corpus):
+    c3, c2, s4 = named.cyclic(3), named.cyclic(2), named.symmetric(4)
+    d8xs4 = dense_corpus["D8xS4"]
+    v4 = next(n for n in _normal_nodes(s4) if n.order == 4)
+    built = [
+        direct_product(d8xs4, c2),
+        semidirect_product(c3, c2, [[c3.inv(x) for x in c3.elements()]]),
+        semidirect_product(direct_product(c2, c2), c3, [[0, 2, 3, 1]]),
+        quotient(s4, v4)[0],
+        quotient(d8xs4, center(d8xs4))[0],
+        subgroup_as_group(corpus["A5xA5"].left_factor)[0],
+        quotient(corpus["A5wrC2"], corpus["A5wrC2"].base_part)[0],
+    ]
+    assert built[0].order == 384 and built[2].order == 12
+    groups = [*corpus.values(), *dense_corpus.values(), *built]
+    for g in groups:
+        n = g.order
+        if n > _MUL_TABLE_BOUND:
+            assert g._table is None
+            continue
+        assert g._table == [[g._mul_impl(a, b) for a in range(n)]
+                            for b in range(n)]
+
+
+def test_non_associative_loop_fails_light_test_at_construction():
+    with pytest.raises(InternalCheckError,
+                       match=r"associativity of loop5 fails \(Light's test\)"):
+        Loop5()
+
+
+@pytest.mark.parametrize("build", [
+    lambda: named.symmetric(4),
+    lambda: direct_product(named.quaternion8(), named.dihedral(8)),
+], ids=["S4", "Q8xD8"])
+def test_wrong_product_off_the_generators_fails_axioms(build):
+    base = build()
+    assert 7 not in base.generators
+    verify_group_axioms(Copy(base, base.generators), random.Random(0))
+    g = Copy(base, base.generators, bad=(5, 7))
+    assert g._table == base._table  # built from the generator columns only
+    with pytest.raises(InternalCheckError,
+                       match=r"differs from the construction at \(5, 7\)"):
+        verify_group_axioms(g, random.Random(0))
+
+
+def test_generators_missing_an_element_raise_at_construction():
+    c4 = named.cyclic(4)
+    square = c4.mul(c4.generators[0], c4.generators[0])
+    with pytest.raises(InternalCheckError,
+                       match="generators of copy do not generate it"):
+        Copy(c4, [square])
 
 
 def test_quotient_order_formula(corpus):
