@@ -10,6 +10,9 @@ Groups of order at most ``_MUL_TABLE_BOUND`` keep a dense Cayley table,
 derived from one right-multiplication column per generator by a walk of the
 Cayley graph that checks every edge, which is Light's exact associativity
 test; ``verify_group_axioms`` checks it against the construction's product.
+Loops that multiply many elements by one element s read its column
+(``FiniteGroup.rcol``: x -> xs, ``lcol``: x -> sx), which each construction
+builds from its factors' columns without a product per element.
 
 Groups and subgroups are not immutable.  ``is_normal_in`` records a verified
 normality verdict in ``Subgroup.is_normal``, a subgroup's generators are
@@ -22,6 +25,7 @@ locking.
 from __future__ import annotations
 
 import itertools
+from array import array
 from typing import Iterable, Optional, Sequence
 
 from . import perm as _perm
@@ -42,8 +46,16 @@ DEFAULT_NODE_CAP = 10_000
 # right-multiplication column per generator (``_cayley_table``), which checks
 # associativity exhaustively as it builds; ``verify_group_axioms`` compares
 # it with ``_mul_impl``.  Above it, products are computed per call from the
-# construction data.
+# construction data, or read from columns built from the factors' columns.
 _MUL_TABLE_BOUND = 512
+
+# Above the table bound, one column (``FiniteGroup.rcol``) costs as much as
+# order/15 to order/6 products through ``_mul_impl`` (A5wrC2, S5xS5, S5wrC2).
+# An element gets its column once it has order/64 products to make: most
+# closures are either far smaller than that or a large share of the group,
+# and on perfbench's nonabelian ops 64 gave the least products plus column
+# entries, weighted by those costs, among powers of two from 4 to 1024.
+_COLUMN_PAYOFF = 64
 
 
 class FiniteGroup:
@@ -70,22 +82,25 @@ class FiniteGroup:
             self._table = self._cayley_table()
 
     def _cayley_table(self) -> list[list[int]]:
-        """Columns t[b][a] = ab, from one _mul_impl column per generator.
+        """Columns t[b][a] = ab, from each generator's ``_rcol_impl`` column.
 
         Column b is x -> xb.  ``extend_by_images`` walks the Cayley graph
         from the identity, whose column is x -> x, and on the edge p -> pg
         takes column pg to be column p followed by x -> xg, because
         x(pg) = (xp)g.  It checks every edge, so the table obeys
-        t[pg][x] = t[p][x]g for all x, p and each generator g, with both
-        products by g taken from ``_mul_impl``.  That is Light's test, and
-        it is exact: induction along the walk gives (xy)z = x(yz) for every
-        z.  A conflicting edge means the product is not associative; an
-        element the walk misses means the generators do not generate.  ``verify_group_axioms`` checks the identity and
-        inverse laws and the table's agreement with ``_mul_impl``.
+        t[pg][x] = t[p][x]g for all x, p and each generator g.  That is
+        Light's test, and it is exact: induction along the walk gives
+        (xy)z = x(yz) for every z.  A conflicting edge means the product is
+        not associative; an element the walk misses means the generators do
+        not generate.
+
+        ``verify_group_axioms`` checks the identity and inverse laws and the
+        table's agreement with ``_mul_impl``.
         """
         n = self.order
         gens = self.generators
-        rmul = [[self._mul_impl(x, g) for x in range(n)] for g in gens]
+        # Lists, so that the table shares their int objects.
+        rmul = [list(self._rcol_impl(g)) for g in gens]
         cols = extend_by_images(self, gens, rmul,
                                 lambda col, img: [img[x] for x in col],
                                 list(range(n)))
@@ -109,6 +124,16 @@ class FiniteGroup:
             last, x = x, self.mul(x, a)
         return last
 
+    def _rcol_impl(self, s: int) -> array:
+        # Fallback: one _mul_impl sweep.  Constructions with factors override
+        # this with arithmetic on their factors' columns.
+        mul = self._mul_impl
+        return array("I", [mul(x, s) for x in range(self.order)])
+
+    def _lcol_impl(self, s: int) -> array:
+        mul = self._mul_impl
+        return array("I", [mul(s, x) for x in range(self.order)])
+
     # -- core operations -----------------------------------------------------
 
     def mul(self, a: int, b: int) -> int:
@@ -116,6 +141,24 @@ class FiniteGroup:
         if t is not None:
             return t[b][a]
         return self._mul_impl(a, b)
+
+    def rcol(self, s: int) -> Sequence[int]:
+        """The column x -> xs, indexed by x over every element; read-only.
+
+        A tabled group returns its table column.  An untabled group builds
+        a fresh ``array('I')`` that lives as long as the caller keeps it.
+        """
+        t = self._table
+        if t is not None:
+            return t[s]
+        return self._rcol_impl(s)
+
+    def lcol(self, s: int) -> Sequence[int]:
+        """The column x -> sx, indexed by x over every element."""
+        t = self._table
+        if t is not None:
+            return [c[s] for c in t]
+        return self._lcol_impl(s)
 
     def inv(self, a: int) -> int:
         r = self._inv[a]
@@ -442,6 +485,20 @@ class DirectProductGroup(FiniteGroup):
         a1, a2 = divmod(a, self._r)
         return self.left.inv(a1) * self._r + self.right.inv(a2)
 
+    def _rcol_impl(self, s: int) -> array:
+        s1, s2 = divmod(s, self._r)
+        return self._combine(self.left.rcol(s1), self.right.rcol(s2))
+
+    def _lcol_impl(self, s: int) -> array:
+        s1, s2 = divmod(s, self._r)
+        return self._combine(self.left.lcol(s1), self.right.lcol(s2))
+
+    def _combine(self, left: Sequence[int], right: Sequence[int]) -> array:
+        # Element (a, b) has id a*r + b, so the column is left-major.
+        r = self._r
+        return array("I", [a + b for a in [a * r for a in left]
+                           for b in right])
+
 
 def direct_product(g: FiniteGroup, h: FiniteGroup,
                    cap: int = DEFAULT_ELEMENT_CAP,
@@ -518,6 +575,29 @@ class SemidirectProductGroup(FiniteGroup):
         n, h = divmod(a, self._t)
         hi = self.top.inv(h)
         return self.action[hi][self.base.inv(n)] * self._t + hi
+
+    def _rcol_impl(self, s: int) -> array:
+        # (n1, h1)(n2, h2) = (n1 * action[h1][n2], h1 h2): for a fixed h1,
+        # the base part is one base column and the top part one entry.
+        t = self._t
+        n2, h2 = divmod(s, t)
+        top = self.top.rcol(h2)
+        col = array("I", [0]) * self.order
+        for h1 in range(t):
+            th = top[h1]
+            col[h1::t] = array("I", [
+                b * t + th for b in self.base.rcol(self.action[h1][n2])])
+        return col
+
+    def _lcol_impl(self, s: int) -> array:
+        # (n2, h2)(n1, h1) = (n2 * action[h2][n1], h2 h1): the base part
+        # depends on n1 only and the top part on h1 only.
+        t = self._t
+        n2, h2 = divmod(s, t)
+        base, top = self.base.lcol(n2), self.top.lcol(h2)
+        return array("I", [b + h for b in [base[m] * t
+                                           for m in self.action[h2]]
+                           for h in top])
 
 
 def semidirect_product(base: FiniteGroup, top: FiniteGroup,
@@ -604,14 +684,50 @@ def subgroup_as_group(s: Subgroup) -> tuple:
 # closures and subgroup operations
 # ---------------------------------------------------------------------------
 
+def _pays(g: FiniteGroup, count: int) -> bool:
+    """Whether ``count`` products by one element pay for its column."""
+    return count * _COLUMN_PAYOFF >= g.order
+
+
+class _Products:
+    """x -> xs through ``_mul_impl``, indexed like the column of s."""
+
+    __slots__ = ("_mul", "_s")
+
+    def __init__(self, g: FiniteGroup, s: int):
+        self._mul, self._s = g._mul_impl, s
+
+    def __getitem__(self, x: int) -> int:
+        return self._mul(x, self._s)
+
+
+def _right_column(g: FiniteGroup, s: int, count: int, memo: dict):
+    """The column x -> xs for ``count`` more products by s, or ``_Products``.
+
+    ``memo[s]`` holds the products s has made so far, and its column once
+    they pay for it; a tabled group's column is free.  Sharing ``memo``
+    between calls lets a multiplier's small batches add up to a column.
+    """
+    done = memo.get(s, 0)
+    if isinstance(done, int):
+        done += count
+        if g._table is None and not _pays(g, done):
+            memo[s] = done
+            return _Products(g, s)
+        done = memo[s] = g.rcol(s)
+    return done
+
+
 def close_under_mul(g: FiniteGroup, seed: Iterable[int],
                     known: frozenset | None = None,
-                    known_gens: Sequence[int] = ()) -> frozenset:
+                    known_gens: Sequence[int] = (),
+                    memo: dict | None = None) -> frozenset:
     """Smallest subgroup containing ``known`` (already closed) and ``seed``.
 
     Standard breadth-first closure; elements already in ``known`` are only
     multiplied by the new generators, which keeps repeated extension calls
-    near-linear in the final order.
+    near-linear in the final order.  Incremental calls that extend one
+    closure share ``memo``, the multipliers' columns (``_right_column``).
     """
     new_gens = _dedup_nonidentity(seed)
     if known is None:
@@ -619,24 +735,25 @@ def close_under_mul(g: FiniteGroup, seed: Iterable[int],
         known_gens = ()
     if not new_gens:
         return known
-    gens = list(known_gens) + new_gens
+    if memo is None:
+        memo = {}
     result = set(known)
-    frontier = []
-    for x in known:
-        for s in new_gens:
-            y = g.mul(x, s)
-            if y not in result:
-                result.add(y)
-                frontier.append(y)
+    every_gen = [*known_gens, *new_gens]
+    frontier, gens = list(known), new_gens
+    # A table column is free: skip the memo, which a cyclic closure would
+    # consult once per element, since its levels hold one element each.
+    table = g._table
     while frontier:
         nxt = []
-        for x in frontier:
-            for s in gens:
-                y = g.mul(x, s)
+        for s in gens:
+            col = (table[s] if table is not None
+                   else _right_column(g, s, len(frontier), memo))
+            for x in frontier:
+                y = col[x]
                 if y not in result:
                     result.add(y)
                     nxt.append(y)
-        frontier = nxt
+        frontier, gens = nxt, every_gen
     return frozenset(result)
 
 
@@ -651,9 +768,10 @@ def generating_ids(g: FiniteGroup, members: frozenset) -> tuple:
     """A small generating list for a known subgroup, chosen greedily."""
     gens: list[int] = []
     closed = frozenset((0,))
+    memo: dict = {}
     for m in sorted(members):
         if m not in closed:
-            closed = close_under_mul(g, [m], closed, gens)
+            closed = close_under_mul(g, [m], closed, gens, memo)
             gens.append(m)
             if len(closed) == len(members):
                 break
@@ -670,7 +788,8 @@ def normal_closure(ambient, seed: Iterable[int]) -> Subgroup:
     amb = ambient_subgroup(ambient)
     g = amb.parent
     gens = _dedup_nonidentity(seed)
-    members = close_under_mul(g, gens)
+    memo: dict = {}
+    members = close_under_mul(g, gens, memo=memo)
     amb_gens = amb.gens
     i = 0
     while i < len(gens):
@@ -679,7 +798,7 @@ def normal_closure(ambient, seed: Iterable[int]) -> Subgroup:
         for h in amb_gens:
             c = g.conj(h, s)
             if c not in members:
-                members = close_under_mul(g, [c], members, gens)
+                members = close_under_mul(g, [c], members, gens, memo)
                 gens.append(c)
     return Subgroup(g, members, gens,
                     True if len(amb.members) == g.order else None)
@@ -707,17 +826,19 @@ def centralizer_subgroup(g_or_ambient, s: Iterable[int]) -> Subgroup:
 
     It suffices to test commutation against a generating set of <s>, because
     the centralizer of a set equals the centralizer of the subgroup it
-    generates.
+    generates.  x commutes with t iff ``rcol(t)[x] == lcol(t)[x]``; the
+    columns are built while enough candidates remain to pay for them.
     """
     amb = ambient_subgroup(g_or_ambient)
     g = amb.parent
-    s = list(s)
-    targets = _dedup_nonidentity(s) or []
-    members = frozenset(
-        x for x in _iter_ambient(amb)
-        if all(g.mul(x, t) == g.mul(t, x) for t in targets)
-    )
-    return Subgroup(g, members)
+    members = _iter_ambient(amb)
+    for t in _dedup_nonidentity(s):
+        if _pays(g, len(members)):
+            rc, lc = g.rcol(t), g.lcol(t)
+            members = [x for x in members if rc[x] == lc[x]]
+        else:
+            members = [x for x in members if g.mul(x, t) == g.mul(t, x)]
+    return Subgroup(g, frozenset(members))
 
 
 def center(ambient) -> Subgroup:
@@ -767,8 +888,9 @@ def factor_centralizer_members(ambient, k_gens: Sequence[int],
 def product_of_subgroups(a: Subgroup, b: Subgroup) -> frozenset:
     """Element set of the product AB for subgroups with AB = BA.
 
-    The result is accumulated as a union of left cosets of the larger factor,
-    so the cost is one multiplication per product element.
+    The result is accumulated as a union of right cosets Bx of the larger
+    factor B, so the cost is one multiplication per product element, read
+    from the column of x when that pays.
     """
     if a.parent is not b.parent:
         raise DifferentParents("factors live in different groups")
@@ -785,7 +907,8 @@ def product_of_subgroups(a: Subgroup, b: Subgroup) -> frozenset:
     result = set(bigm)
     for x in sorted(small.members):
         if x not in result:
-            result.update(g.mul(x, m) for m in bigm)
+            col = _right_column(g, x, len(bigm), {})
+            result.update(col[m] for m in bigm)
     return frozenset(result)
 
 
@@ -797,8 +920,10 @@ def conjugate_members(g: FiniteGroup, x: int, members: Iterable[int]) -> frozens
 def conjugacy_classes(ambient) -> list[list[int]]:
     """Orbits of the conjugation action of the ambient on itself.
 
-    Classes are returned sorted by least member, so the identity's singleton
-    class always comes first.
+    Conjugation by each ambient generator h is the column
+    ``rcol(h^-1)`` after ``lcol(h)`` when the ambient is large enough to pay
+    for it.  Classes are returned sorted by least member, so the identity's
+    singleton class always comes first.
     """
     amb = ambient_subgroup(ambient)
     g = amb.parent
@@ -806,8 +931,15 @@ def conjugacy_classes(ambient) -> list[list[int]]:
     cached = g._cache.get(key)
     if cached is not None:
         return cached
-    gens = amb.gens
-    gen_invs = [g.inv(h) for h in gens]
+    pays = _pays(g, len(amb.members))
+    conj = []
+    for h in amb.gens:
+        hi = g.inv(h)
+        if pays:
+            rc = g.rcol(hi)
+            conj.append(array("I", [rc[y] for y in g.lcol(h)]).__getitem__)
+        else:
+            conj.append(lambda x, h=h, hi=hi: g.mul(g.mul(h, x), hi))
     seen = set()
     classes = []
     for start in _iter_ambient(amb):
@@ -818,8 +950,8 @@ def conjugacy_classes(ambient) -> list[list[int]]:
         while frontier:
             nxt = []
             for x in frontier:
-                for h, hi in zip(gens, gen_invs):
-                    y = g.mul(g.mul(h, x), hi)
+                for f in conj:
+                    y = f(x)
                     if y not in orbit:
                         orbit.add(y)
                         nxt.append(y)
@@ -882,7 +1014,9 @@ def verify_group_axioms(g: FiniteGroup, rng) -> None:
     on the four products (a, b), (b, c), (ab, c), (a, bc) of each of 2,000
     triples drawn from ``rng``.  An untabled group is checked for
     associativity on 2,000 triples drawn from ``rng`` (a full triple sweep
-    is cubic in the order).
+    is cubic in the order), and the columns ``rcol(s)`` and ``lcol(s)`` of
+    each generator s must agree with ``_mul_impl`` at the first element of
+    every triple, which ties the columns to the construction.
     """
     for a in g.elements():
         if g.mul(a, 0) != a or g.mul(0, a) != a:
@@ -893,11 +1027,20 @@ def verify_group_axioms(g: FiniteGroup, rng) -> None:
     n, t = g.order, g._table
     triples = ((rng.randrange(n), rng.randrange(n), rng.randrange(n))
                for _ in range(_ASSOC_SAMPLES))
+    mul = g._mul_impl
     if t is None:
+        triples = list(triples)
         for a, b, c in triples:
             if g.mul(g.mul(a, b), c) != g.mul(a, g.mul(b, c)):
                 raise InternalCheckError(
                     f"associativity fails at ({a}, {b}, {c})")
+        for s in g.generators:
+            rc, lc = g.rcol(s), g.lcol(s)
+            for a, _, _ in triples:
+                if rc[a] != mul(a, s) or lc[a] != mul(s, a):
+                    raise InternalCheckError(
+                        f"column of {s} differs from the construction "
+                        f"at {a}")
         return
     if n * n <= 4 * _ASSOC_SAMPLES:  # order <= 89
         pairs = itertools.product(range(n), repeat=2)
@@ -905,7 +1048,6 @@ def verify_group_axioms(g: FiniteGroup, rng) -> None:
         pairs = ((x, y) for a, b, c in triples
                  for x, y in ((a, b), (b, c), (t[b][a], c),
                               (a, t[c][b])))
-    mul = g._mul_impl
     for a, b in pairs:
         if t[b][a] != mul(a, b):
             raise InternalCheckError(

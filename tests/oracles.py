@@ -95,6 +95,72 @@ def normal_subgroups_join_closure(ambient) -> set[frozenset]:
     return set(nodes) | {amb.members}
 
 
+def closure_by_mul(g: FiniteGroup, seed: Sequence[int]) -> frozenset:
+    """<seed>, by breadth-first products through ``g.mul`` alone."""
+    members, frontier = {0}, [0]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for s in seed:
+                y = g.mul(x, s)
+                if y not in members:
+                    members.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return frozenset(members)
+
+
+def normal_closure_by_mul(ambient, seed: Sequence[int]) -> frozenset:
+    """ncl(seed) in the ambient, through ``g.mul`` alone.
+
+    Close the seed, then add the least conjugate of any member by an
+    ambient generator that the closure misses, until it misses none.
+    """
+    amb = ambient_subgroup(ambient)
+    g = amb.parent
+    gens = list(seed)
+    members = closure_by_mul(g, gens)
+    while True:
+        missing = {g.mul(g.mul(h, x), g.inv(h))
+                   for h in amb.gens for x in members} - members
+        if not missing:
+            return members
+        gens.append(min(missing))
+        members = closure_by_mul(g, gens)
+
+
+def classes_by_mul(ambient) -> list[list[int]]:
+    """Orbits of conjugation by the ambient's generators, through ``g.mul``."""
+    amb = ambient_subgroup(ambient)
+    g = amb.parent
+    seen: set[int] = set()
+    classes = []
+    for start in sorted(amb.members):
+        if start in seen:
+            continue
+        orbit, frontier = {start}, [start]
+        while frontier:
+            nxt = []
+            for x in frontier:
+                for h in amb.gens:
+                    y = g.mul(g.mul(h, x), g.inv(h))
+                    if y not in orbit:
+                        orbit.add(y)
+                        nxt.append(y)
+            frontier = nxt
+        seen |= orbit
+        classes.append(sorted(orbit))
+    return classes
+
+
+def centralizer_by_mul(ambient, targets: Sequence[int]) -> frozenset:
+    """Ambient elements x with xt = tx for every target t, by ``g.mul``."""
+    amb = ambient_subgroup(ambient)
+    g = amb.parent
+    return frozenset(x for x in amb.members
+                     if all(g.mul(x, t) == g.mul(t, x) for t in targets))
+
+
 def hasse_edges_triple_loop(lat: NormalLattice) -> list[tuple[int, int]]:
     """Covering pairs (i, j): i < j with no third node strictly between."""
     nodes = [n.members for n in lat.nodes]

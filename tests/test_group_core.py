@@ -16,10 +16,12 @@ from chiefblocks.errors import (
 )
 from chiefblocks.group import (
     _MUL_TABLE_BOUND,
+    DirectProductGroup,
     FiniteGroup,
     Homomorphism,
     center,
     centralizer_subgroup,
+    close_under_mul,
     commutator_subgroup,
     conjugacy_classes,
     derived_subgroup,
@@ -33,7 +35,13 @@ from chiefblocks.group import (
     verify_group_axioms,
 )
 from chiefblocks.perm import compose, invert, perm_from_cycles
-from oracles import commutator_pairs
+from oracles import (
+    centralizer_by_mul,
+    classes_by_mul,
+    closure_by_mul,
+    commutator_pairs,
+    normal_closure_by_mul,
+)
 
 
 def naive_closure(gens):
@@ -351,7 +359,8 @@ class Copy(FiniteGroup):
         return self.base.inv(a)
 
 
-def test_cayley_table_matches_construction(corpus, dense_corpus):
+def _built_groups(corpus, dense_corpus):
+    """Products, quotients and a materialized subgroup, built for the test."""
     c3, c2, s4 = named.cyclic(3), named.cyclic(2), named.symmetric(4)
     d8xs4 = dense_corpus["D8xS4"]
     v4 = next(n for n in _normal_nodes(s4) if n.order == 4)
@@ -365,14 +374,65 @@ def test_cayley_table_matches_construction(corpus, dense_corpus):
         quotient(corpus["A5wrC2"], corpus["A5wrC2"].base_part)[0],
     ]
     assert built[0].order == 384 and built[2].order == 12
-    groups = [*corpus.values(), *dense_corpus.values(), *built]
-    for g in groups:
+    return [*corpus.values(), *dense_corpus.values(), *built]
+
+
+def test_cayley_table_matches_construction(corpus, dense_corpus):
+    for g in _built_groups(corpus, dense_corpus):
         n = g.order
         if n > _MUL_TABLE_BOUND:
             assert g._table is None
             continue
         assert g._table == [[g._mul_impl(a, b) for a in range(n)]
                             for b in range(n)]
+
+
+def test_columns_match_construction(corpus, dense_corpus):
+    rng = random.Random(5)
+    groups = _built_groups(corpus, dense_corpus)
+    assert any(g._table is None for g in groups)
+    for g in groups:
+        n, mul = g.order, g._mul_impl
+        for s in {0, *g.generators, rng.randrange(n), rng.randrange(n)}:
+            for rc in (g.rcol(s), g._rcol_impl(s)):
+                assert list(rc) == [mul(x, s) for x in range(n)], (g, s)
+            for lc in (g.lcol(s), g._lcol_impl(s)):
+                assert list(lc) == [mul(s, x) for x in range(n)], (g, s)
+
+
+def test_closures_classes_and_centralizers_match_mul_oracles(corpus,
+                                                            small_corpus):
+    """The column paths and the product paths give the oracles' sets.
+
+    In A5wrC2 a subgroup of order 60 is too small to pay for columns and
+    the base of order 3,600 is large enough, so both paths run.
+    """
+    rng = random.Random(13)
+    wr = corpus["A5wrC2"]
+    a5 = normal_closure(wr.base_part, [wr.embed_base(wr.base.embed_left(1))])
+    assert a5.order == 60
+    cases = [(g, g.whole(), 4) for g in small_corpus.values()]
+    cases += [(wr, wr.whole(), 2), (wr, wr.base_part, 1), (wr, a5, 1)]
+    for g, amb, seeds in cases:
+        assert conjugacy_classes(amb) == classes_by_mul(amb)
+        for _ in range(seeds):
+            seed = rng.sample(sorted(amb.members), 2)
+            assert close_under_mul(g, seed) == closure_by_mul(g, seed)
+            assert normal_closure(amb, seed).members \
+                == normal_closure_by_mul(amb, seed)
+            assert centralizer_subgroup(amb, seed).members \
+                == centralizer_by_mul(amb, seed)
+
+
+def test_wrong_column_fails_axioms():
+    class LeftIsRight(DirectProductGroup):
+        _lcol_impl = DirectProductGroup._rcol_impl
+
+    a5 = named.alternating(5)
+    g = LeftIsRight(a5, a5)
+    assert g._table is None
+    with pytest.raises(InternalCheckError, match="column of .* differs"):
+        verify_group_axioms(g, random.Random(0))
 
 
 def test_non_associative_loop_fails_light_test_at_construction():
