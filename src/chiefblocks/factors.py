@@ -35,7 +35,11 @@ class NormalFactor:
     """The quotient K/L of nested subgroups normal in a common ambient.
 
     Factors are value objects: two factors are equal iff they have the same
-    ambient and the same pair (K, L).
+    ambient and the same pair (K, L).  The constructor does not check that
+    K and L are normal in the ambient (``make_factor`` does), but callers
+    must guarantee it: ``factor_centralizer`` relies on it to test one
+    element per conjugacy class, which is only sound for a centralizer that
+    is normal in the ambient.
     """
 
     __slots__ = ("ambient", "k", "l", "_hash")
@@ -98,7 +102,11 @@ def factor_group(f: NormalFactor) -> tuple[CosetGroup, Homomorphism]:
 
 
 def factor_centralizer(f: NormalFactor) -> Subgroup:
-    """{g in ambient : [g, k] in L for every k in K}."""
+    """{g in ambient : [g, k] in L for every k in K}, normal in the ambient.
+
+    Computed by ``factor_centralizer_members`` from one element per
+    conjugacy class of the ambient, which needs K and L normal in it.
+    """
     g = f.ambient.parent
     key = ("factor_centralizer", f.ambient.members, f.k.members, f.l.members)
     cached = g._cache.get(key)

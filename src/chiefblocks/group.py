@@ -14,6 +14,12 @@ Loops that multiply many elements by one element s read its column
 (``FiniteGroup.rcol``: x -> xs, ``lcol``: x -> sx), which each construction
 builds from its factors' columns without a product per element.
 
+A subgroup normal in an ambient is a union of the ambient's conjugacy
+classes.  ``conjugacy_classes`` caches, beside the classes, the class index
+of every ambient element (``class_index``).  ``class_closure`` grows the
+normal closure of one element x as a union of classes, reading only the
+column of x; ``factor_centralizer_members`` tests one element per class.
+
 Groups and subgroups are not immutable.  ``is_normal_in`` records a verified
 normality verdict in ``Subgroup.is_normal``, a subgroup's generators are
 computed on first use, and every analysis memoizes its results (lattices,
@@ -103,7 +109,7 @@ class FiniteGroup:
         rmul = [list(self._rcol_impl(g)) for g in gens]
         cols = extend_by_images(self, gens, rmul,
                                 lambda col, img: [img[x] for x in col],
-                                list(range(n)))
+                                list(range(n)), rmul)
         if cols is None:
             raise InternalCheckError(
                 f"associativity of {self.name} fails (Light's test)")
@@ -284,8 +290,8 @@ class Subgroup:
 
 
 def extend_by_images(src: FiniteGroup, gens: Sequence[int],
-                     images: Sequence, compose, identity
-                     ) -> Optional[list]:
+                     images: Sequence, compose, identity,
+                     columns: Sequence | None = None) -> Optional[list]:
     """Extend gens -> images to a multiplicative table on <gens>, or None.
 
     Walks the Cayley graph of ``src`` breadth-first from the identity, which
@@ -295,17 +301,28 @@ def extend_by_images(src: FiniteGroup, gens: Sequence[int],
     table therefore satisfies f(x*g) = f(x)*f(g) on all of <gens>; entries
     outside <gens> are None.  The target is anything ``compose`` combines:
     element ids under ``tgt.mul`` or automorphism tables under composition.
+
+    The edges x -> x*g are read from ``columns`` (the right column of each
+    generator) when given, else from the table or from columns that pay for
+    themselves level by level (``_right_column``).
     """
     mapping: list = [None] * src.order
     mapping[0] = identity
     frontier = [0]
-    pairs = list(zip(gens, images))
+    if columns is None and src._table is not None:
+        columns = [src._table[gen] for gen in gens]
+    memo: dict = {}
     while frontier:
+        cols = columns
+        if cols is None:
+            cols = [_right_column(src, gen, len(frontier), memo)
+                    for gen in gens]
+        pairs = list(zip(cols, images))
         nxt = []
         for x in frontier:
             fx = mapping[x]
-            for gen, img in pairs:
-                y = src.mul(x, gen)
+            for col, img in pairs:
+                y = col[x]
                 fy = compose(fx, img)
                 if mapping[y] is None:
                     mapping[y] = fy
@@ -863,26 +880,20 @@ def _iter_ambient(amb: Subgroup):
 
 def factor_centralizer_members(ambient, k_gens: Sequence[int],
                                l_members: frozenset) -> frozenset:
-    """{g in ambient : [g, k] in L for all k in K}.
+    """C(K/L) = {g in ambient : [g, k] in L for all k in K}.
 
-    Testing generators of K only is enough: for fixed g the set
-    {k in K : [g,k] in L} is a subgroup of K whenever L is normal, so if it
-    contains a generating set it is all of K.
+    K and L must be normal in the ambient.  Then C(K/L) is normal too: if
+    [g, k] is in L for every k in K, then [g^h, k] = [g, k^(h^-1)]^h is in
+    L^h = L, because k^(h^-1) ranges over K^(h^-1) = K.  So C(K/L) is a
+    union of the ambient's conjugacy classes, and one element per class
+    decides the whole class.  Testing generators of K only is enough: for
+    fixed g the set {k in K : [g,k] in L} is a subgroup of K whenever L is
+    normal, so if it contains a generating set it is all of K.
     """
-    amb = ambient_subgroup(ambient)
-    g = amb.parent
-    out = []
-    for x in _iter_ambient(amb):
-        xi = g.inv(x)
-        ok = True
-        for k in k_gens:
-            c = g.mul(g.mul(x, k), g.mul(xi, g.inv(k)))
-            if c not in l_members:
-                ok = False
-                break
-        if ok:
-            out.append(x)
-    return frozenset(out)
+    g = ambient_subgroup(ambient).parent
+    return frozenset(x for cls in conjugacy_classes(ambient)
+                     if all(g.comm(cls[0], k) in l_members for k in k_gens)
+                     for x in cls)
 
 
 def product_of_subgroups(a: Subgroup, b: Subgroup) -> frozenset:
@@ -923,7 +934,8 @@ def conjugacy_classes(ambient) -> list[list[int]]:
     Conjugation by each ambient generator h is the column
     ``rcol(h^-1)`` after ``lcol(h)`` when the ambient is large enough to pay
     for it.  Classes are returned sorted by least member, so the identity's
-    singleton class always comes first.
+    singleton class always comes first.  The class index of every element
+    (``class_index``) is cached with them.
     """
     amb = ambient_subgroup(ambient)
     g = amb.parent
@@ -959,8 +971,59 @@ def conjugacy_classes(ambient) -> list[list[int]]:
         seen |= orbit
         classes.append(sorted(orbit))
     classes.sort(key=lambda c: c[0])
+    index: list[int] | dict[int, int] = (
+        [0] * g.order if len(amb.members) == g.order else {})
+    for i, cls in enumerate(classes):
+        for x in cls:
+            index[x] = i
     g._cache[key] = classes
+    g._cache[("class_index", amb.members)] = index
     return classes
+
+
+def class_index(ambient) -> Sequence[int] | dict[int, int]:
+    """x -> i with x in ``conjugacy_classes(ambient)[i]``, for x in the ambient.
+
+    A list over every element when the ambient is the whole group, else a
+    dict over the ambient's members; cached with the classes.
+    """
+    amb = ambient_subgroup(ambient)
+    key = ("class_index", amb.members)
+    cached = amb.parent._cache.get(key)
+    if cached is None:
+        conjugacy_classes(amb)
+        cached = amb.parent._cache[key]
+    return cached
+
+
+def class_closure(ambient, x: int) -> frozenset:
+    """Members of ncl(x), the normal closure of one element of the ambient.
+
+    Grown from the identity as a union of conjugacy classes: each new
+    element d adds the whole class of dx.  The result S is a union of
+    classes with 1 in S and Sx in S, so S x^h = (Sx)^h lies in S for every
+    conjugate x^h, and S contains ncl(x); every class added lies in ncl(x).
+    The walk makes one product by x per member, read from the column of x.
+    """
+    amb = ambient_subgroup(ambient)
+    g = amb.parent
+    classes, index = conjugacy_classes(amb), class_index(amb)
+    members = {0}
+    frontier = [0]
+    # A table column is free; a cyclic closure has one element per level.
+    table, memo = g._table, {}
+    while frontier:
+        col = (table[x] if table is not None
+               else _right_column(g, x, len(frontier), memo))
+        nxt: list[int] = []
+        for d in frontier:
+            y = col[d]
+            if y not in members:
+                cls = classes[index[y]]
+                members.update(cls)
+                nxt.extend(cls)
+        frontier = nxt
+    return frozenset(members)
 
 
 def commutator_subgroup(g: FiniteGroup, a: Subgroup, b: Subgroup) -> Subgroup:

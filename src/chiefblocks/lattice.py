@@ -22,9 +22,9 @@ from .errors import (
 from .group import (
     Subgroup,
     ambient_subgroup,
+    class_closure,
     conjugacy_classes,
     is_normal_in,
-    normal_closure,
     product_of_subgroups,
 )
 
@@ -113,8 +113,9 @@ def normal_subgroups(ambient) -> NormalLattice:
     """The normal lattice of the ambient, by a breadth-first search of covers.
 
     Atoms are the cyclic normal closures ncl(x) of conjugacy-class
-    representatives.  Starting from the trivial subgroup, the upper covers
-    of a node N are the minimal members of {N*A : A an atom, A not in N}.
+    representatives, each grown as a union of classes (``class_closure``).
+    Starting from the trivial subgroup, the upper covers of a node N are
+    the minimal members of {N*A : A an atom, A not in N}.
     This is complete: a cover M of N equals N*ncl(x) for any x in M outside
     N, and a minimal product has no normal subgroup strictly between it and
     N.  So one search yields every node and every Hasse edge.
@@ -130,12 +131,13 @@ def normal_subgroups(ambient) -> NormalLattice:
     if cached is not None:
         return cached
 
+    normal = True if amb.order == g.order else None
     atoms: dict[frozenset, Subgroup] = {}
     for cls in conjugacy_classes(amb)[1:]:
-        sub = normal_closure(amb, [cls[0]])
-        atoms.setdefault(sub.members, sub)
+        m = class_closure(amb, cls[0])
+        if m not in atoms:
+            atoms[m] = Subgroup(g, m, None, normal)
 
-    normal = True if amb.order == g.order else None
     trivial = Subgroup(g, frozenset((0,)), [], True)
     nodes = {trivial.members: trivial}
     up: dict[frozenset, list[Subgroup]] = {}

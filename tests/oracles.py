@@ -161,6 +161,15 @@ def centralizer_by_mul(ambient, targets: Sequence[int]) -> frozenset:
                      if all(g.mul(x, t) == g.mul(t, x) for t in targets))
 
 
+def factor_centralizer_by_sweep(ambient, k_gens: Sequence[int],
+                               l_members: frozenset) -> frozenset:
+    """{x in ambient : [x, k] in L for every k}, testing every element."""
+    amb = ambient_subgroup(ambient)
+    g = amb.parent
+    return frozenset(x for x in amb.members
+                     if all(g.comm(x, k) in l_members for k in k_gens))
+
+
 def hasse_edges_triple_loop(lat: NormalLattice) -> list[tuple[int, int]]:
     """Covering pairs (i, j): i < j with no third node strictly between."""
     nodes = [n.members for n in lat.nodes]

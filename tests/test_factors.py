@@ -21,13 +21,19 @@ from chiefblocks.factors import (
     is_internal_compression,
     make_factor,
 )
-from chiefblocks.group import direct_product, subgroup_generated
+from chiefblocks.group import (
+    Subgroup,
+    direct_product,
+    is_normal_in,
+    subgroup_generated,
+)
 from chiefblocks.lattice import chief_factors, normal_subgroups
 from oracles import (
     associated_by_products,
     centralizer_equal,
     chief_association_conditions,
     compression_by_products,
+    factor_centralizer_by_sweep,
 )
 
 
@@ -83,6 +89,24 @@ def test_factor_centralizer_examples():
         make_factor(v4, v4.whole(), v4.trivial_subgroup())).order == 4
     assert factor_centralizer(
         make_factor(v4, a1, v4.trivial_subgroup())).order == 4
+
+
+def test_factor_centralizer_matches_sweep(corpus, small_corpus,
+                                         dense_corpus):
+    """One element per class gives the sweep's centralizer, which is normal.
+
+    Ambients: the small and dense corpora, A5wrC2 (untabled) and its base
+    of order 3,600, the subgroup ambient H of the block-extension tests.
+    """
+    wr = corpus["A5wrC2"]
+    base = next(n for n in normal_subgroups(wr).nodes if n.order == 3600)
+    groups = [*small_corpus.values(), *dense_corpus.values(), wr]
+    for amb in [g.whole() for g in groups] + [base]:
+        for f in chief_factors(amb):
+            c = factor_centralizer(f).members
+            assert c == factor_centralizer_by_sweep(amb, f.k.gens,
+                                                    f.l.members), f
+            assert is_normal_in(Subgroup(amb.parent, c), amb), f
 
 
 def test_is_abelian_factor():

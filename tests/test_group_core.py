@@ -19,8 +19,11 @@ from chiefblocks.group import (
     DirectProductGroup,
     FiniteGroup,
     Homomorphism,
+    PermGroup,
     center,
     centralizer_subgroup,
+    class_closure,
+    class_index,
     close_under_mul,
     commutator_subgroup,
     conjugacy_classes,
@@ -422,6 +425,45 @@ def test_closures_classes_and_centralizers_match_mul_oracles(corpus,
                 == normal_closure_by_mul(amb, seed)
             assert centralizer_subgroup(amb, seed).members \
                 == centralizer_by_mul(amb, seed)
+
+
+def test_class_closure_is_normal_closure(corpus, small_corpus):
+    """ncl(x) grown by classes equals ``normal_closure`` for every class.
+
+    Ambients: the small corpus, A5wrC2 (untabled), its base of order 3,600
+    and an A5 of order 60 in it, whose closures are too small for columns.
+    """
+    wr = corpus["A5wrC2"]
+    a5 = normal_closure(wr.base_part, [wr.embed_base(wr.base.embed_left(1))])
+    ambients = [g.whole() for g in small_corpus.values()]
+    ambients += [wr.whole(), wr.base_part, a5]
+    for amb in ambients:
+        index = class_index(amb)
+        for i, cls in enumerate(conjugacy_classes(amb)):
+            assert all(index[x] == i for x in cls)
+            assert class_closure(amb, cls[0]) \
+                == normal_closure(amb, [cls[0]]).members, (amb, cls[0])
+        assert len(index) == amb.order
+
+
+def test_cayley_table_reads_generator_columns(monkeypatch):
+    """A table costs one product per element and generator, not two.
+
+    The generator columns are swept once through ``_mul_impl``, and the
+    Cayley-graph walk that builds the table reads them.
+    """
+    calls = 0
+    mul = PermGroup._mul_impl
+
+    def counted(self, a, b):
+        nonlocal calls
+        calls += 1
+        return mul(self, a, b)
+
+    monkeypatch.setattr(PermGroup, "_mul_impl", counted)
+    d512 = named.dihedral(512)
+    assert d512._table is not None
+    assert calls == 512 * len(d512.generators) == 1024
 
 
 def test_wrong_column_fails_axioms():
