@@ -10,9 +10,11 @@ Groups of order at most ``_MUL_TABLE_BOUND`` keep a dense Cayley table,
 derived from one right-multiplication column per generator by a walk of the
 Cayley graph that checks every edge, which is Light's exact associativity
 test; ``verify_group_axioms`` checks it against the construction's product.
-Loops that multiply many elements by one element s read its column
-(``FiniteGroup.rcol``: x -> xs, ``lcol``: x -> sx), which each construction
-builds from its factors' columns without a product per element.
+Loops that multiply many elements by one element s read its right column
+(``FiniteGroup.rcol``: x -> xs), which each construction builds from its
+factors' columns without a product per element; ``_right_column`` decides
+between the table column, a built column and single products.  Conjugation
+reads one right column and the inverse list (``FiniteGroup.inverses``).
 
 A subgroup normal in an ambient is a union of the ambient's conjugacy
 classes.  ``conjugacy_classes`` caches, beside the classes, the class index
@@ -63,6 +65,10 @@ _MUL_TABLE_BOUND = 512
 # entries, weighted by those costs, among powers of two from 4 to 1024.
 _COLUMN_PAYOFF = 64
 
+# A permutation closure stores at most this many entries (elements x
+# points), whatever the element cap; D512, on 256 points, stores 131,072.
+PERM_ENTRY_BUDGET = 2 ** 24
+
 
 class FiniteGroup:
     """Base class for an explicitly enumerated finite group.
@@ -78,8 +84,7 @@ class FiniteGroup:
         self.order = order
         self.generators = [g for g in generators if g != 0]
         self.provenance = provenance
-        self._inv: list[Optional[int]] = [None] * order
-        self._inv[0] = 0
+        self._inv: Optional[list[int]] = None
         self._elt_order: list[Optional[int]] = [None] * order
         self._elt_order[0] = 1
         self._cache: dict = {}
@@ -124,21 +129,13 @@ class FiniteGroup:
         raise NotImplementedError
 
     def _inv_impl(self, a: int) -> int:
-        # Fallback: a^(k-1) where k is the order of a.
-        x, last = a, 0
-        while x != 0:
-            last, x = x, self.mul(x, a)
-        return last
+        raise NotImplementedError
 
     def _rcol_impl(self, s: int) -> array:
         # Fallback: one _mul_impl sweep.  Constructions with factors override
         # this with arithmetic on their factors' columns.
         mul = self._mul_impl
         return array("I", [mul(x, s) for x in range(self.order)])
-
-    def _lcol_impl(self, s: int) -> array:
-        mul = self._mul_impl
-        return array("I", [mul(s, x) for x in range(self.order)])
 
     # -- core operations -----------------------------------------------------
 
@@ -159,19 +156,14 @@ class FiniteGroup:
             return t[s]
         return self._rcol_impl(s)
 
-    def lcol(self, s: int) -> Sequence[int]:
-        """The column x -> sx, indexed by x over every element."""
-        t = self._table
-        if t is not None:
-            return [c[s] for c in t]
-        return self._lcol_impl(s)
+    def inverses(self) -> list[int]:
+        """x -> x^-1 over every element, filled on first use; read-only."""
+        if self._inv is None:
+            self._inv = [self._inv_impl(a) for a in range(self.order)]
+        return self._inv
 
     def inv(self, a: int) -> int:
-        r = self._inv[a]
-        if r is None:
-            r = self._inv_impl(a)
-            self._inv[a] = r
-        return r
+        return self.inverses()[a]
 
     def conj(self, g: int, x: int) -> int:
         """g x g^-1."""
@@ -303,14 +295,11 @@ def extend_by_images(src: FiniteGroup, gens: Sequence[int],
     element ids under ``tgt.mul`` or automorphism tables under composition.
 
     The edges x -> x*g are read from ``columns`` (the right column of each
-    generator) when given, else from the table or from columns that pay for
-    themselves level by level (``_right_column``).
+    generator) when given, else level by level from ``_right_column``.
     """
     mapping: list = [None] * src.order
     mapping[0] = identity
     frontier = [0]
-    if columns is None and src._table is not None:
-        columns = [src._table[gen] for gen in gens]
     memo: dict = {}
     while frontier:
         cols = columns
@@ -424,21 +413,31 @@ class PermGroup(FiniteGroup):
         return self.perms[a]
 
 
+def perm_closure_limit(n_points: int, cap: int) -> tuple[int, str]:
+    """Most elements a closure on ``n_points`` may store; its refusal."""
+    fits = PERM_ENTRY_BUDGET // max(n_points, 1)
+    if cap <= fits:
+        return cap, f"closure exceeded element cap {cap}"
+    return fits, (f"closure of {n_points}-point permutations exceeded "
+                  f"{PERM_ENTRY_BUDGET} stored entries")
+
+
 def group_from_permutations(generators: Iterable, n_points: int | None = None,
                             cap: int = DEFAULT_ELEMENT_CAP,
                             name: str = "perm") -> PermGroup:
     """Close a set of permutations under composition.
 
     The element table is discovered breadth-first from the identity, so ids
-    are deterministic for a fixed generator list.  Raises CapExceeded when
-    the closure grows past ``cap``.
+    are deterministic for a fixed generator list.  Raises CapExceeded before
+    the closure stores more than ``perm_closure_limit`` elements.
     """
-    if cap < 1:
-        raise CapExceeded("cap must be at least 1")
     gen_perms = [tuple(int(x) for x in g) for g in generators]
     if n_points is None:
         n_points = max((len(g) for g in gen_perms), default=1)
     gen_perms = [_perm.check_perm(g, n_points) for g in gen_perms]
+    limit, refusal = perm_closure_limit(n_points, cap)
+    if limit < 1:
+        raise CapExceeded(refusal)
 
     ident = _perm.identity_perm(n_points)
     perms = [ident]
@@ -450,9 +449,8 @@ def group_from_permutations(generators: Iterable, n_points: int | None = None,
             for g in gen_perms:
                 q = _perm.compose(p, g)
                 if q not in index:
-                    if len(perms) >= cap:
-                        raise CapExceeded(
-                            f"closure exceeded element cap {cap}")
+                    if len(perms) >= limit:
+                        raise CapExceeded(refusal)
                     index[q] = len(perms)
                     perms.append(q)
                     nxt.append(q)
@@ -503,17 +501,11 @@ class DirectProductGroup(FiniteGroup):
         return self.left.inv(a1) * self._r + self.right.inv(a2)
 
     def _rcol_impl(self, s: int) -> array:
-        s1, s2 = divmod(s, self._r)
-        return self._combine(self.left.rcol(s1), self.right.rcol(s2))
-
-    def _lcol_impl(self, s: int) -> array:
-        s1, s2 = divmod(s, self._r)
-        return self._combine(self.left.lcol(s1), self.right.lcol(s2))
-
-    def _combine(self, left: Sequence[int], right: Sequence[int]) -> array:
         # Element (a, b) has id a*r + b, so the column is left-major.
         r = self._r
-        return array("I", [a + b for a in [a * r for a in left]
+        s1, s2 = divmod(s, r)
+        right = self.right.rcol(s2)
+        return array("I", [a + b for a in [a * r for a in self.left.rcol(s1)]
                            for b in right])
 
 
@@ -606,16 +598,6 @@ class SemidirectProductGroup(FiniteGroup):
                 b * t + th for b in self.base.rcol(self.action[h1][n2])])
         return col
 
-    def _lcol_impl(self, s: int) -> array:
-        # (n2, h2)(n1, h1) = (n2 * action[h2][n1], h2 h1): the base part
-        # depends on n1 only and the top part on h1 only.
-        t = self._t
-        n2, h2 = divmod(s, t)
-        base, top = self.base.lcol(n2), self.top.lcol(h2)
-        return array("I", [b + h for b in [base[m] * t
-                                           for m in self.action[h2]]
-                           for h in top])
-
 
 def semidirect_product(base: FiniteGroup, top: FiniteGroup,
                        gen_tables: Sequence[Sequence[int]],
@@ -701,11 +683,6 @@ def subgroup_as_group(s: Subgroup) -> tuple:
 # closures and subgroup operations
 # ---------------------------------------------------------------------------
 
-def _pays(g: FiniteGroup, count: int) -> bool:
-    """Whether ``count`` products by one element pay for its column."""
-    return count * _COLUMN_PAYOFF >= g.order
-
-
 class _Products:
     """x -> xs through ``_mul_impl``, indexed like the column of s."""
 
@@ -721,17 +698,21 @@ class _Products:
 def _right_column(g: FiniteGroup, s: int, count: int, memo: dict):
     """The column x -> xs for ``count`` more products by s, or ``_Products``.
 
-    ``memo[s]`` holds the products s has made so far, and its column once
-    they pay for it; a tabled group's column is free.  Sharing ``memo``
-    between calls lets a multiplier's small batches add up to a column.
+    A tabled group's column is free.  Otherwise ``memo[s]`` holds the
+    products s has made so far, and its column once they pay for it, at
+    order/``_COLUMN_PAYOFF`` products.  Sharing ``memo`` between calls lets a
+    multiplier's small batches add up to a column.
     """
+    t = g._table
+    if t is not None:
+        return t[s]
     done = memo.get(s, 0)
     if isinstance(done, int):
         done += count
-        if g._table is None and not _pays(g, done):
+        if done * _COLUMN_PAYOFF < g.order:
             memo[s] = done
             return _Products(g, s)
-        done = memo[s] = g.rcol(s)
+        done = memo[s] = g._rcol_impl(s)
     return done
 
 
@@ -757,14 +738,10 @@ def close_under_mul(g: FiniteGroup, seed: Iterable[int],
     result = set(known)
     every_gen = [*known_gens, *new_gens]
     frontier, gens = list(known), new_gens
-    # A table column is free: skip the memo, which a cyclic closure would
-    # consult once per element, since its levels hold one element each.
-    table = g._table
     while frontier:
         nxt = []
         for s in gens:
-            col = (table[s] if table is not None
-                   else _right_column(g, s, len(frontier), memo))
+            col = _right_column(g, s, len(frontier), memo)
             for x in frontier:
                 y = col[x]
                 if y not in result:
@@ -843,18 +820,17 @@ def centralizer_subgroup(g_or_ambient, s: Iterable[int]) -> Subgroup:
 
     It suffices to test commutation against a generating set of <s>, because
     the centralizer of a set equals the centralizer of the subgroup it
-    generates.  x commutes with t iff ``rcol(t)[x] == lcol(t)[x]``; the
-    columns are built while enough candidates remain to pay for them.
+    generates.  x commutes with t iff conjugation by t^-1 fixes x, and with
+    r the right column of t that conjugation is x -> r[inv[r[inv[x]]]]
+    (``conjugacy_classes``): two products by t per candidate.
     """
     amb = ambient_subgroup(g_or_ambient)
     g = amb.parent
+    inv = g.inverses()
     members = _iter_ambient(amb)
     for t in _dedup_nonidentity(s):
-        if _pays(g, len(members)):
-            rc, lc = g.rcol(t), g.lcol(t)
-            members = [x for x in members if rc[x] == lc[x]]
-        else:
-            members = [x for x in members if g.mul(x, t) == g.mul(t, x)]
+        r = _right_column(g, t, 2 * len(members), {})
+        members = [x for x in members if r[inv[r[inv[x]]]] == x]
     return Subgroup(g, frozenset(members))
 
 
@@ -931,9 +907,10 @@ def conjugate_members(g: FiniteGroup, x: int, members: Iterable[int]) -> frozens
 def conjugacy_classes(ambient) -> list[list[int]]:
     """Orbits of the conjugation action of the ambient on itself.
 
-    Conjugation by each ambient generator h is the column
-    ``rcol(h^-1)`` after ``lcol(h)`` when the ambient is large enough to pay
-    for it.  Classes are returned sorted by least member, so the identity's
+    Conjugation by an ambient generator h is x -> r[inv[r[inv[x]]]], with
+    r the right column of h^-1 and inv the inverse list: r[x^-1] is
+    x^-1 h^-1 = (hx)^-1, so the inner lookups give hx and the outer ones
+    hxh^-1.  Classes are returned sorted by least member, so the identity's
     singleton class always comes first.  The class index of every element
     (``class_index``) is cached with them.
     """
@@ -943,15 +920,9 @@ def conjugacy_classes(ambient) -> list[list[int]]:
     cached = g._cache.get(key)
     if cached is not None:
         return cached
-    pays = _pays(g, len(amb.members))
-    conj = []
-    for h in amb.gens:
-        hi = g.inv(h)
-        if pays:
-            rc = g.rcol(hi)
-            conj.append(array("I", [rc[y] for y in g.lcol(h)]).__getitem__)
-        else:
-            conj.append(lambda x, h=h, hi=hi: g.mul(g.mul(h, x), hi))
+    inv = g.inverses()
+    cols = [_right_column(g, inv[h], 2 * len(amb.members), {})
+            for h in amb.gens]
     seen = set()
     classes = []
     for start in _iter_ambient(amb):
@@ -962,8 +933,8 @@ def conjugacy_classes(ambient) -> list[list[int]]:
         while frontier:
             nxt = []
             for x in frontier:
-                for f in conj:
-                    y = f(x)
+                for r in cols:
+                    y = r[inv[r[inv[x]]]]
                     if y not in orbit:
                         orbit.add(y)
                         nxt.append(y)
@@ -1010,11 +981,9 @@ def class_closure(ambient, x: int) -> frozenset:
     classes, index = conjugacy_classes(amb), class_index(amb)
     members = {0}
     frontier = [0]
-    # A table column is free; a cyclic closure has one element per level.
-    table, memo = g._table, {}
+    memo: dict = {}
     while frontier:
-        col = (table[x] if table is not None
-               else _right_column(g, x, len(frontier), memo))
+        col = _right_column(g, x, len(frontier), memo)
         nxt: list[int] = []
         for d in frontier:
             y = col[d]
@@ -1077,9 +1046,10 @@ def verify_group_axioms(g: FiniteGroup, rng) -> None:
     on the four products (a, b), (b, c), (ab, c), (a, bc) of each of 2,000
     triples drawn from ``rng``.  An untabled group is checked for
     associativity on 2,000 triples drawn from ``rng`` (a full triple sweep
-    is cubic in the order), and the columns ``rcol(s)`` and ``lcol(s)`` of
-    each generator s must agree with ``_mul_impl`` at the first element of
-    every triple, which ties the columns to the construction.
+    is cubic in the order), and the right column ``rcol(s)`` of each
+    generator s must agree with ``_mul_impl`` at the first element of every
+    triple, which ties the columns to the construction.  The inverse list
+    that conjugation reads is the one the inverse law checks.
     """
     for a in g.elements():
         if g.mul(a, 0) != a or g.mul(0, a) != a:
@@ -1098,9 +1068,9 @@ def verify_group_axioms(g: FiniteGroup, rng) -> None:
                 raise InternalCheckError(
                     f"associativity fails at ({a}, {b}, {c})")
         for s in g.generators:
-            rc, lc = g.rcol(s), g.lcol(s)
+            rc = g.rcol(s)
             for a, _, _ in triples:
-                if rc[a] != mul(a, s) or lc[a] != mul(s, a):
+                if rc[a] != mul(a, s):
                     raise InternalCheckError(
                         f"column of {s} differs from the construction "
                         f"at {a}")

@@ -18,6 +18,7 @@ from .group import (
     center,
     direct_product,
     group_from_permutations,
+    perm_closure_limit,
     quotient,
     semidirect_product,
     subgroup_generated,
@@ -213,12 +214,14 @@ def build_named(name: str, cap: int = DEFAULT_ELEMENT_CAP) -> FiniteGroup:
     m = _PARAM_RE.match(name)
     if m:
         kind, n = m.group(1), int(m.group(2))
-        # Refuse before allocating an n-point permutation: each family's
-        # order is at least its point count (n, or n/2 for Dn; An is
-        # trivial below 3 points).
+        # Refuse before allocating a permutation whose closure would be
+        # refused: the order is at least n (exactly n for Cn and Dn); An is
+        # trivial below 3 points, and ``dihedral`` rejects a malformed Dn.
         points = n // 2 if kind == "D" else n
-        if points > cap and (kind != "A" or n >= 3):
-            raise CapExceeded(f"closure exceeded element cap {cap}")
+        limit, refusal = perm_closure_limit(points, cap)
+        if n > limit and (kind != "A" or n >= 3) and (
+                kind != "D" or n >= 6 and n % 2 == 0):
+            raise CapExceeded(refusal)
         if kind == "C":
             return cyclic(n, cap)
         if kind == "S":

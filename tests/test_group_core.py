@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from chiefblocks import group as group_module
 from chiefblocks import named
 from chiefblocks.errors import (
     ActionNotAutomorphism,
@@ -104,6 +105,32 @@ def test_oversized_named_family_refused_before_allocating(name, monkeypatch):
     monkeypatch.setattr(named, "perm_from_cycles", no_alloc)
     with pytest.raises(CapExceeded, match="closure exceeded element cap 100"):
         named.build_named(name, cap=100)
+
+
+def test_permutation_closure_bounded_by_entry_budget(monkeypatch):
+    """No closure stores more than PERM_ENTRY_BUDGET permutation entries.
+
+    C20000 and D40000 (20,000 points) are refused at the real budget
+    before any permutation is allocated.  With the budget at 63, C7 (49
+    entries) closes and C8 (64) is refused, both in the closure and by
+    ``build_named`` before the cycle is built.
+    """
+    def no_alloc(*args):
+        raise AssertionError("allocated a permutation")
+
+    monkeypatch.setattr(named, "perm_from_cycles", no_alloc)
+    for name in ("C20000", "D40000"):
+        with pytest.raises(CapExceeded, match="closure of 20000-point "
+                           "permutations exceeded 16777216 stored entries"):
+            named.build_named(name)
+    monkeypatch.setattr(group_module, "PERM_ENTRY_BUDGET", 63)
+    c7, c8 = (perm_from_cycles([list(range(n))], n) for n in (7, 8))
+    assert group_from_permutations([c7]).order == 7
+    for build in (lambda: group_from_permutations([c8]),
+                  lambda: named.build_named("C8")):
+        with pytest.raises(CapExceeded, match="closure of 8-point "
+                           "permutations exceeded 63 stored entries"):
+            build()
 
 
 # -- products ----------------------------------------------------------------
@@ -399,23 +426,27 @@ def test_columns_match_construction(corpus, dense_corpus):
         for s in {0, *g.generators, rng.randrange(n), rng.randrange(n)}:
             for rc in (g.rcol(s), g._rcol_impl(s)):
                 assert list(rc) == [mul(x, s) for x in range(n)], (g, s)
-            for lc in (g.lcol(s), g._lcol_impl(s)):
-                assert list(lc) == [mul(s, x) for x in range(n)], (g, s)
 
 
 def test_closures_classes_and_centralizers_match_mul_oracles(corpus,
                                                             small_corpus):
     """The column paths and the product paths give the oracles' sets.
 
-    In A5wrC2 a subgroup of order 60 is too small to pay for columns and
-    the base of order 3,600 is large enough, so both paths run.
+    In A5wrC2 an A4 of order 12 is too small to pay for columns (two
+    products per element by each generator, against 7,200/64), and A5 and
+    the base of order 3,600 are large enough, so both paths run.
     """
     rng = random.Random(13)
     wr = corpus["A5wrC2"]
     a5 = normal_closure(wr.base_part, [wr.embed_base(wr.base.embed_left(1))])
-    assert a5.order == 60
+    left = wr.base.left
+    a4 = subgroup_generated(wr, [wr.embed_base(wr.base.embed_left(x))
+                                 for x in left.elements()
+                                 if left.permutation_of(x)[4] == 4])
+    assert a5.order == 60 and a4.order == 12
     cases = [(g, g.whole(), 4) for g in small_corpus.values()]
-    cases += [(wr, wr.whole(), 2), (wr, wr.base_part, 1), (wr, a5, 1)]
+    cases += [(wr, wr.whole(), 2), (wr, wr.base_part, 1), (wr, a5, 1),
+              (wr, a4, 1)]
     for g, amb, seeds in cases:
         assert conjugacy_classes(amb) == classes_by_mul(amb)
         for _ in range(seeds):
@@ -467,11 +498,12 @@ def test_cayley_table_reads_generator_columns(monkeypatch):
 
 
 def test_wrong_column_fails_axioms():
-    class LeftIsRight(DirectProductGroup):
-        _lcol_impl = DirectProductGroup._rcol_impl
+    class LeftForRight(DirectProductGroup):
+        def _rcol_impl(self, s):  # x -> sx where x -> xs is due
+            return [self._mul_impl(s, x) for x in range(self.order)]
 
     a5 = named.alternating(5)
-    g = LeftIsRight(a5, a5)
+    g = LeftForRight(a5, a5)
     assert g._table is None
     with pytest.raises(InternalCheckError, match="column of .* differs"):
         verify_group_axioms(g, random.Random(0))
