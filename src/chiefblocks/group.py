@@ -13,14 +13,18 @@ test; ``verify_group_axioms`` checks it against the construction's product.
 Loops that multiply many elements by one element s read its right column
 (``FiniteGroup.rcol``: x -> xs), which each construction builds from its
 factors' columns without a product per element; ``_right_column`` decides
-between the table column, a built column and single products.  Conjugation
-reads one right column and the inverse list (``FiniteGroup.inverses``).
+between the table column, a built column and single products, and the
+breadth-first walks keep its answer across levels until it is a column.
+Conjugation reads one right column and the inverse list
+(``FiniteGroup.inverses``).
 
 A subgroup normal in an ambient is a union of the ambient's conjugacy
 classes.  ``conjugacy_classes`` caches, beside the classes, the class index
-of every ambient element (``class_index``).  ``class_closure`` grows the
-normal closure of one element x as a union of classes, reading only the
-column of x; ``factor_centralizer_members`` tests one element per class.
+of every ambient element (``class_index``).  ``class_closure`` grows
+N*ncl(x), for one element x and a normal subgroup N of the ambient (the
+trivial one by default), as a union of classes, reading only the column of
+x; the normal lattice builds every node with it.
+``factor_centralizer_members`` tests one element per class.
 
 Groups and subgroups are not immutable.  ``is_normal_in`` records a verified
 normality verdict in ``Subgroup.is_normal``, a subgroup's generators are
@@ -295,18 +299,19 @@ def extend_by_images(src: FiniteGroup, gens: Sequence[int],
     element ids under ``tgt.mul`` or automorphism tables under composition.
 
     The edges x -> x*g are read from ``columns`` (the right column of each
-    generator) when given, else level by level from ``_right_column``.
+    generator) when given, else from ``_right_column`` until all are columns.
     """
     mapping: list = [None] * src.order
     mapping[0] = identity
     frontier = [0]
     memo: dict = {}
+    pending, pairs = columns is None, list(zip(columns or (), images))
     while frontier:
-        cols = columns
-        if cols is None:
+        if pending:
             cols = [_right_column(src, gen, len(frontier), memo)
                     for gen in gens]
-        pairs = list(zip(cols, images))
+            pending = any(isinstance(c, _Products) for c in cols)
+            pairs = list(zip(cols, images))
         nxt = []
         for x in frontier:
             fx = mapping[x]
@@ -725,7 +730,8 @@ def close_under_mul(g: FiniteGroup, seed: Iterable[int],
     Standard breadth-first closure; elements already in ``known`` are only
     multiplied by the new generators, which keeps repeated extension calls
     near-linear in the final order.  Incremental calls that extend one
-    closure share ``memo``, the multipliers' columns (``_right_column``).
+    closure share ``memo``, the multipliers' columns (``_right_column``),
+    which are kept across levels once they are columns.
     """
     new_gens = _dedup_nonidentity(seed)
     if known is None:
@@ -738,10 +744,13 @@ def close_under_mul(g: FiniteGroup, seed: Iterable[int],
     result = set(known)
     every_gen = [*known_gens, *new_gens]
     frontier, gens = list(known), new_gens
+    cols: dict = {}
     while frontier:
         nxt = []
         for s in gens:
-            col = _right_column(g, s, len(frontier), memo)
+            col = cols.get(s)
+            if col is None or isinstance(col, _Products):
+                col = cols[s] = _right_column(g, s, len(frontier), memo)
             for x in frontier:
                 y = col[x]
                 if y not in result:
@@ -872,33 +881,6 @@ def factor_centralizer_members(ambient, k_gens: Sequence[int],
                      for x in cls)
 
 
-def product_of_subgroups(a: Subgroup, b: Subgroup) -> frozenset:
-    """Element set of the product AB for subgroups with AB = BA.
-
-    The result is accumulated as a union of right cosets Bx of the larger
-    factor B, so the cost is one multiplication per product element, read
-    from the column of x when that pays.
-    """
-    if a.parent is not b.parent:
-        raise DifferentParents("factors live in different groups")
-    g = a.parent
-    if a.order < b.order:
-        small, big = a, b
-    else:
-        small, big = b, a
-        # AB = BA is assumed, so accumulating cosets of the big side from the
-        # small side is still the same element set.
-    bigm = big.members
-    if small.members <= bigm:
-        return bigm
-    result = set(bigm)
-    for x in sorted(small.members):
-        if x not in result:
-            col = _right_column(g, x, len(bigm), {})
-            result.update(col[m] for m in bigm)
-    return frozenset(result)
-
-
 def conjugate_members(g: FiniteGroup, x: int, members: Iterable[int]) -> frozenset:
     xi = g.inv(x)
     return frozenset(g.mul(g.mul(x, m), xi) for m in members)
@@ -967,23 +949,29 @@ def class_index(ambient) -> Sequence[int] | dict[int, int]:
     return cached
 
 
-def class_closure(ambient, x: int) -> frozenset:
-    """Members of ncl(x), the normal closure of one element of the ambient.
+def class_closure(ambient, x: int, start: Iterable[int] = (0,),
+                  memo: dict | None = None) -> frozenset:
+    """Members of N*ncl(x), with ncl(x) the normal closure of x in the ambient.
 
-    Grown from the identity as a union of conjugacy classes: each new
-    element d adds the whole class of dx.  The result S is a union of
-    classes with 1 in S and Sx in S, so S x^h = (Sx)^h lies in S for every
-    conjugate x^h, and S contains ncl(x); every class added lies in ncl(x).
-    The walk makes one product by x per member, read from the column of x.
+    N, the ``start`` ({1} by default), must be normal in the ambient: then
+    it is a union of classes, and so is the set S grown from it, in which
+    each new element d adds the whole class of dx.  S contains N, Sx lies
+    in S, and S^h = S, so S x^h = (Sx)^h lies in S for every conjugate x^h
+    and S contains N*ncl(x); every class added lies in that normal
+    subgroup.  Were N not normal, S^h = S, the step from x to its
+    conjugates, could fail.  The walk makes one product by x per member,
+    read from the column of x; calls that share ``memo`` build it once.
     """
     amb = ambient_subgroup(ambient)
     g = amb.parent
     classes, index = conjugacy_classes(amb), class_index(amb)
-    members = {0}
-    frontier = [0]
-    memo: dict = {}
+    memo = {} if memo is None else memo
+    members = set(start)
+    frontier = list(members)
+    col = None
     while frontier:
-        col = _right_column(g, x, len(frontier), memo)
+        if col is None or isinstance(col, _Products):
+            col = _right_column(g, x, len(frontier), memo)
         nxt: list[int] = []
         for d in frontier:
             y = col[d]

@@ -4,9 +4,11 @@ Every operation takes either a FiniteGroup or a Subgroup as its ambient; in
 the latter case "normal" means normal in that subgroup, which is what the
 block-extension machinery needs.  ``normal_subgroups`` builds the lattice
 of an ambient once, by a breadth-first search of upper covers from the
-trivial subgroup, and caches it per ambient; every layer reads it from
-there and asks ``NormalLattice`` whether L < K is a cover (no normal
-subgroup strictly between) and for joins and meets, by node index.
+trivial subgroup, and caches it per ambient.  Every node, atom or product,
+is a union of conjugacy classes grown by the one walk ``class_closure``.
+Every layer reads the lattice from the cache and asks ``NormalLattice``
+whether L < K is a cover (no normal subgroup strictly between) and for
+joins and meets, by node index.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from .group import (
     class_closure,
     conjugacy_classes,
     is_normal_in,
-    product_of_subgroups,
 )
 
 
@@ -112,13 +113,17 @@ class NormalLattice:
 def normal_subgroups(ambient) -> NormalLattice:
     """The normal lattice of the ambient, by a breadth-first search of covers.
 
-    Atoms are the cyclic normal closures ncl(x) of conjugacy-class
-    representatives, each grown as a union of classes (``class_closure``).
+    Every node is grown by one walk, ``class_closure``, as a union of
+    conjugacy classes.  The atoms are the normal closures ncl(x) of the
+    class representatives x; one representative is kept per distinct atom.
     Starting from the trivial subgroup, the upper covers of a node N are
-    the minimal members of {N*A : A an atom, A not in N}.
+    the minimal members of {N*ncl(x) : x a kept representative outside N},
+    and N*ncl(x) is the same walk started from N's members instead of {1}.
     This is complete: a cover M of N equals N*ncl(x) for any x in M outside
     N, and a minimal product has no normal subgroup strictly between it and
-    N.  So one search yields every node and every Hasse edge.
+    N.  So one search yields every node and every Hasse edge.  The products
+    share one column memo, so each representative's column is built at most
+    once for all of them.
 
     The lattice is cached per ambient.  The ``node_cap`` of the ambient's
     parent group bounds a build, which raises NodeCapExceeded as soon as the
@@ -132,22 +137,21 @@ def normal_subgroups(ambient) -> NormalLattice:
         return cached
 
     normal = True if amb.order == g.order else None
-    atoms: dict[frozenset, Subgroup] = {}
+    atoms: dict[frozenset, int] = {}  # ncl(x) -> its first representative x
     for cls in conjugacy_classes(amb)[1:]:
-        m = class_closure(amb, cls[0])
-        if m not in atoms:
-            atoms[m] = Subgroup(g, m, None, normal)
+        atoms.setdefault(class_closure(amb, cls[0]), cls[0])
 
     trivial = Subgroup(g, frozenset((0,)), [], True)
     nodes = {trivial.members: trivial}
     up: dict[frozenset, list[Subgroup]] = {}
     queue = [trivial]
+    memo: dict = {}
     for n in queue:  # the queue grows while it is walked: breadth first
         covers: list[frozenset] = []  # the minimal products so far
-        for a in atoms.values():
-            if a.members <= n.members:
+        for x in atoms.values():
+            if x in n.members:  # then ncl(x) lies in N
                 continue
-            m = product_of_subgroups(n, a)
+            m = class_closure(amb, x, n.members, memo)
             if not any(c <= m for c in covers):
                 covers = [c for c in covers if not m < c] + [m]
         for m in covers:
@@ -156,7 +160,7 @@ def normal_subgroups(ambient) -> NormalLattice:
             if len(nodes) >= g.node_cap:
                 raise NodeCapExceeded(
                     f"normal lattice exceeded node cap {g.node_cap}")
-            nodes[m] = atoms.get(m) or Subgroup(g, m, None, normal)
+            nodes[m] = Subgroup(g, m, None, normal)
             queue.append(nodes[m])
         up[n.members] = [nodes[m] for m in covers]
 

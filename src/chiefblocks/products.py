@@ -32,7 +32,6 @@ from .group import (
     close_under_mul,
     direct_product,
     is_normal_in,
-    product_of_subgroups,
     quotient,
     semidirect_product,
     subgroup_as_group,
@@ -360,8 +359,8 @@ def compression_semidirect(psi: Homomorphism,
             if prod.mul(a, b) != prod.mul(b, a):
                 raise InternalCheckError("iota(G) and ker(pi) must commute")
     pi_image = pi.image()
-    span = product_of_subgroups(Subgroup(h_grp, image.members),
-                                Subgroup(h_grp, o_sub.members))
+    # The image is normal, so image*O is the subgroup <image, O>.
+    span = close_under_mul(h_grp, [*image.gens, *o_sub.gens])
     if pi_image.members != span:
         raise InternalCheckError("pi must map onto the span of image and O")
     proper = image.order < h_grp.order

@@ -16,6 +16,7 @@ from chiefblocks.factors import (
     are_associated,
     factor_centralizer,
 )
+from chiefblocks.errors import DifferentParents
 from chiefblocks.group import (
     FiniteGroup,
     Subgroup,
@@ -25,7 +26,6 @@ from chiefblocks.group import (
     conjugacy_classes,
     is_normal_in,
     normal_closure,
-    product_of_subgroups,
 )
 from chiefblocks.lattice import NormalLattice, normal_subgroups
 
@@ -67,6 +67,25 @@ def oracle_normal_subgroups(g: FiniteGroup) -> list[Subgroup]:
     """Brute-force normal subgroups: the oracle list filtered by normality."""
     whole = g.whole()
     return [s for s in oracle_all_subgroups(g) if is_normal_in(s, whole)]
+
+
+def product_of_subgroups(a: Subgroup, b: Subgroup) -> frozenset:
+    """Element set of the product AB for subgroups with AB = BA.
+
+    The result is accumulated as a union of right cosets Bx of the larger
+    factor B, one ``g.mul`` per product element.  AB = BA is assumed, so
+    accumulating cosets of the larger side from the smaller side gives the
+    same element set.
+    """
+    if a.parent is not b.parent:
+        raise DifferentParents("factors live in different groups")
+    g = a.parent
+    small, big = (a, b) if a.order < b.order else (b, a)
+    result = set(big.members)
+    for x in sorted(small.members):
+        if x not in result:
+            result.update(g.mul(m, x) for m in big.members)
+    return frozenset(result)
 
 
 def normal_subgroups_join_closure(ambient) -> set[frozenset]:

@@ -1,7 +1,8 @@
 """Class space against element sweeps on random permutation groups.
 
 Generated groups have degree at most 6, so orders run up to 720 and both
-the tabled and the untabled (S6) paths are exercised.
+the tabled and the untabled (S6) paths are exercised.  Class closures are
+checked from the trivial start and from every lattice node.
 """
 
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from chiefblocks.factors import factor_centralizer  # noqa: E402
 from chiefblocks.group import (  # noqa: E402
+    Subgroup,
     center,
     centralizer_subgroup,
     class_closure,
@@ -19,11 +21,12 @@ from chiefblocks.group import (  # noqa: E402
     group_from_permutations,
     normal_closure,
 )
-from chiefblocks.lattice import chief_factors  # noqa: E402
+from chiefblocks.lattice import chief_factors, normal_subgroups  # noqa: E402
 from oracles import (  # noqa: E402
     centralizer_by_mul,
     classes_by_mul,
     factor_centralizer_by_sweep,
+    product_of_subgroups,
 )
 
 generator_lists = st.integers(min_value=2, max_value=6).flatmap(
@@ -41,6 +44,10 @@ def test_class_space_matches_sweeps(gens):
             == normal_closure(g, [cls[0]]).members
         assert centralizer_subgroup(g, [cls[0]]).members \
             == centralizer_by_mul(g, [cls[0]])
+        atom = Subgroup(g, normal_closure(g, [cls[0]]).members)
+        for n in normal_subgroups(g).nodes:
+            assert class_closure(g, cls[0], n.members) \
+                == product_of_subgroups(n, atom)
     for f in chief_factors(g):
         assert factor_centralizer(f).members \
             == factor_centralizer_by_sweep(g, f.k.gens, f.l.members)

@@ -1,8 +1,14 @@
 """Spec parsing, report generation, DOT output, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import chiefblocks
 
 from chiefblocks.cli import (
     AnalyzeOptions,
@@ -197,6 +203,24 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert run(["analyze", "--spec", str(a5file),
                 "--element-cap", "10"]) == 3
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("spec, code", [
+    (V4_SPEC, 0), ('{"kind":"named","name":"C20000"}', 3)])
+def test_python_m_cli_runs_main(spec, code, tmp_path, capsys):
+    """``python -m chiefblocks.cli`` exits and prints as ``run`` does."""
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(spec)
+    argv = ["analyze", "--spec", str(spec_file)]
+    assert run(argv) == code
+    expected = capsys.readouterr()
+    src = str(Path(chiefblocks.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-m", "chiefblocks.cli", *argv],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == code
+    assert (proc.stdout, proc.stderr) == (expected.out, expected.err)
+    assert expected.out if code == 0 else expected.err.startswith("error: ")
 
 
 def test_cli_dot_and_factorization(tmp_path, capsys):

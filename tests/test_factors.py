@@ -34,6 +34,7 @@ from oracles import (
     chief_association_conditions,
     compression_by_products,
     factor_centralizer_by_sweep,
+    product_of_subgroups,
 )
 
 
@@ -196,7 +197,6 @@ def test_association_implies_equal_centralizers(corpus):
 
 def test_second_isomorphism_repair(corpus):
     """K/(K meet L) maps onto KL/L bijectively for normal K, L."""
-    from chiefblocks.group import product_of_subgroups
     for name in ("S4", "Q8", "D8", "SL23", "ES32", "A5xA5"):
         g = corpus[name]
         lat = normal_subgroups(g)

@@ -497,6 +497,38 @@ def test_cayley_table_reads_generator_columns(monkeypatch):
     assert calls == 512 * len(d512.generators) == 1024
 
 
+def test_columns_kept_across_levels(monkeypatch):
+    """A multiplier's column is asked for once, not once per level.
+
+    A cyclic closure holds one element per breadth-first level.  On C256
+    (tabled) the first answer is the table column; on C1024 (untabled)
+    ``_right_column`` answers ``_Products`` until order/64 = 16 products
+    have been asked for, and then builds the column.
+    """
+    calls = 0
+    real = group_module._right_column
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return real(*args)
+
+    for g, asks in ((named.cyclic(256), 1), (named.cyclic(1024), 16)):
+        gen = g.generators[0]
+        conjugacy_classes(g)
+        monkeypatch.setattr(group_module, "_right_column", counted)
+        calls = 0
+        assert len(close_under_mul(g, [gen])) == g.order
+        assert calls == asks
+        calls = 0
+        assert len(class_closure(g, gen)) == g.order
+        assert calls == asks
+        calls = 0
+        Homomorphism(g, g, list(range(g.order))).validate()
+        assert calls == asks
+        monkeypatch.undo()
+
+
 def test_wrong_column_fails_axioms():
     class LeftForRight(DirectProductGroup):
         def _rcol_impl(self, s):  # x -> sx where x -> xs is due

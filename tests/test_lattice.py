@@ -1,5 +1,7 @@
 """Normal lattice enumeration against the brute-force subgroup oracle."""
 
+from collections import Counter
+
 import pytest
 
 from chiefblocks import named
@@ -9,9 +11,12 @@ from chiefblocks.errors import (
     NotNested,
 )
 from chiefblocks.group import (
+    Subgroup,
+    class_closure,
+    conjugacy_classes,
     direct_product,
     is_normal_in,
-    product_of_subgroups,
+    normal_closure,
     subgroup_generated,
 )
 from chiefblocks.lattice import (
@@ -28,6 +33,7 @@ from oracles import (
     normal_subgroups_join_closure,
     oracle_all_subgroups,
     oracle_normal_subgroups,
+    product_of_subgroups,
 )
 
 
@@ -64,6 +70,55 @@ def test_lattice_matches_join_closure(corpus):
     for g in [g for g in corpus.values() if g.order <= 7200] + extra:
         computed = {n.members for n in normal_subgroups(g).nodes}
         assert computed == normal_subgroups_join_closure(g), g.name
+
+
+def _atom_representatives(g) -> dict:
+    """ncl(x) -> x for the first class representative x of each atom."""
+    reps: dict = {}
+    for cls in conjugacy_classes(g)[1:]:
+        reps.setdefault(class_closure(g, cls[0]), cls[0])
+    return reps
+
+
+def test_class_closure_from_node_is_product(small_corpus, dense_corpus):
+    """N*ncl(x) grown from N equals the coset-sweep product, for every
+    lattice node N and atom representative x."""
+    for g in list(small_corpus.values()) + list(dense_corpus.values()):
+        for x in _atom_representatives(g).values():
+            atom = Subgroup(g, normal_closure(g, [x]).members)
+            for n in normal_subgroups(g).nodes:
+                assert class_closure(g, x, n.members) \
+                    == product_of_subgroups(n, atom), (g.name, x)
+
+
+def test_lattice_products_build_each_column_once():
+    """Node x atom products share one memo: one column per representative.
+
+    A5xC2^4 (order 960) is untabled.  Its classes are computed first, so
+    every column counted here is built by ``normal_subgroups``: at most one
+    per class representative for its atom, and at most one more per atom
+    representative for all the products together.
+    """
+    c2 = named.cyclic(2)
+    g = named.alternating(5)
+    for _ in range(4):
+        g = direct_product(g, c2)
+    reps = [cls[0] for cls in conjugacy_classes(g)[1:]]
+    calls: Counter = Counter()
+    build = g._rcol_impl
+
+    def counted(s):
+        calls[s] += 1
+        return build(s)
+
+    g._rcol_impl = counted
+    assert len(normal_subgroups(g)) == 134
+    del g._rcol_impl
+    atom_reps = set(_atom_representatives(g).values())
+    assert len(atom_reps) == 31
+    assert set(calls) <= set(reps)
+    assert all(n <= 1 + (s in atom_reps) for s, n in calls.items()), calls
+    assert any(calls[s] == 2 for s in atom_reps)
 
 
 def test_lattice_node_orders():

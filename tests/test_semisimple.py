@@ -18,7 +18,6 @@ from chiefblocks.group import (
     commutator_subgroup,
     is_normal_in,
     normal_closure,
-    product_of_subgroups,
     quotient,
 )
 from chiefblocks.lattice import normal_subgroups
@@ -34,7 +33,7 @@ from chiefblocks.semisimple import (
     semisimple_type,
     simple_quotient_duality,
 )
-from oracles import components_all_nodes
+from oracles import components_all_nodes, product_of_subgroups
 
 
 def test_perfect_node_sweep_matches_all_nodes(corpus):
