@@ -102,10 +102,10 @@ def extend_block(ambient, h: Subgroup, a: ChiefBlock) -> ChiefBlock:
     m_node = lat.node_with_members(m.members)
     n_node = lat.node_with_members(n_members)
     factor = make_factor(amb, m_node, n_node)
-    if is_abelian_factor(factor):
-        raise InternalCheckError("extension factor came out abelian")
     if not lat.is_cover(n_members, m.members):
         raise InternalCheckError("extension factor is not chief")
+    if is_abelian_factor(factor):
+        raise InternalCheckError("extension factor came out abelian")
     out = chief_blocks(amb).by_centralizer(
         factor_centralizer(factor).members)
     low = lowermost_representative(amb, out)

@@ -1,6 +1,7 @@
 """Normal factors K/L, their centralizers, and the association relation.
 
-K and L are lattice nodes, so association and compression read node indices.
+K and L are lattice nodes, so association and compression read node indices,
+and the association graph pushes each chief factor up over the nodes.
 """
 
 from __future__ import annotations
@@ -22,12 +23,13 @@ from .group import (
     is_normal_in,
     subgroup_as_group,
 )
-from .lattice import NormalLattice, chief_factors, normal_subgroups
+from .lattice import (NormalLattice, cached_lattice, chief_factors,
+                      normal_subgroups)
 
-# Most pair tests ``association_graph`` makes: about 27 s at 1.7 us a pair,
-# the rate measured on A5xC2^5 (4,528 chief factors, 10,249,128 pairs, 17 s
-# on a 2-core x86-64 machine, Python 3.11).  C2^6 (23,562 chief factors)
-# would need 277,572,141 and is refused.
+# Most pairs F(F-1)/2 of F chief factors ``association_graph`` takes.  Its
+# push-up over N nodes (N - 1 <= F) makes F*N <= F(F+1) steps: A5xC2^5's
+# 3.4 million take 2.4 s (2-core x86-64, Python 3.11).  C2^6 (23,562 chief
+# factors) would need 277,572,141 pairs and is refused.
 ASSOCIATION_PAIR_CAP = 16_000_000
 
 
@@ -122,8 +124,13 @@ def factor_centralizer(f: NormalFactor) -> Subgroup:
 def is_abelian_factor(f: NormalFactor) -> bool:
     """True iff [K, K] <= L, i.e. the factor group is abelian.
 
-    Generator pairs suffice: the images of generators of K generate K/L.
+    A cover of the built lattice is T^k, T simple: abelian iff |K/L| is a
+    prime power (Burnside's p^a q^b theorem).  Else generator pairs decide.
     """
+    lat = cached_lattice(f.ambient)
+    if lat is not None and lat.is_cover(f.l.members, f.k.members):
+        n = f.order  # a power of its least prime p iff n divides p^n
+        return pow(next(d for d in range(2, n + 1) if n % d == 0), n, n) == 0
     g = f.ambient.parent
     return all(g.comm(a, b) in f.l.members
                for a in f.k.gens for b in f.k.gens)
@@ -180,10 +187,16 @@ def association_graph(
         ambient) -> tuple[list[NormalFactor], list[tuple[int, int]]]:
     """All chief factors (abelian included) with association edges.
 
-    Returns (vertices, edges); edges are index pairs (i, j), i < j, between
-    distinct associated factors, tested on each factor's node indices.
-    Raises WorkCapExceeded, before any test, when the F(F-1)/2 pairs of the
-    F chief factors exceed ``ASSOCIATION_PAIR_CAP``.
+    Vertices come in ``lat.covers()`` order; edges are the sorted pairs
+    (i, j), i < j, of associated factors.  Each K1/L1 is pushed up over the
+    N nodes L2, with J = L1L2 and M = K1L2 from one ``join_row`` per node.
+    By the modular law (Dedekind), K1 meet J is L1 iff M != J, and then M
+    covers J; so the associated K2/L2 are the upper covers K2 of L2 with
+    K2 <= M and K2 not in J (then K2L1 = M and K2 meet J = L2; conversely
+    K2 <= K2L1 = M and K2 meet J = L2).  Each edge is found from both ends,
+    else InternalCheckError names the stage.  WorkCapExceeded is raised,
+    before any test, when the F(F-1)/2 pairs of the F chief factors exceed
+    ``ASSOCIATION_PAIR_CAP``; as N - 1 <= F, that bounds the F*N steps.
     """
     verts = chief_factors(ambient)
     pairs = len(verts) * (len(verts) - 1) // 2
@@ -192,8 +205,25 @@ def association_graph(
             f"association stage: {len(verts)} chief factors need {pairs} "
             f"pair tests, over the cap of {ASSOCIATION_PAIR_CAP}")
     lat = normal_subgroups(ambient)
-    nodes = [(lat.index_of(f.k), lat.index_of(f.l)) for f in verts]
-    edges = [(i, j) for i, (k1, l1) in enumerate(nodes)
-             for j in range(i + 1, len(nodes))
-             if associated_nodes(lat, k1, l1, *nodes[j])]
+    covers, below = lat.covers(), lat._below
+    factor_at: list[dict] = [{} for _ in below]  # L2: {K2 bit: factor}
+    for f, (l, k) in enumerate(covers):
+        factor_at[l][1 << k] = f
+    up_bits = [sum(ks) for ks in factor_at]
+    rows = [lat.join_row(n) for n in range(len(lat))]
+    edges, back = [], 0
+    for i, (l1, k1) in enumerate(covers):
+        for l2, (j, m) in enumerate(zip(rows[l1], rows[k1])):
+            if m == j:  # K1 lies in J: no associate over L2
+                continue
+            bits = up_bits[l2] & below[m] & ~below[j]
+            while bits:
+                f2 = factor_at[l2][low := bits & -bits]
+                bits ^= low
+                if f2 > i:
+                    edges.append((i, f2))
+                back += f2 < i
+    if back != len(edges):
+        raise InternalCheckError(f"association stage: {back} of "
+                                 f"{len(edges)} edges found from both ends")
     return verts, edges

@@ -40,8 +40,8 @@ class NormalLattice:
     lists them, ``is_cover`` tests one pair, and ``minimal_nodes_over`` and
     ``maximal_nodes_under`` give the upper and lower covers of a node.
     Bitsets over node indices (bit j of ``_above[i]``, bit i of ``_below[j]``:
-    node i lies in node j) answer ``le``, ``join`` (the product, a lowest
-    common bit) and ``meet`` (the intersection, a highest common bit).
+    node i lies in node j) answer ``le``, ``join`` and ``join_row`` (products,
+    a lowest common bit) and ``meet`` (the intersection, a highest common bit).
     """
 
     def __init__(self, ambient: Subgroup, nodes: list[Subgroup],
@@ -83,6 +83,14 @@ class NormalLattice:
         bits = self._above[0]
         for i in idx:
             bits &= self._above[i]
+        return self._lowest_bit(bits)
+
+    def join_row(self, i: int) -> list[int]:
+        """``join(i, j)`` for every node j, in node order."""
+        return [self._lowest_bit(self._above[i] & a) for a in self._above]
+
+    @staticmethod
+    def _lowest_bit(bits: int) -> int:  # the least node above all given
         return (bits & -bits).bit_length() - 1
 
     def meet(self, *idx: int) -> int:
@@ -110,6 +118,14 @@ class NormalLattice:
         return [self.nodes[i] for i in self._down[self._index[members]]]
 
 
+def cached_lattice(amb: Subgroup, built=None) -> NormalLattice | None:
+    """The ambient's lattice if built already, else None; caches ``built``."""
+    key = ("lattice", amb.members)
+    if built is not None:
+        amb.parent._cache[key] = built
+    return amb.parent._cache.get(key)
+
+
 def normal_subgroups(ambient) -> NormalLattice:
     """The normal lattice of the ambient, by a breadth-first search of covers.
 
@@ -131,9 +147,7 @@ def normal_subgroups(ambient) -> NormalLattice:
     """
     amb = ambient_subgroup(ambient)
     g = amb.parent
-    key = ("lattice", amb.members)
-    cached = g._cache.get(key)
-    if cached is not None:
+    if (cached := cached_lattice(amb)) is not None:
         return cached
 
     normal = True if amb.order == g.order else None
@@ -166,9 +180,7 @@ def normal_subgroups(ambient) -> NormalLattice:
 
     ordered = sorted(nodes.values(),
                      key=lambda s: (s.order, s.sorted_members()))
-    lat = NormalLattice(amb, ordered, up)
-    g._cache[key] = lat
-    return lat
+    return cached_lattice(amb, NormalLattice(amb, ordered, up))
 
 
 def is_chief_factor(ambient, k: Subgroup, l: Subgroup) -> bool:
@@ -194,9 +206,8 @@ def chief_factors(ambient) -> list:
 def chief_series_iter(ambient, max_series: int | None = None
                       ) -> Iterator[list[Subgroup]]:
     """Maximal chains of the lattice from the trivial node to the ambient."""
-    amb = ambient_subgroup(ambient)
-    lat = normal_subgroups(amb)
-    top = lat.index_of(amb)
+    lat = normal_subgroups(ambient)
+    top = len(lat) - 1  # nodes rise along the order
     count = 0
 
     def walk(chain: list[int]) -> Iterator[list[Subgroup]]:
@@ -222,8 +233,7 @@ def socle(ambient) -> Subgroup:
 
 def is_monolithic(ambient) -> bool:
     """Exactly one minimal normal subgroup."""
-    amb = ambient_subgroup(ambient)
-    return len(normal_subgroups(amb).minimal_nodes_over(frozenset((0,)))) == 1
+    return len(normal_subgroups(ambient)._up[0]) == 1
 
 
 def jordan_holder_length(ambient) -> int:

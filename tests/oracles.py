@@ -14,6 +14,7 @@ from chiefblocks.errors import CapError
 from chiefblocks.factors import (
     NormalFactor,
     are_associated,
+    associated_nodes,
     factor_centralizer,
 )
 from chiefblocks.errors import DifferentParents
@@ -27,7 +28,11 @@ from chiefblocks.group import (
     is_normal_in,
     normal_closure,
 )
-from chiefblocks.lattice import NormalLattice, normal_subgroups
+from chiefblocks.lattice import (
+    NormalLattice,
+    chief_factors,
+    normal_subgroups,
+)
 
 ORACLE_BOUND = 24
 
@@ -295,6 +300,27 @@ def associated_by_products(f1: NormalFactor, f2: NormalFactor) -> bool:
     l1l2 = product_of_subgroups(f1.l, f2.l)
     return (f1.k.members & l1l2 == f1.l.members
             and f2.k.members & l1l2 == f2.l.members)
+
+
+def association_edges_pairwise(ambient) -> list[tuple[int, int]]:
+    """Association edges (i, j), i < j, by the one-pair test on every pair.
+
+    Indices follow ``chief_factors``, as the vertices of
+    ``association_graph`` do.
+    """
+    lat = normal_subgroups(ambient)
+    nodes = [(lat.index_of(f.k), lat.index_of(f.l))
+             for f in chief_factors(ambient)]
+    return [(i, j) for i, (k1, l1) in enumerate(nodes)
+            for j in range(i + 1, len(nodes))
+            if associated_nodes(lat, k1, l1, *nodes[j])]
+
+
+def abelian_by_commutators(f: NormalFactor) -> bool:
+    """[K, K] <= L, from the commutators of every pair of K's generators."""
+    g = f.ambient.parent
+    return all(g.comm(a, b) in f.l.members
+               for a in f.k.gens for b in f.k.gens)
 
 
 def compression_by_products(f1: NormalFactor, f2: NormalFactor) -> bool:

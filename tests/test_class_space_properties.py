@@ -2,7 +2,8 @@
 
 Generated groups have degree at most 6, so orders run up to 720 and both
 the tabled and the untabled (S6) paths are exercised.  Class closures are
-checked from the trivial start and from every lattice node.
+checked from the trivial start and from every lattice node; association
+edges and abelian chief factors against the pairwise and commutator tests.
 """
 
 import pytest
@@ -11,7 +12,11 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from chiefblocks.factors import factor_centralizer  # noqa: E402
+from chiefblocks.factors import (  # noqa: E402
+    association_graph,
+    factor_centralizer,
+    is_abelian_factor,
+)
 from chiefblocks.group import (  # noqa: E402
     Subgroup,
     center,
@@ -23,6 +28,8 @@ from chiefblocks.group import (  # noqa: E402
 )
 from chiefblocks.lattice import chief_factors, normal_subgroups  # noqa: E402
 from oracles import (  # noqa: E402
+    abelian_by_commutators,
+    association_edges_pairwise,
     centralizer_by_mul,
     classes_by_mul,
     factor_centralizer_by_sweep,
@@ -52,3 +59,12 @@ def test_class_space_matches_sweeps(gens):
         assert factor_centralizer(f).members \
             == factor_centralizer_by_sweep(g, f.k.gens, f.l.members)
         assert center(f.k).members == centralizer_by_mul(f.k, f.k.gens)
+
+
+@settings(max_examples=50, deadline=None, database=None)
+@given(generator_lists)
+def test_association_and_abelian_factors_match_oracles(gens):
+    g = group_from_permutations(gens)
+    assert association_graph(g)[1] == association_edges_pairwise(g)
+    for f in chief_factors(g):
+        assert is_abelian_factor(f) == abelian_by_commutators(f)

@@ -27,9 +27,15 @@ from chiefblocks.group import (
     is_normal_in,
     subgroup_generated,
 )
-from chiefblocks.lattice import chief_factors, normal_subgroups
+from chiefblocks.lattice import (
+    cached_lattice,
+    chief_factors,
+    normal_subgroups,
+)
 from oracles import (
+    abelian_by_commutators,
     associated_by_products,
+    association_edges_pairwise,
     centralizer_equal,
     chief_association_conditions,
     compression_by_products,
@@ -123,6 +129,48 @@ def test_is_abelian_factor():
     plat = normal_subgroups(prod)
     assert not is_abelian_factor(make_factor(
         prod, prod.whole(), plat.node_with_members(prod.left_factor.members)))
+
+
+def test_abelian_by_order_matches_commutators(corpus, dense_corpus):
+    """On chief factors the prime-power test equals the commutator test."""
+    for g in [*corpus.values(), *dense_corpus.values()]:
+        for f in chief_factors(g):
+            assert is_abelian_factor(f) == abelian_by_commutators(f), f
+
+
+def test_abelian_factor_off_the_lattice():
+    """Non-covers, and covers of an unbuilt lattice, take the commutators."""
+    d8 = named.dihedral(8)
+    normal_subgroups(d8)
+    # order 8, a prime power, but not a chief factor and not abelian
+    assert not is_abelian_factor(
+        make_factor(d8, d8.whole(), d8.trivial_subgroup()))
+    v4 = named.klein_four()
+    normal_subgroups(v4)
+    assert is_abelian_factor(
+        make_factor(v4, v4.whole(), v4.trivial_subgroup()))
+    s3 = named.symmetric(3)
+    a3 = subgroup_generated(s3, [x for x in s3.elements()
+                                 if s3.element_order(x) == 3][:1])
+    assert is_abelian_factor(make_factor(s3, a3, s3.trivial_subgroup()))
+    assert is_abelian_factor(make_factor(s3, s3.whole(), a3))
+    assert not is_abelian_factor(
+        make_factor(s3, s3.whole(), s3.trivial_subgroup()))
+    assert cached_lattice(s3.whole()) is None
+
+
+def test_abelian_chief_factors_need_no_generators(monkeypatch):
+    """Once the lattice is built, no chief factor asks for generators."""
+    import chiefblocks.group as group_mod
+    wr = named.a5_wr_c2()
+    normal_subgroups(wr)
+    calls = []
+    real = group_mod.generating_ids
+    monkeypatch.setattr(group_mod, "generating_ids",
+                        lambda g, m: calls.append(len(m)) or real(g, m))
+    assert [is_abelian_factor(f) for f in chief_factors(wr)] \
+        == [False, True]
+    assert calls == []
 
 
 def test_klein_association_pattern():
@@ -294,6 +342,58 @@ def test_association_graph_shapes(corpus):
     verts, edges = association_graph(corpus["A5xA5"])
     assert len(verts) == 4 and len(edges) == 2
     assert len({i for e in edges for i in e}) == 4
+
+
+def test_association_graph_matches_pairwise(corpus, dense_corpus):
+    c2 = named.cyclic(2)
+    c2_4 = direct_product(direct_product(c2, c2), direct_product(c2, c2))
+    a5_c2_4 = direct_product(named.alternating(5), c2_4)
+    for g in [*corpus.values(), *dense_corpus.values(), a5_c2_4]:
+        assert association_graph(g)[1] == association_edges_pairwise(g), \
+            g.name
+
+
+def test_association_graph_makes_no_pair_tests(dense_corpus, monkeypatch):
+    """The push-up reads join rows: no join, no one-pair test."""
+    import chiefblocks.factors as factors
+    from chiefblocks.lattice import NormalLattice
+    g = dense_corpus["Q8xD8"]
+    lat = normal_subgroups(g)
+    calls = {"join": 0, "join_row": 0, "associated_nodes": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(NormalLattice, "join",
+                        counted("join", NormalLattice.join))
+    monkeypatch.setattr(NormalLattice, "join_row",
+                        counted("join_row", NormalLattice.join_row))
+    monkeypatch.setattr(factors, "associated_nodes",
+                        counted("associated_nodes", factors.associated_nodes))
+    verts, edges = association_graph(g)
+    assert len(verts) == 302 and len(edges) == 10476
+    assert calls["join"] == 0 and calls["associated_nodes"] == 0
+    assert 0 < calls["join_row"] <= len(lat)
+
+
+def test_association_symmetry_check_raises(monkeypatch):
+    """An edge found from one end only raises, naming the stage."""
+    from chiefblocks.errors import InternalCheckError
+    from chiefblocks.lattice import NormalLattice
+    v4 = named.klein_four()
+    lat = normal_subgroups(v4)
+    real = NormalLattice.join_row
+    top = len(lat) - 1
+    # every join with the trivial node reads as the top: the factors A/1
+    # then find no associate, while V4/B still finds them
+    monkeypatch.setattr(
+        NormalLattice, "join_row",
+        lambda self, i: [top] * len(self) if i == 0 else real(self, i))
+    with pytest.raises(InternalCheckError, match="association stage"):
+        association_graph(v4)
 
 
 def test_association_pair_cap(corpus, monkeypatch):

@@ -21,6 +21,7 @@ from chiefblocks.group import (
 )
 from chiefblocks.lattice import (
     NormalLattice,
+    cached_lattice,
     chief_factors,
     chief_series_iter,
     is_chief_factor,
@@ -141,6 +142,8 @@ def test_lattice_closed_under_join_and_meet(small_corpus, dense_corpus):
                     == product_of_subgroups(a, b), g.name
                 assert lat.nodes[lat.meet(i, j)].members \
                     == a.members & b.members, g.name
+            assert lat.join_row(i) == [lat.join(i, j)
+                                       for j in range(len(lat))], g.name
 
 
 def test_join_meet_examples():
@@ -257,6 +260,15 @@ def test_lattice_cached_by_ambient_alone():
     lat = normal_subgroups(g)
     g.node_cap = 1  # a lattice already built is returned as it is
     assert normal_subgroups(g) is lat
+
+
+def test_cached_lattice_reads_the_built_lattice():
+    g = direct_product(named.quaternion8(), named.cyclic(2))
+    assert cached_lattice(g.whole()) is None
+    lat = normal_subgroups(g)
+    assert cached_lattice(g.whole()) is lat
+    assert cached_lattice(lat.nodes[1]) is None  # keyed by the ambient
+    assert normal_subgroups(lat.nodes[1]) is cached_lattice(lat.nodes[1])
 
 
 def test_sublattice_of_subgroup():
