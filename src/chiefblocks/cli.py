@@ -129,7 +129,11 @@ def _validate_spec(raw, path: str) -> dict:
 
 
 def resolve_element(g: FiniteGroup, item, path: str = "element") -> int:
-    """An element id (int) or a word in group generators (list of indices)."""
+    """An element id (int) or a word in group generators (list of indices).
+
+    A word indexes ``g.generators``, the distinct non-identity generators,
+    not the spec's list: perm generators ``[[], [[0,1]]]`` give one.
+    """
     if _is_id(item):
         if not 0 <= item < g.order:
             raise ParseError(f"{path}: element id {item} out of range")

@@ -41,7 +41,6 @@ from .group import (
     conjugate_members,
     group_from_permutations,
     is_normal_in,
-    normal_closure,
 )
 from .lattice import normal_subgroups
 from .products import classify_factorization
@@ -83,9 +82,10 @@ def block_action(ambient, h: Subgroup, elem: int,
 def extend_block(ambient, h: Subgroup, a: ChiefBlock) -> ChiefBlock:
     """The unique block of the ambient extending a minimally covered block.
 
-    M is the ambient normal closure of the minimal cover of a in H; N
-    intersects M with every ambient conjugate of the centralizer of a in H.
-    M/N is the lowermost representative of the extension.  The defining
+    M, the ambient normal closure of the minimal cover of a in H, is the
+    least node of the ambient's lattice holding it.  N is M met with the
+    core of the centralizer of a in H, which is the join of the nodes inside
+    it.  M/N is the lowermost representative of the extension.  The defining
     covers-iff property is then verified over the whole normal lattice of
     the ambient; InternalCheckError is raised if it does not hold.
     """
@@ -93,23 +93,20 @@ def extend_block(ambient, h: Subgroup, a: ChiefBlock) -> ChiefBlock:
     _require_normal_sub(amb, h)
     if a.ambient.members != h.members:
         raise DifferentParents("block does not belong to the given subgroup")
-    h_a = minimal_cover(h, a)
-    m = normal_closure(amb, h_a.gens)
-    n_members = m.members
-    for cmem in _conjugate_orbit(amb, a.centralizer.members):
-        n_members &= cmem
+    h_a, c = minimal_cover(h, a).members, a.centralizer.members
     lat = normal_subgroups(amb)
-    m_node = lat.node_with_members(m.members)
-    n_node = lat.node_with_members(n_members)
+    m = lat.meet(*(i for i, k in enumerate(lat.nodes) if h_a <= k.members))
+    core = lat.join(*(i for i, k in enumerate(lat.nodes) if k.members <= c))
+    m_node, n_node = lat.nodes[m], lat.nodes[lat.meet(m, core)]
     factor = make_factor(amb, m_node, n_node)
-    if not lat.is_cover(n_members, m.members):
+    if not lat.is_cover(n_node.members, m_node.members):
         raise InternalCheckError("extension factor is not chief")
     if is_abelian_factor(factor):
         raise InternalCheckError("extension factor came out abelian")
     out = chief_blocks(amb).by_centralizer(
         factor_centralizer(factor).members)
     low = lowermost_representative(amb, out)
-    if low.k.members != m.members or low.l.members != n_members:
+    if low.k != m_node or low.l != n_node:
         raise InternalCheckError(
             "extension factor is not the lowermost representative")
     if not _is_extension_checked(amb, h, a, out):

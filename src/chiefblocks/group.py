@@ -20,11 +20,9 @@ Conjugation reads one right column and the inverse list
 
 A subgroup normal in an ambient is a union of the ambient's conjugacy
 classes.  ``conjugacy_classes`` caches, beside the classes, the class index
-of every ambient element (``class_index``).  ``class_closure`` grows
-N*ncl(x), for one element x and a normal subgroup N of the ambient (the
-trivial one by default), as a union of classes, reading only the column of
-x; the normal lattice builds every node with it.
-``factor_centralizer_members`` tests one element per class.
+of every ambient element (``class_index``); the normal lattice builds its
+nodes as sets of classes.  ``factor_centralizer_members`` tests one element
+per class.
 
 Groups and subgroups are not immutable.  ``is_normal_in`` records a verified
 normality verdict in ``Subgroup.is_normal``, a subgroup's generators are
@@ -949,50 +947,17 @@ def class_index(ambient) -> Sequence[int] | dict[int, int]:
     return cached
 
 
-def class_closure(ambient, x: int, start: Iterable[int] = (0,),
-                  memo: dict | None = None) -> frozenset:
-    """Members of N*ncl(x), with ncl(x) the normal closure of x in the ambient.
-
-    N, the ``start`` ({1} by default), must be normal in the ambient: then
-    it is a union of classes, and so is the set S grown from it, in which
-    each new element d adds the whole class of dx.  S contains N, Sx lies
-    in S, and S^h = S, so S x^h = (Sx)^h lies in S for every conjugate x^h
-    and S contains N*ncl(x); every class added lies in that normal
-    subgroup.  Were N not normal, S^h = S, the step from x to its
-    conjugates, could fail.  The walk makes one product by x per member,
-    read from the column of x; calls that share ``memo`` build it once.
-    """
-    amb = ambient_subgroup(ambient)
-    g = amb.parent
-    classes, index = conjugacy_classes(amb), class_index(amb)
-    memo = {} if memo is None else memo
-    members = set(start)
-    frontier = list(members)
-    col = None
-    while frontier:
-        if col is None or isinstance(col, _Products):
-            col = _right_column(g, x, len(frontier), memo)
-        nxt: list[int] = []
-        for d in frontier:
-            y = col[d]
-            if y not in members:
-                cls = classes[index[y]]
-                members.update(cls)
-                nxt.extend(cls)
-        frontier = nxt
-    return frozenset(members)
-
-
 def commutator_subgroup(g: FiniteGroup, a: Subgroup, b: Subgroup) -> Subgroup:
     """Subgroup generated by all commutators [x, y], x in A, y in B.
 
     [A, B] is normal in <A, B> and is the normal closure there of the
-    commutators of generators of A with generators of B.
+    commutators of generators of A with generators of B.  When B lies in
+    A, as for the derived subgroup, <A, B> is A and needs no closure.
     """
     if a.parent is not g or b.parent is not g:
         raise DifferentParents("operands live in different groups")
-    span = Subgroup(g, close_under_mul(g, list(a.gens) + list(b.gens)),
-                    list(a.gens) + list(b.gens))
+    span = (a if b.members <= a.members
+            else subgroup_generated(g, [*a.gens, *b.gens]))
     seed = sorted({g.comm(x, y) for x in a.gens for y in b.gens})
     return Subgroup(g, normal_closure(span, seed).members)
 

@@ -4,8 +4,9 @@ Every operation takes either a FiniteGroup or a Subgroup as its ambient; in
 the latter case "normal" means normal in that subgroup, which is what the
 block-extension machinery needs.  ``normal_subgroups`` builds the lattice
 of an ambient once, by a breadth-first search of upper covers from the
-trivial subgroup, and caches it per ambient.  Every node, atom or product,
-is a union of conjugacy classes grown by the one walk ``class_closure``.
+trivial subgroup, and caches it per ambient.  The search runs in class
+space: a node is a bitset over the ambient's conjugacy classes, and a
+product N*ncl(x) is the closure of N's classes under the class row of x.
 Every layer reads the lattice from the cache and asks ``NormalLattice``
 whether L < K is a cover (no normal subgroup strictly between) and for
 joins and meets, by node index.
@@ -13,6 +14,8 @@ joins and meets, by node index.
 
 from __future__ import annotations
 
+from itertools import accumulate, repeat
+from math import gcd
 from typing import Iterator
 
 from .errors import (
@@ -23,8 +26,9 @@ from .errors import (
 )
 from .group import (
     Subgroup,
+    _right_column,
     ambient_subgroup,
-    class_closure,
+    class_index,
     conjugacy_classes,
     is_normal_in,
 )
@@ -129,17 +133,18 @@ def cached_lattice(amb: Subgroup, built=None) -> NormalLattice | None:
 def normal_subgroups(ambient) -> NormalLattice:
     """The normal lattice of the ambient, by a breadth-first search of covers.
 
-    Every node is grown by one walk, ``class_closure``, as a union of
-    conjugacy classes.  The atoms are the normal closures ncl(x) of the
-    class representatives x; one representative is kept per distinct atom.
-    Starting from the trivial subgroup, the upper covers of a node N are
-    the minimal members of {N*ncl(x) : x a kept representative outside N},
-    and N*ncl(x) is the same walk started from N's members instead of {1}.
-    This is complete: a cover M of N equals N*ncl(x) for any x in M outside
-    N, and a minimal product has no normal subgroup strictly between it and
-    N.  So one search yields every node and every Hasse edge.  The products
-    share one column memo, so each representative's column is built at most
-    once for all of them.
+    Nodes are bitsets over the conjugacy classes C_i.  The class row R_x
+    of a representative x maps i to the classes that C_i*x meets, each
+    entry read from the column of x when first needed.  A union of classes
+    S with S*x in S has S*x^h = (S*x)^h in S for every h; N*ncl(x) is such
+    an S for N normal, and every such S holding N holds N*ncl(x), so that
+    is the closure of N's classes under i -> R_x[i].  The atoms ncl(x)
+    close the identity's class, one representative kept per distinct atom;
+    x^k, k prime to the order of x, generates <x> and has the same atom.
+    The upper covers of a node N are the minimal N*ncl(x), x outside N: a
+    cover M of N is N*ncl(x) for any x in M - N, and a minimal product has
+    no normal subgroup strictly between it and N.  So one search from the
+    trivial subgroup finds every node and every edge.
 
     The lattice is cached per ambient.  The ``node_cap`` of the ambient's
     parent group bounds a build, which raises NodeCapExceeded as soon as the
@@ -150,37 +155,66 @@ def normal_subgroups(ambient) -> NormalLattice:
     if (cached := cached_lattice(amb)) is not None:
         return cached
 
-    normal = True if amb.order == g.order else None
-    atoms: dict[frozenset, int] = {}  # ncl(x) -> its first representative x
-    for cls in conjugacy_classes(amb)[1:]:
-        atoms.setdefault(class_closure(amb, cls[0]), cls[0])
+    classes, index = conjugacy_classes(amb), class_index(amb)
+    rows: dict[int, tuple] = {}  # x -> (R_x, 0 where unread; column of x)
 
-    trivial = Subgroup(g, frozenset((0,)), [], True)
-    nodes = {trivial.members: trivial}
-    up: dict[frozenset, list[Subgroup]] = {}
-    queue = [trivial]
-    memo: dict = {}
+    def closure(s: int, x: int) -> int:
+        if x not in rows:
+            rows[x] = [0] * len(classes), _right_column(g, x, amb.order, {})
+        row, col = rows[x]
+        fresh = s
+        while fresh:
+            reach = 0
+            for i in _bits(fresh):
+                if not row[i]:
+                    row[i] = sum({1 << index[col[c]] for c in classes[i]})
+                reach |= row[i]
+            fresh = reach & ~s
+            s |= fresh
+        return s
+
+    atoms: dict[int, int] = {}  # ncl(x) -> its first representative x
+    done: set[int] = set()  # classes of the x^k with the atom of an x
+    for x in [cls[0] for cls in classes[1:]]:
+        if index[x] not in done:
+            o = g.element_order(x)  # x^k generates <x> when k is prime to o
+            done.update(index[p] for k, p in enumerate(
+                accumulate(repeat(x, o), g.mul), 1) if gcd(k, o) == 1)
+            if atoms.setdefault(closure(1, x), x) != x:  # a repeated atom
+                del rows[x]
+
+    up: dict[int, list[int]] = {}
+    queue, seen = [1], {1}  # from the trivial subgroup
     for n in queue:  # the queue grows while it is walked: breadth first
-        covers: list[frozenset] = []  # the minimal products so far
+        covers: list[int] = []  # the minimal products so far
         for x in atoms.values():
-            if x in n.members:  # then ncl(x) lies in N
-                continue
-            m = class_closure(amb, x, n.members, memo)
-            if not any(c <= m for c in covers):
-                covers = [c for c in covers if not m < c] + [m]
+            if not n >> index[x] & 1:  # else ncl(x) lies in N
+                m = closure(n, x)
+                if all(c & ~m for c in covers):
+                    covers = [c for c in covers if m & ~c] + [m]
+        up[n] = covers
         for m in covers:
-            if m in nodes:
-                continue
-            if len(nodes) >= g.node_cap:
-                raise NodeCapExceeded(
-                    f"normal lattice exceeded node cap {g.node_cap}")
-            nodes[m] = Subgroup(g, m, None, normal)
-            queue.append(nodes[m])
-        up[n.members] = [nodes[m] for m in covers]
+            if m not in seen:
+                if len(seen) >= g.node_cap:
+                    raise NodeCapExceeded(
+                        f"normal lattice exceeded node cap {g.node_cap}")
+                seen.add(m)
+                queue.append(m)
 
+    normal = True if amb.order == g.order else None
+    nodes = {n: Subgroup(g, frozenset(x for i in _bits(n) for x in classes[i]),
+                         None, normal) for n in queue}
     ordered = sorted(nodes.values(),
                      key=lambda s: (s.order, s.sorted_members()))
-    return cached_lattice(amb, NormalLattice(amb, ordered, up))
+    return cached_lattice(amb, NormalLattice(amb, ordered, {
+        nodes[n].members: [nodes[m] for m in ms] for n, ms in up.items()}))
+
+
+def _bits(n: int) -> Iterator[int]:
+    """The indices of the set bits of n, lowest first."""
+    while n:
+        yield (n & -n).bit_length() - 1
+        n &= n - 1
 
 
 def is_chief_factor(ambient, k: Subgroup, l: Subgroup) -> bool:

@@ -22,7 +22,6 @@ from .group import (
     derived_subgroup,
     is_normal_in,
     is_perfect,
-    normal_closure,
     quotient,
 )
 from .lattice import normal_subgroups
@@ -75,8 +74,8 @@ def components(ambient) -> list[Subgroup]:
         for m in normal_subgroups(n).nodes:
             if m.order == 1:
                 continue
-            closure = normal_closure(amb, m.gens)
-            if closure.members != n.members:
+            if any(not n.members <= k.members  # N is not ncl(M)
+                   for k in lat.nodes if m.members <= k.members):
                 continue
             zm = center(m).members
             # condition (b): M/Z(M) non-abelian

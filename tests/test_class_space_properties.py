@@ -1,9 +1,11 @@
 """Class space against element sweeps on random permutation groups.
 
 Generated groups have degree at most 6, so orders run up to 720 and both
-the tabled and the untabled (S6) paths are exercised.  Class closures are
-checked from the trivial start and from every lattice node; association
-edges and abelian chief factors against the pairwise and commutator tests.
+the tabled and the untabled (S6) paths are exercised.  The class-space
+lattice is checked at its atoms (each against ``normal_closure``) and at
+every node joined with an atom (against the coset-sweep product);
+association edges and abelian chief factors against the pairwise and
+commutator tests.
 """
 
 import pytest
@@ -18,10 +20,8 @@ from chiefblocks.factors import (  # noqa: E402
     is_abelian_factor,
 )
 from chiefblocks.group import (  # noqa: E402
-    Subgroup,
     center,
     centralizer_subgroup,
-    class_closure,
     conjugacy_classes,
     group_from_permutations,
     normal_closure,
@@ -46,15 +46,17 @@ def test_class_space_matches_sweeps(gens):
     g = group_from_permutations(gens)
     assert conjugacy_classes(g) == classes_by_mul(g)
     assert center(g).members == centralizer_by_mul(g, g.generators)
+    lat = normal_subgroups(g)
     for cls in conjugacy_classes(g):
-        assert class_closure(g, cls[0]) \
-            == normal_closure(g, [cls[0]]).members
         assert centralizer_subgroup(g, [cls[0]]).members \
             == centralizer_by_mul(g, [cls[0]])
-        atom = Subgroup(g, normal_closure(g, [cls[0]]).members)
-        for n in normal_subgroups(g).nodes:
-            assert class_closure(g, cls[0], n.members) \
-                == product_of_subgroups(n, atom)
+        # the atom ncl(x): the least node holding x, and a join operand
+        a = lat.meet(*(i for i, n in enumerate(lat.nodes)
+                       if cls[0] in n.members))
+        assert lat.nodes[a].members == normal_closure(g, [cls[0]]).members
+        for i, n in enumerate(lat.nodes):
+            assert lat.nodes[lat.join(i, a)].members \
+                == product_of_subgroups(n, lat.nodes[a])
     for f in chief_factors(g):
         assert factor_centralizer(f).members \
             == factor_centralizer_by_sweep(g, f.k.gens, f.l.members)

@@ -205,6 +205,25 @@ def test_cli_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_generator_words_index_distinct_nonidentity_generators(tmp_path,
+                                                               capsys):
+    """Words index ``FiniteGroup.generators``, not the spec's list.
+
+    The spec lists three generators, but the identity is dropped, so the
+    group has two: index 1 is the transposition and index 2 is out of range.
+    """
+    perm = {"kind": "perm", "points": 4,
+            "generators": [[], [[0, 1, 2, 3]], [[0, 1]]]}
+    g = build_group(parse_spec(json.dumps(perm)))
+    assert g.permutation_of(resolve_element(g, [1])) == (1, 0, 2, 3)
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(json.dumps(
+        {"kind": "quotient", "group": perm, "kernel": [[2]]}))
+    assert run(["analyze", "--spec", str(spec_file)]) == 2
+    assert capsys.readouterr().err \
+        == "error: kernel: generator index 2 out of range\n"
+
+
 @pytest.mark.parametrize("spec, code", [
     (V4_SPEC, 0), ('{"kind":"named","name":"C20000"}', 3)])
 def test_python_m_cli_runs_main(spec, code, tmp_path, capsys):

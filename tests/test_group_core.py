@@ -23,7 +23,6 @@ from chiefblocks.group import (
     PermGroup,
     center,
     centralizer_subgroup,
-    class_closure,
     class_index,
     close_under_mul,
     commutator_subgroup,
@@ -449,6 +448,10 @@ def test_closures_classes_and_centralizers_match_mul_oracles(corpus,
               (wr, a4, 1)]
     for g, amb, seeds in cases:
         assert conjugacy_classes(amb) == classes_by_mul(amb)
+        index = class_index(amb)
+        assert len(index) == amb.order
+        for i, cls in enumerate(conjugacy_classes(amb)):
+            assert all(index[x] == i for x in cls)
         for _ in range(seeds):
             seed = rng.sample(sorted(amb.members), 2)
             assert close_under_mul(g, seed) == closure_by_mul(g, seed)
@@ -456,25 +459,6 @@ def test_closures_classes_and_centralizers_match_mul_oracles(corpus,
                 == normal_closure_by_mul(amb, seed)
             assert centralizer_subgroup(amb, seed).members \
                 == centralizer_by_mul(amb, seed)
-
-
-def test_class_closure_is_normal_closure(corpus, small_corpus):
-    """ncl(x) grown by classes equals ``normal_closure`` for every class.
-
-    Ambients: the small corpus, A5wrC2 (untabled), its base of order 3,600
-    and an A5 of order 60 in it, whose closures are too small for columns.
-    """
-    wr = corpus["A5wrC2"]
-    a5 = normal_closure(wr.base_part, [wr.embed_base(wr.base.embed_left(1))])
-    ambients = [g.whole() for g in small_corpus.values()]
-    ambients += [wr.whole(), wr.base_part, a5]
-    for amb in ambients:
-        index = class_index(amb)
-        for i, cls in enumerate(conjugacy_classes(amb)):
-            assert all(index[x] == i for x in cls)
-            assert class_closure(amb, cls[0]) \
-                == normal_closure(amb, [cls[0]]).members, (amb, cls[0])
-        assert len(index) == amb.order
 
 
 def test_cayley_table_reads_generator_columns(monkeypatch):
@@ -515,13 +499,9 @@ def test_columns_kept_across_levels(monkeypatch):
 
     for g, asks in ((named.cyclic(256), 1), (named.cyclic(1024), 16)):
         gen = g.generators[0]
-        conjugacy_classes(g)
         monkeypatch.setattr(group_module, "_right_column", counted)
         calls = 0
         assert len(close_under_mul(g, [gen])) == g.order
-        assert calls == asks
-        calls = 0
-        assert len(class_closure(g, gen)) == g.order
         assert calls == asks
         calls = 0
         Homomorphism(g, g, list(range(g.order))).validate()

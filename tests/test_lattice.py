@@ -11,8 +11,6 @@ from chiefblocks.errors import (
     NotNested,
 )
 from chiefblocks.group import (
-    Subgroup,
-    class_closure,
     conjugacy_classes,
     direct_product,
     is_normal_in,
@@ -73,32 +71,48 @@ def test_lattice_matches_join_closure(corpus):
         assert computed == normal_subgroups_join_closure(g), g.name
 
 
-def _atom_representatives(g) -> dict:
-    """ncl(x) -> x for the first class representative x of each atom."""
-    reps: dict = {}
-    for cls in conjugacy_classes(g)[1:]:
-        reps.setdefault(class_closure(g, cls[0]), cls[0])
-    return reps
+def _least_node_over(lat: NormalLattice, x: int) -> int:
+    """Index of the least lattice node holding x, by the lattice order."""
+    return lat.meet(*(i for i, n in enumerate(lat.nodes) if x in n.members))
 
 
-def test_class_closure_from_node_is_product(small_corpus, dense_corpus):
-    """N*ncl(x) grown from N equals the coset-sweep product, for every
-    lattice node N and atom representative x."""
-    for g in list(small_corpus.values()) + list(dense_corpus.values()):
-        for x in _atom_representatives(g).values():
-            atom = Subgroup(g, normal_closure(g, [x]).members)
-            for n in normal_subgroups(g).nodes:
-                assert class_closure(g, x, n.members) \
-                    == product_of_subgroups(n, atom), (g.name, x)
+def test_least_node_over_a_class_is_its_normal_closure(corpus, dense_corpus):
+    """ncl(x) is the least node holding x, for every class representative.
+
+    Ambients: the corpus, the dense corpus, and in A5wrC2 (untabled) its
+    base of order 3,600 and an A5 of order 60, whose classes are too small
+    to pay for columns.
+    """
+    wr = corpus["A5wrC2"]
+    a5 = normal_closure(wr.base_part, [wr.embed_base(wr.base.embed_left(1))])
+    ambients = [g.whole() for g in [*corpus.values(), *dense_corpus.values()]]
+    for amb in [*ambients, wr.base_part, a5]:
+        lat = normal_subgroups(amb)
+        for cls in conjugacy_classes(amb):
+            assert lat.nodes[_least_node_over(lat, cls[0])].members \
+                == normal_closure(amb, [cls[0]]).members, (amb, cls[0])
 
 
-def test_lattice_products_build_each_column_once():
-    """Node x atom products share one memo: one column per representative.
+def test_join_with_an_atom_is_product(corpus, dense_corpus):
+    """``lat.join`` of a node N and an atom ncl(x) is the product N*ncl(x)
+    of the coset-sweep oracle, for every node and class representative x."""
+    for g in [*corpus.values(), *dense_corpus.values()]:
+        lat = normal_subgroups(g)
+        atoms = {_least_node_over(lat, cls[0])
+                 for cls in conjugacy_classes(g)}
+        for i, n in enumerate(lat.nodes):
+            for a in atoms:
+                assert lat.nodes[lat.join(i, a)].members \
+                    == product_of_subgroups(n, lat.nodes[a]), (g.name, i, a)
+
+
+def test_lattice_builds_each_column_once():
+    """A class row reads its representative's column, built at most once.
 
     A5xC2^4 (order 960) is untabled.  Its classes are computed first, so
-    every column counted here is built by ``normal_subgroups``: at most one
-    per class representative for its atom, and at most one more per atom
-    representative for all the products together.
+    every column counted here is built by ``normal_subgroups``: only for
+    class representatives, and at most once each, atoms and products
+    together.
     """
     c2 = named.cyclic(2)
     g = named.alternating(5)
@@ -115,11 +129,8 @@ def test_lattice_products_build_each_column_once():
     g._rcol_impl = counted
     assert len(normal_subgroups(g)) == 134
     del g._rcol_impl
-    atom_reps = set(_atom_representatives(g).values())
-    assert len(atom_reps) == 31
-    assert set(calls) <= set(reps)
-    assert all(n <= 1 + (s in atom_reps) for s, n in calls.items()), calls
-    assert any(calls[s] == 2 for s in atom_reps)
+    assert calls and set(calls) <= set(reps)
+    assert max(calls.values()) == 1, calls
 
 
 def test_lattice_node_orders():
