@@ -10,8 +10,10 @@ Pair i of a workload runs both sides with seed i (1-based), and the side
 that goes first alternates from pair to pair, so drift of the machine's
 speed falls on both sides alike.  For every end-to-end metric of BENCHMARK.json
 the output gives each side's median and quartiles over the pairs, the
-change's median over the parent's, and in how many pairs the working tree
-was strictly better.  Every run's metric line is kept as well.
+change's median over the parent's, in how many pairs the working tree
+was strictly better, and whether the change's median is worse than the
+parent's by more than the metric's bound (``regressed``, tagged REGRESSED
+in the printed table).  Every run's metric line is kept as well.
 """
 
 from __future__ import annotations
@@ -65,21 +67,27 @@ def spread(values: list[float]) -> dict:
 
 
 def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
-    """Per metric: both sides' median and quartiles, ratio and win count."""
+    """Per metric: both sides' median and quartiles, ratio and win count.
+
+    ``regressed`` is true when the change's median is worse than the
+    parent's by more than the relative bound: above parent * (1 + bound)
+    for a lower-is-better metric, below parent * (1 - bound) otherwise.
+    """
     out = {}
     for m in end_to_end:
-        name, lower = m["name"], m["better"] == "lower"
+        name, lower, bound = m["name"], m["better"] == "lower", m["bound"]
         parent = [r["parent"]["metrics"][name] for r in runs]
         change = [r["change"]["metrics"][name] for r in runs]
         wins = sum((c < p) if lower else (c > p)
                    for p, c in zip(parent, change))
-        med_p = statistics.median(parent)
+        med_p, med_c = statistics.median(parent), statistics.median(change)
         out[name] = {
-            "unit": m["unit"], "better": m["better"], "bound": m["bound"],
+            "unit": m["unit"], "better": m["better"], "bound": bound,
             "parent": spread(parent), "change": spread(change),
-            "change_over_parent": (statistics.median(change) / med_p
-                                   if med_p else None),
+            "change_over_parent": med_c / med_p if med_p else None,
             "change_wins": wins, "pairs": len(runs),
+            "regressed": (med_c > med_p * (1 + bound) if lower
+                          else med_c < med_p * (1 - bound)),
         }
     return out
 
@@ -158,7 +166,8 @@ def main(argv=None) -> int:
             print(f"{workload:11s} {name:13s} parent "
                   f"{m['parent']['median']:10.4f} change "
                   f"{m['change']['median']:10.4f} wins "
-                  f"{m['change_wins']}/{m['pairs']}")
+                  f"{m['change_wins']}/{m['pairs']}"
+                  + (" REGRESSED" if m["regressed"] else ""))
     return 0
 
 

@@ -44,11 +44,10 @@ from .group import (
     Subgroup,
     center,
     is_normal_in,
-    is_perfect,
     subgroup_generated,
     verify_group_axioms,
 )
-from .lattice import normal_subgroups
+from .lattice import is_perfect, normal_subgroups
 from .products import classify_factorization, diagonal_map
 from .semisimple import component_report
 
@@ -241,10 +240,12 @@ def analyze(spec: dict, options: Optional[AnalyzeOptions] = None
     ``verify_group_axioms`` then checks identity and inverses exhaustively
     and compares the table with the construction's product on every pair
     up to order 89 and on seeded random triples above that.  A larger group
-    is checked for associativity on seeded random triples.  ``node_cap`` becomes the group's cap, so it bounds every
-    normal lattice the analysis builds, and the association stage refuses
-    more than ``factors.ASSOCIATION_PAIR_CAP`` pair tests.  Subgroups in the
-    options are resolved and checked normal before any lattice is built.
+    is checked for associativity on seeded random triples.  ``node_cap``
+    becomes the group's cap, so it bounds every normal lattice the analysis
+    builds, and the association stage refuses more than
+    ``factors.ASSOCIATION_PAIR_CAP`` pair tests.  Subgroups in the options
+    are resolved and checked normal before any lattice is built.  The
+    lattice comes before the summary, which reads ``perfect`` from its top.
     """
     opts = options or AnalyzeOptions()
     g = build_group(spec, opts.element_cap)
@@ -260,6 +261,7 @@ def analyze(spec: dict, options: Optional[AnalyzeOptions] = None
         h = resolve_subgroup(g, opts.extend_normal, "extend-normal")
         if not is_normal_in(h, g.whole()):
             raise SpecError("--extend-normal subgroup must be normal")
+    lat = normal_subgroups(g)
     rep = AnalysisReport()
     out = rep.lines
     out.append(f"schema: {SCHEMA_VERSION}")
@@ -269,10 +271,9 @@ def analyze(spec: dict, options: Optional[AnalyzeOptions] = None
     out.append(f"  order: {g.order}")
     out.append(f"  center_order: {center(g).order}")
     out.append(f"  abelian: {g.is_abelian}")
-    out.append(f"  perfect: {is_perfect(g)}")
+    out.append(f"  perfect: {is_perfect(lat, len(lat) - 1)}")
     out.append(f"  provenance: {g.provenance}")
 
-    lat = normal_subgroups(g)
     out.append("normal_lattice:")
     out.append(f"  node_count: {len(lat)}")
     for i, node in enumerate(lat.nodes):

@@ -24,7 +24,7 @@ from .group import (
     subgroup_as_group,
 )
 from .lattice import (NormalLattice, cached_lattice, chief_factors,
-                      normal_subgroups)
+                      is_prime_power, normal_subgroups)
 
 # Most pairs F(F-1)/2 of F chief factors ``association_graph`` takes.  Its
 # push-up over N nodes (N - 1 <= F) makes F*N <= F(F+1) steps: A5xC2^5's
@@ -129,8 +129,7 @@ def is_abelian_factor(f: NormalFactor) -> bool:
     """
     lat = cached_lattice(f.ambient)
     if lat is not None and lat.is_cover(f.l.members, f.k.members):
-        n = f.order  # a power of its least prime p iff n divides p^n
-        return pow(next(d for d in range(2, n + 1) if n % d == 0), n, n) == 0
+        return is_prime_power(f.order)
     g = f.ambient.parent
     return all(g.comm(a, b) in f.l.members
                for a in f.k.gens for b in f.k.gens)

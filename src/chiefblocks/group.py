@@ -20,14 +20,16 @@ Conjugation reads one right column and the inverse list
 
 A subgroup normal in an ambient is a union of the ambient's conjugacy
 classes.  ``conjugacy_classes`` caches, beside the classes, the class index
-of every ambient element (``class_index``); the normal lattice builds its
-nodes as sets of classes.  ``factor_centralizer_members`` tests one element
-per class.
+of every ambient element (``class_index``).  ``class_closure`` takes a
+normal subgroup N, as a bitset over the classes, to N*ncl(x); the normal
+lattice and ``normal_closure`` are built with it.  The center is the union
+of the one-element classes, and ``factor_centralizer_members`` tests one
+element per class.
 
 Groups and subgroups are not immutable.  ``is_normal_in`` records a verified
 normality verdict in ``Subgroup.is_normal``, a subgroup's generators are
 computed on first use, and every analysis memoizes its results (lattices,
-classes, centers, factor groups, blocks, components) in the unbounded
+classes, factor groups, blocks, components) in the unbounded
 ``FiniteGroup._cache`` dict.  Share a group between threads only with outside
 locking.
 """
@@ -36,7 +38,7 @@ from __future__ import annotations
 
 import itertools
 from array import array
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from . import perm as _perm
 from .errors import (
@@ -46,6 +48,7 @@ from .errors import (
     DifferentParents,
     HomomorphismError,
     InternalCheckError,
+    NotNested,
     NotNormal,
 )
 
@@ -782,27 +785,23 @@ def generating_ids(g: FiniteGroup, members: frozenset) -> tuple:
 def normal_closure(ambient, seed: Iterable[int]) -> Subgroup:
     """Smallest subgroup containing the seed that is normal in the ambient.
 
-    The ambient may be a FiniteGroup or a Subgroup.  Generator conjugates are
-    folded in until the closure is conjugation-stable; each fold at least
-    doubles the subgroup, so few passes are needed.
+    The ambient may be a FiniteGroup or a Subgroup.  From the identity's
+    class, each seed element x outside the closure so far takes its class
+    bitset N to N*ncl(x) (``class_closure``).  A seed element outside the
+    ambient raises NotNested.
     """
     amb = ambient_subgroup(ambient)
     g = amb.parent
-    gens = _dedup_nonidentity(seed)
-    memo: dict = {}
-    members = close_under_mul(g, gens, memo=memo)
-    amb_gens = amb.gens
-    i = 0
-    while i < len(gens):
-        s = gens[i]
-        i += 1
-        for h in amb_gens:
-            c = g.conj(h, s)
-            if c not in members:
-                members = close_under_mul(g, [c], members, gens, memo)
-                gens.append(c)
-    return Subgroup(g, members, gens,
-                    True if len(amb.members) == g.order else None)
+    seed = list(seed)
+    if not amb.members.issuperset(seed):
+        raise NotNested("normal closure needs a seed inside the ambient")
+    classes, index = _class_space(amb)
+    s, rows = 1, {}
+    for x in seed:
+        if not s >> index[x] & 1:
+            s = class_closure(amb, s, x, rows)
+    return Subgroup(g, frozenset(y for i in _bits(s) for y in classes[i]),
+                    None, True if len(amb.members) == g.order else None)
 
 
 def is_normal_in(s: Subgroup, ambient) -> bool:
@@ -842,17 +841,12 @@ def centralizer_subgroup(g_or_ambient, s: Iterable[int]) -> Subgroup:
 
 
 def center(ambient) -> Subgroup:
-    """Z of a FiniteGroup or a Subgroup, computed inside it and cached."""
+    """Z of a FiniteGroup or a Subgroup: its one-element conjugacy classes."""
     amb = ambient_subgroup(ambient)
     g = amb.parent
-    key = ("center", amb.members)
-    z = g._cache.get(key)
-    if z is None:
-        z = centralizer_subgroup(amb, amb.gens)
-        if len(amb.members) == g.order:
-            z.is_normal = True
-        g._cache[key] = z
-    return z
+    return Subgroup(g, frozenset(c[0] for c in conjugacy_classes(amb)
+                                 if len(c) == 1),
+                    None, True if len(amb.members) == g.order else None)
 
 
 def _iter_ambient(amb: Subgroup):
@@ -891,9 +885,22 @@ def conjugacy_classes(ambient) -> list[list[int]]:
     r the right column of h^-1 and inv the inverse list: r[x^-1] is
     x^-1 h^-1 = (hx)^-1, so the inner lookups give hx and the outer ones
     hxh^-1.  Classes are returned sorted by least member, so the identity's
-    singleton class always comes first.  The class index of every element
-    (``class_index``) is cached with them.
+    singleton class always comes first.
     """
+    return _class_space(ambient)[0]
+
+
+def class_index(ambient) -> Sequence[int] | dict[int, int]:
+    """x -> i with x in ``conjugacy_classes(ambient)[i]``, for x in the ambient.
+
+    A list over every element when the ambient is the whole group, else a
+    dict over the ambient's members; cached with the classes.
+    """
+    return _class_space(ambient)[1]
+
+
+def _class_space(ambient) -> tuple:
+    """The ambient's classes and class index, cached as one entry."""
     amb = ambient_subgroup(ambient)
     g = amb.parent
     key = ("classes", amb.members)
@@ -903,48 +910,59 @@ def conjugacy_classes(ambient) -> list[list[int]]:
     inv = g.inverses()
     cols = [_right_column(g, inv[h], 2 * len(amb.members), {})
             for h in amb.gens]
-    seen = set()
+    seen: set[int] = set()
     classes = []
-    for start in _iter_ambient(amb):
-        if start in seen:
-            continue
-        orbit = {start}
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for x in frontier:
+    for start in _iter_ambient(amb):  # rising, so a new orbit's least is start
+        if start not in seen:
+            orbit = [start]
+            seen.add(start)
+            for x in orbit:  # the orbit grows while it is walked
                 for r in cols:
-                    y = r[inv[r[inv[x]]]]
-                    if y not in orbit:
-                        orbit.add(y)
-                        nxt.append(y)
-            frontier = nxt
-        seen |= orbit
-        classes.append(sorted(orbit))
-    classes.sort(key=lambda c: c[0])
+                    if (y := r[inv[r[inv[x]]]]) not in seen:
+                        seen.add(y)
+                        orbit.append(y)
+            classes.append(sorted(orbit))
     index: list[int] | dict[int, int] = (
         [0] * g.order if len(amb.members) == g.order else {})
     for i, cls in enumerate(classes):
         for x in cls:
             index[x] = i
-    g._cache[key] = classes
-    g._cache[("class_index", amb.members)] = index
-    return classes
-
-
-def class_index(ambient) -> Sequence[int] | dict[int, int]:
-    """x -> i with x in ``conjugacy_classes(ambient)[i]``, for x in the ambient.
-
-    A list over every element when the ambient is the whole group, else a
-    dict over the ambient's members; cached with the classes.
-    """
-    amb = ambient_subgroup(ambient)
-    key = ("class_index", amb.members)
-    cached = amb.parent._cache.get(key)
-    if cached is None:
-        conjugacy_classes(amb)
-        cached = amb.parent._cache[key]
+    cached = g._cache[key] = classes, index
     return cached
+
+
+def class_closure(amb: Subgroup, s: int, x: int, rows: dict) -> int:
+    """The class bitset of N*ncl(x), for N normal in ``amb`` with bitset s.
+
+    Bit i is ``conjugacy_classes(amb)[i]``.  The class row R_x maps i to
+    the classes that C_i*x meets, each entry read from the column of x when
+    first needed; ``rows`` keeps R_x and the column for calls on amb.  A
+    union of classes S with S*x in S has S*x^h = (S*x)^h in S for every h;
+    N*ncl(x) is such an S, and every such S holding N holds N*ncl(x), so
+    that is the closure of N's classes under i -> R_x[i].
+    """
+    if x not in rows:
+        rows[x] = ([0] * len(conjugacy_classes(amb)),
+                   _right_column(amb.parent, x, amb.order, {}))
+    row, col = rows[x]
+    fresh = s
+    while fresh:
+        reach = 0
+        for i in _bits(fresh):
+            if not row[i]:
+                classes, index = _class_space(amb)
+                row[i] = sum({1 << index[col[c]] for c in classes[i]})
+            reach |= row[i]
+        fresh = reach & ~s
+        s |= fresh
+    return s
+
+
+def _bits(n: int) -> Iterator[int]:
+    """The indices of the set bits of n, lowest first."""
+    while n:
+        yield (n & -n).bit_length() - 1
+        n &= n - 1
 
 
 def commutator_subgroup(g: FiniteGroup, a: Subgroup, b: Subgroup) -> Subgroup:
@@ -959,26 +977,13 @@ def commutator_subgroup(g: FiniteGroup, a: Subgroup, b: Subgroup) -> Subgroup:
     span = (a if b.members <= a.members
             else subgroup_generated(g, [*a.gens, *b.gens]))
     seed = sorted({g.comm(x, y) for x in a.gens for y in b.gens})
-    return Subgroup(g, normal_closure(span, seed).members)
+    return normal_closure(span, seed)
 
 
 def derived_subgroup(ambient) -> Subgroup:
-    """[G, G] of a FiniteGroup or a Subgroup, cached."""
+    """[G, G] of a FiniteGroup or a Subgroup."""
     amb = ambient_subgroup(ambient)
-    g = amb.parent
-    key = ("derived", amb.members)
-    d = g._cache.get(key)
-    if d is None:
-        d = commutator_subgroup(g, amb, amb)
-        if len(amb.members) == g.order:
-            d.is_normal = True
-        g._cache[key] = d
-    return d
-
-
-def is_perfect(ambient) -> bool:
-    amb = ambient_subgroup(ambient)
-    return derived_subgroup(amb).order == amb.order
+    return commutator_subgroup(amb.parent, amb, amb)
 
 
 # ---------------------------------------------------------------------------

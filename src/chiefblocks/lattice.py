@@ -6,7 +6,8 @@ block-extension machinery needs.  ``normal_subgroups`` builds the lattice
 of an ambient once, by a breadth-first search of upper covers from the
 trivial subgroup, and caches it per ambient.  The search runs in class
 space: a node is a bitset over the ambient's conjugacy classes, and a
-product N*ncl(x) is the closure of N's classes under the class row of x.
+product N*ncl(x) is the closure of N's classes under the class row of x
+(``group.class_closure``).
 Every layer reads the lattice from the cache and asks ``NormalLattice``
 whether L < K is a cover (no normal subgroup strictly between) and for
 joins and meets, by node index.
@@ -26,8 +27,9 @@ from .errors import (
 )
 from .group import (
     Subgroup,
-    _right_column,
+    _bits,
     ambient_subgroup,
+    class_closure,
     class_index,
     conjugacy_classes,
     is_normal_in,
@@ -133,18 +135,15 @@ def cached_lattice(amb: Subgroup, built=None) -> NormalLattice | None:
 def normal_subgroups(ambient) -> NormalLattice:
     """The normal lattice of the ambient, by a breadth-first search of covers.
 
-    Nodes are bitsets over the conjugacy classes C_i.  The class row R_x
-    of a representative x maps i to the classes that C_i*x meets, each
-    entry read from the column of x when first needed.  A union of classes
-    S with S*x in S has S*x^h = (S*x)^h in S for every h; N*ncl(x) is such
-    an S for N normal, and every such S holding N holds N*ncl(x), so that
-    is the closure of N's classes under i -> R_x[i].  The atoms ncl(x)
-    close the identity's class, one representative kept per distinct atom;
-    x^k, k prime to the order of x, generates <x> and has the same atom.
-    The upper covers of a node N are the minimal N*ncl(x), x outside N: a
-    cover M of N is N*ncl(x) for any x in M - N, and a minimal product has
-    no normal subgroup strictly between it and N.  So one search from the
-    trivial subgroup finds every node and every edge.
+    Nodes are bitsets over the conjugacy classes, and a product N*ncl(x)
+    is a ``class_closure`` of N's bitset; one dict of class rows serves the
+    whole search.  The atoms ncl(x) close the identity's class, one
+    representative kept per distinct atom; x^k, k prime to the order of x,
+    generates <x> and has the same atom.  The upper covers of a node N are
+    the minimal N*ncl(x), x outside N: a cover M of N is N*ncl(x) for any x
+    in M - N, and a minimal product has no normal subgroup strictly between
+    it and N.  So one search from the trivial subgroup finds every node and
+    every edge.
 
     The lattice is cached per ambient.  The ``node_cap`` of the ambient's
     parent group bounds a build, which raises NodeCapExceeded as soon as the
@@ -156,23 +155,7 @@ def normal_subgroups(ambient) -> NormalLattice:
         return cached
 
     classes, index = conjugacy_classes(amb), class_index(amb)
-    rows: dict[int, tuple] = {}  # x -> (R_x, 0 where unread; column of x)
-
-    def closure(s: int, x: int) -> int:
-        if x not in rows:
-            rows[x] = [0] * len(classes), _right_column(g, x, amb.order, {})
-        row, col = rows[x]
-        fresh = s
-        while fresh:
-            reach = 0
-            for i in _bits(fresh):
-                if not row[i]:
-                    row[i] = sum({1 << index[col[c]] for c in classes[i]})
-                reach |= row[i]
-            fresh = reach & ~s
-            s |= fresh
-        return s
-
+    rows: dict = {}  # the class rows of ``class_closure``
     atoms: dict[int, int] = {}  # ncl(x) -> its first representative x
     done: set[int] = set()  # classes of the x^k with the atom of an x
     for x in [cls[0] for cls in classes[1:]]:
@@ -180,8 +163,8 @@ def normal_subgroups(ambient) -> NormalLattice:
             o = g.element_order(x)  # x^k generates <x> when k is prime to o
             done.update(index[p] for k, p in enumerate(
                 accumulate(repeat(x, o), g.mul), 1) if gcd(k, o) == 1)
-            if atoms.setdefault(closure(1, x), x) != x:  # a repeated atom
-                del rows[x]
+            if atoms.setdefault(class_closure(amb, 1, x, rows), x) != x:
+                del rows[x]  # a repeated atom
 
     up: dict[int, list[int]] = {}
     queue, seen = [1], {1}  # from the trivial subgroup
@@ -189,7 +172,7 @@ def normal_subgroups(ambient) -> NormalLattice:
         covers: list[int] = []  # the minimal products so far
         for x in atoms.values():
             if not n >> index[x] & 1:  # else ncl(x) lies in N
-                m = closure(n, x)
+                m = class_closure(amb, n, x, rows)
                 if all(c & ~m for c in covers):
                     covers = [c for c in covers if m & ~c] + [m]
         up[n] = covers
@@ -210,11 +193,25 @@ def normal_subgroups(ambient) -> NormalLattice:
         nodes[n].members: [nodes[m] for m in ms] for n, ms in up.items()}))
 
 
-def _bits(n: int) -> Iterator[int]:
-    """The indices of the set bits of n, lowest first."""
-    while n:
-        yield (n & -n).bit_length() - 1
-        n &= n - 1
+def is_prime_power(n: int) -> bool:
+    """True iff n is p^k for a prime p and k >= 1."""
+    # n > 1 is a power of its least prime p iff n divides p^n
+    return n > 1 and pow(next(d for d in range(2, n + 1) if n % d == 0),
+                         n, n) == 0
+
+
+def is_perfect(lat: NormalLattice, i: int) -> bool:
+    """True iff node i, N, equals its derived subgroup [N, N].
+
+    A lower cover K of N makes N/K a chief factor T^k, T simple, which is
+    abelian iff |N:K| is a prime power (Burnside's p^a q^b theorem).  Such
+    a K holds [N, N].  Conversely, [N, N] is characteristic in N, so it is
+    a node; if it is below N, some lower cover K of N holds it and N/K is
+    abelian.  So N is perfect iff no lower cover has prime-power index.
+    """
+    order = lat.nodes[i].order
+    return not any(is_prime_power(order // lat.nodes[k].order)
+                   for k in lat._down[i])
 
 
 def is_chief_factor(ambient, k: Subgroup, l: Subgroup) -> bool:

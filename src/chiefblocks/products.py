@@ -309,10 +309,11 @@ def compression_semidirect(psi: Homomorphism,
     """Factor psi: G -> H through the equivariant semidirect product.
 
     Builds P = G x| O for the conjugation action pulled back through psi,
-    given by one table per generator of O, where O defaults to all of H.  pi(g, o) = psi(g) o maps P onto the span
-    of psi(G) and O with kernel {(g^-1, psi(g)) : psi(g) in O}; iota embeds G
-    with psi = pi o iota.  All stated kernel and intersection facts are
-    verified on the constructed group.
+    given by one table per generator of O, where O defaults to all of H.
+    pi(g, o) = psi(g) o maps P onto the span of psi(G) and O with kernel
+    {(g^-1, psi(g)) : psi(g) in O}; iota embeds G with psi = pi o iota.
+    All stated kernel and intersection facts are verified on the
+    constructed group.
     """
     g_grp, h_grp = psi.source, psi.target
     if not psi.is_injective:

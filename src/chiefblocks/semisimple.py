@@ -19,12 +19,10 @@ from .group import (
     center,
     centralizer_subgroup,
     close_under_mul,
-    derived_subgroup,
     is_normal_in,
-    is_perfect,
     quotient,
 )
-from .lattice import normal_subgroups
+from .lattice import is_perfect, is_prime_power, normal_subgroups
 
 NOT_SEMISIMPLE = "not-semisimple"
 SEMISIMPLE = "semisimple"
@@ -57,8 +55,16 @@ def components(ambient) -> list[Subgroup]:
     it commutes with its other conjugates, making central-in-M subgroups
     central in the closure as well.
 
-    Only perfect N are swept: a component M is perfect, so its conjugates
-    are perfect, and N, which they generate, is perfect too.
+    These two conditions hold iff M's top has one lower cover K, K <= Z(M),
+    and M/K is non-abelian.  If they hold, Z(M) is proper and holds every
+    proper normal subgroup, so it is that K, and M/K is non-abelian simple.
+    Conversely K <= Z(M) < M gives K = Z(M), holding every proper normal one.
+
+    Only perfect N are swept (``lattice.is_perfect``): a component M is
+    perfect, so its conjugates are perfect, and N, which they generate, is
+    perfect too.  So M/K is non-abelian with no test: were it abelian,
+    M/Z(M) would be cyclic and M abelian, and N, generated by the abelian
+    normal conjugates of M, nilpotent, which a perfect N > 1 is not.
     """
     amb = ambient_subgroup(ambient)
     g = amb.parent
@@ -68,8 +74,8 @@ def components(ambient) -> list[Subgroup]:
         return cached
     lat = normal_subgroups(amb)
     found: dict[frozenset, Subgroup] = {}
-    for n in lat.nodes:
-        if n.order == 1 or not is_perfect(n):
+    for i, n in enumerate(lat.nodes):
+        if n.order == 1 or not is_perfect(lat, i):
             continue
         for m in normal_subgroups(n).nodes:
             if m.order == 1:
@@ -77,13 +83,8 @@ def components(ambient) -> list[Subgroup]:
             if any(not n.members <= k.members  # N is not ncl(M)
                    for k in lat.nodes if m.members <= k.members):
                 continue
-            zm = center(m).members
-            # condition (b): M/Z(M) non-abelian
-            if all(g.comm(a, b) in zm for a in m.gens for b in m.gens):
-                continue
-            # condition (c): proper normal subgroups of M are central in M
-            if any(k.order < m.order and not k.members <= zm
-                   for k in normal_subgroups(m).nodes):
+            under = normal_subgroups(m).maximal_nodes_under(m.members)
+            if len(under) != 1 or not under[0].members <= center(m).members:
                 continue
             found.setdefault(m.members, m)
     result = sorted(found.values(),
@@ -151,19 +152,15 @@ def simple_quotient_duality(g: FiniteGroup) -> list[tuple[Subgroup, Subgroup]]:
     """Pair components M with the kernels of the simple quotients C_G(M).
 
     The normal subgroups N with G/N non-abelian simple are exactly the
-    component centralizers; the pairing is asserted bijective.
+    component centralizers; the pairing is asserted bijective.  Those N are
+    the lower covers of the lattice's top whose index is no prime power.
     """
     if semisimple_type(g) == NOT_SEMISIMPLE:
         raise NotSemisimpleType("duality needs semisimple type")
-    lat = normal_subgroups(g)
-    derived = derived_subgroup(g)
-    tops = {n.members for n in lat.maximal_nodes_under(g.whole().members)
-            if not derived.members <= n.members}
+    tops = {n.members for n in normal_subgroups(g).maximal_nodes_under(
+        g.whole().members) if not is_prime_power(g.order // n.order)}
     comps = components(g)
-    cents = {}
-    for m in comps:
-        c = centralizer_subgroup(g, m.gens)
-        cents[m] = c
+    cents = {m: centralizer_subgroup(g, m.gens) for m in comps}
     if {c.members for c in cents.values()} != tops:
         raise InternalCheckError(
             "simple-quotient kernels must be the component centralizers")

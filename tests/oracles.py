@@ -26,7 +26,6 @@ from chiefblocks.group import (
     close_under_mul,
     conjugacy_classes,
     is_normal_in,
-    normal_closure,
 )
 from chiefblocks.lattice import (
     NormalLattice,
@@ -96,18 +95,18 @@ def product_of_subgroups(a: Subgroup, b: Subgroup) -> frozenset:
 def normal_subgroups_join_closure(ambient) -> set[frozenset]:
     """Member sets of the normal subgroups, by closing atoms under join.
 
-    Atoms are the normal closures of conjugacy-class representatives; every
-    normal subgroup is the join of the cyclic normal closures of its
-    elements, so closing the atoms under pairwise join is complete.  Costs
-    one set product per pair of nodes.
+    Atoms are the normal closures of conjugacy-class representatives, by
+    ``normal_closure_by_mul``; every normal subgroup is the join of the
+    cyclic normal closures of its elements, so closing the atoms under
+    pairwise join is complete.  Costs one set product per pair of nodes.
     """
     amb = ambient_subgroup(ambient)
     g = amb.parent
     trivial = Subgroup(g, frozenset((0,)), [])
     nodes = {trivial.members: trivial}
     for cls in conjugacy_classes(amb)[1:]:
-        sub = normal_closure(amb, [cls[0]])
-        nodes.setdefault(sub.members, sub)
+        atom = normal_closure_by_mul(amb, [cls[0]])
+        nodes.setdefault(atom, Subgroup(g, atom))
     worklist = list(nodes.values())
     while worklist:
         a = worklist.pop()
@@ -151,6 +150,31 @@ def normal_closure_by_mul(ambient, seed: Sequence[int]) -> frozenset:
             return members
         gens.append(min(missing))
         members = closure_by_mul(g, gens)
+
+
+def normal_closure_by_columns(ambient, seed: Sequence[int]) -> frozenset:
+    """ncl(seed) in the ambient, by element closures over multiplier columns.
+
+    Close the seed with ``close_under_mul``, then fold in every conjugate of
+    a generator by an ambient generator that the closure misses; each fold
+    at least doubles the closure.  It shares no code with the class rows,
+    and is fast enough for ambients where ``normal_closure_by_mul`` is not.
+    """
+    amb = ambient_subgroup(ambient)
+    g = amb.parent
+    gens = [x for x in dict.fromkeys(seed) if x != 0]
+    memo: dict = {}
+    members = close_under_mul(g, gens, memo=memo)
+    i = 0
+    while i < len(gens):
+        s = gens[i]
+        i += 1
+        for h in amb.gens:
+            c = g.conj(h, s)
+            if c not in members:
+                members = close_under_mul(g, [c], members, gens, memo)
+                gens.append(c)
+    return members
 
 
 def classes_by_mul(ambient) -> list[list[int]]:
@@ -214,8 +238,11 @@ def commutator_pairs(g: FiniteGroup, a: Subgroup, b: Subgroup) -> frozenset:
 def components_all_nodes(g: FiniteGroup) -> set[frozenset]:
     """Components found by sweeping every lattice node, perfect or not.
 
-    Same acceptance test as ``semisimple.components``; Z(M) is taken as the
-    elements of M centralizing M's generators in the whole group.
+    The acceptance test is the commutator one that ``semisimple.components``
+    replaces with a lattice check: M/Z(M) non-abelian and every proper
+    normal subgroup of M central.  Z(M) is taken as the elements of M
+    centralizing M's generators in the whole group, and normal closures
+    come from ``normal_closure_by_mul``.
     """
     amb = g.whole()
     found = set()
@@ -225,7 +252,7 @@ def components_all_nodes(g: FiniteGroup) -> set[frozenset]:
         for m in normal_subgroups(n).nodes:
             if m.order == 1:
                 continue
-            if normal_closure(amb, m.gens).members != n.members:
+            if normal_closure_by_mul(amb, m.gens) != n.members:
                 continue
             zm = centralizer_subgroup(g, m.gens).members & m.members
             if all(g.comm(a, b) in zm for a in m.gens for b in m.gens):

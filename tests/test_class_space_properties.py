@@ -2,10 +2,11 @@
 
 Generated groups have degree at most 6, so orders run up to 720 and both
 the tabled and the untabled (S6) paths are exercised.  The class-space
-lattice is checked at its atoms (each against ``normal_closure``) and at
-every node joined with an atom (against the coset-sweep product);
-association edges and abelian chief factors against the pairwise and
-commutator tests.
+lattice is checked at its atoms (each against ``normal_closure_by_mul``),
+at every node joined with an atom (against the coset-sweep product) and
+at every node's perfectness (against the derived subgroup); association
+edges and abelian chief factors against the pairwise and commutator
+tests.
 """
 
 import pytest
@@ -23,16 +24,21 @@ from chiefblocks.group import (  # noqa: E402
     center,
     centralizer_subgroup,
     conjugacy_classes,
+    derived_subgroup,
     group_from_permutations,
-    normal_closure,
 )
-from chiefblocks.lattice import chief_factors, normal_subgroups  # noqa: E402
+from chiefblocks.lattice import (  # noqa: E402
+    chief_factors,
+    is_perfect,
+    normal_subgroups,
+)
 from oracles import (  # noqa: E402
     abelian_by_commutators,
     association_edges_pairwise,
     centralizer_by_mul,
     classes_by_mul,
     factor_centralizer_by_sweep,
+    normal_closure_by_mul,
     product_of_subgroups,
 )
 
@@ -53,10 +59,12 @@ def test_class_space_matches_sweeps(gens):
         # the atom ncl(x): the least node holding x, and a join operand
         a = lat.meet(*(i for i, n in enumerate(lat.nodes)
                        if cls[0] in n.members))
-        assert lat.nodes[a].members == normal_closure(g, [cls[0]]).members
+        assert lat.nodes[a].members == normal_closure_by_mul(g, [cls[0]])
         for i, n in enumerate(lat.nodes):
             assert lat.nodes[lat.join(i, a)].members \
                 == product_of_subgroups(n, lat.nodes[a])
+    for i, n in enumerate(lat.nodes):
+        assert is_perfect(lat, i) == (derived_subgroup(n).order == n.order)
     for f in chief_factors(g):
         assert factor_centralizer(f).members \
             == factor_centralizer_by_sweep(g, f.k.gens, f.l.members)

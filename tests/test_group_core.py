@@ -13,6 +13,7 @@ from chiefblocks.errors import (
     HomomorphismError,
     InternalCheckError,
     InvalidPermutation,
+    NotNested,
     NotNormal,
 )
 from chiefblocks.group import (
@@ -280,6 +281,16 @@ def test_normal_closure_examples():
     prod = direct_product(a5, a5)
     coord = prod.embed_left(1)
     assert normal_closure(prod, [coord]).members == prod.left_factor.members
+
+
+def test_normal_closure_refuses_a_seed_outside_the_ambient():
+    """A whole-group class index would read id -1 as its last entry."""
+    s4 = named.symmetric(4)
+    a4 = derived_subgroup(s4)
+    odd = min(set(s4.elements()) - a4.members)
+    for amb, seed in [(s4, [0, s4.order]), (a4, [odd]), (s4, [-1])]:
+        with pytest.raises(NotNested):
+            normal_closure(amb, seed)
 
 
 # -- commutators, centralizers, classes ----------------------------------------

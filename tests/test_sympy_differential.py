@@ -2,9 +2,10 @@
 
 The same permutation generators build a group here and in sympy, and the
 two must agree on the group order, the number of conjugacy classes, the
-orders of the center and the derived subgroup, and the order of the normal
-closure of one element of every class.  Degrees are at most 6; S6, of
-order 720, is above the Cayley-table bound and runs the untabled path.
+orders of the center and the derived subgroup, perfectness, and the order
+of the normal closure of one element of every class.  Degrees are at most
+6; S6, of order 720, is above the Cayley-table bound and runs the untabled
+path.
 """
 
 import random
@@ -22,6 +23,7 @@ from chiefblocks.group import (  # noqa: E402
     group_from_permutations,
     normal_closure,
 )
+from chiefblocks.lattice import is_perfect, normal_subgroups  # noqa: E402
 from chiefblocks.perm import perm_from_cycles  # noqa: E402
 
 
@@ -64,6 +66,8 @@ def test_invariants_match_sympy(gens):
     assert len(classes) == len(sg.conjugacy_classes())
     assert center(g).order == sg.center().order()
     assert derived_subgroup(g).order == sg.derived_subgroup().order()
+    lat = normal_subgroups(g)
+    assert is_perfect(lat, len(lat) - 1) == sg.is_perfect
     for cls in classes:
         x = cls[0]
         p = Permutation(list(g.permutation_of(x)), size=n)
