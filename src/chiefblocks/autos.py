@@ -12,16 +12,17 @@ from __future__ import annotations
 from typing import Iterator, Optional, Sequence
 
 from .errors import SearchCapExceeded
+from .factors import NormalFactor, factor_centralizer
 from .group import (
     FiniteGroup,
     Homomorphism,
     Subgroup,
     center,
     close_under_mul,
-    derived_subgroup,
     extend_by_images,
     subgroup_as_group,
 )
+from .lattice import is_perfect, normal_subgroups, socle
 
 DEFAULT_SEARCH_CAP = 500_000
 
@@ -151,12 +152,11 @@ def is_characteristically_simple(g: FiniteGroup) -> bool:
 
     Characteristic subgroups are normal, so only lattice nodes need to be
     fused.  Canonical characteristic subgroups (center, derived subgroup,
-    socle) give fast negative answers; positive answers come from explicit
-    fusing automorphisms, found either by swapping complementary factors or
-    by the full generator-image enumeration.
+    socle) give fast negative answers; 1 < G' < G reads as G neither
+    abelian nor perfect.  Positive answers come from explicit fusing
+    automorphisms, found either by swapping a node N with its centralizer
+    C(N/1) or by the full generator-image enumeration.
     """
-    from .lattice import normal_subgroups, socle
-
     cached = g._cache.get("char_simple")
     if cached is not None:
         return cached
@@ -165,11 +165,10 @@ def is_characteristically_simple(g: FiniteGroup) -> bool:
     result = None
     if not proper:
         result = True
-    if result is None:
-        for canonical in (center(g), derived_subgroup(g), socle(g)):
-            if 1 < canonical.order < g.order:
-                result = False
-                break
+    elif (1 < center(g).order < g.order
+          or not (g.is_abelian or is_perfect(lat, len(lat) - 1))
+          or 1 < socle(g).order < g.order):
+        result = False
     if result is None:
         unfused = {n.members for n in proper}
 
@@ -178,11 +177,10 @@ def is_characteristically_simple(g: FiniteGroup) -> bool:
                 if frozenset(table[x] for x in mem) != mem:
                     unfused.discard(mem)
 
-        from .group import centralizer_subgroup
         for n in proper:
             if n.members not in unfused:
                 continue
-            comp = centralizer_subgroup(g, n.gens)
+            comp = factor_centralizer(NormalFactor(g.whole(), n, lat.nodes[0]))
             table = _complement_swap(g, n, comp)
             if table is not None:
                 absorb(table)

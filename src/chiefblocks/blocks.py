@@ -28,12 +28,7 @@ from .factors import (
     is_internal_compression,
     make_factor,
 )
-from .group import (
-    Subgroup,
-    ambient_subgroup,
-    commutator_subgroup,
-    is_normal_in,
-)
+from .group import Subgroup, ambient_subgroup, is_normal_in
 from .lattice import chief_factors, normal_subgroups
 
 
@@ -274,6 +269,15 @@ def refine_series(ambient, series: Sequence[Subgroup], f: NormalFactor
     the ambient and a non-abelian chief factor K/L, returns (i, B, D) where
     i is the least index with series[i+1] not inside C(K/L) and D/B is a
     chief factor associated to K/L with series[i] <= B < D <= series[i+1].
+
+    With C = C(K/L) and S = series[i+1], B = C meet S and D = KC meet S,
+    the node ``inner_action_members`` returns.  G/C is monolithic with
+    socle KC/C (``uppermost_representative`` checks it): K meet C = L, as
+    K/L has trivial center, so a normal N > C meeting KC in C would have
+    [N, K] <= K meet C = L and N <= C.  So SC > C holds KC, and by
+    Dedekind's law, as C <= KC, DC = KC meet SC = KC and D meet C =
+    S meet C = B: D/B is G-isomorphic to the chief factor KC/C, and
+    series[i] <= C gives series[i] <= B.
     """
     amb = ambient_subgroup(ambient)
     g = amb.parent
@@ -304,16 +308,9 @@ def refine_series(ambient, series: Sequence[Subgroup], f: NormalFactor
 
     upper = lat.index_of(series[idx + 1])
     b = lat.meet(lat.index_of(c), upper)
-    r = lat.node_with_members(
+    d_node = lat.node_with_members(
         inner_action_members(amb, series[idx + 1], f.k, c))
-    try:  # [R, K] and [A, A] are nodes: R, K and A are normal
-        a_sub = lat.nodes[lat.join(
-            lat.index_of(commutator_subgroup(g, r, f.k)), b)]
-        d = lat.join(lat.index_of(commutator_subgroup(g, a_sub, a_sub)), b)
-    except KeyError:
-        raise InternalCheckError(
-            "refinement is not made of normal subgroups") from None
-    b_node, d_node = lat.nodes[b], lat.nodes[d]
+    b_node, d = lat.nodes[b], lat.index_of(d_node)
 
     if not (lat.le(lat.index_of(series[idx]), b) and b != d
             and lat.le(d, upper)):

@@ -23,6 +23,7 @@ from .blocks import (
 from .errors import (
     DifferentParents,
     InternalCheckError,
+    NotNested,
     NotNormal,
     NotSurjective,
     StackingClassifyError,
@@ -57,13 +58,15 @@ def block_action(ambient, h: Subgroup, elem: int,
                  a: ChiefBlock) -> ChiefBlock:
     """g.a: the block of H whose representatives are the conjugates of a's.
 
-    The ambient may be the whole group or any subgroup normalizing H.
-    Computed by conjugating the stored centralizer, since blocks of H are
-    keyed by centralizers; a representative is conjugated alongside as a
-    consistency check.
+    The ambient may be the whole group or any subgroup normalizing H, and
+    g must lie in it.  Computed by conjugating the stored centralizer, since
+    blocks of H are keyed by centralizers; a representative is conjugated
+    alongside as a consistency check.
     """
     amb = ambient_subgroup(ambient)
     _require_normal_sub(amb, h)
+    if elem not in amb.members:
+        raise NotNested("the acting element must lie in the ambient")
     g = amb.parent
     bp = chief_blocks(h)
     image_c = conjugate_members(g, elem, a.centralizer.members)

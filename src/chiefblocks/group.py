@@ -980,12 +980,6 @@ def commutator_subgroup(g: FiniteGroup, a: Subgroup, b: Subgroup) -> Subgroup:
     return normal_closure(span, seed)
 
 
-def derived_subgroup(ambient) -> Subgroup:
-    """[G, G] of a FiniteGroup or a Subgroup."""
-    amb = ambient_subgroup(ambient)
-    return commutator_subgroup(amb.parent, amb, amb)
-
-
 # ---------------------------------------------------------------------------
 # structural verification
 # ---------------------------------------------------------------------------

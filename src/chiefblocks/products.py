@@ -209,9 +209,10 @@ def subdirect_quasi_factorization(delta: Homomorphism,
                                   ) -> Factorization:
     """Pull coordinate factors back through an injective map into a product.
 
-    Each listed factor must be met by the image in all of itself; the
-    preimages then form a quasi-direct factorization of the subgroup they
-    generate, which is verified before returning.
+    Each listed factor must be normal in the codomain and met by the image
+    in all of itself; the preimages, normal in the source, then form a
+    quasi-direct factorization of their join in the source's lattice,
+    which is verified before returning.
     """
     if not delta.is_injective:
         raise NotInjective("subdirect factorization needs an injective map")
@@ -221,14 +222,16 @@ def subdirect_quasi_factorization(delta: Homomorphism,
     for k in factors:
         if k.parent is not delta.target:
             raise ImageNotFullOnFactor("factor lives outside the codomain")
+        if not is_normal_in(k, delta.target.whole()):
+            raise NotNormal("coordinate factors must be normal")
         if not k.members <= image:
             raise ImageNotFullOnFactor(
                 "image must meet each coordinate factor in all of it")
         pre = frozenset(x for x in src.elements()
                         if delta.mapping[x] in k.members)
-        parts.append(Subgroup(src, pre, None, True))
-    span = Subgroup(src, close_under_mul(
-        src, [x for p in parts for x in p.gens]))
+        parts.append(Subgroup(src, pre))
+    lat = normal_subgroups(src)
+    span = lat.nodes[lat.join(*[lat.index_of(p) for p in parts])]
     fact = classify_factorization(span, parts)
     if fact.kind != "quasi-direct":
         raise InternalCheckError(

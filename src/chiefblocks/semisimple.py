@@ -11,14 +11,12 @@ from .errors import (
     NotNormal,
     NotSemisimpleType,
 )
-from .factors import factor_group
+from .factors import NormalFactor, factor_centralizer, factor_group
 from .group import (
     FiniteGroup,
     Subgroup,
     ambient_subgroup,
     center,
-    centralizer_subgroup,
-    close_under_mul,
     is_normal_in,
     quotient,
 )
@@ -94,11 +92,18 @@ def components(ambient) -> list[Subgroup]:
 
 
 def layer(ambient) -> Subgroup:
-    """Subgroup generated by all components (trivial when there are none)."""
+    """Subgroup E generated by all components (trivial when there are none).
+
+    E is the join of the components' normal closures, each the least node
+    holding its component: conjugation permutes the components, so E is
+    normal and holds each closure, and the join holds each component.
+    """
     amb = ambient_subgroup(ambient)
-    comps = components(amb)
-    seeds = [x for c in comps for x in c.gens]
-    return Subgroup(amb.parent, close_under_mul(amb.parent, seeds), seeds)
+    lat = normal_subgroups(amb)
+    return lat.nodes[lat.join(*(
+        lat.meet(*(i for i, n in enumerate(lat.nodes)
+                   if m.members <= n.members))
+        for m in components(amb)))]
 
 
 def semisimple_type(ambient) -> str:
@@ -124,26 +129,21 @@ def quotient_components(g: FiniteGroup, k: Subgroup) -> tuple:
     """Components of G/K, via the components of G commuting with K.
 
     Returns (quotient, projection, components-of-quotient); the predicted
-    set {MK/K : [M, K] = 1} is asserted to match a direct recomputation in
-    the quotient and to generate it.
+    set {MK/K : [M, K] = 1}, each MK/K the image of M, is asserted to match
+    a direct recomputation in the quotient, whose layer must be all of it.
     """
     if semisimple_type(g) == NOT_SEMISIMPLE:
         raise NotSemisimpleType("quotient-components needs semisimple type")
     if not is_normal_in(k, g.whole()):
         raise NotNormal("can only quotient by a normal subgroup")
     q, proj = quotient(g, k)
-    predicted: dict[frozenset, Subgroup] = {}
-    for m in components(g):
-        if all(g.comm(a, b) == 0 for a in m.gens for b in k.gens):
-            img_gens = [proj(x) for x in m.gens if proj(x) != 0]
-            img = Subgroup(q, close_under_mul(q, img_gens), img_gens)
-            predicted.setdefault(img.members, img)
+    predicted = {frozenset(proj(x) for x in m.members) for m in components(g)
+                 if all(g.comm(a, b) == 0 for a in m.gens for b in k.gens)}
     direct = components(q)
-    if sorted(predicted) != sorted(c.members for c in direct):
+    if predicted != {c.members for c in direct}:
         raise InternalCheckError(
             "predicted quotient components disagree with recomputation")
-    span = close_under_mul(q, [x for c in direct for x in c.gens])
-    if len(span) != q.order:
+    if layer(q).order != q.order:
         raise InternalCheckError("quotient components must generate")
     return q, proj, direct
 
@@ -154,13 +154,18 @@ def simple_quotient_duality(g: FiniteGroup) -> list[tuple[Subgroup, Subgroup]]:
     The normal subgroups N with G/N non-abelian simple are exactly the
     component centralizers; the pairing is asserted bijective.  Those N are
     the lower covers of the lattice's top whose index is no prime power.
+    G is generated by its components, each normalizing every component (a
+    distinct one centralizes it), so a component M is normal and C_G(M) is
+    the factor centralizer of M/1, testing one element per class.
     """
     if semisimple_type(g) == NOT_SEMISIMPLE:
         raise NotSemisimpleType("duality needs semisimple type")
     tops = {n.members for n in normal_subgroups(g).maximal_nodes_under(
         g.whole().members) if not is_prime_power(g.order // n.order)}
     comps = components(g)
-    cents = {m: centralizer_subgroup(g, m.gens) for m in comps}
+    one = g.trivial_subgroup()
+    cents = {m: factor_centralizer(NormalFactor(g.whole(), m, one))
+             for m in comps}
     if {c.members for c in cents.values()} != tops:
         raise InternalCheckError(
             "simple-quotient kernels must be the component centralizers")

@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 from typing import Sequence
 
+from chiefblocks.blocks import inner_action_members
 from chiefblocks.errors import CapError
 from chiefblocks.factors import (
     NormalFactor,
@@ -24,6 +25,7 @@ from chiefblocks.group import (
     ambient_subgroup,
     centralizer_subgroup,
     close_under_mul,
+    commutator_subgroup,
     conjugacy_classes,
     is_normal_in,
 )
@@ -32,6 +34,7 @@ from chiefblocks.lattice import (
     chief_factors,
     normal_subgroups,
 )
+from chiefblocks.semisimple import components
 
 ORACLE_BOUND = 24
 
@@ -281,6 +284,35 @@ def refine_series_r_oracle(ambient, within: Subgroup, k: Subgroup,
         if found:
             out.append(x)
     return frozenset(out)
+
+
+def refine_series_by_commutators(ambient, series: Sequence[Subgroup],
+                                 f: NormalFactor) -> tuple:
+    """(i, B, D) of ``refine_series``, with D built from two commutators.
+
+    i and B = C meet series[i+1] as there, C the factor centralizer; with R
+    the inner-action set, A = [R, K]B and D = [A, A]B.  Joins and meets are
+    lattice lookups; the commutator subgroups are normal, hence nodes.
+    """
+    amb = ambient_subgroup(ambient)
+    g = amb.parent
+    lat = normal_subgroups(amb)
+    c = factor_centralizer(f)
+    i = next(j for j in range(len(series) - 1)
+             if not series[j + 1].members <= c.members)
+    b = lat.meet(lat.index_of(c), lat.index_of(series[i + 1]))
+    r = lat.node_with_members(
+        inner_action_members(amb, series[i + 1], f.k, c))
+    a = lat.nodes[lat.join(lat.index_of(commutator_subgroup(g, r, f.k)), b)]
+    d = lat.join(lat.index_of(commutator_subgroup(g, a, a)), b)
+    return i, lat.nodes[b], lat.nodes[d]
+
+
+def layer_by_closure(ambient) -> frozenset:
+    """The subgroup the components generate, closed from their generators."""
+    amb = ambient_subgroup(ambient)
+    return close_under_mul(amb.parent,
+                           [x for m in components(amb) for x in m.gens])
 
 
 def independence_property(ambient, parts: Sequence[Subgroup]) -> bool:

@@ -308,10 +308,9 @@ def test_criterion_7_semisimple(corpus):
         == [(120, 2)]
 
     # semisimple characterization via simple-quotient kernels, all corpus
-    from chiefblocks.group import derived_subgroup
     for name, g in corpus.items():
         glat = normal_subgroups(g)
-        derived = derived_subgroup(g)
+        derived = commutator_subgroup(g, g.whole(), g.whole())
         kernels = [n for n in glat.nodes
                    if n.order < g.order
                    and not any(n.members < m.members for m in glat.nodes

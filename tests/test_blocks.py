@@ -31,7 +31,7 @@ from chiefblocks.lattice import (
     normal_subgroups,
     socle,
 )
-from oracles import refine_series_r_oracle
+from oracles import refine_series_by_commutators, refine_series_r_oracle
 
 
 def test_block_counts(corpus):
@@ -272,6 +272,17 @@ def test_inner_action_set_matches_element_search(corpus):
                 fast = inner_action_members(g, w, f.k, c)
                 slow = refine_series_r_oracle(g, w, f.k, f.l)
                 assert fast == slow
+
+
+def test_refinement_matches_commutator_construction(corpus):
+    """D = KC meet series[i+1] equals [A, A]B with A = [R, K]B."""
+    for name in ("S5", "SL25", "A5xA5", "A5wrC2"):
+        g = corpus[name]
+        nonab = [f for f in chief_factors(g) if not is_abelian_factor(f)]
+        for series in chief_series_iter(g):
+            for f in nonab:
+                assert refine_series(g, series, f) \
+                    == refine_series_by_commutators(g, series, f)
 
 
 def test_refinement_on_all_series_and_factors(corpus):

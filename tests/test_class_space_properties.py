@@ -23,8 +23,8 @@ from chiefblocks.factors import (  # noqa: E402
 from chiefblocks.group import (  # noqa: E402
     center,
     centralizer_subgroup,
+    commutator_subgroup,
     conjugacy_classes,
-    derived_subgroup,
     group_from_permutations,
 )
 from chiefblocks.lattice import (  # noqa: E402
@@ -64,7 +64,8 @@ def test_class_space_matches_sweeps(gens):
             assert lat.nodes[lat.join(i, a)].members \
                 == product_of_subgroups(n, lat.nodes[a])
     for i, n in enumerate(lat.nodes):
-        assert is_perfect(lat, i) == (derived_subgroup(n).order == n.order)
+        assert is_perfect(lat, i) \
+            == (commutator_subgroup(g, n, n).order == n.order)
     for f in chief_factors(g):
         assert factor_centralizer(f).members \
             == factor_centralizer_by_sweep(g, f.k.gens, f.l.members)

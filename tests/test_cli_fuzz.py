@@ -6,7 +6,10 @@ the same specs mutated (wrong types, missing or extra fields, out-of-range
 and ``true``/``false`` ids).  Every case must exit 0, 2 or 3; a non-zero
 exit prints exactly one ``error: ...`` line, and an exit-0 report is
 byte-identical when run again.  ``--node-cap 200`` keeps the elementary
-abelian products (C2^5 has 374 normal subgroups) quick to refuse.
+abelian products (C2^5 has 374 normal subgroups) quick to refuse.  A third
+test draws the flag values with the well-formed specs: ``--element-cap``
+from -2 to 4,000, ``--node-cap`` from -2 to 200 and ``--seed`` within
++-2^70, bounds that keep every case small.
 """
 
 import contextlib
@@ -127,10 +130,10 @@ def _run(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def _check(spec, flags, tmp_path_factory):
+def _check(spec, flags, tmp_path_factory, caps=BASE_ARGS):
     path = tmp_path_factory.getbasetemp() / "fuzz_spec.json"
     path.write_text(json.dumps(spec), encoding="utf-8")
-    argv = ["analyze", "--spec", str(path), *BASE_ARGS, *flags]
+    argv = ["analyze", "--spec", str(path), *caps, *flags]
     code, out, err = _run(argv)
     assert code in (0, 2, 3), (spec, flags, code, err)
     if code:
@@ -152,3 +155,13 @@ def test_well_formed_specs_exit_cleanly(tmp_path_factory, spec, flags):
 @given(mutated(), st.sampled_from(FLAGS))
 def test_mutated_specs_exit_cleanly(tmp_path_factory, spec, flags):
     _check(spec, flags, tmp_path_factory)
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(well_formed, st.sampled_from(FLAGS), st.integers(-2, 4000),
+       st.integers(-2, 200), st.integers(-2 ** 70, 2 ** 70))
+def test_flag_values_exit_cleanly(tmp_path_factory, spec, flags, element_cap,
+                                  node_cap, seed):
+    caps = (f"--element-cap={element_cap}", f"--node-cap={node_cap}",
+            f"--seed={seed}")
+    _check(spec, flags, tmp_path_factory, caps)

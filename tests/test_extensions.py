@@ -3,7 +3,12 @@
 import pytest
 
 from chiefblocks.blocks import chief_blocks, minimal_cover
-from chiefblocks.errors import NotNormal, NotSurjective, StackingClassifyError
+from chiefblocks.errors import (
+    NotNested,
+    NotNormal,
+    NotSurjective,
+    StackingClassifyError,
+)
 from chiefblocks.extensions import (
     antichain_orbit_analysis,
     block_action,
@@ -37,6 +42,10 @@ def test_block_action_examples(corpus):
     assert block_action(wr, base, 0, a0) == a0
     for h_elem in sorted(base.members)[:8]:
         assert block_action(wr, base, h_elem, a0) == a0
+    # an acting element outside the ambient is an input error
+    left = next(n for n in normal_subgroups(base).nodes if n.order == 60)
+    with pytest.raises(NotNested):
+        block_action(base, left, swap, chief_blocks(left).blocks[0])
 
 
 def test_extend_block_wreath(corpus):

@@ -12,6 +12,7 @@ from chiefblocks.errors import (
     WorkCapExceeded,
 )
 from chiefblocks.factors import (
+    NormalFactor,
     are_associated,
     association_graph,
     common_compression,
@@ -23,6 +24,7 @@ from chiefblocks.factors import (
 )
 from chiefblocks.group import (
     Subgroup,
+    centralizer_subgroup,
     direct_product,
     is_normal_in,
     subgroup_generated,
@@ -114,6 +116,17 @@ def test_factor_centralizer_matches_sweep(corpus, small_corpus,
             assert c == factor_centralizer_by_sweep(amb, f.k.gens,
                                                     f.l.members), f
             assert is_normal_in(Subgroup(amb.parent, c), amb), f
+
+
+def test_normal_centralizer_matches_element_centralizer(corpus,
+                                                        dense_corpus):
+    """C(N/1) by one element per class is C_G(N), for every node N."""
+    for g in [*corpus.values(), *dense_corpus.values()]:
+        lat = normal_subgroups(g)
+        for n in lat.nodes:
+            f = NormalFactor(g.whole(), n, lat.nodes[0])
+            assert factor_centralizer(f).members \
+                == centralizer_subgroup(g, n.gens).members, (g.name, n.order)
 
 
 def test_is_abelian_factor():

@@ -1,0 +1,80 @@
+"""Lattice reads against element constructions on random products.
+
+Each input is a direct product of two random permutation groups of degree
+at most 5, or its quotient by a random lattice node, of order at most 200.
+On it the lattice reads are compared with the constructions they replaced:
+``refine_series`` with the commutator construction on up to 20 chief
+series, ``layer`` with the closure of the components, the centralizer of
+each node N by one element per class (the factor centralizer of N/1) with
+``centralizer_subgroup``, and ``association_graph`` with the pairwise test.
+"""
+
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import assume, given, settings, strategies as st  # noqa: E402
+
+from chiefblocks.blocks import refine_series  # noqa: E402
+from chiefblocks.factors import (  # noqa: E402
+    NormalFactor,
+    association_graph,
+    factor_centralizer,
+    is_abelian_factor,
+)
+from chiefblocks.group import (  # noqa: E402
+    centralizer_subgroup,
+    direct_product,
+    group_from_permutations,
+    quotient,
+)
+from chiefblocks.lattice import (  # noqa: E402
+    chief_factors,
+    chief_series_iter,
+    normal_subgroups,
+)
+from chiefblocks.semisimple import layer  # noqa: E402
+from oracles import (  # noqa: E402
+    association_edges_pairwise,
+    layer_by_closure,
+    refine_series_by_commutators,
+)
+
+# A5, S5, A4 and S4 come first, so the derandomized draws reach
+# non-abelian chief factors as well as random groups.
+SEEDED = [[(1, 2, 3, 4, 0), (1, 2, 0, 3, 4)],
+          [(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)],
+          [(1, 2, 0, 3), (1, 0, 3, 2)],
+          [(1, 2, 3, 0), (1, 0, 2, 3)]]
+generator_lists = st.one_of(
+    st.sampled_from(SEEDED),
+    st.integers(min_value=2, max_value=5).flatmap(lambda n: st.lists(
+        st.permutations(range(n)), min_size=1, max_size=2)))
+
+
+@st.composite
+def products_and_quotients(draw):
+    """G x H of order <= 200, or its quotient by a node other than 1."""
+    left = group_from_permutations(draw(generator_lists))
+    right = group_from_permutations(draw(generator_lists))
+    assume(left.order * right.order <= 200)
+    g = direct_product(left, right)
+    nodes = normal_subgroups(g).nodes
+    kernel = nodes[draw(st.integers(0, len(nodes) - 1))]
+    return g if kernel.order == 1 else quotient(g, kernel)[0]
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(products_and_quotients())
+def test_lattice_reads_match_element_constructions(g):
+    lat = normal_subgroups(g)
+    nonabelian = [f for f in chief_factors(g) if not is_abelian_factor(f)]
+    for series in chief_series_iter(g, max_series=20):
+        for f in nonabelian:
+            assert refine_series(g, series, f) \
+                == refine_series_by_commutators(g, series, f)
+    assert layer(g).members == layer_by_closure(g)
+    for n in lat.nodes:
+        assert factor_centralizer(NormalFactor(g.whole(), n, lat.nodes[0])) \
+            .members == centralizer_subgroup(g, n.gens).members
+    assert association_graph(g)[1] == association_edges_pairwise(g)

@@ -10,8 +10,14 @@ from chiefblocks.errors import (
     ImageNotNormal,
     NotGeneralizedCentral,
     NotInjective,
+    NotNormal,
 )
-from chiefblocks.group import Homomorphism, center
+from chiefblocks.group import (
+    Homomorphism,
+    center,
+    close_under_mul,
+    subgroup_generated,
+)
 from chiefblocks.lattice import normal_subgroups
 from chiefblocks.products import (
     central_quotient_factorization,
@@ -111,6 +117,27 @@ def test_subdirect_quasi_factorization(corpus):
     embed = prod.embed_left
     with pytest.raises(ImageNotFullOnFactor):
         subdirect_quasi_factorization(embed, [prod.right_factor])
+
+
+def test_subdirect_factors_must_be_normal():
+    """Non-normal coordinate factors are refused before any pull-back."""
+    s3 = named.symmetric(3)
+    ident = Homomorphism(s3, s3, list(s3.elements()))
+    c2s = [subgroup_generated(s3, [x]) for x in s3.elements()
+           if s3.element_order(x) == 2][:2]
+    with pytest.raises(NotNormal):
+        subdirect_quasi_factorization(ident, c2s)
+
+
+def test_subdirect_span_is_the_generated_subgroup(corpus):
+    """The preimages' join in the source's lattice is the subgroup they
+    generate."""
+    prod = corpus["A5xA5"]
+    ident = Homomorphism(prod, prod, list(prod.elements()))
+    for parts in ([prod.left_factor], [prod.left_factor, prod.right_factor]):
+        fact = subdirect_quasi_factorization(ident, parts)
+        assert fact.ambient.members == close_under_mul(
+            prod, [x for p in fact.parts for x in p.gens])
 
 
 def test_central_quotient_factorization(corpus):
@@ -248,8 +275,6 @@ def test_compression_rejects_bad_maps(corpus):
 
 
 def test_factorization_parts_must_be_normal(corpus):
-    from chiefblocks.errors import NotNormal
-    from chiefblocks.group import subgroup_generated
     s4 = corpus["S4"]
     twisted = subgroup_generated(
         s4, [next(x for x in s4.elements() if s4.element_order(x) == 4)])

@@ -33,7 +33,11 @@ from chiefblocks.semisimple import (
     semisimple_type,
     simple_quotient_duality,
 )
-from oracles import components_all_nodes, product_of_subgroups
+from oracles import (
+    components_all_nodes,
+    layer_by_closure,
+    product_of_subgroups,
+)
 
 
 def test_perfect_node_sweep_matches_all_nodes(corpus):
@@ -73,6 +77,12 @@ def test_layer_and_type(corpus):
     assert semisimple_type(corpus["SL25"]) == SEMISIMPLE
     assert semisimple_type(corpus["S5"]) == "not-semisimple"
     assert layer(corpus["A5wrC2"]).order == 3600
+
+
+def test_layer_matches_closure(corpus, dense_corpus):
+    """The join of the components' normal closures is <components>."""
+    for g in [*corpus.values(), *dense_corpus.values()]:
+        assert layer(g).members == layer_by_closure(g), g.name
 
 
 def test_quotient_components(corpus):
@@ -201,10 +211,9 @@ def test_commutator_with_group_is_component_join(corpus):
 def test_semisimple_quotient_characterization(corpus):
     """Semisimple iff the simple-quotient kernels cut the center and bound
     every proper normal subgroup."""
-    from chiefblocks.group import derived_subgroup
     for g in corpus.values():
         lat = normal_subgroups(g)
-        derived = derived_subgroup(g)
+        derived = commutator_subgroup(g, g.whole(), g.whole())
         kernels = [n for n in lat.nodes
                    if n.order < g.order
                    and not any(n.members < m.members for m in lat.nodes
