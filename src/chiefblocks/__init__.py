@@ -8,11 +8,7 @@ semisimple type, and extension of blocks from normal subgroups.  A CLI
 (``chiefblocks analyze``) drives the whole pipeline from JSON group specs.
 """
 
-from .autos import (
-    automorphism_group,
-    is_characteristically_simple,
-    iter_automorphisms,
-)
+from .autos import is_characteristically_simple
 from .blocks import (
     BlockPoset,
     ChiefBlock,

@@ -1,28 +1,28 @@
-"""Automorphism and isomorphism search by generator images.
+"""Isomorphism search by generator images, and characteristic simplicity.
 
 The search picks a small generating set greedily, enumerates image tuples
 compatible with element orders, and keeps the assignments that extend to a
 bijective homomorphism.  Extension is ``group.extend_by_images``, a walk of
 the Cayley graph of the source: a partial map that survives every edge
 (x, x*g) is multiplicative on the subgroup the chosen generators generate.
+Characteristic simplicity reads the socle and the minimal normal subgroups
+of the lattice, and searches only between non-abelian minimal normal
+subgroups.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Sequence
 
 from .errors import SearchCapExceeded
-from .factors import NormalFactor, factor_centralizer
 from .group import (
     FiniteGroup,
     Homomorphism,
-    Subgroup,
-    center,
     close_under_mul,
     extend_by_images,
     subgroup_as_group,
 )
-from .lattice import is_perfect, normal_subgroups, socle
+from .lattice import is_prime_power, normal_subgroups, socle
 
 DEFAULT_SEARCH_CAP = 500_000
 
@@ -101,94 +101,44 @@ def iter_isomorphisms(src: FiniteGroup, tgt: FiniteGroup,
     yield from assign(0, [])
 
 
-def iter_automorphisms(g: FiniteGroup,
-                       search_cap: int = DEFAULT_SEARCH_CAP
-                       ) -> Iterator[Homomorphism]:
-    yield from iter_isomorphisms(g, g, search_cap)
-
-
-def automorphism_group(g: FiniteGroup) -> list[Homomorphism]:
-    """Complete list of automorphisms found by generator-image search."""
-    cached = g._cache.get("automorphisms")
-    if cached is None:
-        cached = list(iter_automorphisms(g))
-        g._cache["automorphisms"] = cached
-    return cached
-
-
-def _complement_swap(g: FiniteGroup, n: Subgroup,
-                     m: Subgroup) -> Optional[list[int]]:
-    """An automorphism of g exchanging internal direct factors n and m.
-
-    Requires g = n x m internally.  Built from an isomorphism phi: n -> m as
-    x*y |-> phi^-1(y)*phi(x); the factors commute elementwise, so the formula
-    is multiplicative.
-    """
-    if (n.order != m.order or n.members & m.members != {0}
-            or n.order * m.order != g.order):
-        return None
-    n_grp, n_embed = subgroup_as_group(n)
-    m_grp, m_embed = subgroup_as_group(m)
-    try:
-        phi = next(iter_isomorphisms(n_grp, m_grp), None)
-    except SearchCapExceeded:
-        return None
-    if phi is None:
-        return None
-    fwd = {n_embed(x): m_embed(phi(x)) for x in n_grp.elements()}
-    bwd = {m_embed(phi(x)): n_embed(x) for x in n_grp.elements()}
-    table = [-1] * g.order
-    for x in sorted(n.members):
-        fx = fwd[x]
-        for y in m.members:
-            table[g.mul(x, y)] = g.mul(bwd[y], fx)
-    if -1 in table or len(set(table)) != g.order:
-        return None
-    return table
-
-
 def is_characteristically_simple(g: FiniteGroup) -> bool:
-    """True iff no proper non-trivial normal subgroup is automorphism-stable.
+    """True iff no subgroup other than 1 and G is automorphism-stable.
 
-    Characteristic subgroups are normal, so only lattice nodes need to be
-    fused.  Canonical characteristic subgroups (center, derived subgroup,
-    socle) give fast negative answers; 1 < G' < G reads as G neither
-    abelian nor perfect.  Positive answers come from explicit fusing
-    automorphisms, found either by swapping a node N with its centralizer
-    C(N/1) or by the full generator-image enumeration.
+    The trivial group answers True.  A finite G > 1 is characteristically
+    simple iff its socle is G and its minimal normal subgroups (the atoms)
+    are pairwise isomorphic.  A join of atoms is a direct product of some
+    of them, chosen greedily from any one atom M on; the other factors
+    centralize M, so a normal subgroup of M is normal in G, and M is simple.
+
+    (=>) The socle is characteristic and not trivial, so it is G.
+    Automorphisms permute the atoms and keep their isomorphism types, so
+    the join of the atoms isomorphic to an atom M is characteristic, hence
+    G = M x M_2 x ... x M_j with every M_i isomorphic to M.  If M = C_p, G
+    is elementary abelian and every atom is C_p.  Otherwise an atom N
+    meets some M_i, since a normal N meeting every factor trivially
+    commutes with all of them and lies in the trivial center; N and M_i are
+    minimal, so N = N meet M_i = M_i.
+
+    (<=) G = M_1 x ... x M_k with every atom isomorphic to one simple T, and
+    Aut(G) moves any atom onto any other: for T = C_p, G = C_p^k and
+    GL(k, p) is transitive on the subgroups of order p; for T non-abelian,
+    the atoms are the k factors (as above), and a coordinate swap exchanges
+    two of them.  A characteristic K > 1 holds an atom, so all of them, so
+    their join G.
+
+    Abelian atoms are C_p and compare by their order; non-abelian atoms
+    take one isomorphism search from the first atom to each of the others.
     """
-    cached = g._cache.get("char_simple")
-    if cached is not None:
-        return cached
+    if g.order == 1:
+        return True
     lat = normal_subgroups(g)
-    proper = [n for n in lat.nodes if 1 < n.order < g.order]
-    result = None
-    if not proper:
-        result = True
-    elif (1 < center(g).order < g.order
-          or not (g.is_abelian or is_perfect(lat, len(lat) - 1))
-          or 1 < socle(g).order < g.order):
-        result = False
-    if result is None:
-        unfused = {n.members for n in proper}
-
-        def absorb(table: list[int]) -> None:
-            for mem in list(unfused):
-                if frozenset(table[x] for x in mem) != mem:
-                    unfused.discard(mem)
-
-        for n in proper:
-            if n.members not in unfused:
-                continue
-            comp = factor_centralizer(NormalFactor(g.whole(), n, lat.nodes[0]))
-            table = _complement_swap(g, n, comp)
-            if table is not None:
-                absorb(table)
-        if unfused:
-            for auto in iter_automorphisms(g):
-                absorb(auto.mapping)
-                if not unfused:
-                    break
-        result = not unfused
-    g._cache["char_simple"] = result
-    return result
+    if socle(g).order != g.order:
+        return False
+    first, *rest = (lat.nodes[i] for i in lat._up[0])
+    if any(m.order != first.order for m in rest):
+        return False
+    if is_prime_power(first.order):
+        return True
+    src = subgroup_as_group(first)[0]
+    return all(next(iter_isomorphisms(src, subgroup_as_group(m)[0]), None)
+               is not None for m in rest)

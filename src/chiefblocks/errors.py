@@ -22,7 +22,7 @@ class WorkCapExceeded(CapError):
 
 
 class SearchCapExceeded(CapError):
-    """An automorphism/isomorphism search exceeded its candidate budget."""
+    """An isomorphism search exceeded its candidate budget."""
 
 
 class InvalidPermutation(ChiefblocksError):

@@ -137,8 +137,9 @@ def is_abelian_factor(f: NormalFactor) -> bool:
 
 def _lattice_nodes(f1: NormalFactor, f2: NormalFactor) -> tuple:
     """The common ambient's lattice and the node indices K1, L1, K2, L2."""
-    if (f1.ambient.parent is not f2.ambient.parent
-            or f1.ambient.members != f2.ambient.members):
+    a1, a2 = f1.ambient, f2.ambient
+    if a1 is not a2 and (a1.parent is not a2.parent
+                         or a1.members != a2.members):
         raise DifferentParents("factors live in different ambient groups")
     lat = normal_subgroups(f1.ambient)
     return lat, [lat.index_of(s) for s in (f1.k, f1.l, f2.k, f2.l)]

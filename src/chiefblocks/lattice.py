@@ -154,6 +154,8 @@ def normal_subgroups(ambient) -> NormalLattice:
     if (cached := cached_lattice(amb)) is not None:
         return cached
 
+    if g.node_cap < 1:  # the trivial subgroup is the first node
+        raise NodeCapExceeded(f"normal lattice exceeded node cap {g.node_cap}")
     classes, index = conjugacy_classes(amb), class_index(amb)
     rows: dict = {}  # the class rows of ``class_closure``
     atoms: dict[int, int] = {}  # ncl(x) -> its first representative x

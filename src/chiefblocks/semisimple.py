@@ -1,10 +1,11 @@
-"""Components, the layer, semisimple type, and the weak/semisimple/stacking
-classification of characteristically simple groups."""
+"""Components, the layer, semisimple type, and the weak/semisimple
+classification of characteristically simple groups (a finite group never
+has the paper's third type, stacking)."""
 
 from __future__ import annotations
 
-from .autos import automorphism_group, is_characteristically_simple
-from .blocks import BlockPoset, chief_blocks
+from .autos import is_characteristically_simple
+from .blocks import chief_blocks
 from .errors import (
     InternalCheckError,
     NotCharacteristicallySimple,
@@ -27,7 +28,6 @@ SEMISIMPLE = "semisimple"
 STRICT_SEMISIMPLE = "strict-semisimple"
 
 WEAK = "weak"
-STACKING = "stacking"
 
 
 class ComponentReport:
@@ -176,48 +176,35 @@ def simple_quotient_duality(g: FiniteGroup) -> list[tuple[Subgroup, Subgroup]]:
 
 
 def charsimple_type(g: FiniteGroup) -> str:
-    """Classify a characteristically simple group: weak/semisimple/stacking.
+    """Classify a characteristically simple group as weak or semisimple.
 
-    Weak: no minimally covered blocks.  Semisimple: the group has a
-    component.  Stacking: minimally covered blocks exist and automorphism
-    translates descend strictly between any two of them.  Exactly one
-    verdict is returned; the three cases are verified mutually exclusive.
-    Abelian characteristically simple groups have no non-abelian chief
-    factors at all and so come out weak.  Every block of a finite group is
-    minimally covered, so all blocks take part.
+    Weak: no minimally covered blocks; every block of a finite group is
+    minimally covered, so all blocks take part.  Semisimple: the group has
+    a component.  Abelian characteristically simple groups have no
+    non-abelian chief factors at all and so come out weak.
+
+    The paper's third type, stacking, asks for all minimally covered
+    blocks a and b for an automorphism s with s(a) < b.  With b = a that
+    cannot happen in a finite group: s preserves the order of the finite
+    block poset and has a finite order m, so a = s^m(a) < ... < s(a) < a.
+    Stacking is a type of infinite Polish groups only.  So weak with a
+    component, and blocks without one, both fail the self-check.
     """
     if not is_characteristically_simple(g):
         raise NotCharacteristicallySimple(
             f"{g.name} is not characteristically simple")
-    bp = chief_blocks(g)
-    weak = not bp.blocks
+    weak = not chief_blocks(g).blocks
     has_component = bool(components(g))
     if weak and has_component:
         raise InternalCheckError("weak and semisimple verdicts collided")
-    if weak:
-        return WEAK
-    if has_component:
-        return SEMISIMPLE
-    if not _is_stacking(g, bp):
-        raise InternalCheckError("no verdict fits; classification broke")
-    return STACKING
-
-
-def _is_stacking(g: FiniteGroup, bp: BlockPoset) -> bool:
-    """For all minimally covered a, b: some automorphism moves a below b."""
-    autos = automorphism_group(g)
-    for a in bp.blocks:
-        moved = [bp.by_centralizer(frozenset(
-            auto.mapping[x] for x in a.centralizer.members)).centralizer.members
-            for auto in autos]
-        if not all(any(c < b.centralizer.members for c in moved)
-                   for b in bp.blocks):
-            return False
-    return True
+    if not (weak or has_component):
+        raise InternalCheckError(
+            "blocks without a component; a finite group cannot stack")
+    return WEAK if weak else SEMISIMPLE
 
 
 def block_type(ambient, a) -> str:
-    """Common weak/semisimple/stacking type of a block's representatives.
+    """Common weak/semisimple type of a block's representatives.
 
     Every representative's factor group is classified independently and the
     verdicts are asserted to agree.

@@ -14,6 +14,7 @@ CORPUS_NAMES = [
 
 _SESSION_START = time.monotonic()
 ACCEPTANCE_RESULTS: dict[int, tuple[str, str]] = {}
+SUMMARY_LINES: list[str] = []  # printed after the acceptance criteria
 
 
 def _build_corpus() -> dict:
@@ -65,5 +66,7 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         for n in sorted(ACCEPTANCE_RESULTS):
             name, verdict = ACCEPTANCE_RESULTS[n]
             terminalreporter.write_line(f"criterion {n} ({name}): {verdict}")
+    for line in SUMMARY_LINES:
+        terminalreporter.write_line(line)
     elapsed = time.monotonic() - _SESSION_START
     terminalreporter.write_line(f"session wall time: {elapsed:.1f}s")

@@ -10,8 +10,9 @@ from __future__ import annotations
 import itertools
 from typing import Sequence
 
+from chiefblocks.autos import iter_isomorphisms
 from chiefblocks.blocks import inner_action_members
-from chiefblocks.errors import CapError
+from chiefblocks.errors import CapError, SearchCapExceeded
 from chiefblocks.factors import (
     NormalFactor,
     are_associated,
@@ -21,6 +22,7 @@ from chiefblocks.factors import (
 from chiefblocks.errors import DifferentParents
 from chiefblocks.group import (
     FiniteGroup,
+    Homomorphism,
     Subgroup,
     ambient_subgroup,
     centralizer_subgroup,
@@ -28,6 +30,7 @@ from chiefblocks.group import (
     commutator_subgroup,
     conjugacy_classes,
     is_normal_in,
+    subgroup_as_group,
 )
 from chiefblocks.lattice import (
     NormalLattice,
@@ -402,3 +405,77 @@ def chief_association_conditions(f1: NormalFactor, f2: NormalFactor) -> tuple:
     l1l2 = product_of_subgroups(f1.l, f2.l)
     cond3 = k1l2 == k2l1 and l1l2 < k1k2
     return cond1, cond2, cond3
+
+
+def automorphism_group(g: FiniteGroup) -> list[Homomorphism]:
+    """Every automorphism of g, by the generator-image search."""
+    return list(iter_isomorphisms(g, g))
+
+
+def _complement_swap(g: FiniteGroup, n: Subgroup,
+                     m: Subgroup) -> list[int] | None:
+    """An automorphism of g exchanging internal direct factors n and m.
+
+    Requires g = n x m internally.  Built from an isomorphism phi: n -> m as
+    x*y |-> phi^-1(y)*phi(x); the factors commute elementwise, so the formula
+    is multiplicative.
+    """
+    if (n.order != m.order or n.members & m.members != {0}
+            or n.order * m.order != g.order):
+        return None
+    n_grp, n_embed = subgroup_as_group(n)
+    m_grp, m_embed = subgroup_as_group(m)
+    try:
+        phi = next(iter_isomorphisms(n_grp, m_grp), None)
+    except SearchCapExceeded:
+        return None
+    if phi is None:
+        return None
+    fwd = {n_embed(x): m_embed(phi(x)) for x in n_grp.elements()}
+    bwd = {m_embed(phi(x)): n_embed(x) for x in n_grp.elements()}
+    table = [-1] * g.order
+    for x in sorted(n.members):
+        fx = fwd[x]
+        for y in m.members:
+            table[g.mul(x, y)] = g.mul(bwd[y], fx)
+    if -1 in table or len(set(table)) != g.order:
+        return None
+    return table
+
+
+def characteristically_simple_by_automorphisms(g: FiniteGroup) -> bool:
+    """True iff automorphisms move every node other than 1 and G.
+
+    Characteristic subgroups are normal, so only lattice nodes need to be
+    fused.  The center and the derived subgroup are characteristic, so
+    either one proper and non-trivial answers False.  Otherwise explicit
+    automorphisms fuse the nodes: the swap of a node N with its centralizer
+    C(N/1) when G = N x C(N/1), then the enumeration of Aut(G), which raises
+    SearchCapExceeded when the search outgrows its cap.
+    """
+    lat = normal_subgroups(g)
+    proper = [n for n in lat.nodes if 1 < n.order < g.order]
+    whole = g.whole()
+    if any(1 < len(s) < g.order for s in (
+            centralizer_by_mul(whole, whole.gens),
+            commutator_subgroup(g, whole, whole).members)):
+        return False
+    unfused = {n.members for n in proper}
+
+    def absorb(table: list[int]) -> None:
+        for mem in list(unfused):
+            if frozenset(table[x] for x in mem) != mem:
+                unfused.discard(mem)
+
+    for n in proper:
+        if n.members in unfused:
+            table = _complement_swap(g, n, factor_centralizer(
+                NormalFactor(whole, n, lat.nodes[0])))
+            if table is not None:
+                absorb(table)
+    if unfused:
+        for auto in iter_isomorphisms(g, g):
+            absorb(auto.mapping)
+            if not unfused:
+                break
+    return not unfused

@@ -414,6 +414,18 @@ def test_cli_node_cap_bounds_subgroup_lattices(flags, tmp_path, capsys):
     assert "node cap 3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cap, code", [("-2", 3), ("0", 3), ("1", 0)])
+def test_cli_node_cap_counts_the_trivial_node(cap, code, tmp_path, capsys):
+    # The lattice of C1 is its one trivial node.
+    c1_file = tmp_path / "c1.json"
+    c1_file.write_text('{"kind":"named","name":"C1"}')
+    assert run(["analyze", "--spec", str(c1_file), "--node-cap", cap]) \
+        == code
+    err = capsys.readouterr().err
+    assert err == ("" if code == 0
+                   else f"error: normal lattice exceeded node cap {cap}\n")
+
+
 @pytest.mark.parametrize("parts", [{"parts": 5}, {"parts": [5]}],
                          ids=["parts-not-list", "part-not-list"])
 def test_cli_malformed_factorization_is_input_error(parts, tmp_path, capsys):

@@ -7,6 +7,8 @@ On it the lattice reads are compared with the constructions they replaced:
 series, ``layer`` with the closure of the components, the centralizer of
 each node N by one element per class (the factor centralizer of N/1) with
 ``centralizer_subgroup``, and ``association_graph`` with the pairwise test.
+Characteristic simplicity, read from the socle and the atoms, is compared
+with the enumeration of automorphisms.
 """
 
 import pytest
@@ -15,7 +17,10 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
+import conftest  # noqa: E402
+from chiefblocks.autos import is_characteristically_simple  # noqa: E402
 from chiefblocks.blocks import refine_series  # noqa: E402
+from chiefblocks.errors import SearchCapExceeded  # noqa: E402
 from chiefblocks.factors import (  # noqa: E402
     NormalFactor,
     association_graph,
@@ -36,6 +41,7 @@ from chiefblocks.lattice import (  # noqa: E402
 from chiefblocks.semisimple import layer  # noqa: E402
 from oracles import (  # noqa: E402
     association_edges_pairwise,
+    characteristically_simple_by_automorphisms,
     layer_by_closure,
     refine_series_by_commutators,
 )
@@ -78,3 +84,27 @@ def test_lattice_reads_match_element_constructions(g):
         assert factor_centralizer(NormalFactor(g.whole(), n, lat.nodes[0])) \
             .members == centralizer_subgroup(g, n.gens).members
     assert association_graph(g)[1] == association_edges_pairwise(g)
+
+
+def test_characteristic_simplicity_matches_automorphisms():
+    """Examples whose automorphism search outgrows its cap are skipped."""
+    seen = {"compared": 0, "skipped": 0}
+
+    @settings(max_examples=150, deadline=None, database=None,
+              derandomize=True)
+    @given(products_and_quotients())
+    def check(g):
+        try:
+            want = characteristically_simple_by_automorphisms(g)
+        except SearchCapExceeded:
+            seen["skipped"] += 1
+            return
+        assert is_characteristically_simple(g) == want
+        seen["compared"] += 1
+
+    check()
+    conftest.SUMMARY_LINES.append(
+        f"characteristic simplicity: {seen['compared']} Hypothesis examples"
+        f" compared with the automorphism oracle, {seen['skipped']} skipped"
+        " at its search cap")
+    assert seen["compared"] >= 100

@@ -2,20 +2,20 @@
 
 import pytest
 
-from chiefblocks import named
-from chiefblocks.autos import (
-    automorphism_group,
-    is_characteristically_simple,
-)
+from chiefblocks import autos, named, semisimple
+from chiefblocks.autos import is_characteristically_simple, iter_isomorphisms
 from chiefblocks.blocks import chief_blocks, minimal_cover
 from chiefblocks.errors import (
+    InternalCheckError,
     NotCharacteristicallySimple,
     NotSemisimpleType,
+    SearchCapExceeded,
 )
 from chiefblocks.group import (
     center,
     centralizer_subgroup,
     commutator_subgroup,
+    direct_product,
     is_normal_in,
     normal_closure,
     quotient,
@@ -34,6 +34,8 @@ from chiefblocks.semisimple import (
     simple_quotient_duality,
 )
 from oracles import (
+    automorphism_group,
+    characteristically_simple_by_automorphisms,
     components_all_nodes,
     layer_by_closure,
     product_of_subgroups,
@@ -278,6 +280,74 @@ def test_automorphism_counts():
     assert len(automorphism_group(named.alternating(5))) == 120
 
 
+def _power(g, k):
+    out = g
+    for _ in range(k - 1):
+        out = direct_product(out, g)
+    return out
+
+
+@pytest.fixture(scope="module")
+def extra_groups():
+    """Groups beside the corpora, with characteristically simple ones."""
+    c2, c3, c5, s3, a5 = (named.cyclic(2), named.cyclic(3), named.cyclic(5),
+                          named.symmetric(3), named.alternating(5))
+    return {
+        "C1": named.cyclic(1),
+        "C6": named.cyclic(6),
+        "C2^3": _power(c2, 3),
+        "C3^3": _power(c3, 3),
+        "C2^4": _power(c2, 4),
+        "C5^2": _power(c5, 2),
+        "C2^2xC4": direct_product(_power(c2, 2), named.cyclic(4)),
+        "A5xC2": direct_product(a5, c2),
+        "S3xS3": _power(s3, 2),  # two C3 atoms; the socle is only C3xC3
+        "A6": named.alternating(6),
+        "A5xA5": _power(a5, 2),
+    }
+
+
+def test_characteristic_simplicity_matches_automorphism_oracle(
+        corpus, dense_corpus, extra_groups):
+    groups = {**corpus, **dense_corpus, **extra_groups}
+    for name, g in groups.items():
+        assert is_characteristically_simple(g) \
+            == characteristically_simple_by_automorphisms(g), name
+    assert {n for n, g in extra_groups.items()
+            if is_characteristically_simple(g)} \
+        == {"C1", "C2^3", "C3^3", "C2^4", "C5^2", "A6", "A5xA5"}
+
+
+def test_only_non_abelian_atoms_take_a_search(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return iter_isomorphisms(*args, **kwargs)
+
+    monkeypatch.setattr(autos, "iter_isomorphisms", counted)
+    for k in (5, 6):  # Aut(C2^5) = GL(5, 2) outgrows the search cap
+        assert is_characteristically_simple(_power(named.cyclic(2), k))
+    assert calls == []
+    assert is_characteristically_simple(_power(named.alternating(5), 2))
+    assert len(calls) == 1
+
+
+def test_charsimple_type_weak_iff_abelian(corpus, dense_corpus,
+                                         extra_groups):
+    groups = {**corpus, **dense_corpus, **extra_groups}
+    for name, g in groups.items():
+        if is_characteristically_simple(g):
+            assert (charsimple_type(g) == WEAK) == g.is_abelian, name
+
+
+def test_charsimple_type_refuses_blocks_without_component(corpus,
+                                                          monkeypatch):
+    monkeypatch.setattr(semisimple, "components", lambda ambient: [])
+    with pytest.raises(InternalCheckError):
+        charsimple_type(corpus["A5"])
+
+
 def test_charsimple_type_verdicts(corpus):
     assert charsimple_type(corpus["V4"]) == WEAK
     assert charsimple_type(corpus["A5"]) == SEMISIMPLE
@@ -294,7 +364,5 @@ def test_block_types_all_semisimple(corpus):
 
 
 def test_automorphism_search_cap(corpus):
-    from chiefblocks.autos import iter_automorphisms
-    from chiefblocks.errors import SearchCapExceeded
     with pytest.raises(SearchCapExceeded):
-        list(iter_automorphisms(corpus["A5"], search_cap=3))
+        list(iter_isomorphisms(corpus["A5"], corpus["A5"], search_cap=3))
