@@ -194,9 +194,13 @@ def association_graph(
     covers J; so the associated K2/L2 are the upper covers K2 of L2 with
     K2 <= M and K2 not in J (then K2L1 = M and K2 meet J = L2; conversely
     K2 <= K2L1 = M and K2 meet J = L2).  Each edge is found from both ends,
-    else InternalCheckError names the stage.  WorkCapExceeded is raised,
-    before any test, when the F(F-1)/2 pairs of the F chief factors exceed
-    ``ASSOCIATION_PAIR_CAP``; as N - 1 <= F, that bounds the F*N steps.
+    else InternalCheckError names the stage.  Factors come sorted by L, and
+    associates have different L (L1 = L2 forces K1 = K1L2 = K2L1 = K2), so
+    the associates over L2 < L1 are the back hits, counted by popcount; the
+    bits are walked only for L2 >= L1, where they are i itself or after i.
+    WorkCapExceeded is raised, before any test, when the F(F-1)/2 pairs of
+    the F chief factors exceed ``ASSOCIATION_PAIR_CAP``; as N - 1 <= F,
+    that bounds the F*N steps.
     """
     verts = chief_factors(ambient)
     pairs = len(verts) * (len(verts) - 1) // 2
@@ -217,12 +221,14 @@ def association_graph(
             if m == j:  # K1 lies in J: no associate over L2
                 continue
             bits = up_bits[l2] & below[m] & ~below[j]
+            if l2 < l1:  # factors over L2 come before i: count, not walk
+                back += bits.bit_count()
+                continue
             while bits:
                 f2 = factor_at[l2][low := bits & -bits]
                 bits ^= low
                 if f2 > i:
                     edges.append((i, f2))
-                back += f2 < i
     if back != len(edges):
         raise InternalCheckError(f"association stage: {back} of "
                                  f"{len(edges)} edges found from both ends")

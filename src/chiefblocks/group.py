@@ -9,7 +9,9 @@ permutations also expose the underlying permutation of each element.
 Groups of order at most ``_MUL_TABLE_BOUND`` keep a dense Cayley table,
 derived from one right-multiplication column per generator by a walk of the
 Cayley graph that checks every edge, which is Light's exact associativity
-test; ``verify_group_axioms`` checks it against the construction's product.
+test; ``verify_group_axioms`` checks it against the construction's product,
+exactly for a permutation group (its permutations and their index must be
+inverse bijections) and on every pair or on seeded samples otherwise.
 Loops that multiply many elements by one element s read its right column
 (``FiniteGroup.rcol``: x -> xs), which each construction builds from its
 factors' columns without a product per element; ``_right_column`` decides
@@ -57,9 +59,11 @@ DEFAULT_NODE_CAP = 10_000
 
 # Groups up to this order keep a dense Cayley table of columns, built from one
 # right-multiplication column per generator (``_cayley_table``), which checks
-# associativity exhaustively as it builds; ``verify_group_axioms`` compares
-# it with ``_mul_impl``.  Above it, products are computed per call from the
-# construction data, or read from columns built from the factors' columns.
+# associativity exhaustively as it builds; ``verify_group_axioms`` proves a
+# permutation group's table equal to ``_mul_impl`` from the permutation index
+# and compares any other table with it.  Above it, products are computed per
+# call from the construction data, or read from columns built from the
+# factors' columns.
 _MUL_TABLE_BOUND = 512
 
 # Above the table bound, one column (``FiniteGroup.rcol``) costs as much as
@@ -111,7 +115,9 @@ class FiniteGroup:
         not generate.
 
         ``verify_group_axioms`` checks the identity and inverse laws and the
-        table's agreement with ``_mul_impl``.
+        table's agreement with ``_mul_impl``: for a ``PermGroup`` exactly,
+        from these generator columns, the walk and its permutation index;
+        for other groups on every pair up to order 89 or on seeded samples.
         """
         n = self.order
         gens = self.generators
@@ -135,6 +141,11 @@ class FiniteGroup:
 
     def _inv_impl(self, a: int) -> int:
         raise NotImplementedError
+
+    def _inverses_impl(self) -> list[int]:
+        # Fallback: one _inv_impl per element.  Products override this with
+        # their factors' inverse lists.
+        return [self._inv_impl(a) for a in range(self.order)]
 
     def _rcol_impl(self, s: int) -> array:
         # Fallback: one _mul_impl sweep.  Constructions with factors override
@@ -164,7 +175,7 @@ class FiniteGroup:
     def inverses(self) -> list[int]:
         """x -> x^-1 over every element, filled on first use; read-only."""
         if self._inv is None:
-            self._inv = [self._inv_impl(a) for a in range(self.order)]
+            self._inv = self._inverses_impl()
         return self._inv
 
     def inv(self, a: int) -> int:
@@ -502,9 +513,12 @@ class DirectProductGroup(FiniteGroup):
         b1, b2 = divmod(b, r)
         return self.left.mul(a1, b1) * r + self.right.mul(a2, b2)
 
-    def _inv_impl(self, a: int) -> int:
-        a1, a2 = divmod(a, self._r)
-        return self.left.inv(a1) * self._r + self.right.inv(a2)
+    def _inverses_impl(self) -> list[int]:
+        # (a, b)^-1 = (a^-1, b^-1), left-major like the ids.
+        r = self._r
+        right = self.right.inverses()
+        return [a + b for a in [a * r for a in self.left.inverses()]
+                for b in right]
 
     def _rcol_impl(self, s: int) -> array:
         # Element (a, b) has id a*r + b, so the column is left-major.
@@ -586,10 +600,15 @@ class SemidirectProductGroup(FiniteGroup):
         return (self.base.mul(n1, self.action[h1][n2]) * t
                 + self.top.mul(h1, h2))
 
-    def _inv_impl(self, a: int) -> int:
-        n, h = divmod(a, self._t)
-        hi = self.top.inv(h)
-        return self.action[hi][self.base.inv(n)] * self._t + hi
+    def _inverses_impl(self) -> list[int]:
+        # (n, h)^-1 = (action[h^-1][n^-1], h^-1): for a fixed h, the ids
+        # n*t + h form one slice, read from the base's inverse list.
+        t, base_inv = self._t, self.base.inverses()
+        inv = [0] * self.order
+        for h, hi in enumerate(self.top.inverses()):
+            act = self.action[hi]
+            inv[h::t] = [act[n] * t + hi for n in base_inv]
+        return inv
 
     def _rcol_impl(self, s: int) -> array:
         # (n1, h1)(n2, h2) = (n1 * action[h1][n2], h1 h2): for a fixed h1,
@@ -993,12 +1012,32 @@ def verify_group_axioms(g: FiniteGroup, rng) -> None:
     Identity and inverse laws are checked exhaustively.  A tabled group
     (order <= ``_MUL_TABLE_BOUND``) passed Light's exact associativity test
     when its table was built (``FiniteGroup._cayley_table``).  The table
-    must also agree with ``_mul_impl``: on every pair up to order 89,
-    where the n^2 pairs cost no more calls than the sample, and above that
-    on the four products (a, b), (b, c), (ab, c), (a, bc) of each of 2,000
-    triples drawn from ``rng``.  An untabled group is checked for
-    associativity on 2,000 triples drawn from ``rng`` (a full triple sweep
-    is cubic in the order), and the right column ``rcol(s)`` of each
+    must also agree with ``_mul_impl``.
+
+    For a tabled ``PermGroup`` (the class itself, not a subclass) that
+    agreement is proved on all n^2 pairs by an O(n) check: ``perms`` and
+    ``_index`` are inverse bijections (``len(_index) == n`` and
+    ``_index[perms[i]] == i`` for every i), every permutation has
+    ``n_points`` entries and ``perms[0]`` is the identity on them.  Write
+    P(a) for ``perms[a]`` and a*b for ``_mul_impl(a, b)``, the index of
+    P(a)P(b).  The n keys of ``_index`` are then exactly the P(i), so
+    a*b = c means P(a)P(b) = P(c).  By induction along the walk that built
+    the table, P(t[b][x]) = P(x)P(b) for every x and b:
+
+    - column 0 is x -> x, and P(x)P(0) = P(x);
+    - the walk sets every other column b from an earlier column p along an
+      edge b = p*g, g a generator, as t[b][x] = t[p][x]*g, reading the
+      column x -> x*g that ``_rcol_impl`` swept through ``_mul_impl``; so
+      P(t[b][x]) = P(t[p][x])P(g) = P(x)P(p)P(g) = P(x)P(b), because
+      composition of permutations is associative.
+
+    Hence x*b is defined and equals ``_index[P(t[b][x])]`` = t[b][x].
+    Every other tabled group is compared with ``_mul_impl`` on every pair
+    up to order 89, where the n^2 pairs cost no more calls than the sample,
+    and above that on the four products (a, b), (b, c), (ab, c), (a, bc) of
+    each of 2,000 triples drawn from ``rng``.  An untabled group is checked
+    for associativity on 2,000 triples drawn from ``rng`` (a full triple
+    sweep is cubic in the order), and the right column ``rcol(s)`` of each
     generator s must agree with ``_mul_impl`` at the first element of every
     triple, which ties the columns to the construction.  The inverse list
     that conjugation reads is the one the inverse law checks.
@@ -1010,6 +1049,15 @@ def verify_group_axioms(g: FiniteGroup, rng) -> None:
         if g.mul(a, ia) != 0 or g.mul(ia, a) != 0:
             raise InternalCheckError(f"inverse law fails at {a}")
     n, t = g.order, g._table
+    if t is not None and type(g) is PermGroup:
+        perms, index, m = g.perms, g._index, g.n_points
+        if (len(index) != n or perms[0] != _perm.identity_perm(m)
+                or any(len(p) != m for p in perms)
+                or list(map(index.get, perms)) != list(range(n))):
+            raise InternalCheckError(
+                f"permutations and index of {g.name} are not inverse "
+                f"bijections from the identity")
+        return
     triples = ((rng.randrange(n), rng.randrange(n), rng.randrange(n))
                for _ in range(_ASSOC_SAMPLES))
     mul = g._mul_impl

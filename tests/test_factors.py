@@ -392,6 +392,22 @@ def test_association_graph_makes_no_pair_tests(dense_corpus, monkeypatch):
     assert 0 < calls["join_row"] <= len(lat)
 
 
+def test_association_back_hits_are_counted_below(corpus, dense_corpus):
+    """Every edge's earlier end lies over a strictly lower L.
+
+    So the push-up from the later end meets its associate only over
+    L2 < L1, where ``association_graph`` counts hits by popcount and does
+    not walk them; without that count the two-ends check would raise on
+    every group with an edge, as it does not on these.
+    """
+    groups = [corpus["V4"], corpus["A5xA5"], *dense_corpus.values()]
+    for g in groups:
+        covers = normal_subgroups(g).covers()
+        verts, edges = association_graph(g)
+        assert edges == association_edges_pairwise(g), g.name
+        assert edges and all(covers[i][0] < covers[j][0] for i, j in edges)
+
+
 def test_association_symmetry_check_raises(monkeypatch):
     """An edge found from one end only raises, naming the stage."""
     from chiefblocks.errors import InternalCheckError

@@ -22,6 +22,7 @@ from chiefblocks.group import (
     FiniteGroup,
     Homomorphism,
     PermGroup,
+    SemidirectProductGroup,
     center,
     centralizer_subgroup,
     class_index,
@@ -418,7 +419,13 @@ def _built_groups(corpus, dense_corpus):
 
 
 def test_cayley_table_matches_construction(corpus, dense_corpus):
-    for g in _built_groups(corpus, dense_corpus):
+    """The full n^2 oracle, on permutation groups of order 128 and 256 too.
+
+    ``verify_group_axioms`` proves a ``PermGroup`` table equal to
+    ``_mul_impl`` from its permutation index; this compares every pair.
+    """
+    extra = [named.cyclic(256), named.dihedral(128)]
+    for g in [*_built_groups(corpus, dense_corpus), *extra]:
         n = g.order
         if n > _MUL_TABLE_BOUND:
             assert g._table is None
@@ -550,6 +557,98 @@ def test_wrong_product_off_the_generators_fails_axioms(build):
     assert g._table == base._table  # built from the generator columns only
     with pytest.raises(InternalCheckError,
                        match=r"differs from the construction at \(5, 7\)"):
+        verify_group_axioms(g, random.Random(0))
+
+
+class OffPerm(PermGroup):
+    """A permutation group whose product is off by one at (5, 7)."""
+
+    def _mul_impl(self, a, b):
+        c = super()._mul_impl(a, b)
+        return (c + 1) % self.order if (a, b) == (5, 7) else c
+
+
+def test_wrong_product_of_a_perm_group_subclass_fails_axioms():
+    """The exact permutation-index check is for ``PermGroup`` itself only."""
+    s4 = named.symmetric(4)
+    assert 7 not in s4.generators
+    g = OffPerm(s4.perms, s4._index, 4, s4.generators, "off")
+    assert g._table == s4._table  # built from the generator columns only
+    with pytest.raises(InternalCheckError,
+                       match=r"differs from the construction at \(5, 7\)"):
+        verify_group_axioms(g, random.Random(0))
+
+
+def _d8_perms():
+    d8 = named.dihedral(8)
+    return d8, list(d8.perms), dict(d8._index)
+
+
+def test_perm_index_not_inverse_of_perms_fails_axioms():
+    """A permutation index that does not invert ``perms`` raises."""
+    d8, perms, index = _d8_perms()
+    verify_group_axioms(PermGroup(perms, index, d8.n_points, d8.generators,
+                                  "d8"), random.Random(0))
+    a, b = 5, 6
+    swapped = {**index, perms[a]: b, perms[b]: a}
+    extra = {**index, (0,) * d8.n_points: 8}  # a key that is no element
+    for bad in (swapped, extra):
+        g = PermGroup(perms, index, d8.n_points, d8.generators, "d8")
+        g._index = bad
+        with pytest.raises(InternalCheckError):
+            verify_group_axioms(g, random.Random(0))
+
+
+def test_perm_group_not_indexed_from_the_identity_fails_axioms():
+    """With perms[0] != 1 the table is a group, but not the product's."""
+    d8, perms, _ = _d8_perms()
+    moved = [compose(perms[3], p) for p in perms]  # a coset, not a group
+    g = PermGroup(moved, {p: i for i, p in enumerate(moved)}, d8.n_points,
+                  d8.generators, "coset")
+    assert g._table == d8._table
+    with pytest.raises(InternalCheckError):
+        verify_group_axioms(g, random.Random(0))
+
+
+def test_perm_group_axioms_make_no_products(monkeypatch):
+    """A tabled permutation group's law check calls no ``_mul_impl``."""
+    groups = [named.dihedral(512), named.cyclic(256)]
+    calls = 0
+    mul = PermGroup._mul_impl
+
+    def counted(self, a, b):
+        nonlocal calls
+        calls += 1
+        return mul(self, a, b)
+
+    monkeypatch.setattr(PermGroup, "_mul_impl", counted)
+    for g in groups:
+        assert type(g) is PermGroup and g._table is not None
+        verify_group_axioms(g, random.Random(0))
+    assert calls == 0
+
+
+def test_product_inverse_lists_match_construction(corpus, dense_corpus):
+    """Lists assembled from the factors' lists invert every element."""
+    groups = [g for g in _built_groups(corpus, dense_corpus)
+              if isinstance(g, (DirectProductGroup, SemidirectProductGroup))]
+    assert len(groups) >= 6
+    for g in groups:
+        inv, mul = g.inverses(), g._mul_impl
+        assert len(inv) == g.order
+        assert all(mul(a, inv[a]) == 0 for a in g.elements()), g.name
+
+
+@pytest.mark.parametrize("build", [
+    lambda: direct_product(named.symmetric(4), named.cyclic(3)),
+    lambda: named.a5_wr_c2(),
+], ids=["S4xC3", "A5wrC2"])
+def test_wrong_inverse_list_fails_axioms(build):
+    g = build()
+    verify_group_axioms(g, random.Random(0))
+    inv = g.inverses()
+    inv[7] = inv[8]
+    with pytest.raises(InternalCheckError, match="inverse law fails at 7"):
         verify_group_axioms(g, random.Random(0))
 
 
