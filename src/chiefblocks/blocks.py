@@ -11,6 +11,7 @@ lattice's covers and order by node index.
 
 from __future__ import annotations
 
+from itertools import combinations
 from typing import Sequence, Union
 
 from .errors import (
@@ -91,11 +92,12 @@ class BlockPoset:
 
 
 def chief_blocks(ambient) -> BlockPoset:
-    """Partition the non-abelian chief factors by centralizer equality.
+    """Partition the non-abelian chief factors by their centralizer node.
 
-    Centralizer equality coincides with association for non-abelian chief
-    factors, which the test-suite checks pairwise on the corpus.  Block ids
-    are assigned by sorting centralizer fingerprints, so output is stable.
+    On them association is an equivalence relation, and holds iff the
+    centralizers are equal.  So each factor must be associated with its
+    block's first, and the blocks' first factors pairwise not.  Block ids
+    follow the centralizers' node indices, so output is stable.
     """
     amb = ambient_subgroup(ambient)
     g = amb.parent
@@ -103,26 +105,22 @@ def chief_blocks(ambient) -> BlockPoset:
     cached = g._cache.get(key)
     if cached is not None:
         return cached
-    groups: dict[frozenset, list[NormalFactor]] = {}
-    cents: dict[frozenset, Subgroup] = {}
+    lat = normal_subgroups(amb)
+    groups: dict[int, list[NormalFactor]] = {}
     for f in chief_factors(amb):
-        if is_abelian_factor(f):
-            continue
-        c = factor_centralizer(f)
-        groups.setdefault(c.members, []).append(f)
-        cents.setdefault(c.members, c)
-    ordered = sorted(groups, key=lambda m: (len(m), sorted(m)))
-    blocks = [
-        ChiefBlock(amb, cents[m], groups[m], i)
-        for i, m in enumerate(ordered)
-    ]
-    for b in blocks:
-        reps = b.representatives
-        for i in range(len(reps)):
-            for j in range(i + 1, len(reps)):
-                if not are_associated(reps[i], reps[j]):
-                    raise InternalCheckError(
-                        "equal-centralizer representatives not associated")
+        if not is_abelian_factor(f):
+            groups.setdefault(lat.index_of(factor_centralizer(f)),
+                              []).append(f)
+    blocks = [ChiefBlock(amb, lat.nodes[c], groups[c], i)
+              for i, c in enumerate(sorted(groups))]
+    if not all(are_associated(b.representatives[0], r)
+               for b in blocks for r in b.representatives[1:]):
+        raise InternalCheckError(
+            "equal-centralizer representatives not associated")
+    if any(are_associated(a.representatives[0], b.representatives[0])
+           for a, b in combinations(blocks, 2)):
+        raise InternalCheckError(
+            "representatives of different blocks are associated")
     poset = BlockPoset(amb, blocks)
     g._cache[key] = poset
     return poset

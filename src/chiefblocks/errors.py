@@ -97,10 +97,6 @@ class NotCharacteristicallySimple(ChiefblocksError):
     """An operation requires a characteristically simple group."""
 
 
-class StackingClassifyError(ChiefblocksError):
-    """A stacking class satisfied neither or both of the two class kinds."""
-
-
 class InternalCheckError(ChiefblocksError):
     """A verified postcondition failed; indicates a bug (CLI exit code 4)."""
 

@@ -4,12 +4,12 @@ A block b of G extends a block a of H when a normal subgroup K of G covers b
 exactly if K meet H covers a.  Extensions are unique when they exist, always
 exist for minimally covered blocks of normal subgroups, and are governed by
 the conjugation action of G on the blocks of H through the stacking
-preorder.
+preorder, whose classes are antichain orbits: a finite group has no proper
+stacking.
 """
 
 from __future__ import annotations
 
-import itertools
 from typing import Callable, Sequence
 
 from .blocks import (
@@ -26,7 +26,6 @@ from .errors import (
     NotNested,
     NotNormal,
     NotSurjective,
-    StackingClassifyError,
 )
 from .factors import (
     NormalFactor,
@@ -193,28 +192,23 @@ def _action_permutations(amb: Subgroup, h: Subgroup,
 def classify_stacking_class(members: Sequence[int],
                             lt: Callable[[int, int], bool],
                             perms: Sequence[Sequence[int]]) -> str:
-    """Decide whether one stacking class is an antichain orbit or proper.
+    """Check that one stacking class is an antichain orbit; return its kind.
 
     ``members`` are block ids forming one class, ``lt`` the strict block
-    order, and ``perms`` the available translations.  Exactly one of the two
-    kinds must hold; anything else raises StackingClassifyError.  The
-    function is pure so synthetic poset-and-action fixtures can drive the
-    proper-stacking branch, which no finite group reaches.
+    order, and ``perms`` the available translations.  A class could also be
+    proper stacking: for all a, b in it some p has p(a) < b.  Take a = b:
+    p(a) < a for an order automorphism p of some finite order m gives
+    a = p^m(a) < ... < p(a) < a, which is impossible.  So in a finite group
+    every class is an antichain orbit, and anything else raises
+    InternalCheckError.
     """
     mset = list(members)
-    antichain = not any(lt(a, b) or lt(b, a)
-                        for a, b in itertools.combinations(mset, 2))
-    transitive = all(
-        any(p[a] == b for p in perms) for a in mset for b in mset)
-    is_antichain_orbit = antichain and transitive
-    is_proper = all(
-        any(p[a] != b and lt(p[a], b) for p in perms)
-        for a in mset for b in mset)
-    if is_antichain_orbit == is_proper:
-        raise StackingClassifyError(
-            f"class kinds collided: antichain-orbit={is_antichain_orbit}, "
-            f"proper-stacking={is_proper}")
-    return "antichain-orbit" if is_antichain_orbit else "proper-stacking"
+    if (any(lt(a, b) for a in mset for b in mset)
+            or not all(any(p[a] == b for p in perms)
+                       for a in mset for b in mset)):
+        raise InternalCheckError(
+            f"stacking class {mset} is not an antichain orbit")
+    return "antichain-orbit"
 
 
 def stacking_structure(ambient, h: Subgroup) -> StackingStructure:

@@ -1,7 +1,8 @@
 """Normal factors K/L, their centralizers, and the association relation.
 
-K and L are lattice nodes, so association and compression read node indices,
-and the association graph pushes each chief factor up over the nodes.
+K and L are lattice nodes, so association, compression and the centralizer
+of a non-abelian chief factor read node indices, and the association graph
+pushes each chief factor up over the nodes.
 """
 
 from __future__ import annotations
@@ -103,20 +104,33 @@ def factor_group(f: NormalFactor) -> tuple[CosetGroup, Homomorphism]:
     return cached
 
 
+def _built_cover(f: NormalFactor) -> NormalLattice | None:
+    """The ambient's lattice if it is built and K/L is one of its covers."""
+    lat = cached_lattice(f.ambient)
+    return (lat if lat is not None and lat.is_cover(f.l.members, f.k.members)
+            else None)
+
+
 def factor_centralizer(f: NormalFactor) -> Subgroup:
     """{g in ambient : [g, k] in L for every k in K}, normal in the ambient.
 
-    Computed by ``factor_centralizer_members`` from one element per
-    conjugacy class of the ambient, which needs K and L normal in it.
+    A non-abelian cover of the built lattice reads the node from the order
+    (``NormalLattice.centralizer``); any other factor tests one element per
+    conjugacy class (``factor_centralizer_members``), which needs K and L
+    normal.
     """
     g = f.ambient.parent
     key = ("factor_centralizer", f.ambient.members, f.k.members, f.l.members)
     cached = g._cache.get(key)
     if cached is None:
-        members = factor_centralizer_members(f.ambient, f.k.gens,
-                                             f.l.members)
-        cached = Subgroup(g, members, None,
-                          True if f.ambient.order == g.order else None)
+        lat = _built_cover(f)
+        if lat is not None and not is_prime_power(f.order):
+            cached = lat.nodes[lat.centralizer(lat.index_of(f.k),
+                                               lat.index_of(f.l))]
+        else:
+            cached = Subgroup(g, factor_centralizer_members(
+                f.ambient, f.k.gens, f.l.members), None,
+                True if f.ambient.order == g.order else None)
         g._cache[key] = cached
     return cached
 
@@ -127,8 +141,7 @@ def is_abelian_factor(f: NormalFactor) -> bool:
     A cover of the built lattice is T^k, T simple: abelian iff |K/L| is a
     prime power (Burnside's p^a q^b theorem).  Else generator pairs decide.
     """
-    lat = cached_lattice(f.ambient)
-    if lat is not None and lat.is_cover(f.l.members, f.k.members):
+    if _built_cover(f) is not None:
         return is_prime_power(f.order)
     g = f.ambient.parent
     return all(g.comm(a, b) in f.l.members

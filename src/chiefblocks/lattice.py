@@ -15,8 +15,9 @@ joins and meets, by node index.
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import accumulate, repeat
-from math import gcd
+from math import gcd, prod
 from typing import Iterator
 
 from .errors import (
@@ -106,6 +107,21 @@ class NormalLattice:
             bits &= self._below[i]
         return bits.bit_length() - 1
 
+    def centralizer(self, k: int, l: int) -> int:
+        """C(K/L) of a non-abelian chief factor K/L on node indices.
+
+        It is the first node N from the top with N meet K = L.  If
+        N meet K <= L, then [N, K] <= N meet K <= L, so N <= C(K/L).
+        Conversely [C(K/L) meet K, K] <= L, so (C(K/L) meet K)/L is central
+        in K/L, which is T^k for a non-abelian simple T and so centerless:
+        C(K/L) meet K = L.  So C(K/L) is the largest node N with
+        N meet K = L and holds every other; nodes rise along the order, so
+        it is the first one met from the top.
+        """
+        below = self._below[k]
+        return next(n for n in reversed(range(len(self.nodes)))
+                    if (self._below[n] & below).bit_length() - 1 == l)
+
     def covers(self) -> list[tuple[int, int]]:
         """Hasse edges (i, j) with node i covered by node j, sorted."""
         return [(i, j) for i, js in enumerate(self._up) for j in js]
@@ -147,16 +163,17 @@ def normal_subgroups(ambient) -> NormalLattice:
 
     The lattice is cached per ambient.  The ``node_cap`` of the ambient's
     parent group bounds a build, which raises NodeCapExceeded as soon as the
-    lattice would exceed it; a lattice already built is returned as it is.
+    lattice would exceed it, before any class row if its central subgroups
+    of prime exponent do; a lattice already built is returned as it is.
     """
     amb = ambient_subgroup(ambient)
     g = amb.parent
     if (cached := cached_lattice(amb)) is not None:
         return cached
 
-    if g.node_cap < 1:  # the trivial subgroup is the first node
-        raise NodeCapExceeded(f"normal lattice exceeded node cap {g.node_cap}")
     classes, index = conjugacy_classes(amb), class_index(amb)
+    if _central_elementary_subgroups(g, classes) > g.node_cap:
+        raise NodeCapExceeded(f"normal lattice exceeded node cap {g.node_cap}")
     rows: dict = {}  # the class rows of ``class_closure``
     atoms: dict[int, int] = {}  # ncl(x) -> its first representative x
     done: set[int] = set()  # classes of the x^k with the atom of an x
@@ -193,6 +210,35 @@ def normal_subgroups(ambient) -> NormalLattice:
                      key=lambda s: (s.order, s.sorted_members()))
     return cached_lattice(amb, NormalLattice(amb, ordered, {
         nodes[n].members: [nodes[m] for m in ms] for n, ms in up.items()}))
+
+
+def _central_elementary_subgroups(g, classes: list[list[int]]) -> int:
+    """A lower bound on the node count, exact when it passes the node cap.
+
+    For a prime p the central z with z^p = 1 form C_p^r, whose subgroups
+    are nodes; counts for different primes multiply.  With |Z|_p = p^v,
+    r <= v: the z^p are counted only if r = v passes the cap and p^2 | |Z|.
+    """
+    center = [c[0] for c in classes if len(c) == 1]
+    n, sylow = len(center), {}  # p -> the order of Z's Sylow p-subgroup
+    for p in range(2, n + 1):
+        while n % p == 0:
+            n, sylow[p] = n // p, sylow.get(p, 1) * p
+    bound = prod(_elementary_subgroups(p, q) for p, q in sylow.items())
+    if bound > g.node_cap:
+        bound = prod(_elementary_subgroups(p, q if q == p else sum(
+            reduce(g.mul, repeat(z, p)) == 0 for z in center))
+            for p, q in sylow.items())
+    return bound
+
+
+def _elementary_subgroups(p: int, c: int) -> int:
+    """Subgroups of C_p^r, c = p^r, by Goldman and Rota's recurrence
+    a_{i+1} = 2a_i + (p^i - 1)a_{i-1}."""
+    prev, cur, q = 0, 1, 1  # a_{i-1}, a_i, p^i
+    while q < c:
+        prev, cur, q = cur, 2 * cur + (q - 1) * prev, q * p
+    return cur
 
 
 def is_prime_power(n: int) -> bool:

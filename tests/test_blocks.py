@@ -17,14 +17,21 @@ from chiefblocks.blocks import (
     refine_series,
     uppermost_representative,
 )
-from chiefblocks.errors import AbelianFactor, NotAChain, NotChief
+from chiefblocks.errors import (
+    AbelianFactor,
+    InternalCheckError,
+    NotAChain,
+    NotChief,
+)
 from chiefblocks.factors import (
     are_associated,
     factor_centralizer,
     is_abelian_factor,
     make_factor,
 )
+from chiefblocks.group import direct_product
 from chiefblocks.lattice import (
+    NormalLattice,
     chief_factors,
     chief_series_iter,
     is_monolithic,
@@ -318,3 +325,46 @@ def test_every_corpus_block_is_minimally_covered(corpus):
             assert covers(witness, b)
             assert all(witness.members <= n.members
                        for n in covering_filter(g, b))
+
+
+def _a5_c2_4():
+    c2 = named.cyclic(2)
+    return direct_product(named.alternating(5), direct_product(
+        direct_product(c2, c2), direct_product(c2, c2)))
+
+
+def test_blocks_and_representatives_need_no_generators(monkeypatch):
+    """Once the lattice is built, blocks and representatives read it."""
+    import chiefblocks.group as group_mod
+    groups = [named.s5_wr_c2(), _a5_c2_4()]
+    for g in groups:
+        normal_subgroups(g)
+    calls = []
+    real = group_mod.generating_ids
+    monkeypatch.setattr(group_mod, "generating_ids",
+                        lambda g, m: calls.append(len(m)) or real(g, m))
+    for g in groups:
+        for b in chief_blocks(g):
+            minimal_cover(g, b)
+            uppermost_representative(g, b)
+            lowermost_representative(g, b)
+    assert calls == []
+
+
+@pytest.mark.parametrize("build", [
+    lambda: direct_product(named.alternating(5), named.alternating(5)),
+    _a5_c2_4,
+], ids=["A5xA5", "A5xC2^4"])
+def test_block_check_refuses_least_node_centralizers(build, monkeypatch):
+    """The least node N with N meet K = L is L itself.  Keyed by it, A5xA5
+    puts its two unassociated bottom factors in one block, and A5xC2^4
+    splits its one block of 67 associated factors into 67 blocks; the
+    linear check refuses both."""
+    def least(self, k, l):
+        below = self._below[k]
+        return next(n for n in range(len(self.nodes))
+                    if (self._below[n] & below).bit_length() - 1 == l)
+
+    monkeypatch.setattr(NormalLattice, "centralizer", least)
+    with pytest.raises(InternalCheckError, match="associated"):
+        chief_blocks(build())

@@ -6,7 +6,8 @@ lattice is checked at its atoms (each against ``normal_closure_by_mul``),
 at every node joined with an atom (against the coset-sweep product) and
 at every node's perfectness (against the derived subgroup); association
 edges and abelian chief factors against the pairwise and commutator
-tests.
+tests; the lattice read of each non-abelian chief factor's centralizer
+against the class test.
 """
 
 import pytest
@@ -25,6 +26,7 @@ from chiefblocks.group import (  # noqa: E402
     centralizer_subgroup,
     commutator_subgroup,
     conjugacy_classes,
+    factor_centralizer_members,
     group_from_permutations,
 )
 from chiefblocks.lattice import (  # noqa: E402
@@ -69,6 +71,10 @@ def test_class_space_matches_sweeps(gens):
     for f in chief_factors(g):
         assert factor_centralizer(f).members \
             == factor_centralizer_by_sweep(g, f.k.gens, f.l.members)
+        if not is_abelian_factor(f):
+            assert lat.nodes[lat.centralizer(lat.index_of(f.k),
+                                             lat.index_of(f.l))].members \
+                == factor_centralizer_members(g, f.k.gens, f.l.members)
         assert center(f.k).members == centralizer_by_mul(f.k, f.k.gens)
 
 

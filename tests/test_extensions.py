@@ -4,10 +4,10 @@ import pytest
 
 from chiefblocks.blocks import chief_blocks, minimal_cover
 from chiefblocks.errors import (
+    InternalCheckError,
     NotNested,
     NotNormal,
     NotSurjective,
-    StackingClassifyError,
 )
 from chiefblocks.extensions import (
     antichain_orbit_analysis,
@@ -160,19 +160,20 @@ def test_antichain_orbit_analysis(corpus):
 
 
 def test_classify_stacking_class_fixtures():
-    """Synthetic fixtures drive the branch no finite group reaches."""
+    """Only antichain orbits pass: no finite group stacks properly."""
     ident3 = (0, 1, 2)
     shifts = [ident3, (1, 2, 0), (2, 0, 1)]
-    # a cyclic strict "order" makes every pair translatable strictly below
+    # a cyclic strict "order" makes every pair translatable strictly below,
+    # which no order automorphism of finite order can do
     cyclic_lt = {(0, 1), (1, 2), (2, 0)}
-    assert classify_stacking_class(
-        [0, 1, 2], lambda a, b: (a, b) in cyclic_lt, shifts) \
-        == "proper-stacking"
+    with pytest.raises(InternalCheckError, match="not an antichain orbit"):
+        classify_stacking_class(
+            [0, 1, 2], lambda a, b: (a, b) in cyclic_lt, shifts)
     # a genuine antichain orbit
     assert classify_stacking_class(
         [0, 1], lambda a, b: False, [(0, 1), (1, 0)]) == "antichain-orbit"
     # chain with only the identity available: neither kind fits
-    with pytest.raises(StackingClassifyError):
+    with pytest.raises(InternalCheckError, match="not an antichain orbit"):
         classify_stacking_class(
             [0, 1], lambda a, b: a == 0 and b == 1, [(0, 1)])
 

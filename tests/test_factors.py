@@ -26,6 +26,7 @@ from chiefblocks.group import (
     Subgroup,
     centralizer_subgroup,
     direct_product,
+    factor_centralizer_members,
     is_normal_in,
     subgroup_generated,
 )
@@ -184,6 +185,21 @@ def test_abelian_chief_factors_need_no_generators(monkeypatch):
     assert [is_abelian_factor(f) for f in chief_factors(wr)] \
         == [False, True]
     assert calls == []
+
+
+def test_lattice_centralizer_matches_class_test(corpus, dense_corpus):
+    """C(K/L) from the lattice order is the class test's, on every
+    non-abelian chief factor, and ``factor_centralizer`` returns it."""
+    for g in [*corpus.values(), *dense_corpus.values()]:
+        lat = normal_subgroups(g)
+        for f in chief_factors(g):
+            if is_abelian_factor(f):
+                continue
+            c = lat.nodes[lat.centralizer(lat.index_of(f.k),
+                                          lat.index_of(f.l))].members
+            assert c == factor_centralizer_members(g, f.k.gens,
+                                                   f.l.members), f
+            assert factor_centralizer(f).members == c, f
 
 
 def test_klein_association_pattern():

@@ -288,6 +288,40 @@ def test_node_cap_enforced():
     assert len(normal_subgroups(c256)) == 9
 
 
+def test_node_cap_refuses_central_subgroups_before_any_class_row(
+        monkeypatch):
+    """C2^14 has 16,383 atoms; its central subgroups of exponent 2 alone
+    pass the default cap, so no class row is built."""
+    import chiefblocks.lattice as lattice_mod
+
+    def no_rows(*args):
+        raise AssertionError("class_closure called")
+
+    monkeypatch.setattr(lattice_mod, "class_closure", no_rows)
+    c2 = named.cyclic(2)
+    g = c2
+    for _ in range(13):
+        g = direct_product(g, c2)
+    with pytest.raises(NodeCapExceeded,
+                       match="normal lattice exceeded node cap 10000$"):
+        normal_subgroups(g)
+
+
+@pytest.mark.parametrize("cap", [373, 374])
+def test_node_cap_bound_refuses_nothing_that_fits(cap):
+    """C2^5 has 374 subgroups, all normal: the cap 374 holds its lattice."""
+    c2 = named.cyclic(2)
+    g = c2
+    for _ in range(4):
+        g = direct_product(g, c2)
+    g.node_cap = cap
+    if cap < 374:
+        with pytest.raises(NodeCapExceeded, match=f"node cap {cap}$"):
+            normal_subgroups(g)
+    else:
+        assert len(normal_subgroups(g)) == 374
+
+
 def test_lattice_cached_by_ambient_alone():
     g = direct_product(named.quaternion8(), named.cyclic(2))
     g.node_cap = 500

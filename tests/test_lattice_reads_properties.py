@@ -6,7 +6,9 @@ On it the lattice reads are compared with the constructions they replaced:
 ``refine_series`` with the commutator construction on up to 20 chief
 series, ``layer`` with the closure of the components, the centralizer of
 each node N by one element per class (the factor centralizer of N/1) with
-``centralizer_subgroup``, and ``association_graph`` with the pairwise test.
+``centralizer_subgroup``, the lattice read of each non-abelian chief
+factor's centralizer with the class test, and ``association_graph`` with
+the pairwise test.
 Characteristic simplicity, read from the socle and the atoms, is compared
 with the enumeration of automorphisms.
 """
@@ -30,6 +32,7 @@ from chiefblocks.factors import (  # noqa: E402
 from chiefblocks.group import (  # noqa: E402
     centralizer_subgroup,
     direct_product,
+    factor_centralizer_members,
     group_from_permutations,
     quotient,
 )
@@ -75,6 +78,10 @@ def products_and_quotients(draw):
 def test_lattice_reads_match_element_constructions(g):
     lat = normal_subgroups(g)
     nonabelian = [f for f in chief_factors(g) if not is_abelian_factor(f)]
+    for f in nonabelian:
+        assert lat.nodes[lat.centralizer(lat.index_of(f.k),
+                                         lat.index_of(f.l))].members \
+            == factor_centralizer_members(g, f.k.gens, f.l.members)
     for series in chief_series_iter(g, max_series=20):
         for f in nonabelian:
             assert refine_series(g, series, f) \
