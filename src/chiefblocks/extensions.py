@@ -195,12 +195,9 @@ def classify_stacking_class(members: Sequence[int],
     """Check that one stacking class is an antichain orbit; return its kind.
 
     ``members`` are block ids forming one class, ``lt`` the strict block
-    order, and ``perms`` the available translations.  A class could also be
-    proper stacking: for all a, b in it some p has p(a) < b.  Take a = b:
-    p(a) < a for an order automorphism p of some finite order m gives
-    a = p^m(a) < ... < p(a) < a, which is impossible.  So in a finite group
-    every class is an antichain orbit, and anything else raises
-    InternalCheckError.
+    order, and ``perms`` the available translations.  No class stacks
+    properly (some p with p(a) < a): p has a finite order m, and
+    a = p^m(a) < ... < p(a) < a is impossible.
     """
     mset = list(members)
     if (any(lt(a, b) for a in mset for b in mset)
@@ -241,8 +238,7 @@ def stacking_structure(ambient, h: Subgroup) -> StackingStructure:
         cls = frozenset(j for j in range(n)
                         if (i, j) in preorder and (j, i) in preorder)
         assigned |= cls
-        kind = classify_stacking_class(sorted(cls), lt, perms)
-        classes.append((cls, kind))
+        classes.append((cls, classify_stacking_class(sorted(cls), lt, perms)))
     return StackingStructure(bp, preorder, classes)
 
 

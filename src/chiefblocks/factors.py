@@ -114,10 +114,8 @@ def _built_cover(f: NormalFactor) -> NormalLattice | None:
 def factor_centralizer(f: NormalFactor) -> Subgroup:
     """{g in ambient : [g, k] in L for every k in K}, normal in the ambient.
 
-    A non-abelian cover of the built lattice reads the node from the order
-    (``NormalLattice.centralizer``); any other factor tests one element per
-    conjugacy class (``factor_centralizer_members``), which needs K and L
-    normal.
+    A non-abelian cover of the built lattice reads the node from the order;
+    any other factor tests one element per conjugacy class.
     """
     g = f.ambient.parent
     key = ("factor_centralizer", f.ambient.members, f.k.members, f.l.members)

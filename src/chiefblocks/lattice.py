@@ -108,19 +108,14 @@ class NormalLattice:
         return bits.bit_length() - 1
 
     def centralizer(self, k: int, l: int) -> int:
-        """C(K/L) of a non-abelian chief factor K/L on node indices.
+        """C(K/L) of a non-abelian chief factor K/L: the first node N from
+        the top with N meet K = L.
 
-        It is the first node N from the top with N meet K = L.  If
-        N meet K <= L, then [N, K] <= N meet K <= L, so N <= C(K/L).
-        Conversely [C(K/L) meet K, K] <= L, so (C(K/L) meet K)/L is central
-        in K/L, which is T^k for a non-abelian simple T and so centerless:
-        C(K/L) meet K = L.  So C(K/L) is the largest node N with
-        N meet K = L and holds every other; nodes rise along the order, so
-        it is the first one met from the top.
+        N meet K <= L gives [N, K] <= L, so N <= C(K/L); and (C(K/L) meet K)/L
+        is central in K/L = T^k, which is centerless, so it is trivial.
         """
-        below = self._below[k]
         return next(n for n in reversed(range(len(self.nodes)))
-                    if (self._below[n] & below).bit_length() - 1 == l)
+                    if self.meet(n, k) == l)
 
     def covers(self) -> list[tuple[int, int]]:
         """Hasse edges (i, j) with node i covered by node j, sorted."""
@@ -213,28 +208,19 @@ def normal_subgroups(ambient) -> NormalLattice:
 
 
 def _central_elementary_subgroups(g, classes: list[list[int]]) -> int:
-    """A lower bound on the node count, exact when it passes the node cap.
+    """The subgroups of the central z with z^p = 1, p prime: all are nodes.
 
-    For a prime p the central z with z^p = 1 form C_p^r, whose subgroups
-    are nodes; counts for different primes multiply.  With |Z|_p = p^v,
-    r <= v: the z^p are counted only if r = v passes the cap and p^2 | |Z|.
+    For each p dividing |Z| those z form C_p^r; counts for primes multiply.
     """
     center = [c[0] for c in classes if len(c) == 1]
-    n, sylow = len(center), {}  # p -> the order of Z's Sylow p-subgroup
-    for p in range(2, n + 1):
-        while n % p == 0:
-            n, sylow[p] = n // p, sylow.get(p, 1) * p
-    bound = prod(_elementary_subgroups(p, q) for p, q in sylow.items())
-    if bound > g.node_cap:
-        bound = prod(_elementary_subgroups(p, q if q == p else sum(
-            reduce(g.mul, repeat(z, p)) == 0 for z in center))
-            for p, q in sylow.items())
-    return bound
+    primes = [p for p in range(2, len(center) + 1)
+              if len(center) % p == 0 and all(p % d for d in range(2, p))]
+    return prod(_elementary_subgroups(p, sum(
+        reduce(g.mul, repeat(z, p)) == 0 for z in center)) for p in primes)
 
 
 def _elementary_subgroups(p: int, c: int) -> int:
-    """Subgroups of C_p^r, c = p^r, by Goldman and Rota's recurrence
-    a_{i+1} = 2a_i + (p^i - 1)a_{i-1}."""
+    """Subgroups of C_p^r, c = p^r, by Goldman and Rota's recurrence."""
     prev, cur, q = 0, 1, 1  # a_{i-1}, a_i, p^i
     while q < c:
         prev, cur, q = cur, 2 * cur + (q - 1) * prev, q * p
