@@ -24,9 +24,11 @@ A subgroup normal in an ambient is a union of the ambient's conjugacy
 classes.  ``conjugacy_classes`` caches, beside the classes, the class index
 of every ambient element (``class_index``).  ``class_closure`` takes a
 normal subgroup N, as a bitset over the classes, to N*ncl(x); the normal
-lattice and ``normal_closure`` are built with it.  The center is the union
-of the one-element classes, and ``factor_centralizer_members`` tests one
-element per class.
+lattice and ``normal_closure`` are built with it.  It reads the class row
+of x, whose entry i (the classes that C_i*x meets) ``class_row`` fills
+from the column of x on first use.  The center is the union of the
+one-element classes, and ``factor_centralizer_members`` tests one element
+per class.
 
 Groups and subgroups are not immutable.  ``is_normal_in`` records a verified
 normality verdict in ``Subgroup.is_normal``, a subgroup's generators are
@@ -955,26 +957,39 @@ def class_closure(amb: Subgroup, s: int, x: int, rows: dict) -> int:
 
     Bit i is ``conjugacy_classes(amb)[i]``.  The class row R_x maps i to
     the classes that C_i*x meets, each entry read from the column of x when
-    first needed; ``rows`` keeps R_x and the column for calls on amb.  A
-    union of classes S with S*x in S has S*x^h = (S*x)^h in S for every h;
-    N*ncl(x) is such an S, and every such S holding N holds N*ncl(x), so
-    that is the closure of N's classes under i -> R_x[i].
+    first needed (``class_row``); ``rows`` keeps R_x and the column for
+    calls on amb.  A union of classes S with S*x in S has S*x^h = (S*x)^h
+    in S for every h; N*ncl(x) is such an S, and every such S holding N
+    holds N*ncl(x), so that is the closure of N's classes under
+    i -> R_x[i].
+    """
+    if x not in rows:
+        class_row(amb, x, 0, rows)  # makes R_x; every N holds the class 0
+    row = rows[x][0]
+    fresh = s
+    while fresh:
+        reach = 0
+        for i in _bits(fresh):
+            reach |= row[i] or class_row(amb, x, i, rows)
+        fresh = reach & ~s
+        s |= fresh
+    return s
+
+
+def class_row(amb: Subgroup, x: int, i: int, rows: dict) -> int:
+    """R_x[i], the bitset of the classes that C_i*x meets, filled on first use.
+
+    ``rows`` maps x to R_x (0 marks an entry not yet read) and the column
+    of x, made on the first call for x; a filled entry is never 0.
     """
     if x not in rows:
         rows[x] = ([0] * len(conjugacy_classes(amb)),
                    _right_column(amb.parent, x, amb.order, {}))
     row, col = rows[x]
-    fresh = s
-    while fresh:
-        reach = 0
-        for i in _bits(fresh):
-            if not row[i]:
-                classes, index = _class_space(amb)
-                row[i] = sum({1 << index[col[c]] for c in classes[i]})
-            reach |= row[i]
-        fresh = reach & ~s
-        s |= fresh
-    return s
+    if not row[i]:
+        classes, index = _class_space(amb)
+        row[i] = sum({1 << index[col[c]] for c in classes[i]})
+    return row[i]
 
 
 def _bits(n: int) -> Iterator[int]:

@@ -6,8 +6,8 @@ block-extension machinery needs.  ``normal_subgroups`` builds the lattice
 of an ambient once, by a breadth-first search of upper covers from the
 trivial subgroup, and caches it per ambient.  The search runs in class
 space: a node is a bitset over the ambient's conjugacy classes, and a
-product N*ncl(x) is the closure of N's classes under the class row of x
-(``group.class_closure``).
+product N*ncl(x), with ncl(x) the principal normal subgroup of x, is the
+closure of N's classes under the class row of x (``group.class_closure``).
 Every layer reads the lattice from the cache and asks ``NormalLattice``
 whether L < K is a cover (no normal subgroup strictly between) and for
 joins and meets, by node index.
@@ -16,7 +16,7 @@ joins and meets, by node index.
 from __future__ import annotations
 
 from functools import reduce
-from itertools import accumulate, repeat
+from itertools import repeat
 from math import gcd, prod
 from typing import Iterator
 
@@ -32,6 +32,7 @@ from .group import (
     ambient_subgroup,
     class_closure,
     class_index,
+    class_row,
     conjugacy_classes,
     is_normal_in,
 )
@@ -148,18 +149,31 @@ def normal_subgroups(ambient) -> NormalLattice:
 
     Nodes are bitsets over the conjugacy classes, and a product N*ncl(x)
     is a ``class_closure`` of N's bitset; one dict of class rows serves the
-    whole search.  The atoms ncl(x) close the identity's class, one
-    representative kept per distinct atom; x^k, k prime to the order of x,
-    generates <x> and has the same atom.  The upper covers of a node N are
-    the minimal N*ncl(x), x outside N: a cover M of N is N*ncl(x) for any x
-    in M - N, and a minimal product has no normal subgroup strictly between
-    it and N.  So one search from the trivial subgroup finds every node and
-    every edge.
+    whole search.  The principal normal subgroups ncl(x) come first
+    (``_principal_subgroups``), one representative kept for each.  The
+    upper covers of a node N are the minimal N*ncl(x), x outside N: a cover
+    M of N is N*ncl(x) for any x in M - N, and a minimal product has no
+    normal subgroup strictly between it and N.  So one search from the
+    trivial subgroup finds every node and every edge.
+
+    The candidates y for ncl(y) are the least members of the non-identity
+    classes.  y^k with k prime to the order of y generates <y>, so its
+    class has the same ncl and is skipped.  A candidate y is closed from
+    the identity's class unless a certificate shows that ncl(y) is some
+    A = ncl(x) found before.  Let P be the classes of the powers of y.  If
+    the class of y lies in A and R_x[p] meets P for some p in P, then
+    ncl(y) = A.  Proof: y lies in A, which is normal, so ncl(y) <= A.  The
+    common class gives c*x = z with c in C_p and z in a class of P; c and z
+    are conjugates of powers of y, so x = c^-1 z lies in ncl(y) and
+    A = ncl(x) <= ncl(y).  Without a certificate y is closed in full, so
+    the result is exact either way.
 
     The lattice is cached per ambient.  The ``node_cap`` of the ambient's
     parent group bounds a build, which raises NodeCapExceeded as soon as the
-    lattice would exceed it, before any class row if its central subgroups
-    of prime exponent do; a lattice already built is returned as it is.
+    lattice would exceed it: before any class row if its central subgroups
+    of prime exponent do, among the principal normal subgroups if they and
+    the trivial subgroup do, else in the search.  A lattice already built
+    is returned as it is.
     """
     amb = ambient_subgroup(ambient)
     g = amb.parent
@@ -168,23 +182,15 @@ def normal_subgroups(ambient) -> NormalLattice:
 
     classes, index = conjugacy_classes(amb), class_index(amb)
     if _central_elementary_subgroups(g, classes) > g.node_cap:
-        raise NodeCapExceeded(f"normal lattice exceeded node cap {g.node_cap}")
+        raise _node_cap_exceeded(g)
     rows: dict = {}  # the class rows of ``class_closure``
-    atoms: dict[int, int] = {}  # ncl(x) -> its first representative x
-    done: set[int] = set()  # classes of the x^k with the atom of an x
-    for x in [cls[0] for cls in classes[1:]]:
-        if index[x] not in done:
-            o = g.element_order(x)  # x^k generates <x> when k is prime to o
-            done.update(index[p] for k, p in enumerate(
-                accumulate(repeat(x, o), g.mul), 1) if gcd(k, o) == 1)
-            if atoms.setdefault(class_closure(amb, 1, x, rows), x) != x:
-                del rows[x]  # a repeated atom
+    principal = _principal_subgroups(amb, rows)
 
     up: dict[int, list[int]] = {}
     queue, seen = [1], {1}  # from the trivial subgroup
     for n in queue:  # the queue grows while it is walked: breadth first
         covers: list[int] = []  # the minimal products so far
-        for x in atoms.values():
+        for x in principal.values():
             if not n >> index[x] & 1:  # else ncl(x) lies in N
                 m = class_closure(amb, n, x, rows)
                 if all(c & ~m for c in covers):
@@ -193,8 +199,7 @@ def normal_subgroups(ambient) -> NormalLattice:
         for m in covers:
             if m not in seen:
                 if len(seen) >= g.node_cap:
-                    raise NodeCapExceeded(
-                        f"normal lattice exceeded node cap {g.node_cap}")
+                    raise _node_cap_exceeded(g)
                 seen.add(m)
                 queue.append(m)
 
@@ -205,6 +210,45 @@ def normal_subgroups(ambient) -> NormalLattice:
                      key=lambda s: (s.order, s.sorted_members()))
     return cached_lattice(amb, NormalLattice(amb, ordered, {
         nodes[n].members: [nodes[m] for m in ms] for n, ms in up.items()}))
+
+
+def _principal_subgroups(amb: Subgroup, rows: dict) -> dict[int, int]:
+    """ncl(y) as a class bitset -> its first representative y, in class
+    order, skipping each y certified as in ``normal_subgroups``.
+
+    R_x[p] in a certificate is already read: closing x read R_x at every
+    class of A, and P lies in A.  Each principal normal subgroup is a node,
+    and so is the trivial subgroup; NodeCapExceeded is raised as soon as
+    they pass the node cap.
+    """
+    g = amb.parent
+    classes, index = conjugacy_classes(amb), class_index(amb)
+    principal: dict[int, int] = {}  # ncl(y) -> its first representative y
+    done: set[int] = set()  # classes of the y^k with the ncl of a y
+    for y in [cls[0] for cls in classes[1:]]:
+        if index[y] in done:
+            continue
+        powers = [y]  # up to y^o, the identity, whose id is 0
+        while powers[-1]:
+            powers.append(g.mul(powers[-1], y))
+        o = len(powers)
+        done.update(index[p] for k, p in enumerate(powers, 1)
+                    if gcd(k, o) == 1)
+        ps = {index[p] for p in powers}
+        mask = sum(1 << p for p in ps)
+        if any(a >> index[y] & 1
+               and any(class_row(amb, x, p, rows) & mask for p in ps)
+               for a, x in principal.items()):
+            continue  # certified: ncl(y) = ncl(x)
+        if principal.setdefault(class_closure(amb, 1, y, rows), y) != y:
+            del rows[y]  # a repeated principal normal subgroup
+        elif len(principal) + 1 > g.node_cap:
+            raise _node_cap_exceeded(g)
+    return principal
+
+
+def _node_cap_exceeded(g) -> NodeCapExceeded:
+    return NodeCapExceeded(f"normal lattice exceeded node cap {g.node_cap}")
 
 
 def _central_elementary_subgroups(g, classes: list[list[int]]) -> int:

@@ -26,6 +26,7 @@ from chiefblocks.group import (
     Subgroup,
     ambient_subgroup,
     centralizer_subgroup,
+    class_closure,
     close_under_mul,
     commutator_subgroup,
     conjugacy_classes,
@@ -181,6 +182,22 @@ def normal_closure_by_columns(ambient, seed: Sequence[int]) -> frozenset:
                 members = close_under_mul(g, [c], members, gens, memo)
                 gens.append(c)
     return members
+
+
+def principal_subgroups_closing_every_class(ambient) -> dict[int, int]:
+    """ncl(x) as a class bitset -> its first representative x, in class order.
+
+    Every non-identity class is closed from the identity's class, with no
+    certificate and no skipped power classes.  A class skipped by the
+    lattice (that of a power y^k generating <y>) has the ncl of a class
+    before it, so the first representatives are the same.
+    """
+    amb = ambient_subgroup(ambient)
+    rows: dict = {}
+    principal: dict[int, int] = {}
+    for cls in conjugacy_classes(amb)[1:]:
+        principal.setdefault(class_closure(amb, 1, cls[0], rows), cls[0])
+    return principal
 
 
 def classes_by_mul(ambient) -> list[list[int]]:

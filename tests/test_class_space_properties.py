@@ -2,8 +2,9 @@
 
 Generated groups have degree at most 6, so orders run up to 720 and both
 the tabled and the untabled (S6) paths are exercised.  The class-space
-lattice is checked at its atoms (each against ``normal_closure_by_mul``),
-at every node joined with an atom (against the coset-sweep product) and
+lattice is checked at its principal normal subgroups ncl(x) (each against
+``normal_closure_by_mul``, and all of them against closing every class),
+at every node joined with one (against the coset-sweep product) and
 at every node's perfectness (against the derived subgroup); association
 edges and abelian chief factors against the pairwise and commutator
 tests; the lattice read of each non-abelian chief factor's centralizer
@@ -30,6 +31,7 @@ from chiefblocks.group import (  # noqa: E402
     group_from_permutations,
 )
 from chiefblocks.lattice import (  # noqa: E402
+    _principal_subgroups,
     chief_factors,
     is_perfect,
     normal_subgroups,
@@ -41,6 +43,7 @@ from oracles import (  # noqa: E402
     classes_by_mul,
     factor_centralizer_by_sweep,
     normal_closure_by_mul,
+    principal_subgroups_closing_every_class,
     product_of_subgroups,
 )
 
@@ -58,7 +61,7 @@ def test_class_space_matches_sweeps(gens):
     for cls in conjugacy_classes(g):
         assert centralizer_subgroup(g, [cls[0]]).members \
             == centralizer_by_mul(g, [cls[0]])
-        # the atom ncl(x): the least node holding x, and a join operand
+        # ncl(x): the least node holding x, and a join operand
         a = lat.meet(*(i for i, n in enumerate(lat.nodes)
                        if cls[0] in n.members))
         assert lat.nodes[a].members == normal_closure_by_mul(g, [cls[0]])
@@ -76,6 +79,14 @@ def test_class_space_matches_sweeps(gens):
                                              lat.index_of(f.l))].members \
                 == factor_centralizer_members(g, f.k.gens, f.l.members)
         assert center(f.k).members == centralizer_by_mul(f.k, f.k.gens)
+
+
+@settings(max_examples=50, deadline=None, database=None)
+@given(generator_lists)
+def test_principal_subgroups_match_closing_every_class(gens):
+    g = group_from_permutations(gens)
+    assert list(_principal_subgroups(g.whole(), {}).items()) \
+        == list(principal_subgroups_closing_every_class(g).items())
 
 
 @settings(max_examples=50, deadline=None, database=None)

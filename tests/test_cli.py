@@ -426,6 +426,28 @@ def test_cli_node_cap_counts_the_trivial_node(cap, code, tmp_path, capsys):
                    else f"error: normal lattice exceeded node cap {cap}\n")
 
 
+@pytest.mark.parametrize("cap", [30, 41, 42, 212, 213])
+def test_cli_node_cap_counts_principal_subgroups(cap, tmp_path, capsys):
+    # C3^4 x| C2 by inversion: 41 principal normal subgroups, 213 nodes;
+    # caps up to 41 are refused before the search, 42 to 212 in it.
+    base = {"kind": "direct", "left": {"kind": "named", "name": "C3"},
+            "right": {"kind": "named", "name": "C3"}}
+    base = {"kind": "direct", "left": base, "right": base}
+    spec_file = tmp_path / "c3pow4-c2.json"
+    spec_file.write_text(json.dumps({
+        "kind": "semidirect", "base": base,
+        "top": {"kind": "named", "name": "C2"},
+        "action": [list(build_group(base).inverses())]}))
+    code = run(["analyze", "--spec", str(spec_file), "--node-cap", str(cap)])
+    out, err = capsys.readouterr()
+    if cap < 213:
+        assert (code, out) == (3, "")
+        assert err == f"error: normal lattice exceeded node cap {cap}\n"
+    else:
+        assert code == 0 and err == ""
+        assert "  node_count: 213\n" in out
+
+
 @pytest.mark.parametrize("parts", [{"parts": 5}, {"parts": [5]}],
                          ids=["parts-not-list", "part-not-list"])
 def test_cli_malformed_factorization_is_input_error(parts, tmp_path, capsys):

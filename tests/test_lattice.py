@@ -10,12 +10,14 @@ from chiefblocks.errors import (
     NodeCapExceeded,
     NotNested,
 )
+import chiefblocks.lattice as lattice_mod
 from chiefblocks.group import (
     commutator_subgroup,
     conjugacy_classes,
     direct_product,
     is_normal_in,
     normal_closure,
+    semidirect_product,
     subgroup_generated,
 )
 from chiefblocks.lattice import (
@@ -36,6 +38,7 @@ from oracles import (
     normal_subgroups_join_closure,
     oracle_all_subgroups,
     oracle_normal_subgroups,
+    principal_subgroups_closing_every_class,
     product_of_subgroups,
 )
 
@@ -292,7 +295,6 @@ def test_node_cap_refuses_central_subgroups_before_any_class_row(
         monkeypatch):
     """C2^14 has 16,383 atoms; its central subgroups of exponent 2 alone
     pass the default cap, so no class row is built."""
-    import chiefblocks.lattice as lattice_mod
 
     def no_rows(*args):
         raise AssertionError("class_closure called")
@@ -320,6 +322,75 @@ def test_node_cap_bound_refuses_nothing_that_fits(cap):
             normal_subgroups(g)
     else:
         assert len(normal_subgroups(g)) == 374
+
+
+def _c3pow4_by_inversion():
+    """C3^4 x| C2, C2 inverting: order 162 and a trivial center, with 41
+    principal normal subgroups (the 40 <v> and the whole group) among 213
+    nodes (the 212 subgroups of C3^4 and the whole group)."""
+    c3 = named.cyclic(3)
+    base = direct_product(direct_product(c3, c3), direct_product(c3, c3))
+    return semidirect_product(base, named.cyclic(2), [base.inverses()])
+
+
+def _count_class_closures(monkeypatch) -> list[int]:
+    calls = [0]
+    closure = lattice_mod.class_closure
+
+    def counting(*args):
+        calls[0] += 1
+        return closure(*args)
+
+    monkeypatch.setattr(lattice_mod, "class_closure", counting)
+    return calls
+
+
+@pytest.mark.parametrize("cap", [30, 41, 42, 212, 213])
+def test_node_cap_counts_principal_subgroups(cap, monkeypatch):
+    """A cap below 42 is passed by the principal normal subgroups and the
+    trivial node, and refused after ``cap`` closures, not the 41 that
+    closing every candidate takes; a cap below 213 by the search."""
+    g = _c3pow4_by_inversion()
+    g.node_cap = cap
+    calls = _count_class_closures(monkeypatch)
+    if cap < 213:
+        with pytest.raises(NodeCapExceeded,
+                           match=f"^normal lattice exceeded node cap {cap}$"):
+            normal_subgroups(g)
+        if cap <= 41:
+            assert calls[0] == cap
+    else:
+        assert len(normal_subgroups(g)) == 213
+
+
+def test_principal_subgroups_match_closing_every_class(corpus, dense_corpus):
+    for name, g in {**corpus, **dense_corpus,
+                    "C3^4:C2": _c3pow4_by_inversion()}.items():
+        got = lattice_mod._principal_subgroups(g.whole(), {})
+        want = principal_subgroups_closing_every_class(g)
+        assert list(got.items()) == list(want.items()), name
+
+
+@pytest.mark.parametrize("name, closures", [
+    ("A5wrC2", 2), ("S5wrC2", 8), ("S5xS5", 14)])
+def test_certificates_skip_closures(name, closures, corpus, monkeypatch):
+    """Closing every candidate takes 14, 34 and 48 closures."""
+    s5 = named.symmetric(5)
+    g = corpus.get(name) or direct_product(s5, s5)
+    calls = _count_class_closures(monkeypatch)
+    lattice_mod._principal_subgroups(g.whole(), {})
+    assert calls[0] == closures
+
+
+def test_certificate_needs_its_row_test(monkeypatch):
+    """Skipping every candidate inside a found ncl(x) loses nodes."""
+    monkeypatch.setattr(lattice_mod, "class_row", lambda *args: -1)
+    s4 = named.symmetric(4)
+    assert {n.members for n in normal_subgroups(s4).nodes} \
+        != {s.members for s in oracle_normal_subgroups(named.symmetric(4))}
+    for g, nodes in [(named.symmetric(5), 3), (named.a5_wr_c2(), 3),
+                     (direct_product(named.dihedral(8), s4), 31)]:
+        assert len(normal_subgroups(g)) < nodes, g.name
 
 
 def test_lattice_cached_by_ambient_alone():

@@ -8,7 +8,8 @@ series, ``layer`` with the closure of the components, the centralizer of
 each node N by one element per class (the factor centralizer of N/1) with
 ``centralizer_subgroup``, the lattice read of each non-abelian chief
 factor's centralizer with the class test, and ``association_graph`` with
-the pairwise test.
+the pairwise test, and the principal normal subgroups with closing every
+class.
 Characteristic simplicity, read from the socle and the atoms, is compared
 with the enumeration of automorphisms.
 """
@@ -37,6 +38,7 @@ from chiefblocks.group import (  # noqa: E402
     quotient,
 )
 from chiefblocks.lattice import (  # noqa: E402
+    _principal_subgroups,
     chief_factors,
     chief_series_iter,
     normal_subgroups,
@@ -46,6 +48,7 @@ from oracles import (  # noqa: E402
     association_edges_pairwise,
     characteristically_simple_by_automorphisms,
     layer_by_closure,
+    principal_subgroups_closing_every_class,
     refine_series_by_commutators,
 )
 
@@ -91,6 +94,13 @@ def test_lattice_reads_match_element_constructions(g):
         assert factor_centralizer(NormalFactor(g.whole(), n, lat.nodes[0])) \
             .members == centralizer_subgroup(g, n.gens).members
     assert association_graph(g)[1] == association_edges_pairwise(g)
+
+
+@settings(max_examples=50, deadline=None, database=None, derandomize=True)
+@given(products_and_quotients())
+def test_principal_subgroups_match_closing_every_class(g):
+    assert list(_principal_subgroups(g.whole(), {}).items()) \
+        == list(principal_subgroups_closing_every_class(g).items())
 
 
 def test_characteristic_simplicity_matches_automorphisms():
