@@ -1,7 +1,7 @@
 """Isomorphism search by generator images, and characteristic simplicity.
 
-The search picks a small generating set greedily, enumerates image tuples
-compatible with element orders, and keeps the assignments that extend to a
+The search extends the source's own generators: it enumerates image tuples
+compatible with element orders and keeps the assignments that extend to a
 bijective homomorphism.  Extension is ``group.extend_by_images``, a walk of
 the Cayley graph of the source: a partial map that survives every edge
 (x, x*g) is multiplicative on the subgroup the chosen generators generate.
@@ -18,40 +18,12 @@ from .errors import SearchCapExceeded
 from .group import (
     FiniteGroup,
     Homomorphism,
-    close_under_mul,
     extend_by_images,
     subgroup_as_group,
 )
 from .lattice import is_prime_power, normal_subgroups, socle
 
 DEFAULT_SEARCH_CAP = 500_000
-
-
-def greedy_generating_set(g: FiniteGroup) -> list[int]:
-    """A short generating list, growing the closure as fast as possible.
-
-    Starts from an element of maximal order and repeatedly adds the element
-    whose inclusion yields the largest closure.  Scanning every candidate is
-    quadratic in the order, which is fine at the sizes the search is used on.
-    """
-    if g.order == 1:
-        return []
-    first = max(g.elements(), key=lambda x: (g.element_order(x), -x))
-    gens = [first]
-    closed = close_under_mul(g, gens)
-    while len(closed) < g.order:
-        best, best_size, best_closed = None, 0, None
-        for x in g.elements():
-            if x in closed:
-                continue
-            cand = close_under_mul(g, [x], closed, gens)
-            if len(cand) > best_size:
-                best, best_size, best_closed = x, len(cand), cand
-                if best_size == g.order:
-                    break
-        gens.append(best)
-        closed = best_closed
-    return gens
 
 
 def _image_candidates(src: FiniteGroup, tgt: FiniteGroup,
@@ -65,13 +37,17 @@ def _image_candidates(src: FiniteGroup, tgt: FiniteGroup,
 def iter_isomorphisms(src: FiniteGroup, tgt: FiniteGroup,
                       search_cap: int = DEFAULT_SEARCH_CAP
                       ) -> Iterator[Homomorphism]:
-    """Yield bijective homomorphisms src -> tgt in a deterministic order."""
+    """Yield bijective homomorphisms src -> tgt in a deterministic order.
+
+    The images searched are those of ``src.generators``; a group from
+    ``subgroup_as_group`` carries the short list of ``generating_ids``.
+    """
     if src.order != tgt.order:
         return
     if src.order == 1:
         yield Homomorphism(src, tgt, [0])
         return
-    gens = greedy_generating_set(src)
+    gens = src.generators
     candidates = _image_candidates(src, tgt, gens)
     if any(not c for c in candidates):
         return

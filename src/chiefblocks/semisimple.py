@@ -21,7 +21,7 @@ from .group import (
     is_normal_in,
     quotient,
 )
-from .lattice import is_perfect, is_prime_power, normal_subgroups
+from .lattice import is_prime_power, normal_subgroups
 
 NOT_SEMISIMPLE = "not-semisimple"
 SEMISIMPLE = "semisimple"
@@ -40,70 +40,68 @@ class ComponentReport:
 
 
 def components(ambient) -> list[Subgroup]:
-    """All components of the ambient.
+    """All components of the ambient: its subnormal quasisimple subgroups.
 
-    A component is a subgroup M, normal in its normal closure, with M modulo
-    its center non-abelian, all of whose proper normal subgroups are central
-    in the closure.  Such an M is 2-step subnormal: M is normal in its
-    normal closure N, and N is normal in the ambient.  Sweeping the normal
-    subgroups N of the ambient and, inside each, the subgroups M normal in N
-    whose ambient normal closure is exactly N therefore finds every
-    component.  Accepting M when M/Z(M) is non-abelian and every proper
-    normal subgroup of M is central in M suffices: such an M is perfect, so
-    it commutes with its other conjugates, making central-in-M subgroups
-    central in the closure as well.
+    A node N is the normal closure of a component iff it has exactly one
+    lower cover L, |N:L| is no prime power, and L <= Z(N) (``_closures``).
+    The components with closure N are the minimal nodes of N's own lattice
+    outside L.  So one sub-lattice is built per closure, none per candidate.
 
-    These two conditions hold iff M's top has one lower cover K, K <= Z(M),
-    and M/K is non-abelian.  If they hold, Z(M) is proper and holds every
-    proper normal subgroup, so it is that K, and M/K is non-abelian simple.
-    Conversely K <= Z(M) < M gives K = Z(M), holding every proper normal one.
+    (=>) N = ncl(M) is the central product of the k conjugates M_i of M, so
+    N/Z(N) = T^k with T = M/Z(M) non-abelian simple, a chief factor as the
+    ambient permutes the T_i transitively.  A normal K < N with K*Z(N) = N
+    gives N = [N, N] = [K, K] <= K, so Z(N) is N's one lower cover, of index
+    no prime power (Burnside, as in ``lattice.is_perfect``).  With P_i the
+    preimage of T_i, M_i = [P_i, P_i]; a normal subgroup of N outside Z(N)
+    maps onto some T_i, so it holds M_i.
 
-    Only perfect N are swept (``lattice.is_perfect``): a component M is
-    perfect, so its conjugates are perfect, and N, which they generate, is
-    perfect too.  So M/K is non-abelian with no test: were it abelian,
-    M/Z(M) would be cyclic and M abelian, and N, generated by the abelian
-    normal conjugates of M, nilpotent, which a perfect N > 1 is not.
+    (<=) [N, N] is a node; below N it would lie in L and make N/L abelian.
+    So N is perfect, L = Z(N) and N/L = T^k.  M_i = [P_i, P_i] is perfect as
+    L is central, and M_i/(M_i meet L) = T_i is simple with M_i meet L
+    central, so M_i is quasisimple, and M_i <| N <| G makes it a component.
+    The image of ncl(M_i) in N/L is normal and non-trivial, so
+    N = ncl(M_i)*L, and N perfect gives ncl(M_i) = N.
+
+    Components of a whole group record ``is_normal``: True iff the closure.
     """
     amb = ambient_subgroup(ambient)
     g = amb.parent
     key = ("components", amb.members)
-    cached = g._cache.get(key)
-    if cached is not None:
+    if (cached := g._cache.get(key)) is not None:
         return cached
     lat = normal_subgroups(amb)
-    found: dict[frozenset, Subgroup] = {}
-    for i, n in enumerate(lat.nodes):
-        if n.order == 1 or not is_perfect(lat, i):
-            continue
-        for m in normal_subgroups(n).nodes:
-            if m.order == 1:
-                continue
-            if any(not n.members <= k.members  # N is not ncl(M)
-                   for k in lat.nodes if m.members <= k.members):
-                continue
-            under = normal_subgroups(m).maximal_nodes_under(m.members)
-            if len(under) != 1 or not under[0].members <= center(m).members:
-                continue
-            found.setdefault(m.members, m)
-    result = sorted(found.values(),
-                    key=lambda s: (s.order, s.sorted_members()))
+    result = []
+    for i in _closures(lat):
+        sub = normal_subgroups(lat.nodes[i])
+        z = sub.index_of(lat.nodes[lat._down[i][0]])  # L = Z(N)
+        for j, m in enumerate(sub.nodes):  # the minimal nodes outside L
+            if not sub.le(j, z) and all(sub.le(k, z) for k in sub._down[j]):
+                if amb.order == g.order:
+                    m.is_normal = j == len(sub) - 1
+                result.append(m)
+    result.sort(key=lambda s: (s.order, s.sorted_members()))
     g._cache[key] = result
     return result
+
+
+def _closures(lat) -> list[int]:
+    """The nodes N with one lower cover L, |N:L| no prime power, L <= Z(N):
+    the components' normal closures (``components``)."""
+    return [i for i, (n, down) in enumerate(zip(lat.nodes, lat._down))
+            if len(down) == 1
+            and not is_prime_power(n.order // lat.nodes[down[0]].order)
+            and lat.nodes[down[0]].members <= center(n).members]
 
 
 def layer(ambient) -> Subgroup:
     """Subgroup E generated by all components (trivial when there are none).
 
-    E is the join of the components' normal closures, each the least node
-    holding its component: conjugation permutes the components, so E is
-    normal and holds each closure, and the join holds each component.
+    E is the join of the components' normal closures (``_closures``):
+    conjugation permutes the components, so E is normal and holds each
+    closure, and the join holds each component.
     """
-    amb = ambient_subgroup(ambient)
-    lat = normal_subgroups(amb)
-    return lat.nodes[lat.join(*(
-        lat.meet(*(i for i, n in enumerate(lat.nodes)
-                   if m.members <= n.members))
-        for m in components(amb)))]
+    lat = normal_subgroups(ambient_subgroup(ambient))
+    return lat.nodes[lat.join(*_closures(lat))]
 
 
 def semisimple_type(ambient) -> str:

@@ -8,8 +8,8 @@ series, ``layer`` with the closure of the components, the centralizer of
 each node N by one element per class (the factor centralizer of N/1) with
 ``centralizer_subgroup``, the lattice read of each non-abelian chief
 factor's centralizer with the class test, and ``association_graph`` with
-the pairwise test, and the principal normal subgroups with closing every
-class.
+the pairwise test, the principal normal subgroups with closing every
+class, and ``components`` with the sweep of every node.
 Characteristic simplicity, read from the socle and the atoms, is compared
 with the enumeration of automorphisms.
 """
@@ -43,10 +43,11 @@ from chiefblocks.lattice import (  # noqa: E402
     chief_series_iter,
     normal_subgroups,
 )
-from chiefblocks.semisimple import layer  # noqa: E402
+from chiefblocks.semisimple import components, layer  # noqa: E402
 from oracles import (  # noqa: E402
     association_edges_pairwise,
     characteristically_simple_by_automorphisms,
+    components_all_nodes,
     layer_by_closure,
     principal_subgroups_closing_every_class,
     refine_series_by_commutators,
@@ -101,6 +102,12 @@ def test_lattice_reads_match_element_constructions(g):
 def test_principal_subgroups_match_closing_every_class(g):
     assert list(_principal_subgroups(g.whole(), {}).items()) \
         == list(principal_subgroups_closing_every_class(g).items())
+
+
+@settings(max_examples=50, deadline=None, database=None, derandomize=True)
+@given(products_and_quotients())
+def test_components_match_all_nodes(g):
+    assert {c.members for c in components(g)} == components_all_nodes(g)
 
 
 def test_characteristic_simplicity_matches_automorphisms():

@@ -3,6 +3,8 @@
 import pytest
 
 from chiefblocks import autos, named, semisimple
+from chiefblocks import group as group_mod
+from chiefblocks import lattice as lattice_mod
 from chiefblocks.autos import is_characteristically_simple, iter_isomorphisms
 from chiefblocks.blocks import chief_blocks, minimal_cover
 from chiefblocks.errors import (
@@ -16,17 +18,20 @@ from chiefblocks.group import (
     centralizer_subgroup,
     commutator_subgroup,
     direct_product,
+    group_from_permutations,
     is_normal_in,
     normal_closure,
     quotient,
 )
 from chiefblocks.lattice import normal_subgroups
+from chiefblocks.perm import perm_from_cycles
 from chiefblocks.semisimple import (
     SEMISIMPLE,
     STRICT_SEMISIMPLE,
     WEAK,
     block_type,
     charsimple_type,
+    component_report,
     components,
     layer,
     quotient_components,
@@ -42,13 +47,84 @@ from oracles import (
 )
 
 
-def test_perfect_node_sweep_matches_all_nodes(corpus):
-    """Sweeping only perfect lattice nodes loses no component."""
-    for name, g in corpus.items():
+def _c2_wr_a5():
+    """C2 wr A5 on 10 points: A5 on both copies of 0..4, with the swap
+    (0 5) generating the base C2^5."""
+    return group_from_permutations([perm_from_cycles(c, 10) for c in (
+        [[0, 1, 2, 3, 4], [5, 6, 7, 8, 9]], [[0, 1, 2], [5, 6, 7]],
+        [[0, 5]])], 10)
+
+
+def _sl25_central_square():
+    """SL(2,5) o SL(2,5): the two centers identified."""
+    return named.central_product(named.sl25(), named.sl25(), [(3, 3)]).group
+
+
+def test_closure_rule_matches_all_nodes(corpus, dense_corpus):
+    """The nodes with one central lower cover of index no prime power, and
+    the minimal nodes of their lattices outside it, lose no component."""
+    extra = {"C2wrA5": _c2_wr_a5(), "SL25oSL25": _sl25_central_square(),
+             "SL23xA5": direct_product(named.sl23(), named.alternating(5))}
+    for name, g in {**corpus, **dense_corpus, **extra}.items():
         if g.order > 7200:
             continue
         assert {c.members for c in components(g)} \
             == components_all_nodes(g), name
+
+
+def test_closure_rule_examples():
+    """A non-central lower cover is no closure, and a closure's components
+    are its minimal nodes outside the cover, not the cover's upper covers."""
+    assert components(_c2_wr_a5()) == []
+    square = _sl25_central_square()
+    assert [(c.order, c.is_normal) for c in components(square)] \
+        == [(120, True), (120, True)]
+    assert [c.order for c in components(direct_product(
+        named.sl23(), named.alternating(5)))] == [60]
+    wr = named.wreath_c2(named.sl25())  # the two coordinates of the base
+    comps = components(wr)
+    assert {c.members for c in comps} == {
+        frozenset(wr.embed_base(x) for x in f.members)
+        for f in (wr.base.left_factor, wr.base.right_factor)}
+    assert not any(is_normal_in(c, wr.whole()) for c in comps)
+
+
+@pytest.mark.parametrize("name, built", [
+    ("A5wrC2", 1), ("S5wrC2", 1), ("S5xS5", 2)])
+def test_one_sub_lattice_per_closure(name, built, monkeypatch):
+    """Sweeping the perfect nodes built 3, 3 and 3 lattices."""
+    g = {"A5wrC2": named.a5_wr_c2, "S5wrC2": named.s5_wr_c2,
+         "S5xS5": lambda: direct_product(named.symmetric(5),
+                                         named.symmetric(5))}[name]()
+    normal_subgroups(g)
+    builds = [0]
+    cached = lattice_mod.cached_lattice
+
+    def counting(amb, made=None):
+        builds[0] += made is not None
+        return cached(amb, made)
+
+    monkeypatch.setattr(lattice_mod, "cached_lattice", counting)
+    components(g)
+    assert builds[0] == built
+
+
+def test_normal_verdicts_need_no_generators(monkeypatch):
+    """``components`` records each verdict, so the report's ``normal=``
+    reads no generating set."""
+    s5 = named.symmetric(5)
+    for g in (direct_product(s5, s5), named.a5_wr_c2(),
+              _sl25_central_square()):
+        comps = component_report(g).components
+        assert all(c.is_normal is not None for c in comps), g.name
+        calls = []
+        monkeypatch.setattr(group_mod, "generating_ids",
+                            lambda *args: calls.append(args))
+        verdicts = [is_normal_in(c, g.whole()) for c in comps]
+        monkeypatch.undo()
+        assert calls == [], g.name
+        assert verdicts == [normal_closure(g, c.members).members == c.members
+                            for c in comps], g.name
 
 
 def test_component_examples(corpus):
