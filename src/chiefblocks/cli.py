@@ -245,9 +245,10 @@ def analyze(spec: dict, options: Optional[AnalyzeOptions] = None
     seeded random triples.  The seed feeds only those samples.  ``node_cap``
     becomes the group's cap, so it bounds every normal lattice the analysis
     builds, and the association stage refuses more than
-    ``factors.ASSOCIATION_PAIR_CAP`` pair tests.  Subgroups in the options
-    are resolved and checked normal before any lattice is built.  The
-    lattice comes before the summary, which reads ``perfect`` from its top.
+    ``factors.ASSOCIATION_PAIR_CAP`` pairs of chief factors.  Subgroups in
+    the options are resolved and checked normal before any lattice is
+    built.  The lattice comes before the summary, which reads ``perfect``
+    from its top.
     """
     opts = options or AnalyzeOptions()
     g = build_group(spec, opts.element_cap)

@@ -209,7 +209,7 @@ def association_graph(
     associates have different L (L1 = L2 forces K1 = K1L2 = K2L1 = K2), so
     the associates over L2 < L1 are the back hits, counted by popcount; the
     bits are walked only for L2 >= L1, where they are i itself or after i.
-    WorkCapExceeded is raised, before any test, when the F(F-1)/2 pairs of
+    WorkCapExceeded is raised, before any work, when the F(F-1)/2 pairs of
     the F chief factors exceed ``ASSOCIATION_PAIR_CAP``; as N - 1 <= F,
     that bounds the F*N steps.
     """
@@ -217,8 +217,8 @@ def association_graph(
     pairs = len(verts) * (len(verts) - 1) // 2
     if pairs > ASSOCIATION_PAIR_CAP:
         raise WorkCapExceeded(
-            f"association stage: {len(verts)} chief factors need {pairs} "
-            f"pair tests, over the cap of {ASSOCIATION_PAIR_CAP}")
+            f"association stage: {len(verts)} chief factors make {pairs} "
+            f"pairs, over the cap of {ASSOCIATION_PAIR_CAP}")
     lat = normal_subgroups(ambient)
     covers, below = lat.covers(), lat._below
     factor_at: list[dict] = [{} for _ in below]  # L2: {K2 bit: factor}

@@ -13,12 +13,12 @@ test; ``verify_group_axioms`` checks it against the construction's product,
 exactly for a permutation group (its permutations and their index must be
 inverse bijections) and on every pair or on seeded samples otherwise.
 Loops that multiply many elements by one element s read its right column
-(``FiniteGroup.rcol``: x -> xs), which each construction builds from its
-factors' columns without a product per element; ``_right_column`` decides
-between the table column, a built column and single products, and the
-breadth-first walks keep its answer across levels until it is a column.
+(``FiniteGroup.rcol``: x -> xs): the table column of a tabled group, else a
+column each construction builds from its factors' columns without a product
+per element.  Breadth-first walks read each multiplier's column once.
 Conjugation reads one right column and the inverse list
-(``FiniteGroup.inverses``).
+(``FiniteGroup.inverses``).  ``Homomorphism.validate`` checks a map on the
+columns of the source generators and of their images.
 
 A subgroup normal in an ambient is a union of the ambient's conjugacy
 classes.  ``conjugacy_classes`` caches, beside the classes, the class index
@@ -67,14 +67,6 @@ DEFAULT_NODE_CAP = 10_000
 # call from the construction data, or read from columns built from the
 # factors' columns.
 _MUL_TABLE_BOUND = 512
-
-# Above the table bound, one column (``FiniteGroup.rcol``) costs as much as
-# order/15 to order/6 products through ``_mul_impl`` (A5wrC2, S5xS5, S5wrC2).
-# An element gets its column once it has order/64 products to make: most
-# closures are either far smaller than that or a large share of the group,
-# and on perfbench's nonabelian ops 64 gave the least products plus column
-# entries, weighted by those costs, among powers of two from 4 to 1024.
-_COLUMN_PAYOFF = 64
 
 # A permutation closure stores at most this many entries (elements x
 # points), whatever the element cap; D512, on 256 points, stores 131,072.
@@ -313,19 +305,13 @@ def extend_by_images(src: FiniteGroup, gens: Sequence[int],
     element ids under ``tgt.mul`` or automorphism tables under composition.
 
     The edges x -> x*g are read from ``columns`` (the right column of each
-    generator) when given, else from ``_right_column`` until all are columns.
+    generator) when given, else from ``src.rcol``.
     """
     mapping: list = [None] * src.order
     mapping[0] = identity
     frontier = [0]
-    memo: dict = {}
-    pending, pairs = columns is None, list(zip(columns or (), images))
+    pairs = list(zip(columns or [src.rcol(g) for g in gens], images))
     while frontier:
-        if pending:
-            cols = [_right_column(src, gen, len(frontier), memo)
-                    for gen in gens]
-            pending = any(isinstance(c, _Products) for c in cols)
-            pairs = list(zip(cols, images))
         nxt = []
         for x in frontier:
             fx = mapping[x]
@@ -357,20 +343,26 @@ class Homomorphism:
         return self.mapping[a]
 
     def validate(self) -> "Homomorphism":
-        """Exhaustively verify the homomorphism property.
+        """Exhaustively verify the homomorphism property, by columns.
 
-        The images of the source generators are extended along the Cayley
-        graph by ``extend_by_images``; the map is a homomorphism iff that
-        walk succeeds and reproduces the map.  This checks f(1) = 1 and
-        f(x*g) = f(x)*f(g) for every x and generator g, which suffices by
-        induction on word length.
+        It checks f(1) = 1 and, for each source generator g, that f maps the
+        column x -> xg of g onto the column of f(g) in the target:
+        f(xg) = f(x)f(g) for every x.  Precondition: the source generators
+        generate the source, as they do for every construction here.  Then
+        every element is a word w in the generators (a finite group needs no
+        inverses), and f(xw) = f(x)f(w) for all x follows by induction on
+        the length of w: f(1) = 1 gives the empty word, and
+        f(xwg) = f(xw)f(g) = f(x)f(w)f(g) = f(x)f(wg).  So f is a
+        homomorphism iff both checks pass.
         """
-        src, f = self.source, self.mapping
-        gens = src.generators
-        if extend_by_images(src, gens, [f[g] for g in gens],
-                            self.target.mul, 0) != f:
-            raise HomomorphismError(
-                "map does not extend its generator images multiplicatively")
+        src, tgt, f = self.source, self.target, self.mapping
+        if f[0] != 0 or min(f) < 0 or max(f) >= tgt.order:
+            raise HomomorphismError("map must send 1 to 1 inside the target")
+        for g in src.generators:
+            c = tgt.rcol(f[g])
+            if [f[y] for y in src.rcol(g)] != [c[fx] for fx in f]:
+                raise HomomorphismError(
+                    f"map is not multiplicative on generator {g}")
         return self
 
     @property
@@ -710,39 +702,6 @@ def subgroup_as_group(s: Subgroup) -> tuple:
 # closures and subgroup operations
 # ---------------------------------------------------------------------------
 
-class _Products:
-    """x -> xs through ``_mul_impl``, indexed like the column of s."""
-
-    __slots__ = ("_mul", "_s")
-
-    def __init__(self, g: FiniteGroup, s: int):
-        self._mul, self._s = g._mul_impl, s
-
-    def __getitem__(self, x: int) -> int:
-        return self._mul(x, self._s)
-
-
-def _right_column(g: FiniteGroup, s: int, count: int, memo: dict):
-    """The column x -> xs for ``count`` more products by s, or ``_Products``.
-
-    A tabled group's column is free.  Otherwise ``memo[s]`` holds the
-    products s has made so far, and its column once they pay for it, at
-    order/``_COLUMN_PAYOFF`` products.  Sharing ``memo`` between calls lets a
-    multiplier's small batches add up to a column.
-    """
-    t = g._table
-    if t is not None:
-        return t[s]
-    done = memo.get(s, 0)
-    if isinstance(done, int):
-        done += count
-        if done * _COLUMN_PAYOFF < g.order:
-            memo[s] = done
-            return _Products(g, s)
-        done = memo[s] = g._rcol_impl(s)
-    return done
-
-
 def close_under_mul(g: FiniteGroup, seed: Iterable[int],
                     known: frozenset | None = None,
                     known_gens: Sequence[int] = (),
@@ -751,9 +710,8 @@ def close_under_mul(g: FiniteGroup, seed: Iterable[int],
 
     Standard breadth-first closure; elements already in ``known`` are only
     multiplied by the new generators, which keeps repeated extension calls
-    near-linear in the final order.  Incremental calls that extend one
-    closure share ``memo``, the multipliers' columns (``_right_column``),
-    which are kept across levels once they are columns.
+    near-linear in the final order.  Each multiplier's column is read once
+    into ``memo``, which incremental calls that extend one closure share.
     """
     new_gens = _dedup_nonidentity(seed)
     if known is None:
@@ -766,13 +724,12 @@ def close_under_mul(g: FiniteGroup, seed: Iterable[int],
     result = set(known)
     every_gen = [*known_gens, *new_gens]
     frontier, gens = list(known), new_gens
-    cols: dict = {}
     while frontier:
         nxt = []
         for s in gens:
-            col = cols.get(s)
-            if col is None or isinstance(col, _Products):
-                col = cols[s] = _right_column(g, s, len(frontier), memo)
+            col = memo.get(s)
+            if col is None:
+                col = memo[s] = g.rcol(s)
             for x in frontier:
                 y = col[x]
                 if y not in result:
@@ -856,7 +813,7 @@ def centralizer_subgroup(g_or_ambient, s: Iterable[int]) -> Subgroup:
     inv = g.inverses()
     members = _iter_ambient(amb)
     for t in _dedup_nonidentity(s):
-        r = _right_column(g, t, 2 * len(members), {})
+        r = g.rcol(t)
         members = [x for x in members if r[inv[r[inv[x]]]] == x]
     return Subgroup(g, frozenset(members))
 
@@ -929,8 +886,7 @@ def _class_space(ambient) -> tuple:
     if cached is not None:
         return cached
     inv = g.inverses()
-    cols = [_right_column(g, inv[h], 2 * len(amb.members), {})
-            for h in amb.gens]
+    cols = [g.rcol(inv[h]) for h in amb.gens]
     seen: set[int] = set()
     classes = []
     for start in _iter_ambient(amb):  # rising, so a new orbit's least is start
@@ -983,8 +939,7 @@ def class_row(amb: Subgroup, x: int, i: int, rows: dict) -> int:
     of x, made on the first call for x; a filled entry is never 0.
     """
     if x not in rows:
-        rows[x] = ([0] * len(conjugacy_classes(amb)),
-                   _right_column(amb.parent, x, amb.order, {}))
+        rows[x] = [0] * len(conjugacy_classes(amb)), amb.parent.rcol(x)
     row, col = rows[x]
     if not row[i]:
         classes, index = _class_space(amb)

@@ -331,6 +331,24 @@ def test_cli_mistyped_spec_fields_are_input_errors(spec, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_cli_action_off_the_generators_is_input_error(tmp_path, capsys):
+    # The S5xS5 swap with two entries exchanged, at no generator: the column
+    # check of the untabled base rejects it.
+    base = {"kind": "direct", "left": {"kind": "named", "name": "S5"},
+            "right": {"kind": "named", "name": "S5"}}
+    action = [b * 120 + a for a in range(120) for b in range(120)]
+    action[-1], action[-2] = action[-2], action[-1]
+    assert not {14398, 14399} & set(build_group(base).generators)
+    spec_file = tmp_path / "s5wrc2-bad.json"
+    spec_file.write_text(json.dumps({
+        "kind": "semidirect", "base": base,
+        "top": {"kind": "named", "name": "C2"}, "action": [action]}))
+    assert run(["analyze", "--spec", str(spec_file)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ")
+    assert "not multiplicative" in err
+
+
 def test_cli_extend_normal_bool_id_is_input_error(tmp_path, capsys):
     spec_file = tmp_path / "s3.json"
     spec_file.write_text(_S3)
@@ -471,7 +489,7 @@ def test_cli_extend_normal_not_a_list_is_input_error(subspec, tmp_path,
 
 
 def test_cli_c2_6_refused_at_association_stage(tmp_path, capsys):
-    # 23,562 chief factors would need 277,572,141 association pair tests.
+    # 23,562 chief factors make 277,572,141 association pairs.
     import time
     spec = {"kind": "named", "name": "C2"}
     for _ in range(5):
@@ -484,4 +502,4 @@ def test_cli_c2_6_refused_at_association_stage(tmp_path, capsys):
     assert time.monotonic() - t0 < 60
     err = capsys.readouterr().err
     assert err.startswith("error: association stage: 23562 chief factors")
-    assert "277572141 pair tests" in err
+    assert "277572141 pairs," in err

@@ -443,12 +443,12 @@ def test_association_symmetry_check_raises(monkeypatch):
 
 def test_association_pair_cap(corpus, monkeypatch):
     import chiefblocks.factors as factors
-    # V4 has 6 chief factors, so 15 pair tests.
+    # V4 has 6 chief factors, so 15 pairs.
     monkeypatch.setattr(factors, "ASSOCIATION_PAIR_CAP", 15)
     assert len(association_graph(corpus["V4"])[0]) == 6
     monkeypatch.setattr(factors, "ASSOCIATION_PAIR_CAP", 14)
     with pytest.raises(WorkCapExceeded, match="association stage: 6 chief "
-                       "factors need 15 pair tests, over the cap of 14"):
+                       "factors make 15 pairs, over the cap of 14"):
         association_graph(corpus["V4"])
 
 

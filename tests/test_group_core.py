@@ -447,11 +447,11 @@ def test_columns_match_construction(corpus, dense_corpus):
 
 def test_closures_classes_and_centralizers_match_mul_oracles(corpus,
                                                             small_corpus):
-    """The column paths and the product paths give the oracles' sets.
+    """Closures, classes and centralizers read columns; ``mul`` oracles agree.
 
-    In A5wrC2 an A4 of order 12 is too small to pay for columns (two
-    products per element by each generator, against 7,200/64), and A5 and
-    the base of order 3,600 are large enough, so both paths run.
+    The small corpus reads table columns.  A5wrC2 is untabled, so its
+    ambients, from an A4 of order 12 to the whole group, read columns
+    built from the factors' columns.
     """
     rng = random.Random(13)
     wr = corpus["A5wrC2"]
@@ -500,31 +500,29 @@ def test_cayley_table_reads_generator_columns(monkeypatch):
 
 
 def test_columns_kept_across_levels(monkeypatch):
-    """A multiplier's column is asked for once, not once per level.
+    """A multiplier's column is built once, not once per level.
 
-    A cyclic closure holds one element per breadth-first level.  On C256
-    (tabled) the first answer is the table column; on C1024 (untabled)
-    ``_right_column`` answers ``_Products`` until order/64 = 16 products
-    have been asked for, and then builds the column.
+    A cyclic closure holds one element per breadth-first level.  C256 is
+    tabled, so its columns are table columns and none is built; C1024 is
+    not, so a closure builds the generator's column once, and ``validate``
+    builds it once in the source and once in the target.
     """
-    calls = 0
-    real = group_module._right_column
-
-    def counted(*args):
-        nonlocal calls
-        calls += 1
-        return real(*args)
-
-    for g, asks in ((named.cyclic(256), 1), (named.cyclic(1024), 16)):
+    for g, builds in ((named.cyclic(256), 0), (named.cyclic(1024), 1)):
         gen = g.generators[0]
-        monkeypatch.setattr(group_module, "_right_column", counted)
         calls = 0
+        build = g._rcol_impl
+
+        def counted(s):
+            nonlocal calls
+            calls += 1
+            return build(s)
+
+        monkeypatch.setattr(g, "_rcol_impl", counted)
         assert len(close_under_mul(g, [gen])) == g.order
-        assert calls == asks
+        assert calls == builds
         calls = 0
         Homomorphism(g, g, list(range(g.order))).validate()
-        assert calls == asks
-        monkeypatch.undo()
+        assert calls == 2 * builds
 
 
 def test_wrong_column_fails_axioms():
@@ -710,6 +708,36 @@ def test_homomorphism_validation_rejects_bad_maps():
         Homomorphism(c4, c2, [0, 1, 1, 0]).validate()
     with pytest.raises(HomomorphismError):
         Homomorphism(c4, c2, [1, 0, 1, 0]).validate()
+
+
+def _swap_off_generators(table, g):
+    """The table with its last two entries, at no generator, exchanged."""
+    x, y = g.order - 1, g.order - 2
+    assert {x, y}.isdisjoint([0, *g.generators])
+    table = list(table)
+    table[x], table[y] = table[y], table[x]
+    return table
+
+
+def test_column_check_rejects_swapped_action_entries():
+    """On untabled S5xS5 the generator images alone do not prove the map."""
+    s5 = named.symmetric(5)
+    base = direct_product(s5, s5)
+    assert base._table is None
+    swap = named.swap_action_table(base)
+    semidirect_product(base, named.cyclic(2), [swap])
+    with pytest.raises(ActionNotAutomorphism, match="not multiplicative"):
+        semidirect_product(base, named.cyclic(2),
+                           [_swap_off_generators(swap, base)])
+
+
+def test_column_check_rejects_swapped_identity_entries():
+    a5 = named.alternating(5)
+    g = direct_product(a5, a5)
+    assert g._table is None
+    Homomorphism(g, g, list(range(g.order))).validate()
+    with pytest.raises(HomomorphismError):
+        Homomorphism(g, g, _swap_off_generators(range(g.order), g)).validate()
 
 
 def test_subgroup_as_group_roundtrip():

@@ -9,9 +9,10 @@ each node N by one element per class (the factor centralizer of N/1) with
 ``centralizer_subgroup``, the lattice read of each non-abelian chief
 factor's centralizer with the class test, and ``association_graph`` with
 the pairwise test, the principal normal subgroups with closing every
-class, and ``components`` with the sweep of every node.
-Characteristic simplicity, read from the socle and the atoms, is compared
-with the enumeration of automorphisms.
+class, and ``components`` with the sweep of every node, there and on
+B wr C2 for random B of order at most 60.  Characteristic simplicity,
+read from the socle and the atoms, is compared with the enumeration of
+automorphisms.
 """
 
 import pytest
@@ -43,12 +44,14 @@ from chiefblocks.lattice import (  # noqa: E402
     chief_series_iter,
     normal_subgroups,
 )
+from chiefblocks.named import wreath_c2  # noqa: E402
 from chiefblocks.semisimple import components, layer  # noqa: E402
 from oracles import (  # noqa: E402
     association_edges_pairwise,
     characteristically_simple_by_automorphisms,
     components_all_nodes,
     layer_by_closure,
+    normal_closure_by_mul,
     principal_subgroups_closing_every_class,
     refine_series_by_commutators,
 )
@@ -108,6 +111,32 @@ def test_principal_subgroups_match_closing_every_class(g):
 @given(products_and_quotients())
 def test_components_match_all_nodes(g):
     assert {c.members for c in components(g)} == components_all_nodes(g)
+
+
+def test_wreath_components_match_all_nodes():
+    """B wr C2, B of order <= 60: the two coordinate copies of a perfect B.
+
+    The products and quotients above never give two components, or one
+    that is not normal; A5 wr C2 gives two, which C2 swaps.
+    """
+    seen = {"two non-normal": 0}
+
+    @settings(max_examples=30, deadline=None, database=None,
+              derandomize=True)
+    @given(generator_lists)
+    def check(gens):
+        b = group_from_permutations(gens)
+        assume(b.order <= 60)
+        g = wreath_c2(b)
+        comps = components(g)
+        assert {c.members for c in comps} == components_all_nodes(g)
+        if len(comps) == 2 and not any(
+                normal_closure_by_mul(g.whole(), c.gens) == c.members
+                for c in comps):
+            seen["two non-normal"] += 1
+
+    check()
+    assert seen["two non-normal"] >= 1
 
 
 def test_characteristic_simplicity_matches_automorphisms():
