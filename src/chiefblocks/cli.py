@@ -238,11 +238,15 @@ def analyze(spec: dict, options: Optional[AnalyzeOptions] = None
     of order <= 512 builds its Cayley table from one column per generator
     and checks associativity exhaustively as it does (Light's test);
     ``verify_group_axioms`` then checks identity and inverses exhaustively.
-    A permutation group's table is proved equal to the construction's
-    product exactly, from its permutation index; any other table is
-    compared with it on every pair up to order 89 and on seeded random
-    triples above that.  A larger group is checked for associativity on
-    seeded random triples.  The seed feeds only those samples.  ``node_cap``
+    An exact direct or semidirect product is checked from its factors, each
+    by these rules, and its inverse list against their lists; its laws and
+    table follow.  A permutation group's table is proved equal to the
+    construction's product exactly, from its permutation index; any other
+    table is compared with it on every pair up to order 89 and on seeded
+    random triples above that.  A larger group is checked for
+    associativity on seeded random triples.  The seed feeds only those
+    samples, of quotients, subclasses and untabled permutation groups,
+    also inside a product.  ``node_cap``
     becomes the group's cap, so it bounds every normal lattice the analysis
     builds, and the association stage refuses more than
     ``factors.ASSOCIATION_PAIR_CAP`` pairs of chief factors.  Subgroups in
@@ -419,8 +423,10 @@ def _build_parser() -> argparse.ArgumentParser:
     a.add_argument("--element-cap", type=int, default=DEFAULT_ELEMENT_CAP)
     a.add_argument("--node-cap", type=int, default=DEFAULT_NODE_CAP)
     a.add_argument("--seed", type=int, default=0,
-                   help="seed for the sampled group-law checks of products, "
-                        "quotients and groups above order 512")
+                   help="seed for the sampled group-law checks of "
+                        "quotients and of permutation groups above order "
+                        "512, also as factors of a product; a product "
+                        "itself is checked from its factors")
     return p
 
 

@@ -11,7 +11,10 @@ derived from one right-multiplication column per generator by a walk of the
 Cayley graph that checks every edge, which is Light's exact associativity
 test; ``verify_group_axioms`` checks it against the construction's product,
 exactly for a permutation group (its permutations and their index must be
-inverse bijections) and on every pair or on seeded samples otherwise.
+inverse bijections) and on every pair or on seeded samples for a quotient.
+An exact direct or semidirect product is checked from its factors: it
+checks each factor and compares its inverse list with the factors' lists,
+and its laws and table follow from theirs.
 Loops that multiply many elements by one element s read its right column
 (``FiniteGroup.rcol``: x -> xs): the table column of a tabled group, else a
 column each construction builds from its factors' columns without a product
@@ -62,10 +65,10 @@ DEFAULT_NODE_CAP = 10_000
 # Groups up to this order keep a dense Cayley table of columns, built from one
 # right-multiplication column per generator (``_cayley_table``), which checks
 # associativity exhaustively as it builds; ``verify_group_axioms`` proves a
-# permutation group's table equal to ``_mul_impl`` from the permutation index
-# and compares any other table with it.  Above it, products are computed per
-# call from the construction data, or read from columns built from the
-# factors' columns.
+# permutation group's table equal to ``_mul_impl`` from the permutation index,
+# an exact product's from its factors, and compares any other table with it.
+# Above it, products are computed per call from the construction data, or
+# read from columns built from the factors' columns.
 _MUL_TABLE_BOUND = 512
 
 # A permutation closure stores at most this many entries (elements x
@@ -111,7 +114,8 @@ class FiniteGroup:
         ``verify_group_axioms`` checks the identity and inverse laws and the
         table's agreement with ``_mul_impl``: for a ``PermGroup`` exactly,
         from these generator columns, the walk and its permutation index;
-        for other groups on every pair up to order 89 or on seeded samples.
+        for an exact product from its factors; for other groups on every
+        pair up to order 89 or on seeded samples.
         """
         n = self.order
         gens = self.generators
@@ -978,6 +982,67 @@ _ASSOC_SAMPLES = 2000
 
 def verify_group_axioms(g: FiniteGroup, rng) -> None:
     """Check identity, inverses and associativity of the multiplication.
+
+    An exact ``DirectProductGroup`` or ``SemidirectProductGroup`` (the class
+    itself, not a subclass) is checked from its factors.  Each distinct
+    factor is verified first, recursively and with the same ``rng``; a
+    factor met twice, as A5 in A5 x A5, is verified once.  Then the
+    product's cached inverse list must equal a fresh assembly from the
+    factors' lists (``_inverses_impl``).  No product of the group itself is
+    computed, and no law of it is sampled.  Every other group, a quotient,
+    a permutation group or a subclass, is checked by ``_verify_laws``,
+    also when it is met as a factor.
+
+    The rest follows from the construction.  Write (n, h) for the element
+    n*|top| + h of base x| top; a direct product is the case of the
+    trivial action, with left and right for base and top.  ``_mul_impl``
+    is (n1, h1)(n2, h2) = (n1 phi_h1(n2), h1 h2), computed with the
+    factors' ``mul``, which are group laws with identity 0 once the
+    factors pass.  phi is the action: construction validated each
+    generator's table as a bijective homomorphism of the base
+    (``Homomorphism.validate``), and the walk of the top's Cayley graph
+    that filled ``action`` checked phi_hg = phi_h phi_g on every edge, so
+    phi is a homomorphism top -> Aut(base).  So ``_mul_impl`` is the
+    textbook semidirect product, a group with identity (0, 0) = 0 and
+    (n, h)^-1 = (phi_h^-1(n^-1), h^-1), which is what ``_inverses_impl``
+    assembles from the factors' checked lists; the comparison ties the
+    list that conjugation reads to it.  ``_rcol_impl(s)`` evaluates the same
+    formula on the factors' ``rcol`` columns, which agree with their
+    ``mul``: a tabled factor reads its table for both, a quotient or
+    permutation group sweeps ``_mul_impl``, an exact product agrees by
+    this argument, and a subclass's columns are compared by its own check.
+    A tabled product's walk therefore started from the columns x -> x*g of
+    ``_mul_impl``, and the induction of ``_verify_laws``' permutation case,
+    with the associativity of ``_mul_impl`` in place of composition, gives
+    t[b][x] = x*b for every x and b: the table is the construction's
+    product.
+    """
+    seen: set = set()
+
+    def verify(g: FiniteGroup) -> None:
+        if g in seen:
+            return
+        seen.add(g)
+        if type(g) is DirectProductGroup:
+            factors = (g.left, g.right)
+        elif type(g) is SemidirectProductGroup:
+            factors = (g.base, g.top)
+        else:
+            _verify_laws(g, rng)
+            return
+        for f in factors:
+            verify(f)
+        inv, fresh = g.inverses(), g._inverses_impl()
+        if inv != fresh:
+            a = next((a for a, (x, y) in enumerate(zip(inv, fresh))
+                      if x != y), min(len(inv), len(fresh)))
+            raise InternalCheckError(f"inverse law fails at {a}")
+
+    verify(g)
+
+
+def _verify_laws(g: FiniteGroup, rng) -> None:
+    """The group laws of one group, checked on its elements.
 
     Identity and inverse laws are checked exhaustively.  A tabled group
     (order <= ``_MUL_TABLE_BOUND``) passed Light's exact associativity test

@@ -125,6 +125,22 @@ def normal_subgroups_join_closure(ambient) -> set[frozenset]:
     return set(nodes) | {amb.members}
 
 
+def group_laws_by_elements(g: FiniteGroup) -> bool:
+    """Identity and inverse laws on every element, by ``_mul_impl``.
+
+    The inverses are the cached list that conjugation reads.  A tabled
+    group's table must also equal ``_mul_impl`` on every pair.
+    """
+    mul, inv, t = g._mul_impl, g.inverses(), g._table
+    if len(inv) != g.order or any(
+            mul(a, 0) != a or mul(0, a) != a
+            or mul(a, inv[a]) != 0 or mul(inv[a], a) != 0
+            for a in g.elements()):
+        return False
+    return t is None or all(t[b][a] == mul(a, b)
+                            for a in g.elements() for b in g.elements())
+
+
 def closure_by_mul(g: FiniteGroup, seed: Sequence[int]) -> frozenset:
     """<seed>, by breadth-first products through ``g.mul`` alone."""
     members, frontier = {0}, [0]

@@ -44,6 +44,7 @@ from oracles import (
     classes_by_mul,
     closure_by_mul,
     commutator_pairs,
+    group_laws_by_elements,
     normal_closure_by_mul,
 )
 
@@ -577,6 +578,108 @@ def test_wrong_product_of_a_perm_group_subclass_fails_axioms():
         verify_group_axioms(g, random.Random(0))
 
 
+@pytest.mark.parametrize("build", [
+    lambda off: direct_product(off, named.cyclic(2)),
+    lambda off: semidirect_product(off, named.cyclic(2), [range(off.order)]),
+], ids=["direct", "semidirect"])
+def test_product_with_a_wrong_factor_fails_axioms(build):
+    """A product checked from its factors still checks the factors."""
+    s4 = named.symmetric(4)
+    g = build(OffPerm(s4.perms, s4._index, 4, s4.generators, "off"))
+    with pytest.raises(InternalCheckError,
+                       match=r"differs from the construction at \(5, 7\)"):
+        verify_group_axioms(g, random.Random(0))
+
+
+def test_untabled_factor_keeps_its_sampled_checks(monkeypatch):
+    """C1024 in C1024xC2 gets the untabled checks it gets on its own.
+
+    Its identity and inverse laws make 4 products per element, its
+    associativity sample 4 per triple from 3 draws each, and its
+    generator's column one sweep plus one comparison per triple; the
+    product and the tabled C2 make none.
+    """
+    c1024 = named.cyclic(1024)
+    g = direct_product(c1024, named.cyclic(2))
+    assert c1024._table is None and len(c1024.generators) == 1
+    calls = 0
+    mul = PermGroup._mul_impl
+
+    def counted(self, a, b):
+        nonlocal calls
+        calls += 1
+        return mul(self, a, b)
+
+    class Draws(random.Random):
+        count = 0
+
+        def randrange(self, *args):
+            Draws.count += 1
+            return super().randrange(*args)
+
+    monkeypatch.setattr(PermGroup, "_mul_impl", counted)
+    verify_group_axioms(g, Draws(0))
+    samples = group_module._ASSOC_SAMPLES
+    assert Draws.count == 3 * samples
+    assert calls == 4 * 1024 + 4 * samples + 1024 + samples
+
+
+def test_shared_factor_verified_once(monkeypatch, corpus):
+    """A5wrC2 checks its A5, both coordinates of the base, and C2 once each."""
+    wr = corpus["A5wrC2"]
+    assert wr.base.left is wr.base.right
+    checked = []
+    monkeypatch.setattr(group_module, "_verify_laws",
+                        lambda g, rng: checked.append(g))
+    verify_group_axioms(wr, random.Random(0))
+    assert checked == [wr.base.left, wr.top]
+
+
+def test_product_axioms_make_no_products(monkeypatch, corpus):
+    """An exact product's law check calls no ``_mul_impl`` at any level."""
+    s5 = named.symmetric(5)
+    groups = [corpus["A5wrC2"], direct_product(s5, s5), corpus["S5wrC2"]]
+    calls = 0
+    for cls in (PermGroup, DirectProductGroup, SemidirectProductGroup):
+        def counted(self, a, b, mul=cls._mul_impl):
+            nonlocal calls
+            calls += 1
+            return mul(self, a, b)
+
+        monkeypatch.setattr(cls, "_mul_impl", counted)
+    for g in groups:
+        assert g._table is None
+        verify_group_axioms(g, random.Random(0))
+    assert calls == 0
+
+
+def _exact_products(groups):
+    """The exact products among ``groups`` and among their factors."""
+    found, todo = [], list(groups)
+    while todo:
+        g = todo.pop()
+        if type(g) is DirectProductGroup:
+            todo += g.left, g.right
+        elif type(g) is SemidirectProductGroup:
+            todo += g.base, g.top
+        else:
+            continue
+        if g not in found:
+            found.append(g)
+    return found
+
+
+def test_structural_check_agrees_with_element_laws(corpus, dense_corpus):
+    """Products checked from their factors pass the element-wise oracle."""
+    products = _exact_products([*corpus.values(), *dense_corpus.values()])
+    assert len(products) >= 10
+    assert any(g._table is None for g in products)
+    assert any(g._table is not None for g in products)
+    for g in products:
+        verify_group_axioms(g, random.Random(0))
+        assert group_laws_by_elements(g), g.name
+
+
 def _d8_perms():
     d8 = named.dihedral(8)
     return d8, list(d8.perms), dict(d8._index)
@@ -644,10 +747,12 @@ def test_product_inverse_lists_match_construction(corpus, dense_corpus):
 def test_wrong_inverse_list_fails_axioms(build):
     g = build()
     verify_group_axioms(g, random.Random(0))
+    assert group_laws_by_elements(g)
     inv = g.inverses()
     inv[7] = inv[8]
     with pytest.raises(InternalCheckError, match="inverse law fails at 7"):
         verify_group_axioms(g, random.Random(0))
+    assert not group_laws_by_elements(g)
 
 
 def test_generators_missing_an_element_raise_at_construction():

@@ -12,8 +12,12 @@ the pairwise test, the principal normal subgroups with closing every
 class, and ``components`` with the sweep of every node, there and on
 B wr C2 for random B of order at most 60.  Characteristic simplicity,
 read from the socle and the atoms, is compared with the enumeration of
-automorphisms.
+automorphisms.  On the same draws, every group that passes
+``verify_group_axioms`` (a product from its factors, a quotient element
+by element) must pass the element-wise group-law oracle.
 """
+
+import random
 
 import pytest
 
@@ -37,6 +41,7 @@ from chiefblocks.group import (  # noqa: E402
     factor_centralizer_members,
     group_from_permutations,
     quotient,
+    verify_group_axioms,
 )
 from chiefblocks.lattice import (  # noqa: E402
     _principal_subgroups,
@@ -50,6 +55,7 @@ from oracles import (  # noqa: E402
     association_edges_pairwise,
     characteristically_simple_by_automorphisms,
     components_all_nodes,
+    group_laws_by_elements,
     layer_by_closure,
     normal_closure_by_mul,
     principal_subgroups_closing_every_class,
@@ -113,6 +119,13 @@ def test_components_match_all_nodes(g):
     assert {c.members for c in components(g)} == components_all_nodes(g)
 
 
+@settings(max_examples=50, deadline=None, database=None, derandomize=True)
+@given(products_and_quotients(), st.integers(0, 2 ** 32 - 1))
+def test_group_law_check_matches_elements(g, seed):
+    verify_group_axioms(g, random.Random(seed))
+    assert group_laws_by_elements(g)
+
+
 def test_wreath_components_match_all_nodes():
     """B wr C2, B of order <= 60: the two coordinate copies of a perfect B.
 
@@ -128,6 +141,8 @@ def test_wreath_components_match_all_nodes():
         b = group_from_permutations(gens)
         assume(b.order <= 60)
         g = wreath_c2(b)
+        verify_group_axioms(g, random.Random(0))
+        assert group_laws_by_elements(g)
         comps = components(g)
         assert {c.members for c in comps} == components_all_nodes(g)
         if len(comps) == 2 and not any(
