@@ -1034,8 +1034,8 @@ def verify_group_axioms(g: FiniteGroup, rng) -> None:
             verify(f)
         inv, fresh = g.inverses(), g._inverses_impl()
         if inv != fresh:
-            a = next((a for a, (x, y) in enumerate(zip(inv, fresh))
-                      if x != y), min(len(inv), len(fresh)))
+            a = next(a for a, (x, y) in enumerate(zip(inv, fresh))
+                     if x != y)
             raise InternalCheckError(f"inverse law fails at {a}")
 
     verify(g)
