@@ -207,8 +207,19 @@ def build_group(spec: dict, cap: int = DEFAULT_ELEMENT_CAP) -> FiniteGroup:
 # ---------------------------------------------------------------------------
 
 def _fingerprint(members) -> str:
-    ids = ",".join(str(i) for i in sorted(members)).encode()
-    return f"{zlib.crc32(ids):08x}"
+    """CRC-32 of the sorted ids joined by commas, in hex.
+
+    The CRC runs over chunks of the string, so a large node never holds a
+    string per member at once.
+    """
+    ids, crc = sorted(members), 0
+    for i in range(0, len(ids), _FINGERPRINT_CHUNK):
+        text = ",".join([str(x) for x in ids[i:i + _FINGERPRINT_CHUNK]])
+        crc = zlib.crc32(("," + text if i else text).encode(), crc)
+    return f"{crc:08x}"
+
+
+_FINGERPRINT_CHUNK = 4096
 
 
 @dataclass

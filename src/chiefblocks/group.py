@@ -18,14 +18,21 @@ and its laws and table follow from theirs.
 Loops that multiply many elements by one element s read its right column
 (``FiniteGroup.rcol``: x -> xs): the table column of a tabled group, else a
 column each construction builds from its factors' columns without a product
-per element.  Breadth-first walks read each multiplier's column once.
+per element.  A semidirect product asks its base for each slice already
+mapped to its own ids (``_rcol_affine``), which a direct product builds from
+its factors' columns in one assembly.  Breadth-first walks read each
+multiplier's column once.
 Conjugation reads one right column and the inverse list
 (``FiniteGroup.inverses``).  ``Homomorphism.validate`` checks a map on the
 columns of the source generators and of their images.
 
 A subgroup normal in an ambient is a union of the ambient's conjugacy
 classes.  ``conjugacy_classes`` caches, beside the classes, the class index
-of every ambient element (``class_index``).  ``class_closure`` takes a
+of every ambient element (``class_index``).  An exact product takes its
+classes from its factors, as its columns: a direct product's are the
+products of its factors' classes, a semidirect product fuses its base's
+classes under the top's action and walks only the elements outside the
+base, and a factor image takes its factor's.  ``class_closure`` takes a
 normal subgroup N, as a bitset over the classes, to N*ncl(x); the normal
 lattice and ``normal_closure`` are built with it.  It reads the class row
 of x, whose entry i (the classes that C_i*x meets) ``class_row`` fills
@@ -150,6 +157,12 @@ class FiniteGroup:
         # this with arithmetic on their factors' columns.
         mul = self._mul_impl
         return array("I", [mul(x, s) for x in range(self.order)])
+
+    def _rcol_affine(self, s: int, k: int, c: int) -> list[int]:
+        # The column of s mapped x -> x*k + c, as a product that embeds
+        # this group with ids scaled by k and offset by c reads it.  An
+        # exact direct product overrides this with its factors' columns.
+        return [x * k + c for x in self.rcol(s)]
 
     # -- core operations -----------------------------------------------------
 
@@ -519,12 +532,26 @@ class DirectProductGroup(FiniteGroup):
                 for b in right]
 
     def _rcol_impl(self, s: int) -> array:
-        # Element (a, b) has id a*r + b, so the column is left-major.
+        # Element (a, b) has id a*r + b, so the column is left-major: the
+        # left factor's column scaled by r, then one assembly.
         r = self._r
         s1, s2 = divmod(s, r)
         right = self.right.rcol(s2)
-        return array("I", [a + b for a in [a * r for a in self.left.rcol(s1)]
+        return array("I", [a + b for a in self.left._rcol_affine(s1, r, 0)
                            for b in right])
+
+    def _rcol_affine(self, s: int, k: int, c: int) -> list[int]:
+        # (a*r + b)*k + c = a*(r*k) + (b*k + c): the two factor columns are
+        # scaled first, |L| + |R| ints, and assembled once.  A tabled
+        # product reads its table column, and a subclass, which may build
+        # its columns its own way, its own ``_rcol_impl``.
+        if type(self) is not DirectProductGroup or self._table is not None:
+            return super()._rcol_affine(s, k, c)
+        r = self._r
+        s1, s2 = divmod(s, r)
+        right = self.right._rcol_affine(s2, k, c)
+        return [a + b for a in self.left._rcol_affine(s1, r * k, 0)
+                for b in right]
 
 
 def direct_product(g: FiniteGroup, h: FiniteGroup,
@@ -610,15 +637,15 @@ class SemidirectProductGroup(FiniteGroup):
 
     def _rcol_impl(self, s: int) -> array:
         # (n1, h1)(n2, h2) = (n1 * action[h1][n2], h1 h2): for a fixed h1,
-        # the base part is one base column and the top part one entry.
+        # the ids n1*t + h1 go to one base column mapped b -> b*t + th,
+        # th the top entry, which the base builds from its own factors
+        # (``_rcol_affine``).
         t = self._t
         n2, h2 = divmod(s, t)
-        top = self.top.rcol(h2)
+        top, affine = self.top.rcol(h2), self.base._rcol_affine
         col = array("I", [0]) * self.order
         for h1 in range(t):
-            th = top[h1]
-            col[h1::t] = array("I", [
-                b * t + th for b in self.base.rcol(self.action[h1][n2])])
+            col[h1::t] = array("I", affine(self.action[h1][n2], t, top[h1]))
         return col
 
 
@@ -863,11 +890,43 @@ def conjugate_members(g: FiniteGroup, x: int, members: Iterable[int]) -> frozens
 def conjugacy_classes(ambient) -> list[list[int]]:
     """Orbits of the conjugation action of the ambient on itself.
 
-    Conjugation by an ambient generator h is x -> r[inv[r[inv[x]]]], with
-    r the right column of h^-1 and inv the inverse list: r[x^-1] is
-    x^-1 h^-1 = (hx)^-1, so the inner lookups give hx and the outer ones
-    hxh^-1.  Classes are returned sorted by least member, so the identity's
-    singleton class always comes first.
+    Classes are returned sorted, and sorted by least member, so the
+    identity's singleton class always comes first.  An exact direct or
+    semidirect product (the class itself, not a subclass) takes its classes
+    from its factors', asked for recursively and cached on none of them:
+
+    - Direct product L x R, the whole group.  (x, y) conjugates (a, b) to
+      (a^x, b^y), so the class of (a, b) is A x B, A and B the factors'
+      classes of a and b.  Ids are left-major, (a, b) = a*|R| + b, so
+      {a*|R| + b : a in A, b in B} listed a-major is sorted when A and B
+      are, its least member is min A * |R| + min B, and the class pairs in
+      lexicographic order come in least-member order.  The class index of
+      (a, b) is i_L(a) * (number of R's classes) + i_R(b).
+    - Semidirect product N x| H, the whole group, (n, h) with id
+      n*|H| + h and phi the action.  N is normal, so N and its complement
+      are unions of classes.  (m, k) conjugates (n, 1) to
+      (m phi_k(n) m^-1, 1), so the class of n is the union over k in H of
+      the N-classes of phi_k(n).  Each phi_k is an automorphism of N and
+      permutes N's classes, so these unions are the orbits of H on N's
+      classes, found by applying the top generators' tables to one
+      representative per class: the orbits of a finite group are those of
+      its generators.  Only the classes outside N are walked, from
+      elements outside N.  The ids n*|H| rise with n, so a union of
+      classes of N stays sorted once merged.
+    - A recorded factor image (``left_factor``, ``right_factor``,
+      ``base_part``, ``top_part``) as the ambient, equal to it as a set.
+      Its embedding is an isomorphism from the factor onto it, so its
+      classes are the images of the factor's classes.  The embedding maps
+      x to x*k, k = |R| for the left factor, |H| for the base and 1 for the
+      others, which is increasing, so sorted classes in least-member order
+      map to sorted classes in least-member order.
+
+    Every other ambient (a permutation group, a quotient, a subclass,
+    any other subgroup) is walked: conjugation by an ambient generator h
+    is x -> r[inv[r[inv[x]]]], with r the right column of h^-1 and inv
+    the inverse list: r[x^-1] is x^-1 h^-1 = (hx)^-1, so the inner lookups
+    give hx and the outer ones hxh^-1.  A walk from rising starts finds
+    each class from its least member.
     """
     return _class_space(ambient)[0]
 
@@ -887,29 +946,138 @@ def _class_space(ambient) -> tuple:
     g = amb.parent
     key = ("classes", amb.members)
     cached = g._cache.get(key)
-    if cached is not None:
-        return cached
+    if cached is None:
+        if len(amb.members) == g.order:
+            cached = _group_classes(g)
+        else:
+            classes = _factor_image_classes(amb) or _conjugation_orbits(
+                g, amb.gens, sorted(amb.members))
+            cached = classes, {x: i for i, cls in enumerate(classes)
+                               for x in cls}
+        g._cache[key] = cached
+    return cached
+
+
+def _group_classes(g: FiniteGroup, k: int = 1) -> tuple:
+    """The classes of the whole of g, members scaled x -> x*k, uncached.
+
+    Beside them comes the class index list over g's own ids.  A product
+    asks each factor for its classes at the scale of the factor's ids in
+    the product, so each member is made once, at its final value.  A class
+    space g already caches is read; nothing is cached on g or its factors.
+    """
+    whole = g._cache.get("whole")
+    if whole is not None and (cached := g._cache.get(
+            ("classes", whole.members))) is not None:
+        classes, index = cached
+    elif type(g) is DirectProductGroup:
+        return _direct_classes(g, k)
+    elif type(g) is SemidirectProductGroup:
+        return _semidirect_classes(g, k)
+    else:
+        classes = _conjugation_orbits(g, g.generators, g.elements())
+        index = [0] * g.order
+        for i, cls in enumerate(classes):
+            for x in cls:
+                index[x] = i
+    if k != 1:
+        classes = [[x * k for x in cls] for cls in classes]
+    return classes, index
+
+
+def _direct_classes(g: DirectProductGroup, k: int) -> tuple:
+    # (a, b) has id a*r + b, scaled a*(r*k) + b*k: class pair (i, j) is
+    # {a + b} over the scaled factor classes, sorted as they are, and its
+    # least member rises with (i, j).
+    r = g._r
+    rcls, ridx = _group_classes(g.right, k)
+    lcls, lidx = (([[x * r for x in cls] for cls in rcls], ridx)
+                  if g.left is g.right else _group_classes(g.left, r * k))
+    m = len(rcls)
+    return ([[a + b for a in lc for b in rc] for lc in lcls for rc in rcls],
+            [i + j for i in [i * m for i in lidx] for j in ridx])
+
+
+def _semidirect_classes(g: SemidirectProductGroup, k: int) -> tuple:
+    # The base's classes, scaled to the ids n*t, fused by the top
+    # generators' tables; then the orbits walked from the elements outside
+    # the base; the two merged by least member.
+    t = g._t
+    ncls, nidx = _group_classes(g.base, t * k)
+    tables = [g.action[h] for h in g.top.generators]
+    fused = [-1] * len(ncls)  # base class -> its orbit
+    orbits: list[list[int]] = []
+    for j in range(len(ncls)):  # rising, so an orbit's first class is least
+        if fused[j] < 0:
+            fused[j] = len(orbits)
+            orbit = [j]
+            for i in orbit:  # the orbit grows while it is walked
+                x = ncls[i][0] // (t * k)
+                for table in tables:
+                    if fused[c := nidx[table[x]]] < 0:
+                        fused[c] = fused[j]
+                        orbit.append(c)
+            orbits.append(orbit)
+    outer = _conjugation_orbits(g, g.generators, itertools.chain.from_iterable(
+        range(h, g.order, t) for h in range(1, t)))
+    classes = [sorted([x for i in orbit for x in ncls[i]]) for orbit in orbits]
+    classes += [[x * k for x in cls] for cls in outer] if k != 1 else outer
+    order = sorted(range(len(classes)), key=lambda i: classes[i][0])
+    at = [0] * len(classes)
+    for p, i in enumerate(order):
+        at[i] = p
+    index = [0] * g.order
+    index[::t] = [at[fused[j]] for j in nidx]
+    for i, cls in enumerate(outer, len(orbits)):
+        for x in cls:
+            index[x] = at[i]
+    return [classes[i] for i in order], index
+
+
+def _factor_image_classes(amb: Subgroup) -> Optional[list[list[int]]]:
+    """The classes of a recorded factor image, from the factor; else None.
+
+    An exact product's ``left_factor``, ``right_factor``, ``base_part``
+    and ``top_part`` are the images of its factors under the embeddings
+    x -> x*k: k is the order of the right factor or of the top for the
+    left factor or the base, else 1.
+    """
+    g = amb.parent
+    if type(g) is DirectProductGroup:
+        parts = ((g.left_factor, g.left, g._r), (g.right_factor, g.right, 1))
+    elif type(g) is SemidirectProductGroup:
+        parts = ((g.base_part, g.base, g._t), (g.top_part, g.top, 1))
+    else:
+        return None
+    for part, factor, k in parts:
+        if amb.members == part.members:
+            return _group_classes(factor, k)[0]
+    return None
+
+
+def _conjugation_orbits(g: FiniteGroup, gens: Sequence[int],
+                        starts: Iterable[int]) -> list[list[int]]:
+    """The orbits under conjugation by gens that meet the starts, sorted.
+
+    They come in the order of their first start, which for rising starts
+    is least-member order: a start not yet seen is the least of its orbit.
+    """
     inv = g.inverses()
-    cols = [g.rcol(inv[h]) for h in amb.gens]
-    seen: set[int] = set()
+    cols = [g.rcol(inv[h]) for h in gens]
+    seen = bytearray(g.order)
     classes = []
-    for start in _iter_ambient(amb):  # rising, so a new orbit's least is start
-        if start not in seen:
+    for start in starts:
+        if not seen[start]:
             orbit = [start]
-            seen.add(start)
+            seen[start] = 1
             for x in orbit:  # the orbit grows while it is walked
+                xi = inv[x]
                 for r in cols:
-                    if (y := r[inv[r[inv[x]]]]) not in seen:
-                        seen.add(y)
+                    if not seen[y := r[inv[r[xi]]]]:
+                        seen[y] = 1
                         orbit.append(y)
             classes.append(sorted(orbit))
-    index: list[int] | dict[int, int] = (
-        [0] * g.order if len(amb.members) == g.order else {})
-    for i, cls in enumerate(classes):
-        for x in cls:
-            index[x] = i
-    cached = g._cache[key] = classes, index
-    return cached
+    return classes
 
 
 def class_closure(amb: Subgroup, s: int, x: int, rows: dict) -> int:
@@ -1007,10 +1175,13 @@ def verify_group_axioms(g: FiniteGroup, rng) -> None:
     (n, h)^-1 = (phi_h^-1(n^-1), h^-1), which is what ``_inverses_impl``
     assembles from the factors' checked lists; the comparison ties the
     list that conjugation reads to it.  ``_rcol_impl(s)`` evaluates the same
-    formula on the factors' ``rcol`` columns, which agree with their
-    ``mul``: a tabled factor reads its table for both, a quotient or
-    permutation group sweeps ``_mul_impl``, an exact product agrees by
-    this argument, and a subclass's columns are compared by its own check.
+    formula on the factors' columns, which agree with their ``mul``: a
+    tabled factor reads its table for both, a quotient or permutation group
+    sweeps ``_mul_impl``, an exact product agrees by this argument (an
+    untabled direct product's ``_rcol_affine`` is its column mapped
+    x -> x*k + c, by the same formula), and a subclass's columns, which
+    ``_rcol_affine`` reads through its own ``rcol``, are compared by its
+    own check.
     A tabled product's walk therefore started from the columns x -> x*g of
     ``_mul_impl``, and the induction of ``_verify_laws``' permutation case,
     with the associativity of ``_mul_impl`` in place of composition, gives

@@ -21,12 +21,15 @@ from chiefblocks.factors import (
 )
 from chiefblocks.errors import DifferentParents
 from chiefblocks.group import (
+    DirectProductGroup,
     FiniteGroup,
     Homomorphism,
+    SemidirectProductGroup,
     Subgroup,
     ambient_subgroup,
     centralizer_subgroup,
     class_closure,
+    class_index,
     close_under_mul,
     commutator_subgroup,
     conjugacy_classes,
@@ -238,6 +241,27 @@ def classes_by_mul(ambient) -> list[list[int]]:
         seen |= orbit
         classes.append(sorted(orbit))
     return classes
+
+
+def class_space_matches_mul(ambient) -> bool:
+    """``conjugacy_classes`` and ``class_index`` agree with ``classes_by_mul``.
+
+    The index must hold every ambient member and no other element.
+    """
+    classes, index = classes_by_mul(ambient), class_index(ambient)
+    return (conjugacy_classes(ambient) == classes
+            and len(index) == sum(map(len, classes))
+            and all(index[x] == i for i, cls in enumerate(classes)
+                    for x in cls))
+
+
+def class_ambients(g: FiniteGroup) -> list[Subgroup]:
+    """The whole of g and, for an exact product, its recorded factor images."""
+    if type(g) is DirectProductGroup:
+        return [g.whole(), g.left_factor, g.right_factor]
+    if type(g) is SemidirectProductGroup:
+        return [g.whole(), g.base_part, g.top_part]
+    return [g.whole()]
 
 
 def centralizer_by_mul(ambient, targets: Sequence[int]) -> frozenset:

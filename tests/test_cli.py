@@ -4,12 +4,14 @@ import json
 import os
 import subprocess
 import sys
+import zlib
 from pathlib import Path
 
 import pytest
 
 import chiefblocks
 
+from chiefblocks import cli as cli_module
 from chiefblocks.cli import (
     AnalyzeOptions,
     analyze,
@@ -29,6 +31,16 @@ from chiefblocks.errors import (
 V4_SPEC = '{"kind":"named","name":"V4"}'
 A5A5_SPEC = ('{"kind":"direct","left":{"kind":"named","name":"A5"},'
              '"right":{"kind":"named","name":"A5"}}')
+
+
+def test_fingerprint_is_the_crc_of_the_whole_string():
+    """The chunked CRC equals the CRC of the ids joined in one string."""
+    chunk = cli_module._FINGERPRINT_CHUNK
+    for n in (0, 1, chunk - 1, chunk, chunk + 1, 3 * chunk + 5):
+        members = frozenset(range(7, 7 + 3 * n, 3))
+        whole = ",".join(str(i) for i in sorted(members)).encode()
+        assert cli_module._fingerprint(members) \
+            == f"{zlib.crc32(whole):08x}", n
 
 
 def test_parse_named_and_direct():

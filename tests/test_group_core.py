@@ -23,6 +23,7 @@ from chiefblocks.group import (
     Homomorphism,
     PermGroup,
     SemidirectProductGroup,
+    Subgroup,
     center,
     centralizer_subgroup,
     class_index,
@@ -41,6 +42,8 @@ from chiefblocks.group import (
 from chiefblocks.perm import compose, invert, perm_from_cycles
 from oracles import (
     centralizer_by_mul,
+    class_ambients,
+    class_space_matches_mul,
     classes_by_mul,
     closure_by_mul,
     commutator_pairs,
@@ -436,14 +439,58 @@ def test_cayley_table_matches_construction(corpus, dense_corpus):
 
 
 def test_columns_match_construction(corpus, dense_corpus):
+    """``rcol``, ``_rcol_impl`` and ``_rcol_affine`` at random (k, c)."""
     rng = random.Random(5)
     groups = _built_groups(corpus, dense_corpus)
     assert any(g._table is None for g in groups)
     for g in groups:
         n, mul = g.order, g._mul_impl
         for s in {0, *g.generators, rng.randrange(n), rng.randrange(n)}:
+            want = [mul(x, s) for x in range(n)]
             for rc in (g.rcol(s), g._rcol_impl(s)):
-                assert list(rc) == [mul(x, s) for x in range(n)], (g, s)
+                assert list(rc) == want, (g, s)
+            k, c = rng.randrange(1, 50), rng.randrange(50)
+            assert g._rcol_affine(s, k, c) == [x * k + c for x in want], \
+                (g, s, k, c)
+
+
+def _counted(monkeypatch, *methods):
+    """Count the calls of each (class, name) method; returns the counts."""
+    calls = dict.fromkeys(methods, 0)
+    for cls, name in methods:
+        def counted(self, *args, key=(cls, name), f=getattr(cls, name)):
+            calls[key] += 1
+            return f(self, *args)
+
+        monkeypatch.setattr(cls, name, counted)
+    return calls
+
+
+def test_semidirect_column_builds_no_direct_column(monkeypatch):
+    """An S5wrC2 column asks S5xS5 for mapped slices, not for its columns."""
+    wr = named.s5_wr_c2()
+    calls = _counted(monkeypatch, (DirectProductGroup, "_rcol_impl"))
+    s = wr.generators[0] + 1  # outside the base: the action swaps
+    assert list(wr.rcol(s)) == [wr._mul_impl(x, s) for x in wr.elements()]
+    assert calls[DirectProductGroup, "_rcol_impl"] == 0
+
+
+class LeftForRight(DirectProductGroup):
+    def _rcol_impl(self, s):  # x -> sx where x -> xs is due
+        return [self._mul_impl(s, x) for x in range(self.order)]
+
+
+def test_subclass_base_columns_are_read():
+    """A base that builds its own columns is asked for them, and fails."""
+    a5 = named.alternating(5)
+    base = LeftForRight(a5, a5)
+    g = semidirect_product(base, named.cyclic(2), [range(base.order)])
+    n = base.generators[0]
+    # The ids 2b hold the base; the action is trivial, so their slice of
+    # the column of 2n is the base's own column of n at the scale 2.
+    assert list(g.rcol(2 * n))[::2] == [b * 2 for b in base._rcol_impl(n)]
+    with pytest.raises(InternalCheckError, match="column of .* differs"):
+        verify_group_axioms(g, random.Random(0))
 
 
 def test_closures_classes_and_centralizers_match_mul_oracles(corpus,
@@ -478,6 +525,95 @@ def test_closures_classes_and_centralizers_match_mul_oracles(corpus,
                 == normal_closure_by_mul(amb, seed)
             assert centralizer_subgroup(amb, seed).members \
                 == centralizer_by_mul(amb, seed)
+
+
+def _a4_wr_c3():
+    """A4 wr C3: C3 cycles the coordinates of the left-nested A4xA4xA4."""
+    a4 = named.alternating(4)
+    m = a4.order
+    base = direct_product(direct_product(a4, a4), a4)
+    cycle = [(c * m + a) * m + b
+             for a in range(m) for b in range(m) for c in range(m)]
+    return semidirect_product(base, named.cyclic(3), [cycle])
+
+
+def _semidirect_over_semidirect():
+    """S3wrC2 x| C2, C2 acting as conjugation by the swap, id 1."""
+    n = named.wreath_c2(named.symmetric(3))
+    return semidirect_product(n, named.cyclic(2),
+                              [[n.conj(1, x) for x in n.elements()]])
+
+
+def test_product_classes_match_mul_oracle(corpus, dense_corpus):
+    """Every exact product, nested ones too, and its recorded factor images.
+
+    The products are the corpus's and the dense corpus's, A4 wr C3 (a top
+    that is not C2, over a base of three factors) and a semidirect product
+    over a semidirect base.
+    """
+    extra = [_a4_wr_c3(), _semidirect_over_semidirect()]
+    assert extra[0].order == 5184 and extra[1].order == 144
+    products = _exact_products([*corpus.values(), *dense_corpus.values(),
+                                *extra])
+    assert type(extra[1].base) is SemidirectProductGroup
+    assert extra[1].base in products
+    for g in products:
+        for amb in class_ambients(g):
+            assert class_space_matches_mul(amb), (g.name, amb.order)
+
+
+def test_factor_image_classes_read_by_members(corpus):
+    """A node equal to a factor image, not the recorded object, reads it."""
+    for g in (direct_product(named.symmetric(4), named.dihedral(8)),
+              _a4_wr_c3()):
+        for part in class_ambients(g)[1:]:
+            amb = Subgroup(g, frozenset(part.members))
+            assert amb is not part and class_space_matches_mul(amb)
+
+
+def test_direct_product_classes_make_no_products(monkeypatch):
+    """S5xS5's classes are pairs of S5's: no product and no column built."""
+    s5 = named.symmetric(5)
+    g = direct_product(s5, s5)
+    assert g._table is None and s5._table is not None
+    calls = _counted(monkeypatch, *((cls, name) for cls in (
+        FiniteGroup, PermGroup, DirectProductGroup, SemidirectProductGroup)
+        for name in ("_mul_impl", "_rcol_impl") if name in vars(cls)))
+    assert len(conjugacy_classes(g)) == 7 * 7
+    assert calls and not any(calls.values())
+
+
+def test_semidirect_classes_walk_only_outside_the_base(monkeypatch):
+    """S5wrC2 walks S5 and its 14,400 elements outside the base, no more.
+
+    The base's classes are S5xS5's, fused by the swap; the walk of the
+    product starts at none of the base's 14,400 elements.
+    """
+    wr = named.s5_wr_c2()
+    walks = []
+    orbits = group_module._conjugation_orbits
+
+    def recorded(g, gens, starts):
+        starts = list(starts)
+        walks.append((g, starts))
+        return orbits(g, gens, starts)
+
+    monkeypatch.setattr(group_module, "_conjugation_orbits", recorded)
+    conjugacy_classes(wr)
+    assert [g for g, _ in walks] == [wr.base.left, wr]
+    starts = walks[1][1]
+    assert len(starts) == len(set(starts)) == 14_400
+    assert wr.base_part.members.isdisjoint(starts)
+
+
+def test_product_classes_leave_the_factors_caches():
+    """The lattice of S5wrC2 caches no subgroup or classes on its base."""
+    wr = named.s5_wr_c2()
+    verify_group_axioms(wr, random.Random(0))
+    _normal_nodes(wr)
+    assert "whole" not in wr.base._cache
+    assert not any(isinstance(k, tuple) and k[0] == "classes"
+                   for k in wr.base._cache)
 
 
 def test_cayley_table_reads_generator_columns(monkeypatch):
@@ -527,10 +663,6 @@ def test_columns_kept_across_levels(monkeypatch):
 
 
 def test_wrong_column_fails_axioms():
-    class LeftForRight(DirectProductGroup):
-        def _rcol_impl(self, s):  # x -> sx where x -> xs is due
-            return [self._mul_impl(s, x) for x in range(self.order)]
-
     a5 = named.alternating(5)
     g = LeftForRight(a5, a5)
     assert g._table is None

@@ -14,7 +14,9 @@ B wr C2 for random B of order at most 60.  Characteristic simplicity,
 read from the socle and the atoms, is compared with the enumeration of
 automorphisms.  On the same draws, every group that passes
 ``verify_group_axioms`` (a product from its factors, a quotient element
-by element) must pass the element-wise group-law oracle.
+by element) must pass the element-wise group-law oracle, and the class
+spaces of the group and of its recorded factor images, which a product
+takes from its factors, must equal the orbits found through ``mul``.
 """
 
 import random
@@ -54,6 +56,8 @@ from chiefblocks.semisimple import components, layer  # noqa: E402
 from oracles import (  # noqa: E402
     association_edges_pairwise,
     characteristically_simple_by_automorphisms,
+    class_ambients,
+    class_space_matches_mul,
     components_all_nodes,
     group_laws_by_elements,
     layer_by_closure,
@@ -126,6 +130,12 @@ def test_group_law_check_matches_elements(g, seed):
     assert group_laws_by_elements(g)
 
 
+@settings(max_examples=50, deadline=None, database=None, derandomize=True)
+@given(products_and_quotients())
+def test_classes_match_mul_oracle(g):
+    assert all(class_space_matches_mul(a) for a in class_ambients(g))
+
+
 def test_wreath_components_match_all_nodes():
     """B wr C2, B of order <= 60: the two coordinate copies of a perfect B.
 
@@ -143,6 +153,8 @@ def test_wreath_components_match_all_nodes():
         g = wreath_c2(b)
         verify_group_axioms(g, random.Random(0))
         assert group_laws_by_elements(g)
+        assert all(class_space_matches_mul(a) for a in [
+            *class_ambients(g), *class_ambients(g.base)])
         comps = components(g)
         assert {c.members for c in comps} == components_all_nodes(g)
         if len(comps) == 2 and not any(
