@@ -963,23 +963,18 @@ def _group_classes(g: FiniteGroup, k: int = 1) -> tuple:
 
     Beside them comes the class index list over g's own ids.  A product
     asks each factor for its classes at the scale of the factor's ids in
-    the product, so each member is made once, at its final value.  A class
-    space g already caches is read; nothing is cached on g or its factors.
+    the product, so each member is made once, at its final value.  Nothing
+    is cached on g or its factors.
     """
-    whole = g._cache.get("whole")
-    if whole is not None and (cached := g._cache.get(
-            ("classes", whole.members))) is not None:
-        classes, index = cached
-    elif type(g) is DirectProductGroup:
+    if type(g) is DirectProductGroup:
         return _direct_classes(g, k)
-    elif type(g) is SemidirectProductGroup:
+    if type(g) is SemidirectProductGroup:
         return _semidirect_classes(g, k)
-    else:
-        classes = _conjugation_orbits(g, g.generators, g.elements())
-        index = [0] * g.order
-        for i, cls in enumerate(classes):
-            for x in cls:
-                index[x] = i
+    classes = _conjugation_orbits(g, g.generators, g.elements())
+    index = [0] * g.order
+    for i, cls in enumerate(classes):
+        for x in cls:
+            index[x] = i
     if k != 1:
         classes = [[x * k for x in cls] for cls in classes]
     return classes, index
