@@ -112,7 +112,7 @@ def is_characteristically_simple(g: FiniteGroup) -> bool:
     lat = normal_subgroups(g)
     if socle(g).order != g.order:
         return False
-    first, *rest = (lat.nodes[i] for i in lat._up[0])
+    first, *rest = (lat.nodes[i] for i in lat.up[0])
     if any(m.order != first.order for m in rest):
         return False
     if is_prime_power(first.order):

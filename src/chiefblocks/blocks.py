@@ -183,15 +183,13 @@ def uppermost_representative(ambient, a: ChiefBlock) -> NormalFactor:
     """
     amb = ambient_subgroup(ambient)
     lat = normal_subgroups(amb)
-    c = a.centralizer
-    over_c = lat.minimal_nodes_over(c.members)
-    if len(over_c) != 1:
+    c = lat.index_of(a.centralizer)
+    if len(lat.up[c]) != 1:
         raise InternalCheckError(
             "quotient by a block centralizer must be monolithic")
-    top = over_c[0]
-    rep = make_factor(amb, top, lat.node_with_members(c.members))
+    rep = make_factor(amb, lat.nodes[lat.up[c][0]], lat.nodes[c])
     cf = factor_centralizer(rep)
-    if cf.members != c.members or is_abelian_factor(rep):
+    if cf.members != a.centralizer.members or is_abelian_factor(rep):
         raise InternalCheckError("uppermost representative not in the block")
     for r in a.representatives:
         if not is_internal_compression(r, rep):

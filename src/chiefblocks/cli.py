@@ -73,11 +73,15 @@ def parse_spec(text: str) -> dict:
     Each node is an object with a ``kind`` and exactly that kind's fields;
     ``build_group`` reads the validated tree by key.
     """
+    return _validate_spec(_load_json(text, "invalid JSON"), "spec")
+
+
+def _load_json(text: str, what: str):
+    """``json.loads``; a decode error is a ParseError "<what>: <msg>"."""
     try:
-        raw = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as e:
-        raise ParseError(f"invalid JSON: {e.msg}", e.lineno, e.colno) from e
-    return _validate_spec(raw, "spec")
+        raise ParseError(f"{what}: {e.msg}", e.lineno, e.colno) from e
 
 
 def _is_id(x) -> bool:
@@ -454,21 +458,14 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         )
         if args.factorization:
             with open(args.factorization, encoding="utf-8") as fh:
-                try:
-                    payload = json.load(fh)
-                except json.JSONDecodeError as e:
-                    raise ParseError(f"invalid factorization JSON: {e.msg}",
-                                     e.lineno, e.colno) from e
+                payload = _load_json(fh.read(), "invalid factorization JSON")
             if not (isinstance(payload, dict)
                     and isinstance(payload.get("parts"), list)):
                 raise ParseError("factorization file needs a 'parts' list")
             opts.factorization_parts = payload["parts"]
         if args.extend_normal:
-            try:
-                opts.extend_normal = json.loads(args.extend_normal)
-            except json.JSONDecodeError as e:
-                raise ParseError(f"invalid --extend-normal JSON: {e.msg}",
-                                 e.lineno, e.colno) from e
+            opts.extend_normal = _load_json(args.extend_normal,
+                                            "invalid --extend-normal JSON")
         report = analyze(spec, opts)
         text = emit_dot(report, args.dot) if args.dot else report.render()
         if args.output:

@@ -310,8 +310,9 @@ def antichain_orbit_analysis(ambient, h: Subgroup,
     # N <= M <= H with N normal in G, so N is a node of H's lattice and the
     # minimal H-invariant subgroups of M/N are its upper covers inside M.
     lat = normal_subgroups(h)
-    minimal = [x for x in lat.minimal_nodes_over(n.members)
-               if x.members <= m.members]
+    bottom = lat.index_of(n)
+    minimal = [lat.nodes[j] for j in lat.up[bottom]
+               if lat.nodes[j].members <= m.members]
     cond2 = bool(minimal)
 
     cond3 = False
@@ -321,7 +322,7 @@ def antichain_orbit_analysis(ambient, h: Subgroup,
         # One minimal invariant over N must be a representative of a.
         is_rep = any(
             factor_centralizer(
-                make_factor(h, x, lat.node_with_members(n.members))
+                make_factor(h, x, lat.nodes[bottom])
             ).members == a.centralizer.members
             for x in minimal)
         q, _ = factor_group(low)

@@ -220,7 +220,7 @@ def association_graph(
             f"association stage: {len(verts)} chief factors make {pairs} "
             f"pairs, over the cap of {ASSOCIATION_PAIR_CAP}")
     lat = normal_subgroups(ambient)
-    covers, below = lat.covers(), lat._below
+    covers, below = lat.covers(), lat.below
     factor_at: list[dict] = [{} for _ in below]  # L2: {K2 bit: factor}
     for f, (l, k) in enumerate(covers):
         factor_at[l][1 << k] = f

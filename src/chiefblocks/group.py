@@ -52,6 +52,7 @@ from __future__ import annotations
 
 import itertools
 from array import array
+from math import gcd
 from typing import Iterable, Iterator, Optional, Sequence
 
 from . import perm as _perm
@@ -201,13 +202,17 @@ class FiniteGroup:
         return self.mul(self.mul(a, b), self.inv(self.mul(b, a)))
 
     def element_order(self, a: int) -> int:
+        """The order o of a.  The walk a, a^2, ..., a^o = 1 records the
+        order o/gcd(k, o) of every power a^k it passes, so one walk serves
+        the whole cyclic subgroup <a>."""
         r = self._elt_order[a]
         if r is None:
-            x, r = a, 1
-            while x != 0:
-                x = self.mul(x, a)
-                r += 1
-            self._elt_order[a] = r
+            powers = [a]
+            while powers[-1] != 0:
+                powers.append(self.mul(powers[-1], a))
+            r = len(powers)
+            for k, x in enumerate(powers, 1):
+                self._elt_order[x] = r // gcd(k, r)
         return r
 
     def elements(self) -> range:

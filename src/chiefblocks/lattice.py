@@ -9,14 +9,13 @@ space: a node is a bitset over the ambient's conjugacy classes, and a
 product N*ncl(x), with ncl(x) the principal normal subgroup of x, is the
 closure of N's classes under the class row of x (``group.class_closure``).
 Every layer reads the lattice from the cache and asks ``NormalLattice``
-whether L < K is a cover (no normal subgroup strictly between) and for
-joins and meets, by node index.
+by node index: its public lists ``up`` and ``down`` give each node's upper
+and lower covers (L < K with no normal subgroup strictly between), the
+bitsets ``below`` its subnodes, and ``le``, ``join`` and ``meet`` the order.
 """
 
 from __future__ import annotations
 
-from functools import reduce
-from itertools import repeat
 from math import gcd, prod
 from typing import Iterator
 
@@ -42,32 +41,31 @@ class NormalLattice:
     """All subgroups of the ambient that are normal in it, with covers.
 
     Nodes are deduplicated and sorted by (order, member tuple), so node
-    indices are deterministic and rise along the order.  ``up`` maps each
-    node's member set to the nodes covering it; the lower covers are derived
-    from it.  These Hasse edges answer every cover question: ``covers``
-    lists them, ``is_cover`` tests one pair, and ``minimal_nodes_over`` and
-    ``maximal_nodes_under`` give the upper and lower covers of a node.
-    Bitsets over node indices (bit j of ``_above[i]``, bit i of ``_below[j]``:
-    node i lies in node j) answer ``le``, ``join`` and ``join_row`` (products,
-    a lowest common bit) and ``meet`` (the intersection, a highest common bit).
+    indices are deterministic and rise along the order.  The public
+    ``up[i]`` and ``down[i]`` (derived from ``up``) are the sorted indices of
+    the nodes covering node i and covered by it, the Hasse edges that
+    ``covers`` lists; bit i of the public ``below[j]`` and bit j of
+    ``_above[i]`` say that node i lies in node j.  These bitsets answer
+    ``le``, ``join`` and ``join_row`` (products, a lowest common bit) and
+    ``meet`` (the intersection, a highest common bit).  Only ``index_of``,
+    ``node_with_members`` and ``is_cover`` take subgroups or member sets.
     """
 
     def __init__(self, ambient: Subgroup, nodes: list[Subgroup],
-                 up: dict[frozenset, list[Subgroup]]):
+                 up: list[list[int]]):
         self.ambient = ambient
         self.nodes = nodes
+        self.up = up
         self._index = {n.members: i for i, n in enumerate(nodes)}
-        self._up = [sorted(self._index[m.members] for m in up[n.members])
-                    for n in nodes]
-        self._down: list[list[int]] = [[] for _ in nodes]
-        self._below = [1 << i for i in range(len(nodes))]
-        for i, js in enumerate(self._up):  # lower covers come first
+        self.down: list[list[int]] = [[] for _ in nodes]
+        self.below = [1 << i for i in range(len(nodes))]
+        for i, js in enumerate(up):  # lower covers come first
             for j in js:
-                self._down[j].append(i)
-                self._below[j] |= self._below[i]
+                self.down[j].append(i)
+                self.below[j] |= self.below[i]
         self._above = [1 << i for i in range(len(nodes))]
         for i in reversed(range(len(nodes))):
-            for j in self._up[i]:
+            for j in up[i]:
                 self._above[i] |= self._above[j]
 
     def __len__(self):
@@ -84,7 +82,7 @@ class NormalLattice:
 
     def le(self, i: int, j: int) -> bool:
         """True iff node i is contained in node j."""
-        return self._below[j] >> i & 1 == 1
+        return self.below[j] >> i & 1 == 1
 
     def join(self, *idx: int) -> int:
         """Index of the product of the given nodes (trivial if none)."""
@@ -103,9 +101,9 @@ class NormalLattice:
 
     def meet(self, *idx: int) -> int:
         """Index of the intersection of the given nodes (the top if none)."""
-        bits = self._below[-1]
+        bits = self.below[-1]
         for i in idx:
-            bits &= self._below[i]
+            bits &= self.below[i]
         return bits.bit_length() - 1
 
     def centralizer(self, k: int, l: int) -> int:
@@ -120,20 +118,12 @@ class NormalLattice:
 
     def covers(self) -> list[tuple[int, int]]:
         """Hasse edges (i, j) with node i covered by node j, sorted."""
-        return [(i, j) for i, js in enumerate(self._up) for j in js]
+        return [(i, j) for i, js in enumerate(self.up) for j in js]
 
     def is_cover(self, lower: frozenset, upper: frozenset) -> bool:
         """True iff both are nodes and ``upper`` covers ``lower``."""
         j = self._index.get(upper)
-        return j is not None and self._index.get(lower) in self._down[j]
-
-    def minimal_nodes_over(self, members: frozenset) -> list[Subgroup]:
-        """Nodes covering the given node in the lattice order."""
-        return [self.nodes[j] for j in self._up[self._index[members]]]
-
-    def maximal_nodes_under(self, members: frozenset) -> list[Subgroup]:
-        """Nodes covered by the given node in the lattice order."""
-        return [self.nodes[i] for i in self._down[self._index[members]]]
+        return j is not None and self._index.get(lower) in self.down[j]
 
 
 def cached_lattice(amb: Subgroup, built=None) -> NormalLattice | None:
@@ -206,10 +196,10 @@ def normal_subgroups(ambient) -> NormalLattice:
     normal = True if amb.order == g.order else None
     nodes = {n: Subgroup(g, frozenset(x for i in _bits(n) for x in classes[i]),
                          None, normal) for n in queue}
-    ordered = sorted(nodes.values(),
-                     key=lambda s: (s.order, s.sorted_members()))
-    return cached_lattice(amb, NormalLattice(amb, ordered, {
-        nodes[n].members: [nodes[m] for m in ms] for n, ms in up.items()}))
+    queue.sort(key=lambda n: (nodes[n].order, nodes[n].sorted_members()))
+    at = {n: i for i, n in enumerate(queue)}  # bitset -> node index
+    return cached_lattice(amb, NormalLattice(amb, [nodes[n] for n in queue], [
+        sorted(at[m] for m in up[n]) for n in queue]))
 
 
 def _principal_subgroups(amb: Subgroup, rows: dict) -> dict[int, int]:
@@ -255,12 +245,14 @@ def _central_elementary_subgroups(g, classes: list[list[int]]) -> int:
     """The subgroups of the central z with z^p = 1, p prime: all are nodes.
 
     For each p dividing |Z| those z form C_p^r; counts for primes multiply.
+    z^p = 1 iff p is a multiple of the order of z, and one power walk of
+    ``element_order`` serves the whole cyclic subgroup it walks.
     """
     center = [c[0] for c in classes if len(c) == 1]
     primes = [p for p in range(2, len(center) + 1)
               if len(center) % p == 0 and all(p % d for d in range(2, p))]
     return prod(_elementary_subgroups(p, sum(
-        reduce(g.mul, repeat(z, p)) == 0 for z in center)) for p in primes)
+        p % g.element_order(z) == 0 for z in center)) for p in primes)
 
 
 def _elementary_subgroups(p: int, c: int) -> int:
@@ -289,7 +281,7 @@ def is_perfect(lat: NormalLattice, i: int) -> bool:
     """
     order = lat.nodes[i].order
     return not any(is_prime_power(order // lat.nodes[k].order)
-                   for k in lat._down[i])
+                   for k in lat.down[i])
 
 
 def is_chief_factor(ambient, k: Subgroup, l: Subgroup) -> bool:
@@ -328,7 +320,7 @@ def chief_series_iter(ambient, max_series: int | None = None
             count += 1
             yield [lat.nodes[i] for i in chain]
             return
-        for nxt in lat._up[last]:
+        for nxt in lat.up[last]:
             yield from walk(chain + [nxt])
 
     yield from walk([0])
@@ -337,12 +329,12 @@ def chief_series_iter(ambient, max_series: int | None = None
 def socle(ambient) -> Subgroup:
     """Join of the minimal normal subgroups (trivial when there are none)."""
     lat = normal_subgroups(ambient)
-    return lat.nodes[lat.join(*lat._up[0])]
+    return lat.nodes[lat.join(*lat.up[0])]
 
 
 def is_monolithic(ambient) -> bool:
     """Exactly one minimal normal subgroup."""
-    return len(normal_subgroups(ambient)._up[0]) == 1
+    return len(normal_subgroups(ambient).up[0]) == 1
 
 
 def jordan_holder_length(ambient) -> int:

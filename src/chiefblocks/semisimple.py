@@ -73,9 +73,9 @@ def components(ambient) -> list[Subgroup]:
     result = []
     for i in _closures(lat):
         sub = normal_subgroups(lat.nodes[i])
-        z = sub.index_of(lat.nodes[lat._down[i][0]])  # L = Z(N)
+        z = sub.index_of(lat.nodes[lat.down[i][0]])  # L = Z(N)
         for j, m in enumerate(sub.nodes):  # the minimal nodes outside L
-            if not sub.le(j, z) and all(sub.le(k, z) for k in sub._down[j]):
+            if not sub.le(j, z) and all(sub.le(k, z) for k in sub.down[j]):
                 if amb.order == g.order:
                     m.is_normal = j == len(sub) - 1
                 result.append(m)
@@ -87,7 +87,7 @@ def components(ambient) -> list[Subgroup]:
 def _closures(lat) -> list[int]:
     """The nodes N with one lower cover L, |N:L| no prime power, L <= Z(N):
     the components' normal closures (``components``)."""
-    return [i for i, (n, down) in enumerate(zip(lat.nodes, lat._down))
+    return [i for i, (n, down) in enumerate(zip(lat.nodes, lat.down))
             if len(down) == 1
             and not is_prime_power(n.order // lat.nodes[down[0]].order)
             and lat.nodes[down[0]].members <= center(n).members]
@@ -158,8 +158,9 @@ def simple_quotient_duality(g: FiniteGroup) -> list[tuple[Subgroup, Subgroup]]:
     """
     if semisimple_type(g) == NOT_SEMISIMPLE:
         raise NotSemisimpleType("duality needs semisimple type")
-    tops = {n.members for n in normal_subgroups(g).maximal_nodes_under(
-        g.whole().members) if not is_prime_power(g.order // n.order)}
+    lat = normal_subgroups(g)
+    tops = {lat.nodes[i].members for i in lat.down[-1]
+            if not is_prime_power(g.order // lat.nodes[i].order)}
     comps = components(g)
     one = g.trivial_subgroup()
     cents = {m: factor_centralizer(NormalFactor(g.whole(), m, one))

@@ -7,7 +7,9 @@ bounded to small inputs.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from typing import Sequence
 
 from chiefblocks.autos import iter_isomorphisms
@@ -290,6 +292,31 @@ def hasse_edges_triple_loop(lat: NormalLattice) -> list[tuple[int, int]]:
         if nodes[i] < nodes[j]
         and not any(k != i and k != j and nodes[i] < nodes[k] < nodes[j]
                     for k in range(n)))
+
+
+def central_elementary_subgroups_by_mul(g: FiniteGroup) -> int:
+    """Subgroups of the central z with z^p = 1, p a prime dividing |Z|.
+
+    The center is the elements commuting with the generators, z^p takes
+    p - 1 products, and C_p^r has the sum over k of the Gaussian binomials
+    [r, k]_p as its number of subgroups; counts for primes multiply.
+    """
+    gens = g.whole().gens
+    center = [z for z in g.elements()
+              if all(g.mul(z, s) == g.mul(s, z) for s in gens)]
+    total = 1
+    for p in range(2, len(center) + 1):
+        if len(center) % p or any(p % d == 0 for d in range(2, p)):
+            continue
+        count = sum(functools.reduce(g.mul, [z] * p) == 0 for z in center)
+        r = 0  # count = p^r
+        while p ** r < count:
+            r += 1
+        total *= sum(
+            math.prod(p ** (r - i) - 1 for i in range(k))
+            // math.prod(p ** (i + 1) - 1 for i in range(k))
+            for k in range(r + 1))
+    return total
 
 
 def commutator_pairs(g: FiniteGroup, a: Subgroup, b: Subgroup) -> frozenset:

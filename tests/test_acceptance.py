@@ -220,9 +220,9 @@ def test_criterion_4_covering_filters(corpus):
                 assert is_internal_compression(rep, upper)
             # the quotient by the centralizer is monolithic with socle
             # the uppermost representative
-            over = lat.minimal_nodes_over(block.centralizer.members)
+            over = lat.up[lat.index_of(block.centralizer)]
             assert len(over) == 1
-            assert over[0].members == upper.k.members
+            assert lat.nodes[over[0]].members == upper.k.members
             assert factor_centralizer(upper).members \
                 == block.centralizer.members
 

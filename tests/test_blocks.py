@@ -158,10 +158,9 @@ def test_monolithic_quotient_by_centralizer(corpus):
         g = corpus[name]
         lat = normal_subgroups(g)
         for b in chief_blocks(g).blocks:
-            over = lat.minimal_nodes_over(b.centralizer.members)
-            assert len(over) == 1
-            rep = make_factor(g, over[0],
-                              lat.node_with_members(b.centralizer.members))
+            c = lat.index_of(b.centralizer)
+            assert len(lat.up[c]) == 1
+            rep = make_factor(g, lat.nodes[lat.up[c][0]], lat.nodes[c])
             assert factor_centralizer(rep).members == b.centralizer.members
 
 
@@ -361,9 +360,9 @@ def test_block_check_refuses_least_node_centralizers(build, monkeypatch):
     splits its one block of 67 associated factors into 67 blocks; the
     linear check refuses both."""
     def least(self, k, l):
-        below = self._below[k]
+        below = self.below[k]
         return next(n for n in range(len(self.nodes))
-                    if (self._below[n] & below).bit_length() - 1 == l)
+                    if (self.below[n] & below).bit_length() - 1 == l)
 
     monkeypatch.setattr(NormalLattice, "centralizer", least)
     with pytest.raises(InternalCheckError, match="associated"):

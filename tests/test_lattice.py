@@ -32,6 +32,7 @@ from chiefblocks.lattice import (
 )
 from oracles import (
     OracleBoundExceeded,
+    central_elementary_subgroups_by_mul,
     hasse_edges_triple_loop,
     normal_closure_by_columns,
     normal_closure_by_mul,
@@ -265,10 +266,8 @@ def test_ungraded_lattice_raises():
         x for x in d8.elements()
         if d8.element_order(x) == 2 and x not in rot.members)])
     one, whole = d8.trivial_subgroup(), d8.whole()
-    up = {one.members: [z, s], z.members: [rot], s.members: [whole],
-          rot.members: [whole], whole.members: []}
     d8._cache[("lattice", whole.members)] = NormalLattice(
-        whole, [one, z, s, rot, whole], up)
+        whole, [one, z, s, rot, whole], [[1, 2], [3], [4], [4], []])
     with pytest.raises(InternalCheckError, match="not graded"):
         jordan_holder_length(d8)
 
@@ -307,6 +306,34 @@ def test_node_cap_refuses_central_subgroups_before_any_class_row(
     with pytest.raises(NodeCapExceeded,
                        match="normal lattice exceeded node cap 10000$"):
         normal_subgroups(g)
+
+
+def test_central_check_walks_each_cyclic_subgroup_once(
+        corpus, dense_corpus, monkeypatch):
+    """z^p = 1 iff the order of z divides p, and one ``element_order`` walk
+    serves a whole cyclic subgroup: C1021's check makes its generator's
+    1,020 products, where p - 1 products for each central z made 1,041,420.
+    Its count matches z^p by repeated multiplication."""
+    c1021 = named.cyclic(1021)
+    classes = conjugacy_classes(c1021)
+    calls = []
+    real = type(c1021)._mul_impl
+    monkeypatch.setattr(type(c1021), "_mul_impl",
+                        lambda self, a, b: calls.append(1) or real(self, a, b))
+    assert lattice_mod._central_elementary_subgroups(c1021, classes) == 2
+    assert len(calls) == 1020
+    monkeypatch.undo()
+
+    c2, c3 = named.cyclic(2), named.cyclic(3)
+    c2pow5 = c2
+    for _ in range(4):
+        c2pow5 = direct_product(c2pow5, c2)
+    extra = {"C2^5": c2pow5, "C3xC9": direct_product(c3, named.cyclic(9)),
+             "V4xC3": direct_product(named.klein_four(), c3)}
+    for name, g in {**corpus, **dense_corpus, **extra}.items():
+        assert lattice_mod._central_elementary_subgroups(
+            g, conjugacy_classes(g)) \
+            == central_elementary_subgroups_by_mul(g), name
 
 
 @pytest.mark.parametrize("cap", [373, 374])
@@ -448,9 +475,5 @@ def test_covers_match_triple_loop(corpus):
             for j, hi in enumerate(lat.nodes):
                 assert lat.is_cover(lo.members, hi.members) \
                     == ((i, j) in edge_set)
-            ups = lat.minimal_nodes_over(lo.members)
-            downs = lat.maximal_nodes_under(lo.members)
-            assert [lat.index_of(n) for n in ups] \
-                == [j for a, j in edges if a == i]
-            assert [lat.index_of(n) for n in downs] \
-                == sorted(a for a, j in edges if j == i)
+            assert lat.up[i] == [j for a, j in edges if a == i]
+            assert lat.down[i] == sorted(a for a, j in edges if j == i)

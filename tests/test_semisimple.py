@@ -265,8 +265,7 @@ def test_strict_components_are_minimal_normal(corpus):
         g = corpus[name]
         assert semisimple_type(g) == STRICT_SEMISIMPLE
         lat = normal_subgroups(g)
-        minimal = {n.members
-                   for n in lat.minimal_nodes_over(frozenset((0,)))}
+        minimal = {lat.nodes[i].members for i in lat.up[0]}
         assert {c.members for c in components(g)} == minimal
         for c in components(g):
             sub_lat = normal_subgroups(c)

@@ -50,6 +50,21 @@ def test_no_unused_imports_in_library():
     assert not found, f"unused imports in src: {found}"
 
 
+def test_lattice_index_data_read_through_public_names():
+    """Other modules ask ``NormalLattice`` by its public ``up``, ``down``
+    and ``below``; its private bitsets and lists stay inside lattice.py."""
+    private = {"_up", "_down", "_below", "_above"}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "lattice.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        found += [f"{path.name}:{node.lineno} {node.attr}"
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr in private]
+    assert not found, f"private lattice fields read outside lattice.py: {found}"
+
+
 def test_traced_benchmark_names_exist():
     """The traced benchmark swaps these names; a rename must fail here."""
     import chiefblocks.cli as cli
