@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 import zlib
 from dataclasses import dataclass, field
@@ -242,7 +241,6 @@ class AnalyzeOptions:
     extend_normal: Optional[list] = None
     element_cap: int = DEFAULT_ELEMENT_CAP
     node_cap: int = DEFAULT_NODE_CAP
-    seed: int = 0
 
 
 def analyze(spec: dict, options: Optional[AnalyzeOptions] = None
@@ -251,18 +249,14 @@ def analyze(spec: dict, options: Optional[AnalyzeOptions] = None
 
     The constructed group is checked against the group laws first.  A group
     of order <= 512 builds its Cayley table from one column per generator
-    and checks associativity exhaustively as it does (Light's test);
-    ``verify_group_axioms`` then checks identity and inverses exhaustively.
-    An exact direct or semidirect product is checked from its factors, each
-    by these rules, and its inverse list against their lists; its laws and
-    table follow.  A permutation group's table is proved equal to the
-    construction's product exactly, from its permutation index; any other
-    table is compared with it on every pair up to order 89 and on seeded
-    random triples above that.  A larger group is checked for
-    associativity on seeded random triples.  The seed feeds only those
-    samples, of quotients, subclasses and untabled permutation groups,
-    also inside a product.  ``node_cap``
-    becomes the group's cap, so it bounds every normal lattice the analysis
+    and checks associativity exhaustively as it does (Light's test).
+    ``verify_group_axioms`` then proves the laws exactly from the
+    construction: a permutation group from its permutation index, a
+    quotient from its parent, its cosets and its kernel's normality, and
+    an exact direct or semidirect product from its factors; the table
+    follows, and the inverse list is checked at every element.  No law is
+    sampled, so no seed can change the report.  ``node_cap`` becomes the
+    group's cap, so it bounds every normal lattice the analysis
     builds, and the association stage refuses more than
     ``factors.ASSOCIATION_PAIR_CAP`` pairs of chief factors.  Subgroups in
     the options are resolved and checked normal before any lattice is
@@ -272,7 +266,7 @@ def analyze(spec: dict, options: Optional[AnalyzeOptions] = None
     opts = options or AnalyzeOptions()
     g = build_group(spec, opts.element_cap)
     g.node_cap = opts.node_cap
-    verify_group_axioms(g, random.Random(opts.seed))
+    verify_group_axioms(g)
     parts = h = None
     if opts.factorization_parts is not None:
         parts = [resolve_subgroup(g, p, "factorization part")
@@ -438,10 +432,8 @@ def _build_parser() -> argparse.ArgumentParser:
     a.add_argument("--element-cap", type=int, default=DEFAULT_ELEMENT_CAP)
     a.add_argument("--node-cap", type=int, default=DEFAULT_NODE_CAP)
     a.add_argument("--seed", type=int, default=0,
-                   help="seed for the sampled group-law checks of "
-                        "quotients and of permutation groups above order "
-                        "512, also as factors of a product; a product "
-                        "itself is checked from its factors")
+                   help="accepted for compatibility; it has no effect, "
+                        "since every group-law check is exact")
     return p
 
 
@@ -454,7 +446,6 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
             components=args.components,
             element_cap=args.element_cap,
             node_cap=args.node_cap,
-            seed=args.seed,
         )
         if args.factorization:
             with open(args.factorization, encoding="utf-8") as fh:

@@ -9,12 +9,10 @@ permutations also expose the underlying permutation of each element.
 Groups of order at most ``_MUL_TABLE_BOUND`` keep a dense Cayley table,
 derived from one right-multiplication column per generator by a walk of the
 Cayley graph that checks every edge, which is Light's exact associativity
-test; ``verify_group_axioms`` checks it against the construction's product,
-exactly for a permutation group (its permutations and their index must be
-inverse bijections) and on every pair or on seeded samples for a quotient.
-An exact direct or semidirect product is checked from its factors: it
-checks each factor and compares its inverse list with the factors' lists,
-and its laws and table follow from theirs.
+test.  ``verify_group_axioms`` checks each construction's laws exactly from
+its construction data, and its table follows: a permutation group from its
+permutation index, a quotient from its parent, its cosets and its kernel's
+normality, and an exact direct or semidirect product from its factors.
 Loops that multiply many elements by one element s read its right column
 (``FiniteGroup.rcol``: x -> xs): the table column of a tabled group, else a
 column each construction builds from its factors' columns without a product
@@ -72,9 +70,8 @@ DEFAULT_NODE_CAP = 10_000
 
 # Groups up to this order keep a dense Cayley table of columns, built from one
 # right-multiplication column per generator (``_cayley_table``), which checks
-# associativity exhaustively as it builds; ``verify_group_axioms`` proves a
-# permutation group's table equal to ``_mul_impl`` from the permutation index,
-# an exact product's from its factors, and compares any other table with it.
+# associativity exhaustively as it builds; ``verify_group_axioms`` proves the
+# table equal to ``_mul_impl`` from the construction data.
 # Above it, products are computed per call from the construction data, or
 # read from columns built from the factors' columns.
 _MUL_TABLE_BOUND = 512
@@ -119,11 +116,9 @@ class FiniteGroup:
         not associative; an element the walk misses means the generators do
         not generate.
 
-        ``verify_group_axioms`` checks the identity and inverse laws and the
-        table's agreement with ``_mul_impl``: for a ``PermGroup`` exactly,
-        from these generator columns, the walk and its permutation index;
-        for an exact product from its factors; for other groups on every
-        pair up to order 89 or on seeded samples.
+        ``verify_group_axioms`` proves the construction's ``_mul_impl`` a
+        group law and, from these generator columns and the walk, the
+        table equal to it.
         """
         n = self.order
         gens = self.generators
@@ -665,8 +660,9 @@ def semidirect_product(base: FiniteGroup, top: FiniteGroup,
 class CosetGroup(FiniteGroup):
     """Quotient of a subgroup K of a parent group by a normal subgroup L <= K.
 
-    Elements are cosets of L with representatives in K; coset 0 is L itself.
-    Multiplication lifts to representatives and projects back.
+    Elements are cosets of L (``kernel``) with representatives ``reps`` in
+    K; coset 0 is L itself.  Multiplication lifts to representatives and
+    projects back.
     """
 
     def __init__(self, parent: FiniteGroup, k_members: frozenset,
@@ -694,6 +690,7 @@ class CosetGroup(FiniteGroup):
                 coset_of[parent.mul(m, l)] = idx
         self.reps = reps
         self.coset_of = coset_of
+        self.kernel = l_sub
         gens = _dedup_nonidentity(coset_of[g] for g in k_gens)
         super().__init__(name, len(reps), gens, "quotient")
 
@@ -1145,48 +1142,74 @@ def commutator_subgroup(g: FiniteGroup, a: Subgroup, b: Subgroup) -> Subgroup:
 # structural verification
 # ---------------------------------------------------------------------------
 
-_ASSOC_SAMPLES = 2000
+def verify_group_axioms(g: FiniteGroup) -> None:
+    """Check that the product of g is a group law, from its construction.
 
+    Each construction is checked from the data it was built from, and no
+    law is sampled.  A group met twice, as A5 in A5 x A5, is checked once.
+    The class of g, and of every group the check recurses into, must be
+    exactly one of the four below; any other class, a subclass too, raises
+    ``InternalCheckError``.
 
-def verify_group_axioms(g: FiniteGroup, rng) -> None:
-    """Check identity, inverses and associativity of the multiplication.
+    - ``PermGroup``: ``perms`` and ``_index`` must be inverse bijections
+      (``len(_index) == n`` and ``_index[perms[i]] == i`` for every i),
+      every permutation must have ``n_points`` entries, and ``perms[0]``
+      must be the identity on them.  Write P(a) for ``perms[a]``.  The n
+      keys of ``_index`` are then exactly the P(i), so
+      ``_mul_impl(a, b)`` = c means P(a)P(b) = P(c): the product is
+      composition of permutations on the closure that
+      ``group_from_permutations`` found, a group law with identity 0.
+    - ``CosetGroup`` K/L, K the ids that ``coset_of`` maps (the subgroup
+      generated by the ids the quotient was built from; the whole parent
+      for ``quotient``) and L its ``kernel``: the parent is checked first,
+      recursively, so its product is a group law.  Then ``reps[0]`` must be
+      0, ``coset_of[reps[i]]`` must be i for every i, K must have n*|L|
+      elements, and the coset id, -1 outside K, must be the same at x and
+      x*l for every parent element x and every generator l of L.  So each
+      id holds whole cosets xL of |L| elements each, id i holds reps[i],
+      and the n ids hold |K| = n*|L| elements together: id i holds
+      exactly the coset reps[i]*L, and id 0 holds L.  Last, each generator
+      of L, conjugated by the representative of each generator of K/L,
+      must lie in L.  The ids K was built from lie in L or in those
+      representatives' cosets, so the representatives and L generate K,
+      and L is normal in K; the ``is_normal`` flag of L is not read.  The
+      product of cosets (xL)(yL) = xyL is then well defined, and
+      associative because the parent's product is: it is the group K/L
+      with identity L, and ``_mul_impl(a, b)``, the coset of
+      reps[a]*reps[b], computes it.
+    - An exact ``DirectProductGroup`` or ``SemidirectProductGroup``: each
+      distinct factor is checked first, recursively.  Write (n, h) for the
+      element n*|top| + h of base x| top; a direct product is the case of
+      the trivial action, with left and right for base and top.
+      ``_mul_impl`` is (n1, h1)(n2, h2) = (n1 phi_h1(n2), h1 h2), computed
+      with the factors' ``mul``, which are group laws with identity 0 once
+      the factors pass.  phi is the action: construction validated each
+      generator's table as a bijective homomorphism of the base
+      (``Homomorphism.validate``), and the walk of the top's Cayley graph
+      that filled ``action`` checked phi_hg = phi_h phi_g on every edge,
+      so phi is a homomorphism top -> Aut(base).  So ``_mul_impl`` is the
+      textbook semidirect product, a group with identity (0, 0) = 0.
+      ``_rcol_impl(s)`` evaluates the same formula on the factors'
+      columns, which agree with their ``mul``: a tabled factor reads its
+      table for both, an untabled quotient or permutation group sweeps
+      ``_mul_impl``, and an exact product agrees by this argument (an
+      untabled direct product's ``_rcol_affine`` is its column mapped
+      x -> x*k + c, by the same formula).
 
-    An exact ``DirectProductGroup`` or ``SemidirectProductGroup`` (the class
-    itself, not a subclass) is checked from its factors.  Each distinct
-    factor is verified first, recursively and with the same ``rng``; a
-    factor met twice, as A5 in A5 x A5, is verified once.  Then the
-    product's cached inverse list must equal a fresh assembly from the
-    factors' lists (``_inverses_impl``).  No product of the group itself is
-    computed, and no law of it is sampled.  Every other group, a quotient,
-    a permutation group or a subclass, is checked by ``_verify_laws``,
-    also when it is met as a factor.
+    A tabled group built its table (``FiniteGroup._cayley_table``) from
+    the columns x -> x*g of ``_mul_impl``, one per generator g.  Write x*b
+    for ``_mul_impl(x, b)``, now a group law with identity 0.  Induction
+    along the walk that built the table gives t[b][x] = x*b for every x
+    and b: column 0 is x -> x, and the walk sets every other column b from
+    an earlier column p along an edge b = p*g as
+    t[b][x] = t[p][x]*g = (x*p)*g = x*(p*g) = x*b.  So the table is the
+    construction's product, and an untabled group's columns sweep it.
 
-    The rest follows from the construction.  Write (n, h) for the element
-    n*|top| + h of base x| top; a direct product is the case of the
-    trivial action, with left and right for base and top.  ``_mul_impl``
-    is (n1, h1)(n2, h2) = (n1 phi_h1(n2), h1 h2), computed with the
-    factors' ``mul``, which are group laws with identity 0 once the
-    factors pass.  phi is the action: construction validated each
-    generator's table as a bijective homomorphism of the base
-    (``Homomorphism.validate``), and the walk of the top's Cayley graph
-    that filled ``action`` checked phi_hg = phi_h phi_g on every edge, so
-    phi is a homomorphism top -> Aut(base).  So ``_mul_impl`` is the
-    textbook semidirect product, a group with identity (0, 0) = 0 and
-    (n, h)^-1 = (phi_h^-1(n^-1), h^-1), which is what ``_inverses_impl``
-    assembles from the factors' checked lists; the comparison ties the
-    list that conjugation reads to it.  ``_rcol_impl(s)`` evaluates the same
-    formula on the factors' columns, which agree with their ``mul``: a
-    tabled factor reads its table for both, a quotient or permutation group
-    sweeps ``_mul_impl``, an exact product agrees by this argument (an
-    untabled direct product's ``_rcol_affine`` is its column mapped
-    x -> x*k + c, by the same formula), and a subclass's columns, which
-    ``_rcol_affine`` reads through its own ``rcol``, are compared by its
-    own check.
-    A tabled product's walk therefore started from the columns x -> x*g of
-    ``_mul_impl``, and the induction of ``_verify_laws``' permutation case,
-    with the associativity of ``_mul_impl`` in place of composition, gives
-    t[b][x] = x*b for every x and b: the table is the construction's
-    product.
+    Last comes the inverse list that conjugation reads: a permutation or
+    coset group must give a*inv(a) = 1 through ``mul`` at every a, and a
+    product's cached list must equal a fresh assembly from its factors'
+    checked lists (``_inverses_impl``), (n, h)^-1 = (phi_h^-1(n^-1), h^-1),
+    so a product computes no product of its own.
     """
     seen: set = set()
 
@@ -1194,100 +1217,56 @@ def verify_group_axioms(g: FiniteGroup, rng) -> None:
         if g in seen:
             return
         seen.add(g)
-        if type(g) is DirectProductGroup:
-            factors = (g.left, g.right)
-        elif type(g) is SemidirectProductGroup:
-            factors = (g.base, g.top)
-        else:
-            _verify_laws(g, rng)
+        kind = type(g)
+        if kind is DirectProductGroup or kind is SemidirectProductGroup:
+            for f in ((g.left, g.right) if kind is DirectProductGroup
+                      else (g.base, g.top)):
+                verify(f)
+            inv, fresh = g.inverses(), g._inverses_impl()
+            if inv != fresh:
+                a = next(a for a, (x, y) in enumerate(zip(inv, fresh))
+                         if x != y)
+                raise InternalCheckError(f"inverse law fails at {a}")
             return
-        for f in factors:
-            verify(f)
-        inv, fresh = g.inverses(), g._inverses_impl()
-        if inv != fresh:
-            a = next(a for a, (x, y) in enumerate(zip(inv, fresh))
-                     if x != y)
-            raise InternalCheckError(f"inverse law fails at {a}")
+        if kind is PermGroup:
+            _check_perm_index(g)
+        elif kind is CosetGroup:
+            verify(g.parent_group)
+            _check_cosets(g)
+        else:
+            raise InternalCheckError(
+                f"no exact group-law check for {kind.__name__} {g.name}")
+        inv, mul = g.inverses(), g.mul
+        for a in g.elements():
+            if mul(a, inv[a]) != 0:
+                raise InternalCheckError(f"inverse law fails at {a}")
 
     verify(g)
 
 
-def _verify_laws(g: FiniteGroup, rng) -> None:
-    """The group laws of one group, checked on its elements.
+def _check_perm_index(g: PermGroup) -> None:
+    perms, index, m = g.perms, g._index, g.n_points
+    if (len(index) != g.order or perms[0] != _perm.identity_perm(m)
+            or any(len(p) != m for p in perms)
+            or list(map(index.get, perms)) != list(range(g.order))):
+        raise InternalCheckError(
+            f"permutations and index of {g.name} are not inverse "
+            f"bijections from the identity")
 
-    Identity and inverse laws are checked exhaustively.  A tabled group
-    (order <= ``_MUL_TABLE_BOUND``) passed Light's exact associativity test
-    when its table was built (``FiniteGroup._cayley_table``).  The table
-    must also agree with ``_mul_impl``.
 
-    For a tabled ``PermGroup`` (the class itself, not a subclass) that
-    agreement is proved on all n^2 pairs by an O(n) check: ``perms`` and
-    ``_index`` are inverse bijections (``len(_index) == n`` and
-    ``_index[perms[i]] == i`` for every i), every permutation has
-    ``n_points`` entries and ``perms[0]`` is the identity on them.  Write
-    P(a) for ``perms[a]`` and a*b for ``_mul_impl(a, b)``, the index of
-    P(a)P(b).  The n keys of ``_index`` are then exactly the P(i), so
-    a*b = c means P(a)P(b) = P(c).  By induction along the walk that built
-    the table, P(t[b][x]) = P(x)P(b) for every x and b:
-
-    - column 0 is x -> x, and P(x)P(0) = P(x);
-    - the walk sets every other column b from an earlier column p along an
-      edge b = p*g, g a generator, as t[b][x] = t[p][x]*g, reading the
-      column x -> x*g that ``_rcol_impl`` swept through ``_mul_impl``; so
-      P(t[b][x]) = P(t[p][x])P(g) = P(x)P(p)P(g) = P(x)P(b), because
-      composition of permutations is associative.
-
-    Hence x*b is defined and equals ``_index[P(t[b][x])]`` = t[b][x].
-    Every other tabled group is compared with ``_mul_impl`` on every pair
-    up to order 89, where the n^2 pairs cost no more calls than the sample,
-    and above that on the four products (a, b), (b, c), (ab, c), (a, bc) of
-    each of 2,000 triples drawn from ``rng``.  An untabled group is checked
-    for associativity on 2,000 triples drawn from ``rng`` (a full triple
-    sweep is cubic in the order), and the right column ``rcol(s)`` of each
-    generator s must agree with ``_mul_impl`` at the first element of every
-    triple, which ties the columns to the construction.  The inverse list
-    that conjugation reads is the one the inverse law checks.
-    """
-    for a in g.elements():
-        if g.mul(a, 0) != a or g.mul(0, a) != a:
-            raise InternalCheckError(f"identity law fails at {a}")
-        ia = g.inv(a)
-        if g.mul(a, ia) != 0 or g.mul(ia, a) != 0:
-            raise InternalCheckError(f"inverse law fails at {a}")
-    n, t = g.order, g._table
-    if t is not None and type(g) is PermGroup:
-        perms, index, m = g.perms, g._index, g.n_points
-        if (len(index) != n or perms[0] != _perm.identity_perm(m)
-                or any(len(p) != m for p in perms)
-                or list(map(index.get, perms)) != list(range(n))):
-            raise InternalCheckError(
-                f"permutations and index of {g.name} are not inverse "
-                f"bijections from the identity")
-        return
-    triples = ((rng.randrange(n), rng.randrange(n), rng.randrange(n))
-               for _ in range(_ASSOC_SAMPLES))
-    mul = g._mul_impl
-    if t is None:
-        triples = list(triples)
-        for a, b, c in triples:
-            if g.mul(g.mul(a, b), c) != g.mul(a, g.mul(b, c)):
-                raise InternalCheckError(
-                    f"associativity fails at ({a}, {b}, {c})")
-        for s in g.generators:
-            rc = g.rcol(s)
-            for a, _, _ in triples:
-                if rc[a] != mul(a, s):
-                    raise InternalCheckError(
-                        f"column of {s} differs from the construction "
-                        f"at {a}")
-        return
-    if n * n <= 4 * _ASSOC_SAMPLES:  # order <= 89
-        pairs = itertools.product(range(n), repeat=2)
-    else:
-        pairs = ((x, y) for a, b, c in triples
-                 for x, y in ((a, b), (b, c), (t[b][a], c),
-                              (a, t[c][b])))
-    for a, b in pairs:
-        if t[b][a] != mul(a, b):
-            raise InternalCheckError(
-                f"Cayley table differs from the construction at ({a}, {b})")
+def _check_cosets(q: CosetGroup) -> None:
+    p, reps, kernel = q.parent_group, q.reps, q.kernel
+    # The coset id of every parent element, -1 outside K.
+    ids = q.coset_of
+    if isinstance(ids, dict):
+        ids = [ids.get(x, -1) for x in range(p.order)]
+    if (reps[0] != 0 or [ids[r] for r in reps] != list(range(q.order))
+            or p.order - ids.count(-1) != q.order * kernel.order
+            or any([ids[y] for y in col] != ids
+                   for col in map(p.rcol, kernel.gens))):
+        raise InternalCheckError(
+            f"coset map of {q.name} does not split K into cosets of its "
+            f"kernel")
+    if any(p.conj(reps[c], l) not in kernel.members
+           for c in q.generators for l in kernel.gens):
+        raise InternalCheckError(f"kernel of {q.name} is not normal in K")

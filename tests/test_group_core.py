@@ -18,6 +18,7 @@ from chiefblocks.errors import (
 )
 from chiefblocks.group import (
     _MUL_TABLE_BOUND,
+    CosetGroup,
     DirectProductGroup,
     FiniteGroup,
     Homomorphism,
@@ -364,9 +365,8 @@ def test_class_equation_sums(corpus):
 # -- group axioms --------------------------------------------------------------
 
 def test_axioms_hold_across_corpus(corpus):
-    rng = random.Random(11)
     for g in corpus.values():
-        verify_group_axioms(g, rng)
+        verify_group_axioms(g)
 
 
 # The smallest non-associative loop: 0 is the identity and every element is
@@ -475,22 +475,20 @@ def test_semidirect_column_builds_no_direct_column(monkeypatch):
     assert calls[DirectProductGroup, "_rcol_impl"] == 0
 
 
-class LeftForRight(DirectProductGroup):
-    def _rcol_impl(self, s):  # x -> sx where x -> xs is due
-        return [self._mul_impl(s, x) for x in range(self.order)]
+def test_unrecognised_class_is_refused():
+    """Only the four constructions have an exact check; a subclass is
+    refused by name, also as the base of a product."""
 
+    class Renamed(DirectProductGroup):
+        pass
 
-def test_subclass_base_columns_are_read():
-    """A base that builds its own columns is asked for them, and fails."""
     a5 = named.alternating(5)
-    base = LeftForRight(a5, a5)
+    base = Renamed(a5, a5)
     g = semidirect_product(base, named.cyclic(2), [range(base.order)])
-    n = base.generators[0]
-    # The ids 2b hold the base; the action is trivial, so their slice of
-    # the column of 2n is the base's own column of n at the scale 2.
-    assert list(g.rcol(2 * n))[::2] == [b * 2 for b in base._rcol_impl(n)]
-    with pytest.raises(InternalCheckError, match="column of .* differs"):
-        verify_group_axioms(g, random.Random(0))
+    for h in (base, g):
+        with pytest.raises(InternalCheckError,
+                           match="no exact group-law check for Renamed"):
+            verify_group_axioms(h)
 
 
 def test_closures_classes_and_centralizers_match_mul_oracles(corpus,
@@ -609,7 +607,7 @@ def test_semidirect_classes_walk_only_outside_the_base(monkeypatch):
 def test_product_classes_leave_the_factors_caches():
     """The lattice of S5wrC2 caches no subgroup or classes on its base."""
     wr = named.s5_wr_c2()
-    verify_group_axioms(wr, random.Random(0))
+    verify_group_axioms(wr)
     _normal_nodes(wr)
     assert "whole" not in wr.base._cache
     assert not any(isinstance(k, tuple) and k[0] == "classes"
@@ -662,14 +660,6 @@ def test_columns_kept_across_levels(monkeypatch):
         assert calls == 2 * builds
 
 
-def test_wrong_column_fails_axioms():
-    a5 = named.alternating(5)
-    g = LeftForRight(a5, a5)
-    assert g._table is None
-    with pytest.raises(InternalCheckError, match="column of .* differs"):
-        verify_group_axioms(g, random.Random(0))
-
-
 def test_non_associative_loop_fails_light_test_at_construction():
     with pytest.raises(InternalCheckError,
                        match=r"associativity of loop5 fails \(Light's test\)"):
@@ -681,33 +671,45 @@ def test_non_associative_loop_fails_light_test_at_construction():
     lambda: direct_product(named.quaternion8(), named.dihedral(8)),
 ], ids=["S4", "Q8xD8"])
 def test_wrong_product_off_the_generators_fails_axioms(build):
+    """A product wrong only off the generators keeps the table, which is
+    built from the generator columns; a class without construction data
+    to prove its product is refused, right or wrong."""
     base = build()
     assert 7 not in base.generators
-    verify_group_axioms(Copy(base, base.generators), random.Random(0))
     g = Copy(base, base.generators, bad=(5, 7))
     assert g._table == base._table  # built from the generator columns only
-    with pytest.raises(InternalCheckError,
-                       match=r"differs from the construction at \(5, 7\)"):
-        verify_group_axioms(g, random.Random(0))
+    for h in (g, Copy(base, base.generators)):
+        with pytest.raises(InternalCheckError,
+                           match="no exact group-law check for Copy copy"):
+            verify_group_axioms(h)
 
 
-class OffPerm(PermGroup):
-    """A permutation group whose product is off by one at (5, 7)."""
-
-    def _mul_impl(self, a, b):
-        c = super()._mul_impl(a, b)
-        return (c + 1) % self.order if (a, b) == (5, 7) else c
+def _index_off_at(g, a, b):
+    """A copy of the ``PermGroup`` g whose index makes ``_mul_impl(a, b)``
+    off by one, corrupted after its table was built from the generators."""
+    c = g.mul(a, b)
+    d = (c + 1) % g.order
+    off = PermGroup(g.perms, dict(g._index), g.n_points, g.generators, "off")
+    off._index[g.perms[c]], off._index[g.perms[d]] = d, c
+    assert off._mul_impl(a, b) == d and off._table == g._table
+    return off
 
 
 def test_wrong_product_of_a_perm_group_subclass_fails_axioms():
-    """The exact permutation-index check is for ``PermGroup`` itself only."""
+    """The exact permutation-index check is for ``PermGroup`` itself: a
+    subclass is refused, and a ``PermGroup`` whose index puts the product
+    off at (5, 7) fails the check."""
+
+    class Sub(PermGroup):
+        pass
+
     s4 = named.symmetric(4)
     assert 7 not in s4.generators
-    g = OffPerm(s4.perms, s4._index, 4, s4.generators, "off")
-    assert g._table == s4._table  # built from the generator columns only
     with pytest.raises(InternalCheckError,
-                       match=r"differs from the construction at \(5, 7\)"):
-        verify_group_axioms(g, random.Random(0))
+                       match="no exact group-law check for Sub"):
+        verify_group_axioms(Sub(s4.perms, s4._index, 4, s4.generators, "s"))
+    with pytest.raises(InternalCheckError, match="not inverse bijections"):
+        verify_group_axioms(_index_off_at(s4, 5, 7))
 
 
 @pytest.mark.parametrize("build", [
@@ -716,44 +718,20 @@ def test_wrong_product_of_a_perm_group_subclass_fails_axioms():
 ], ids=["direct", "semidirect"])
 def test_product_with_a_wrong_factor_fails_axioms(build):
     """A product checked from its factors still checks the factors."""
-    s4 = named.symmetric(4)
-    g = build(OffPerm(s4.perms, s4._index, 4, s4.generators, "off"))
-    with pytest.raises(InternalCheckError,
-                       match=r"differs from the construction at \(5, 7\)"):
-        verify_group_axioms(g, random.Random(0))
+    g = build(_index_off_at(named.symmetric(4), 5, 7))
+    with pytest.raises(InternalCheckError, match="not inverse bijections"):
+        verify_group_axioms(g)
 
 
-def test_untabled_factor_keeps_its_sampled_checks(monkeypatch):
-    """C1024 in C1024xC2 gets the untabled checks it gets on its own.
-
-    Its identity and inverse laws make 4 products per element, its
-    associativity sample 4 per triple from 3 draws each, and its
-    generator's column one sweep plus one comparison per triple; the
-    product and the tabled C2 make none.
-    """
+def test_untabled_factor_checks_its_inverse_law(monkeypatch):
+    """C1024 in C1024xC2 makes one product per element, its inverse law;
+    its index check, the tabled C2 and the product make none."""
     c1024 = named.cyclic(1024)
     g = direct_product(c1024, named.cyclic(2))
     assert c1024._table is None and len(c1024.generators) == 1
-    calls = 0
-    mul = PermGroup._mul_impl
-
-    def counted(self, a, b):
-        nonlocal calls
-        calls += 1
-        return mul(self, a, b)
-
-    class Draws(random.Random):
-        count = 0
-
-        def randrange(self, *args):
-            Draws.count += 1
-            return super().randrange(*args)
-
-    monkeypatch.setattr(PermGroup, "_mul_impl", counted)
-    verify_group_axioms(g, Draws(0))
-    samples = group_module._ASSOC_SAMPLES
-    assert Draws.count == 3 * samples
-    assert calls == 4 * 1024 + 4 * samples + 1024 + samples
+    calls = _counted(monkeypatch, (PermGroup, "_mul_impl"))
+    verify_group_axioms(g)
+    assert calls[PermGroup, "_mul_impl"] == 1024
 
 
 def test_shared_factor_verified_once(monkeypatch, corpus):
@@ -761,9 +739,8 @@ def test_shared_factor_verified_once(monkeypatch, corpus):
     wr = corpus["A5wrC2"]
     assert wr.base.left is wr.base.right
     checked = []
-    monkeypatch.setattr(group_module, "_verify_laws",
-                        lambda g, rng: checked.append(g))
-    verify_group_axioms(wr, random.Random(0))
+    monkeypatch.setattr(group_module, "_check_perm_index", checked.append)
+    verify_group_axioms(wr)
     assert checked == [wr.base.left, wr.top]
 
 
@@ -775,7 +752,7 @@ def test_product_axioms_make_no_products(monkeypatch, corpus):
         PermGroup, DirectProductGroup, SemidirectProductGroup)))
     for g in groups:
         assert g._table is None
-        verify_group_axioms(g, random.Random(0))
+        verify_group_axioms(g)
     assert not any(calls.values())
 
 
@@ -802,7 +779,7 @@ def test_structural_check_agrees_with_element_laws(corpus, dense_corpus):
     assert any(g._table is None for g in products)
     assert any(g._table is not None for g in products)
     for g in products:
-        verify_group_axioms(g, random.Random(0))
+        verify_group_axioms(g)
         assert group_laws_by_elements(g), g.name
 
 
@@ -815,7 +792,7 @@ def test_perm_index_not_inverse_of_perms_fails_axioms():
     """A permutation index that does not invert ``perms`` raises."""
     d8, perms, index = _d8_perms()
     verify_group_axioms(PermGroup(perms, index, d8.n_points, d8.generators,
-                                  "d8"), random.Random(0))
+                                  "d8"))
     a, b = 5, 6
     swapped = {**index, perms[a]: b, perms[b]: a}
     extra = {**index, (0,) * d8.n_points: 8}  # a key that is no element
@@ -823,7 +800,7 @@ def test_perm_index_not_inverse_of_perms_fails_axioms():
         g = PermGroup(perms, index, d8.n_points, d8.generators, "d8")
         g._index = bad
         with pytest.raises(InternalCheckError):
-            verify_group_axioms(g, random.Random(0))
+            verify_group_axioms(g)
 
 
 def test_perm_group_not_indexed_from_the_identity_fails_axioms():
@@ -834,7 +811,7 @@ def test_perm_group_not_indexed_from_the_identity_fails_axioms():
                   d8.generators, "coset")
     assert g._table == d8._table
     with pytest.raises(InternalCheckError):
-        verify_group_axioms(g, random.Random(0))
+        verify_group_axioms(g)
 
 
 def test_perm_group_axioms_make_no_products(monkeypatch):
@@ -851,7 +828,7 @@ def test_perm_group_axioms_make_no_products(monkeypatch):
     monkeypatch.setattr(PermGroup, "_mul_impl", counted)
     for g in groups:
         assert type(g) is PermGroup and g._table is not None
-        verify_group_axioms(g, random.Random(0))
+        verify_group_axioms(g)
     assert calls == 0
 
 
@@ -866,19 +843,108 @@ def test_product_inverse_lists_match_construction(corpus, dense_corpus):
         assert all(mul(a, inv[a]) == 0 for a in g.elements()), g.name
 
 
+def _s5xs5_by_left():
+    """S5xS5 by its left factor, of order 120: the kernel [[0], [1]]."""
+    s5 = named.symmetric(5)
+    p = direct_product(s5, s5)
+    return quotient(p, p.left_factor)[0]
+
+
 @pytest.mark.parametrize("build", [
     lambda: direct_product(named.symmetric(4), named.cyclic(3)),
     lambda: named.a5_wr_c2(),
-], ids=["S4xC3", "A5wrC2"])
+    _s5xs5_by_left,
+], ids=["S4xC3", "A5wrC2", "quotient"])
 def test_wrong_inverse_list_fails_axioms(build):
     g = build()
-    verify_group_axioms(g, random.Random(0))
+    verify_group_axioms(g)
     assert group_laws_by_elements(g)
     inv = g.inverses()
     inv[7] = inv[8]
     with pytest.raises(InternalCheckError, match="inverse law fails at 7"):
-        verify_group_axioms(g, random.Random(0))
+        verify_group_axioms(g)
     assert not group_laws_by_elements(g)
+
+
+def _s4_by_v4():
+    s4 = named.symmetric(4)
+    v4 = next(n for n in _normal_nodes(s4) if n.order == 4)
+    return s4, v4
+
+
+def test_coset_groups_pass_axioms(corpus, dense_corpus):
+    """Quotients and a materialized subgroup, whose coset map is a dict,
+    pass the check and the element-wise oracle."""
+    groups = [g for g in _built_groups(corpus, dense_corpus)
+              if type(g) is CosetGroup]
+    assert any(isinstance(g.coset_of, dict) for g in groups)
+    for g in groups:
+        verify_group_axioms(g)
+        assert group_laws_by_elements(g), g.name
+
+
+@pytest.mark.parametrize("build", [
+    lambda: quotient(*_s4_by_v4())[0],
+    lambda: subgroup_as_group(_s4_by_v4()[1])[0],
+], ids=["quotient", "subgroup"])
+def test_coset_map_with_a_moved_element_fails_axioms(build):
+    """One element moved into the next coset breaks the split of K."""
+    q = build()
+    verify_group_axioms(q)
+    coset_of = q.coset_of
+    x = max(coset_of) if isinstance(coset_of, dict) else len(coset_of) - 1
+    coset_of[x] = (coset_of[x] + 1) % q.order
+    with pytest.raises(InternalCheckError,
+                       match="does not split K into cosets"):
+        verify_group_axioms(q)
+
+
+def test_coset_map_with_an_element_outside_k_fails_axioms():
+    """V4 as a group of its own, its coset map extended to an element of
+    S4 outside V4: only the count of K catches it, since the trivial
+    kernel has no generators and every representative keeps its id."""
+    s4, v4 = _s4_by_v4()
+    q = subgroup_as_group(v4)[0]
+    verify_group_axioms(q)
+    q.coset_of[min(set(s4.elements()) - v4.members)] = 1
+    with pytest.raises(InternalCheckError,
+                       match="does not split K into cosets"):
+        verify_group_axioms(q)
+
+
+def test_coset_group_over_a_non_normal_kernel_fails_axioms():
+    """A C2 of S3 flagged normal, whose three left cosets still pass
+    Light's test at construction."""
+    s3 = named.symmetric(3)
+    t = next(x for x in s3.generators if s3.mul(x, x) == 0)
+    c2 = Subgroup(s3, frozenset((0, t)), [t], True)
+    assert any(s3.conj(y, t) != t for y in s3.generators)
+    q = CosetGroup(s3, frozenset(s3.elements()), c2, s3.generators, "s3/c2")
+    assert q.order == 3
+    with pytest.raises(InternalCheckError, match="not normal in K"):
+        verify_group_axioms(q)
+
+
+def test_quotient_of_a_corrupted_parent_fails_axioms():
+    """The parent is checked first: a swapped permutation index raises."""
+    s4, v4 = _s4_by_v4()
+    q = quotient(s4, v4)[0]
+    verify_group_axioms(q)
+    perms = s4.perms
+    s4._index = {**s4._index, perms[5]: 6, perms[6]: 5}
+    with pytest.raises(InternalCheckError, match="not inverse bijections"):
+        verify_group_axioms(q)
+
+
+def test_quotient_axioms_make_few_products(monkeypatch):
+    """The S5xS5 quotient is checked from its parent, its cosets and its
+    kernel's generators, with at most 120 ``_mul_impl`` calls in all."""
+    q = _s5xs5_by_left()
+    assert q.order == 120 and q.parent_group._table is None
+    calls = _counted(monkeypatch, *((cls, "_mul_impl") for cls in (
+        PermGroup, DirectProductGroup, CosetGroup)))
+    verify_group_axioms(q)
+    assert sum(calls.values()) <= 120
 
 
 def test_generators_missing_an_element_raise_at_construction():
