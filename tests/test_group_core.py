@@ -475,20 +475,25 @@ def test_semidirect_column_builds_no_direct_column(monkeypatch):
     assert calls[DirectProductGroup, "_rcol_impl"] == 0
 
 
-def test_unrecognised_class_is_refused():
-    """Only the four constructions have an exact check; a subclass is
-    refused by name, also as the base of a product."""
+class LeftForRight(DirectProductGroup):
+    def _rcol_impl(self, s):  # x -> sx where x -> xs is due
+        return [self._mul_impl(s, x) for x in range(self.order)]
 
-    class Renamed(DirectProductGroup):
-        pass
 
+def test_subclass_base_columns_are_read():
+    """A base that builds its own columns is asked for them; a product over
+    a subclass is refused, as only the four constructions have an exact
+    check."""
     a5 = named.alternating(5)
-    base = Renamed(a5, a5)
+    base = LeftForRight(a5, a5)
     g = semidirect_product(base, named.cyclic(2), [range(base.order)])
-    for h in (base, g):
-        with pytest.raises(InternalCheckError,
-                           match="no exact group-law check for Renamed"):
-            verify_group_axioms(h)
+    n = base.generators[0]
+    # The ids 2b hold the base; the action is trivial, so their slice of
+    # the column of 2n is the base's own column of n at the scale 2.
+    assert list(g.rcol(2 * n))[::2] == [b * 2 for b in base._rcol_impl(n)]
+    with pytest.raises(InternalCheckError,
+                       match="no exact group-law check for LeftForRight"):
+        verify_group_axioms(g)
 
 
 def test_closures_classes_and_centralizers_match_mul_oracles(corpus,
@@ -658,6 +663,16 @@ def test_columns_kept_across_levels(monkeypatch):
         calls = 0
         Homomorphism(g, g, list(range(g.order))).validate()
         assert calls == 2 * builds
+
+
+def test_wrong_column_fails_axioms():
+    """A subclass is refused by name, whatever its columns hold."""
+    a5 = named.alternating(5)
+    g = LeftForRight(a5, a5)
+    assert g._table is None
+    with pytest.raises(InternalCheckError,
+                       match="no exact group-law check for LeftForRight"):
+        verify_group_axioms(g)
 
 
 def test_non_associative_loop_fails_light_test_at_construction():
