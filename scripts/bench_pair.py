@@ -3,9 +3,14 @@
     python3 scripts/bench_pair.py --parent HEAD \\
         --runs construct=10 nonabelian=3 pgroup=3 --output BENCH_7.json
 
-Extracts the parent commit with `git archive` into a scratch directory,
-then runs `perfbench/run.py --trace 0` on it and on this working tree in
-alternating pairs, each run as long as BENCHMARK.json's `run_seconds`.
+Extracts both sides with `git archive` into a scratch directory: the
+parent commit, and the change, which is HEAD or, when tracked files are
+edited, the commit `git stash create` makes of the working tree.  So no
+file the repository does not track, such as bytecode under `src/`, reaches
+either side; an untracked file under `src/` that is not ignored would be
+left out of the change, so the script refuses to run while one is there.
+It then runs `perfbench/run.py --trace 0` on both sides in alternating
+pairs, each run as long as BENCHMARK.json's `run_seconds`.
 Pair i of a workload runs both sides with seed i (1-based), and the side
 that goes first alternates from pair to pair, so drift of the machine's
 speed falls on both sides alike.  For every end-to-end metric of BENCHMARK.json
@@ -41,6 +46,20 @@ def extract(rev: str, dest: str) -> None:
     archive = subprocess.run(["git", "-C", ROOT, "archive", rev],
                              check=True, capture_output=True).stdout
     subprocess.run(["tar", "-x", "-C", dest], input=archive, check=True)
+
+
+def change_rev() -> str:
+    """The commit holding the change: HEAD, or a stash commit of the edits.
+
+    ``git stash create`` writes the commit without touching the working
+    tree, the index or the stash list.
+    """
+    untracked = git("ls-files", "--others", "--exclude-standard", "--",
+                    "src")
+    if untracked:
+        raise SystemExit("untracked files under src/ would be left out of "
+                         f"the change:\n{untracked}")
+    return git("stash", "create") or git("rev-parse", "HEAD")
 
 
 def run_once(checkout: str, workload: str, seed: int, seconds: int) -> dict:
@@ -100,7 +119,7 @@ def main(argv=None) -> int:
                    metavar="WORKLOAD=PAIRS",
                    help="pairs of runs per workload, e.g. construct=10")
     p.add_argument("--workdir",
-                   help="where to extract the parent (default: a temporary "
+                   help="where to extract both sides (default: a temporary "
                         "directory, removed afterwards)")
     p.add_argument("--output", help="write the JSON result here")
     args = p.parse_args(argv)
@@ -114,17 +133,19 @@ def main(argv=None) -> int:
         bench = json.load(fh)
     end_to_end, seconds = bench["end_to_end"], bench["run_seconds"]
 
-    parent_rev = git("rev-parse", args.parent)
+    parent_rev, change = git("rev-parse", args.parent), change_rev()
     workdir = args.workdir or tempfile.mkdtemp(prefix="bench_pair_")
-    parent_dir = os.path.join(workdir, parent_rev[:12])
-    shutil.rmtree(parent_dir, ignore_errors=True)
-    os.makedirs(parent_dir)
-    extract(parent_rev, parent_dir)
-    sides = {"parent": parent_dir, "change": ROOT}
+    sides = {}
+    for side, rev in (("parent", parent_rev), ("change", change)):
+        sides[side] = os.path.join(workdir, side)
+        shutil.rmtree(sides[side], ignore_errors=True)
+        os.makedirs(sides[side])
+        extract(rev, sides[side])
     result = {
         "stamp": {
             "parent_rev": parent_rev,
             "change_rev": git("rev-parse", "HEAD"),
+            "change_tree_rev": change,
             "change_dirty": bool(git("status", "--porcelain",
                                      "--untracked-files=no")),
             "python": platform.python_version(), "nproc": os.cpu_count(),

@@ -247,14 +247,12 @@ def analyze(spec: dict, options: Optional[AnalyzeOptions] = None
             ) -> AnalysisReport:
     """Run the full analysis pipeline and produce a deterministic report.
 
-    The constructed group is checked against the group laws first.  A group
-    of order <= 512 builds its Cayley table from one column per generator
-    and checks associativity exhaustively as it does (Light's test).
-    ``verify_group_axioms`` then proves the laws exactly from the
-    construction: a permutation group from its permutation index, a
+    The constructed group is checked against the group laws first:
+    ``verify_group_axioms`` proves them exactly from the construction, a
+    permutation group from its base index and its generators' columns, a
     quotient from its parent, its cosets and its kernel's normality, and
-    an exact direct or semidirect product from its factors; the table
-    follows, and the inverse list is checked at every element.  No law is
+    an exact direct or semidirect product from its factors, and then
+    checks the inverse list against the construction's.  No law is
     sampled, so no seed can change the report.  ``node_cap`` becomes the
     group's cap, so it bounds every normal lattice the analysis
     builds, and the association stage refuses more than

@@ -6,20 +6,19 @@ and ids are stable for the lifetime of the group.  Concrete constructions
 (permutation closure, direct and semidirect products, quotients) are
 subclasses that implement multiplication on ids; groups built from
 permutations also expose the underlying permutation of each element.
-Groups of order at most ``_MUL_TABLE_BOUND`` keep a dense Cayley table,
-derived from one right-multiplication column per generator by a walk of the
-Cayley graph that checks every edge, which is Light's exact associativity
-test.  ``verify_group_axioms`` checks each construction's laws exactly from
-its construction data, and its table follows: a permutation group from its
-permutation index, a quotient from its parent, its cosets and its kernel's
-normality, and an exact direct or semidirect product from its factors.
+``verify_group_axioms`` checks each construction's laws exactly from its
+construction data: a permutation group from its base index and its
+generators' columns, a quotient from its parent, its cosets and its
+kernel's normality, and an exact direct or semidirect product from its
+factors.
 Loops that multiply many elements by one element s read its right column
-(``FiniteGroup.rcol``: x -> xs): the table column of a tabled group, else a
-column each construction builds from its factors' columns without a product
-per element.  A semidirect product asks its base for each slice already
-mapped to its own ids (``_rcol_affine``), which a direct product builds from
-its factors' columns in one assembly.  Breadth-first walks read each
-multiplier's column once.
+(``FiniteGroup.rcol``: x -> xs), which a group keeps, up to
+``_COLUMN_BUDGET`` entries; ``mul`` reads a kept column, else the
+construction's product.  A permutation group looks each entry up by the
+images of its base, and a semidirect product asks its base for each slice
+already mapped to its own ids (``_rcol_affine``), which a direct product
+builds from its factors' columns in one assembly.  Breadth-first walks
+read each multiplier's column once.
 Conjugation reads one right column and the inverse list
 (``FiniteGroup.inverses``).  ``Homomorphism.validate`` checks a map on the
 columns of the source generators and of their images.
@@ -51,6 +50,7 @@ from __future__ import annotations
 import itertools
 from array import array
 from math import gcd
+from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Sequence
 
 from . import perm as _perm
@@ -68,13 +68,10 @@ from .errors import (
 DEFAULT_ELEMENT_CAP = 30_000
 DEFAULT_NODE_CAP = 10_000
 
-# Groups up to this order keep a dense Cayley table of columns, built from one
-# right-multiplication column per generator (``_cayley_table``), which checks
-# associativity exhaustively as it builds; ``verify_group_axioms`` proves the
-# table equal to ``_mul_impl`` from the construction data.
-# Above it, products are computed per call from the construction data, or
-# read from columns built from the factors' columns.
-_MUL_TABLE_BOUND = 512
+# Each group keeps the right columns that ``rcol`` builds, up to this many
+# entries in all (512 columns of a group of order 512); past it, a column is
+# built again on each call.
+_COLUMN_BUDGET = 512 * 512
 
 # A permutation closure stores at most this many entries (elements x
 # points), whatever the element cap; D512, on 256 points, stores 131,072.
@@ -99,41 +96,7 @@ class FiniteGroup:
         self._elt_order: list[Optional[int]] = [None] * order
         self._elt_order[0] = 1
         self._cache: dict = {}
-        self._table: Optional[list[list[int]]] = None
-        if order <= _MUL_TABLE_BOUND:
-            self._table = self._cayley_table()
-
-    def _cayley_table(self) -> list[list[int]]:
-        """Columns t[b][a] = ab, from each generator's ``_rcol_impl`` column.
-
-        Column b is x -> xb.  ``extend_by_images`` walks the Cayley graph
-        from the identity, whose column is x -> x, and on the edge p -> pg
-        takes column pg to be column p followed by x -> xg, because
-        x(pg) = (xp)g.  It checks every edge, so the table obeys
-        t[pg][x] = t[p][x]g for all x, p and each generator g.  That is
-        Light's test, and it is exact: induction along the walk gives
-        (xy)z = x(yz) for every z.  A conflicting edge means the product is
-        not associative; an element the walk misses means the generators do
-        not generate.
-
-        ``verify_group_axioms`` proves the construction's ``_mul_impl`` a
-        group law and, from these generator columns and the walk, the
-        table equal to it.
-        """
-        n = self.order
-        gens = self.generators
-        # Lists, so that the table shares their int objects.
-        rmul = [list(self._rcol_impl(g)) for g in gens]
-        cols = extend_by_images(self, gens, rmul,
-                                lambda col, img: [img[x] for x in col],
-                                list(range(n)), rmul)
-        if cols is None:
-            raise InternalCheckError(
-                f"associativity of {self.name} fails (Light's test)")
-        if None in cols:
-            raise InternalCheckError(
-                f"generators of {self.name} do not generate it")
-        return cols
+        self._cols: dict[int, Sequence[int]] = {}
 
     # -- construction hooks --------------------------------------------------
 
@@ -149,8 +112,8 @@ class FiniteGroup:
         return [self._inv_impl(a) for a in range(self.order)]
 
     def _rcol_impl(self, s: int) -> array:
-        # Fallback: one _mul_impl sweep.  Constructions with factors override
-        # this with arithmetic on their factors' columns.
+        # A quotient's: one _mul_impl sweep.  A permutation group looks
+        # its columns up by base, a product assembles its factors' columns.
         mul = self._mul_impl
         return array("I", [mul(x, s) for x in range(self.order)])
 
@@ -163,21 +126,20 @@ class FiniteGroup:
     # -- core operations -----------------------------------------------------
 
     def mul(self, a: int, b: int) -> int:
-        t = self._table
-        if t is not None:
-            return t[b][a]
+        col = self._cols.get(b)
+        if col is not None:
+            return col[a]
         return self._mul_impl(a, b)
 
     def rcol(self, s: int) -> Sequence[int]:
         """The column x -> xs, indexed by x over every element; read-only.
-
-        A tabled group returns its table column.  An untabled group builds
-        a fresh ``array('I')`` that lives as long as the caller keeps it.
-        """
-        t = self._table
-        if t is not None:
-            return t[s]
-        return self._rcol_impl(s)
+        Kept while the group's columns fit in ``_COLUMN_BUDGET`` entries."""
+        col = self._cols.get(s)
+        if col is None:
+            col = self._rcol_impl(s)
+            if (len(self._cols) + 1) * self.order <= _COLUMN_BUDGET:
+                self._cols[s] = col
+        return col
 
     def inverses(self) -> list[int]:
         """x -> x^-1 over every element, filled on first use; read-only."""
@@ -422,23 +384,62 @@ def _dedup_nonidentity(ids) -> list[int]:
 # ---------------------------------------------------------------------------
 
 class PermGroup(FiniteGroup):
-    """Group of permutations on n points, enumerated by breadth-first closure."""
+    """Group of permutations on n points, enumerated by breadth-first closure.
 
-    def __init__(self, perms: list, index: dict, n_points: int,
+    Element a is ``perms[a]``, and ab applies b first.  The images of the
+    ``base`` points tell the elements apart, and ``_index`` maps them to
+    ids, so a product, an inverse or a column entry costs the base's length,
+    not the degree (Seress, *Permutation Group Algorithms*, 2003, ch. 4).
+    """
+
+    def __init__(self, perms: list, n_points: int,
                  generators: Sequence[int], name: str):
         self.perms = perms
-        self._index = index
         self.n_points = n_points
+        self.base = _splitting_points(perms, n_points)
+        key = _point_images(self.base)
+        self._index = {key(p): i for i, p in enumerate(perms)}
         super().__init__(name, len(perms), generators, "perm")
 
     def _mul_impl(self, a: int, b: int) -> int:
-        return self._index[_perm.compose(self.perms[a], self.perms[b])]
+        # P(a)P(b) sends base point j to P(a)[P(b)[j]].
+        pb = self.perms[b]
+        return self._index[_point_images([pb[j] for j in self.base])(
+            self.perms[a])]
 
     def _inv_impl(self, a: int) -> int:
-        return self._index[_perm.invert(self.perms[a])]
+        # Keyed by the base points' preimages, the identity's images of them.
+        pa = self.perms[a]
+        return self._index[_point_images([pa.index(j) for j in self.base])(
+            self.perms[0])]
+
+    def _rcol_impl(self, s: int) -> array:
+        ps = self.perms[s]
+        key = _point_images([ps[j] for j in self.base])
+        return array("I", map(self._index.__getitem__, map(key, self.perms)))
 
     def permutation_of(self, a: int):
         return self.perms[a]
+
+
+def _point_images(points: Sequence[int]):
+    """p -> its images of ``points`` (an int for one): a base index key."""
+    return itemgetter(*points) if points else lambda p: ()
+
+
+def _splitting_points(perms: Sequence[tuple], n_points: int) -> list[int]:
+    """The points, in rising order, whose images tell more of ``perms``
+    apart than those of the points taken before them, until all are."""
+    points, keys, parts = [], [0] * len(perms), 0
+    for j in range(n_points):
+        if parts == len(perms):
+            break
+        split = [k * n_points + p[j] for k, p in zip(keys, perms)]
+        count = len(set(split))
+        if count > parts:
+            points.append(j)
+            keys, parts = split, count
+    return points
 
 
 def perm_closure_limit(n_points: int, cap: int) -> tuple[int, str]:
@@ -484,7 +485,7 @@ def group_from_permutations(generators: Iterable, n_points: int | None = None,
                     nxt.append(q)
         frontier = nxt
     gen_ids = _dedup_nonidentity(index[g] for g in gen_perms)
-    return PermGroup(perms, index, n_points, gen_ids, name)
+    return PermGroup(perms, n_points, gen_ids, name)
 
 
 class DirectProductGroup(FiniteGroup):
@@ -542,10 +543,9 @@ class DirectProductGroup(FiniteGroup):
 
     def _rcol_affine(self, s: int, k: int, c: int) -> list[int]:
         # (a*r + b)*k + c = a*(r*k) + (b*k + c): the two factor columns are
-        # scaled first, |L| + |R| ints, and assembled once.  A tabled
-        # product reads its table column, and a subclass, which may build
-        # its columns its own way, its own ``_rcol_impl``.
-        if type(self) is not DirectProductGroup or self._table is not None:
+        # scaled first, |L| + |R| ints, and assembled once.  A subclass may
+        # build its columns its own way.
+        if type(self) is not DirectProductGroup:
             return super()._rcol_affine(s, k, c)
         r = self._r
         s1, s2 = divmod(s, r)
@@ -1151,31 +1151,30 @@ def verify_group_axioms(g: FiniteGroup) -> None:
     exactly one of the four below; any other class, a subclass too, raises
     ``InternalCheckError``.
 
-    - ``PermGroup``: ``perms`` and ``_index`` must be inverse bijections
-      (``len(_index) == n`` and ``_index[perms[i]] == i`` for every i),
-      every permutation must have ``n_points`` entries, and ``perms[0]``
-      must be the identity on them.  Write P(a) for ``perms[a]``.  The n
-      keys of ``_index`` are then exactly the P(i), so
-      ``_mul_impl(a, b)`` = c means P(a)P(b) = P(c): the product is
-      composition of permutations on the closure that
-      ``group_from_permutations`` found, a group law with identity 0.
-    - ``CosetGroup`` K/L, K the ids that ``coset_of`` maps (the subgroup
-      generated by the ids the quotient was built from; the whole parent
-      for ``quotient``) and L its ``kernel``: the parent is checked first,
-      recursively, so its product is a group law.  Then ``reps[0]`` must be
-      0, ``coset_of[reps[i]]`` must be i for every i, K must have n*|L|
-      elements, and the coset id, -1 outside K, must be the same at x and
-      x*l for every parent element x and every generator l of L.  So each
-      id holds whole cosets xL of |L| elements each, id i holds reps[i],
-      and the n ids hold |K| = n*|L| elements together: id i holds
-      exactly the coset reps[i]*L, and id 0 holds L.  Last, each generator
-      of L, conjugated by the representative of each generator of K/L,
-      must lie in L.  The ids K was built from lie in L or in those
-      representatives' cosets, so the representatives and L generate K,
-      and L is normal in K; the ``is_normal`` flag of L is not read.  The
-      product of cosets (xL)(yL) = xyL is then well defined, and
-      associative because the parent's product is: it is the group K/L
-      with identity L, and ``_mul_impl(a, b)``, the coset of
+    - ``PermGroup``: write P(a) for ``perms[a]`` and key(p) for the images
+      under p of the ``base`` points.  ``perms[0]`` must be the identity on
+      ``n_points`` points, each permutation must have that many entries, and
+      ``_index`` must hold n keys, ``_index[key(P(i))] == i`` for every i.
+      Each generator s must be a bijection whose column ``rcol(s)``, looked
+      up by key(P(x)P(s)), agrees with composition: P(rcol(s)[x]) = P(x)P(s)
+      for every x.  A walk from the identity over those columns must reach
+      every id.  So the P(i) are the group of bijections that the generators
+      generate, and ``_mul_impl`` and ``_rcol_impl`` look P(a)P(b) up by its
+      key: the product is composition, a group law with identity 0.
+    - ``CosetGroup`` K/L, K the ids that ``coset_of`` maps and L its
+      ``kernel``: the parent is checked first, recursively, so its product
+      is a group law.  Then ``reps[0]`` must be 0, ``coset_of[reps[i]]``
+      must be i for every i, K must have n*|L| elements, and the coset id,
+      -1 outside K, must be the same at x and x*l for every parent element x
+      and every generator l of L.  So each id holds whole cosets of L, and
+      id i holds exactly reps[i]*L.  Write R for the representatives of the
+      generators of K/L.  Each r in R must conjugate each generator of L
+      into L, so rL = Lr.  The parent's column of each r must send every
+      representative into K, so K*r lies in K; and a walk from id 0 over
+      these columns must reach every id, so each reps[i] lies in <R>L.
+      So K = <R>L is a subgroup with L normal in it; the ``is_normal``
+      flag of L is not read.  The product of cosets (xL)(yL) = xyL is then
+      the group K/L with identity L, and ``_mul_impl(a, b)``, the coset of
       reps[a]*reps[b], computes it.
     - An exact ``DirectProductGroup`` or ``SemidirectProductGroup``: each
       distinct factor is checked first, recursively.  Write (n, h) for the
@@ -1190,26 +1189,16 @@ def verify_group_axioms(g: FiniteGroup) -> None:
       so phi is a homomorphism top -> Aut(base).  So ``_mul_impl`` is the
       textbook semidirect product, a group with identity (0, 0) = 0.
       ``_rcol_impl(s)`` evaluates the same formula on the factors'
-      columns, which agree with their ``mul``: a tabled factor reads its
-      table for both, an untabled quotient or permutation group sweeps
-      ``_mul_impl``, and an exact product agrees by this argument (an
-      untabled direct product's ``_rcol_affine`` is its column mapped
-      x -> x*k + c, by the same formula).
+      columns, which agree with their products by these arguments, or,
+      for a quotient, by sweeping ``_mul_impl``; an exact direct
+      product's ``_rcol_affine`` is its column mapped x -> x*k + c.
 
-    A tabled group built its table (``FiniteGroup._cayley_table``) from
-    the columns x -> x*g of ``_mul_impl``, one per generator g.  Write x*b
-    for ``_mul_impl(x, b)``, now a group law with identity 0.  Induction
-    along the walk that built the table gives t[b][x] = x*b for every x
-    and b: column 0 is x -> x, and the walk sets every other column b from
-    an earlier column p along an edge b = p*g as
-    t[b][x] = t[p][x]*g = (x*p)*g = x*(p*g) = x*b.  So the table is the
-    construction's product, and an untabled group's columns sweep it.
-
-    Last comes the inverse list that conjugation reads: a permutation or
-    coset group must give a*inv(a) = 1 through ``mul`` at every a, and a
-    product's cached list must equal a fresh assembly from its factors'
-    checked lists (``_inverses_impl``), (n, h)^-1 = (phi_h^-1(n^-1), h^-1),
-    so a product computes no product of its own.
+    ``mul`` and ``rcol`` read only columns that ``_rcol_impl`` built.  Last,
+    the inverse list that conjugation reads must equal a fresh one from the
+    construction (``_inverses_impl``), exact once the checks above pass: the
+    preimages of the base points under P(a), the coset of reps[a]^-1 from
+    the parent's checked list, or (n, h)^-1 = (phi_h^-1(n^-1), h^-1) from
+    the factors' checked lists.
     """
     seen: set = set()
 
@@ -1222,13 +1211,7 @@ def verify_group_axioms(g: FiniteGroup) -> None:
             for f in ((g.left, g.right) if kind is DirectProductGroup
                       else (g.base, g.top)):
                 verify(f)
-            inv, fresh = g.inverses(), g._inverses_impl()
-            if inv != fresh:
-                a = next(a for a, (x, y) in enumerate(zip(inv, fresh))
-                         if x != y)
-                raise InternalCheckError(f"inverse law fails at {a}")
-            return
-        if kind is PermGroup:
+        elif kind is PermGroup:
             _check_perm_index(g)
         elif kind is CosetGroup:
             verify(g.parent_group)
@@ -1236,10 +1219,10 @@ def verify_group_axioms(g: FiniteGroup) -> None:
         else:
             raise InternalCheckError(
                 f"no exact group-law check for {kind.__name__} {g.name}")
-        inv, mul = g.inverses(), g.mul
-        for a in g.elements():
-            if mul(a, inv[a]) != 0:
-                raise InternalCheckError(f"inverse law fails at {a}")
+        inv, fresh = g.inverses(), g._inverses_impl()
+        if inv != fresh:
+            a = next(a for a, (x, y) in enumerate(zip(inv, fresh)) if x != y)
+            raise InternalCheckError(f"inverse law fails at {a}")
 
     verify(g)
 
@@ -1248,10 +1231,27 @@ def _check_perm_index(g: PermGroup) -> None:
     perms, index, m = g.perms, g._index, g.n_points
     if (len(index) != g.order or perms[0] != _perm.identity_perm(m)
             or any(len(p) != m for p in perms)
-            or list(map(index.get, perms)) != list(range(g.order))):
+            or list(map(index.get, map(_point_images(g.base), perms)))
+            != list(range(g.order))):
         raise InternalCheckError(
-            f"permutations and index of {g.name} are not inverse "
+            f"permutations and base index of {g.name} are not inverse "
             f"bijections from the identity")
+    for s in g.generators:
+        ps = perms[s]
+        # ps moves a point, so itemgetter(*ps) gives each P(x)P(s) as a
+        # tuple; a product whose base images key no element raises.
+        try:
+            ok = sorted(ps) == list(range(m)) and (
+                list(map(perms.__getitem__, g.rcol(s)))
+                == list(map(itemgetter(*ps), perms)))
+        except KeyError:
+            ok = False
+        if not ok:
+            raise InternalCheckError(
+                f"base lookups of {g.name} disagree with composition by "
+                f"generator {s}")
+    if len(close_under_mul(g, g.generators)) != g.order:
+        raise InternalCheckError(f"generators of {g.name} do not generate it")
 
 
 def _check_cosets(q: CosetGroup) -> None:
@@ -1270,3 +1270,9 @@ def _check_cosets(q: CosetGroup) -> None:
     if any(p.conj(reps[c], l) not in kernel.members
            for c in q.generators for l in kernel.gens):
         raise InternalCheckError(f"kernel of {q.name} is not normal in K")
+    cols = {c: [ids[y] for y in map(p.rcol(reps[c]).__getitem__, reps)]
+            for c in q.generators}
+    if any(-1 in col for col in cols.values()) or len(
+            close_under_mul(q, q.generators, memo=cols)) != q.order:
+        raise InternalCheckError(
+            f"generators of {q.name} do not generate K over its kernel")

@@ -29,13 +29,6 @@ def compose(p: Perm, q: Perm) -> Perm:
     return tuple([p[i] for i in q])
 
 
-def invert(p: Perm) -> Perm:
-    out = [0] * len(p)
-    for i, j in enumerate(p):
-        out[j] = i
-    return tuple(out)
-
-
 def perm_from_cycles(cycles, n: int) -> Perm:
     """Build a permutation on n points from a list of cycles.
 

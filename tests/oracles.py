@@ -133,17 +133,24 @@ def normal_subgroups_join_closure(ambient) -> set[frozenset]:
 def group_laws_by_elements(g: FiniteGroup) -> bool:
     """Identity and inverse laws on every element, by ``_mul_impl``.
 
-    The inverses are the cached list that conjugation reads.  A tabled
-    group's table must also equal ``_mul_impl`` on every pair.
+    The inverses are the cached list that conjugation reads.  A group of
+    order at most 512 must also pass ``columns_match_mul``.
     """
-    mul, inv, t = g._mul_impl, g.inverses(), g._table
+    mul, inv = g._mul_impl, g.inverses()
     if len(inv) != g.order or any(
             mul(a, 0) != a or mul(0, a) != a
             or mul(a, inv[a]) != 0 or mul(inv[a], a) != 0
             for a in g.elements()):
         return False
-    return t is None or all(t[b][a] == mul(a, b)
-                            for a in g.elements() for b in g.elements())
+    return g.order > 512 or columns_match_mul(g)
+
+
+def columns_match_mul(g: FiniteGroup) -> bool:
+    """Every column agrees with the product: rcol(b)[a] == _mul_impl(a, b)
+    for every a and b, n^2 products."""
+    mul = g._mul_impl
+    return all(list(g.rcol(b)) == [mul(a, b) for a in g.elements()]
+               for b in g.elements())
 
 
 def closure_by_mul(g: FiniteGroup, seed: Sequence[int]) -> frozenset:

@@ -1,17 +1,25 @@
-"""``scripts/bench_pair.py``'s summary of paired runs, on synthetic runs."""
+"""``scripts/bench_pair.py``: its summary of paired runs, on synthetic runs,
+and the checkouts it runs, with git and perfbench faked."""
 
+import collections
 import importlib.util
 import pathlib
+
+import pytest
 
 SCRIPT = (pathlib.Path(__file__).resolve().parent.parent / "scripts"
           / "bench_pair.py")
 
 
-def _summarize():
+def _module():
     spec = importlib.util.spec_from_file_location("bench_pair", SCRIPT)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.summarize
+    return module
+
+
+def _summarize():
+    return _module().summarize
 
 
 METRICS = [
@@ -55,3 +63,56 @@ def test_summarize_does_not_flag_gains_or_ties():
     assert not any(m["regressed"] for m in out.values())
     assert out["wall_s"]["change_wins"] == 2
     assert out["peak_rss_mb"]["change_wins"] == 0
+
+
+def _fake_git(untracked=""):
+    """Answers for the git calls of ``main``; the edits stash as "stash"."""
+    answers = {
+        ("rev-parse", "HEAD~1"): "parent",
+        ("rev-parse", "HEAD"): "head",
+        ("stash", "create"): "stash",
+        ("status", "--porcelain", "--untracked-files=no"): " M x",
+    }
+
+    def git(*args):
+        if args[:2] == ("ls-files", "--others"):
+            return untracked
+        return answers[args]
+    return git
+
+
+def test_both_sides_are_extracted_without_bytecode(tmp_path, monkeypatch):
+    """The parent and the edited tree both come from ``extract``, into
+    fresh directories, so neither holds a ``__pycache__``."""
+    bench = _module()
+    extracted, ran = {}, []
+
+    def extract(rev, dest):
+        extracted[dest] = rev
+        (pathlib.Path(dest) / "src").mkdir()
+        (pathlib.Path(dest) / "src" / "m.py").write_text("")
+
+    def run_once(checkout, workload, seed, seconds):
+        ran.append(checkout)
+        assert not list(pathlib.Path(checkout).rglob("__pycache__"))
+        return {"correct": True, "src_sha256": "",
+                "metrics": collections.defaultdict(lambda: 1.0)}
+
+    monkeypatch.setattr(bench, "git", _fake_git())
+    monkeypatch.setattr(bench, "extract", extract)
+    monkeypatch.setattr(bench, "run_once", run_once)
+    for side in ("parent", "change"):  # left over from an earlier run
+        (tmp_path / side / "src" / "__pycache__").mkdir(parents=True)
+    assert bench.main(["--parent", "HEAD~1", "--runs", "construct=2",
+                       "--workdir", str(tmp_path)]) == 0
+    assert sorted(extracted.values()) == ["parent", "stash"]
+    assert set(ran) == set(extracted) and len(ran) == 4
+    assert str(pathlib.Path(bench.ROOT)) not in ran
+
+
+def test_untracked_source_file_is_refused(monkeypatch):
+    """An untracked file under src/ would be missing from the change."""
+    bench = _module()
+    monkeypatch.setattr(bench, "git", _fake_git("src/chiefblocks/new.py"))
+    with pytest.raises(SystemExit, match="src/chiefblocks/new.py"):
+        bench.change_rev()

@@ -1,14 +1,13 @@
 """Class space against element sweeps on random permutation groups.
 
-Generated groups have degree at most 6, so orders run up to 720 and both
-the tabled and the untabled (S6) paths are exercised.  The class-space
-lattice is checked at its principal normal subgroups ncl(x) (each against
-``normal_closure_by_mul``, and all of them against closing every class),
-at every node joined with one (against the coset-sweep product) and
-at every node's perfectness (against the derived subgroup); association
-edges and abelian chief factors against the pairwise and commutator
-tests; the lattice read of each non-abelian chief factor's centralizer
-against the class test.
+Generated groups have degree at most 6, so orders run up to 720 (S6).
+The class-space lattice is checked at its principal normal subgroups
+ncl(x) (each against ``normal_closure_by_mul``, and all of them against
+closing every class), at every node joined with one (against the
+coset-sweep product) and at every node's perfectness (against the derived
+subgroup); association edges and abelian chief factors against the
+pairwise and commutator tests; the lattice read of each non-abelian chief
+factor's centralizer against the class test.
 """
 
 import pytest

@@ -345,7 +345,7 @@ def test_cli_mistyped_spec_fields_are_input_errors(spec, tmp_path, capsys):
 
 def test_cli_action_off_the_generators_is_input_error(tmp_path, capsys):
     # The S5xS5 swap with two entries exchanged, at no generator: the column
-    # check of the untabled base rejects it.
+    # check of the base rejects it.
     base = {"kind": "direct", "left": {"kind": "named", "name": "S5"},
             "right": {"kind": "named", "name": "S5"}}
     action = [b * 120 + a for a in range(120) for b in range(120)]

@@ -105,7 +105,7 @@ def test_factor_centralizer_matches_sweep(corpus, small_corpus,
                                          dense_corpus):
     """One element per class gives the sweep's centralizer, which is normal.
 
-    Ambients: the small and dense corpora, A5wrC2 (untabled) and its base
+    Ambients: the small and dense corpora, A5wrC2 and its base
     of order 3,600, the subgroup ambient H of the block-extension tests.
     """
     wr = corpus["A5wrC2"]

@@ -17,7 +17,6 @@ from chiefblocks.errors import (
     NotNormal,
 )
 from chiefblocks.group import (
-    _MUL_TABLE_BOUND,
     CosetGroup,
     DirectProductGroup,
     FiniteGroup,
@@ -40,13 +39,14 @@ from chiefblocks.group import (
     subgroup_generated,
     verify_group_axioms,
 )
-from chiefblocks.perm import compose, invert, perm_from_cycles
+from chiefblocks.perm import compose, perm_from_cycles
 from oracles import (
     centralizer_by_mul,
     class_ambients,
     class_space_matches_mul,
     classes_by_mul,
     closure_by_mul,
+    columns_match_mul,
     commutator_pairs,
     group_laws_by_elements,
     normal_closure_by_mul,
@@ -61,7 +61,8 @@ def naive_closure(gens):
     current = set(gens) | {tuple(range(n))}
     while True:
         nxt = set(current)
-        nxt.update(invert(p) for p in current)
+        nxt.update(tuple(sorted(range(n), key=p.__getitem__))
+                   for p in current)  # the inverses
         nxt.update(compose(p, q) for p in current for q in current)
         if len(nxt) == len(current):
             return current
@@ -422,27 +423,25 @@ def _built_groups(corpus, dense_corpus):
     return [*corpus.values(), *dense_corpus.values(), *built]
 
 
-def test_cayley_table_matches_construction(corpus, dense_corpus):
-    """The full n^2 oracle, on permutation groups of order 128 and 256 too.
+def test_every_column_matches_construction(corpus, dense_corpus):
+    """The full n^2 oracle on every group of order at most 512, the
+    permutation groups C256 and D128 among them.
 
-    ``verify_group_axioms`` proves a ``PermGroup`` table equal to
-    ``_mul_impl`` from its permutation index; this compares every pair.
+    ``verify_group_axioms`` proves a ``PermGroup``'s base lookups equal to
+    composition from its generators' columns; this compares every pair.
     """
     extra = [named.cyclic(256), named.dihedral(128)]
-    for g in [*_built_groups(corpus, dense_corpus), *extra]:
-        n = g.order
-        if n > _MUL_TABLE_BOUND:
-            assert g._table is None
-            continue
-        assert g._table == [[g._mul_impl(a, b) for a in range(n)]
-                            for b in range(n)]
+    groups = [g for g in [*_built_groups(corpus, dense_corpus), *extra]
+              if g.order <= 512]
+    assert len(groups) >= 20
+    for g in groups:
+        assert columns_match_mul(g), g.name
 
 
 def test_columns_match_construction(corpus, dense_corpus):
     """``rcol``, ``_rcol_impl`` and ``_rcol_affine`` at random (k, c)."""
     rng = random.Random(5)
     groups = _built_groups(corpus, dense_corpus)
-    assert any(g._table is None for g in groups)
     for g in groups:
         n, mul = g.order, g._mul_impl
         for s in {0, *g.generators, rng.randrange(n), rng.randrange(n)}:
@@ -500,7 +499,7 @@ def test_closures_classes_and_centralizers_match_mul_oracles(corpus,
                                                             small_corpus):
     """Closures, classes and centralizers read columns; ``mul`` oracles agree.
 
-    The small corpus reads table columns.  A5wrC2 is untabled, so its
+    The small corpus reads base lookups of permutation groups.  A5wrC2's
     ambients, from an A4 of order 12 to the whole group, read columns
     built from the factors' columns.
     """
@@ -575,14 +574,15 @@ def test_factor_image_classes_read_by_members():
 
 
 def test_direct_product_classes_make_no_products(monkeypatch):
-    """S5xS5's classes are pairs of S5's: no product and no column built."""
+    """S5xS5's classes are pairs of S5's: no product, and no column built
+    but the two that S5's own conjugation walk reads."""
     s5 = named.symmetric(5)
     g = direct_product(s5, s5)
-    assert g._table is None and s5._table is not None
     calls = _counted(monkeypatch, *((cls, name) for cls in (
         FiniteGroup, PermGroup, DirectProductGroup, SemidirectProductGroup)
         for name in ("_mul_impl", "_rcol_impl") if name in vars(cls)))
     assert len(conjugacy_classes(g)) == 7 * 7
+    assert calls.pop((PermGroup, "_rcol_impl")) == len(s5.generators) == 2
     assert calls and not any(calls.values())
 
 
@@ -619,35 +619,111 @@ def test_product_classes_leave_the_factors_caches():
                    for k in wr.base._cache)
 
 
-def test_cayley_table_reads_generator_columns(monkeypatch):
-    """A table costs one product per element and generator, not two.
-
-    The generator columns are swept once through ``_mul_impl``, and the
-    Cayley-graph walk that builds the table reads them.
-    """
-    calls = 0
-    mul = PermGroup._mul_impl
-
-    def counted(self, a, b):
-        nonlocal calls
-        calls += 1
-        return mul(self, a, b)
-
-    monkeypatch.setattr(PermGroup, "_mul_impl", counted)
+def test_perm_group_check_builds_only_generator_columns(monkeypatch):
+    """Building D512 makes no product and no column; its law check builds
+    the two generator columns, by base lookups, and keeps them."""
+    calls = _counted(monkeypatch, (PermGroup, "_mul_impl"),
+                     (PermGroup, "_rcol_impl"))
     d512 = named.dihedral(512)
-    assert d512._table is not None
-    assert calls == 512 * len(d512.generators) == 1024
+    assert d512.base == [0, 1]
+    assert not any(calls.values())
+    verify_group_axioms(d512)
+    assert calls[PermGroup, "_mul_impl"] == 0
+    assert calls[PermGroup, "_rcol_impl"] == len(d512.generators) == 2
+    assert sorted(d512._cols) == sorted(d512.generators)
+
+
+def test_d512_analysis_builds_at_most_the_columns_it_reads(monkeypatch):
+    """``analyze --components`` on D512 reads 11 of its 512 columns, and
+    builds each of them once."""
+    from chiefblocks.cli import AnalyzeOptions, analyze
+    built = []
+    build = PermGroup._rcol_impl
+
+    def recorded(self, s):
+        if self.order == 512:
+            built.append(s)
+        return build(self, s)
+
+    monkeypatch.setattr(PermGroup, "_rcol_impl", recorded)
+    analyze({"kind": "named", "name": "D512"}, AnalyzeOptions(components=True))
+    assert len(set(built)) == len(built) <= 11
+
+
+def _groups_reached(g):
+    """g, its factors and parents, and the groups cached on any of them."""
+    found, todo = [], [g]
+    while todo:
+        h = todo.pop()
+        if not isinstance(h, FiniteGroup) or h in found:
+            continue
+        found.append(h)
+        todo += [getattr(h, name, None) for name in (
+            "left", "right", "base", "top", "parent_group")]
+        for value in h._cache.values():
+            todo += value if isinstance(value, tuple) else [value]
+    return found
+
+
+@pytest.mark.parametrize("spec", [
+    {"kind": "semidirect",
+     "base": {"kind": "direct", "left": {"kind": "named", "name": "S5"},
+              "right": {"kind": "named", "name": "S5"}},
+     "top": {"kind": "named", "name": "C2"},
+     "action": [[b * 120 + a for a in range(120) for b in range(120)]]},
+    {"kind": "direct",
+     "left": {"kind": "direct", "left": {"kind": "direct", "left": {
+         "kind": "direct", "left": {"kind": "named", "name": "A5"},
+         "right": {"kind": "named", "name": "A5"}},
+         "right": {"kind": "named", "name": "C2"}},
+         "right": {"kind": "named", "name": "C2"}},
+     "right": {"kind": "named", "name": "C2"}},
+], ids=["S5wrC2", "A5^2xC2^3"])
+def test_kept_columns_stay_within_the_budget(spec, monkeypatch):
+    """After a whole analysis no group keeps more than 512 x 512 column
+    entries; the group of order 28,800 fills its budget with 9 columns."""
+    from chiefblocks import cli
+    groups = []
+    build = cli.build_group
+
+    def recorded(*args):
+        groups.append(build(*args))
+        return groups[-1]
+
+    monkeypatch.setattr(cli, "build_group", recorded)
+    cli.analyze(spec, cli.AnalyzeOptions(components=True))
+    g = groups[-1]  # the spec's own group is built last
+    reached = _groups_reached(g)
+    assert g.order == 28_800 and len(reached) >= 4
+    for h in reached:
+        assert sum(map(len, h._cols.values())) <= 512 * 512, h.name
+    assert len(g._cols) == 512 * 512 // 28_800 == 9
+
+
+def test_columns_past_the_budget_are_built_on_each_call(monkeypatch):
+    """With room for two columns of C8, a third is built on every call;
+    ``mul`` reads a kept column and builds none."""
+    monkeypatch.setattr(group_module, "_COLUMN_BUDGET", 16)
+    c8 = named.cyclic(8)  # id k is the k-th power of the 8-cycle
+    calls = _counted(monkeypatch, (PermGroup, "_rcol_impl"),
+                     (PermGroup, "_mul_impl"))
+    for s in (1, 2, 3, 3, 1, 2):
+        assert list(c8.rcol(s)) == [(x + s) % 8 for x in range(8)]
+    assert sorted(c8._cols) == [1, 2]
+    assert calls[PermGroup, "_rcol_impl"] == 4
+    assert [c8.mul(5, s) for s in (1, 2, 3)] == [6, 7, 0]
+    assert calls[PermGroup, "_mul_impl"] == 1
+    assert calls[PermGroup, "_rcol_impl"] == 4
 
 
 def test_columns_kept_across_levels(monkeypatch):
     """A multiplier's column is built once, not once per level.
 
-    A cyclic closure holds one element per breadth-first level.  C256 is
-    tabled, so its columns are table columns and none is built; C1024 is
-    not, so a closure builds the generator's column once, and ``validate``
-    builds it once in the source and once in the target.
+    A cyclic closure holds one element per breadth-first level.  The
+    closure builds the generator's column once, and ``validate``, whose
+    source and target are the group itself, reads the kept column.
     """
-    for g, builds in ((named.cyclic(256), 0), (named.cyclic(1024), 1)):
+    for g, builds in ((named.cyclic(256), 1), (named.cyclic(1024), 1)):
         gen = g.generators[0]
         calls = 0
         build = g._rcol_impl
@@ -662,23 +738,26 @@ def test_columns_kept_across_levels(monkeypatch):
         assert calls == builds
         calls = 0
         Homomorphism(g, g, list(range(g.order))).validate()
-        assert calls == 2 * builds
+        assert calls == 0
 
 
 def test_wrong_column_fails_axioms():
     """A subclass is refused by name, whatever its columns hold."""
     a5 = named.alternating(5)
     g = LeftForRight(a5, a5)
-    assert g._table is None
     with pytest.raises(InternalCheckError,
                        match="no exact group-law check for LeftForRight"):
         verify_group_axioms(g)
 
 
-def test_non_associative_loop_fails_light_test_at_construction():
+def test_non_associative_loop_fails_axioms():
+    """A loop with identity and inverses but no associativity is built,
+    and refused by the law check, which has no construction to prove."""
+    loop = Loop5()
+    assert group_laws_by_elements(loop)
     with pytest.raises(InternalCheckError,
-                       match=r"associativity of loop5 fails \(Light's test\)"):
-        Loop5()
+                       match="no exact group-law check for Loop5 loop5"):
+        verify_group_axioms(loop)
 
 
 @pytest.mark.parametrize("build", [
@@ -686,27 +765,32 @@ def test_non_associative_loop_fails_light_test_at_construction():
     lambda: direct_product(named.quaternion8(), named.dihedral(8)),
 ], ids=["S4", "Q8xD8"])
 def test_wrong_product_off_the_generators_fails_axioms(build):
-    """A product wrong only off the generators keeps the table, which is
-    built from the generator columns; a class without construction data
-    to prove its product is refused, right or wrong."""
+    """A class without construction data to prove its product is
+    refused, right or wrong, here wrong only off the generators."""
     base = build()
     assert 7 not in base.generators
     g = Copy(base, base.generators, bad=(5, 7))
-    assert g._table == base._table  # built from the generator columns only
+    assert g.mul(5, 7) != base.mul(5, 7)
     for h in (g, Copy(base, base.generators)):
         with pytest.raises(InternalCheckError,
                            match="no exact group-law check for Copy copy"):
             verify_group_axioms(h)
 
 
+def _base_key(g, p):
+    """The key of permutation p in the base index of the ``PermGroup`` g."""
+    return group_module._point_images(g.base)(p)
+
+
 def _index_off_at(g, a, b):
-    """A copy of the ``PermGroup`` g whose index makes ``_mul_impl(a, b)``
-    off by one, corrupted after its table was built from the generators."""
+    """A copy of the ``PermGroup`` g whose base index makes
+    ``_mul_impl(a, b)`` off by one: two of its entries are exchanged."""
     c = g.mul(a, b)
     d = (c + 1) % g.order
-    off = PermGroup(g.perms, dict(g._index), g.n_points, g.generators, "off")
-    off._index[g.perms[c]], off._index[g.perms[d]] = d, c
-    assert off._mul_impl(a, b) == d and off._table == g._table
+    off = PermGroup(g.perms, g.n_points, g.generators, "off")
+    kc, kd = _base_key(off, g.perms[c]), _base_key(off, g.perms[d])
+    off._index[kc], off._index[kd] = d, c
+    assert off._mul_impl(a, b) == d
     return off
 
 
@@ -722,7 +806,7 @@ def test_wrong_product_of_a_perm_group_subclass_fails_axioms():
     assert 7 not in s4.generators
     with pytest.raises(InternalCheckError,
                        match="no exact group-law check for Sub"):
-        verify_group_axioms(Sub(s4.perms, s4._index, 4, s4.generators, "s"))
+        verify_group_axioms(Sub(s4.perms, 4, s4.generators, "s"))
     with pytest.raises(InternalCheckError, match="not inverse bijections"):
         verify_group_axioms(_index_off_at(s4, 5, 7))
 
@@ -739,14 +823,20 @@ def test_product_with_a_wrong_factor_fails_axioms(build):
 
 
 def test_untabled_factor_checks_its_inverse_law(monkeypatch):
-    """C1024 in C1024xC2 makes one product per element, its inverse law;
-    its index check, the tabled C2 and the product make none."""
+    """C1024 in C1024xC2 checks its inverse list against a fresh one, one
+    inverse per element found from the base, and makes no product; nor do
+    C2 and the product."""
     c1024 = named.cyclic(1024)
     g = direct_product(c1024, named.cyclic(2))
-    assert c1024._table is None and len(c1024.generators) == 1
-    calls = _counted(monkeypatch, (PermGroup, "_mul_impl"))
+    assert len(c1024.generators) == 1
+    calls = _counted(monkeypatch, (PermGroup, "_mul_impl"),
+                     (PermGroup, "_inv_impl"))
     verify_group_axioms(g)
-    assert calls[PermGroup, "_mul_impl"] == 1024
+    assert calls[PermGroup, "_mul_impl"] == 0
+    assert calls[PermGroup, "_inv_impl"] == 2 * (1024 + 2)
+    c1024.inverses()[5] = 6
+    with pytest.raises(InternalCheckError, match="inverse law fails at 5"):
+        verify_group_axioms(g)
 
 
 def test_shared_factor_verified_once(monkeypatch, corpus):
@@ -766,7 +856,6 @@ def test_product_axioms_make_no_products(monkeypatch, corpus):
     calls = _counted(monkeypatch, *((cls, "_mul_impl") for cls in (
         PermGroup, DirectProductGroup, SemidirectProductGroup)))
     for g in groups:
-        assert g._table is None
         verify_group_axioms(g)
     assert not any(calls.values())
 
@@ -791,8 +880,7 @@ def test_structural_check_agrees_with_element_laws(corpus, dense_corpus):
     """Products checked from their factors pass the element-wise oracle."""
     products = _exact_products([*corpus.values(), *dense_corpus.values()])
     assert len(products) >= 10
-    assert any(g._table is None for g in products)
-    assert any(g._table is not None for g in products)
+    assert {g.order <= 512 for g in products} == {True, False}
     for g in products:
         verify_group_axioms(g)
         assert group_laws_by_elements(g), g.name
@@ -800,51 +888,73 @@ def test_structural_check_agrees_with_element_laws(corpus, dense_corpus):
 
 def _d8_perms():
     d8 = named.dihedral(8)
-    return d8, list(d8.perms), dict(d8._index)
+    return d8, list(d8.perms)
 
 
 def test_perm_index_not_inverse_of_perms_fails_axioms():
-    """A permutation index that does not invert ``perms`` raises."""
-    d8, perms, index = _d8_perms()
-    verify_group_axioms(PermGroup(perms, index, d8.n_points, d8.generators,
-                                  "d8"))
-    a, b = 5, 6
-    swapped = {**index, perms[a]: b, perms[b]: a}
-    extra = {**index, (0,) * d8.n_points: 8}  # a key that is no element
-    for bad in (swapped, extra):
-        g = PermGroup(perms, index, d8.n_points, d8.generators, "d8")
+    """A base index that does not invert ``perms`` raises: two entries
+    exchanged, one entry off at one element, or a key that is no
+    element's."""
+    d8, perms = _d8_perms()
+    verify_group_axioms(PermGroup(perms, d8.n_points, d8.generators, "d8"))
+    index = d8._index
+    k5, k6 = _base_key(d8, perms[5]), _base_key(d8, perms[6])
+    swapped = {**index, k5: 6, k6: 5}
+    off = {**index, k5: 6}
+    extra = {**index, (d8.n_points,) * len(d8.base): 7}
+    for bad in (swapped, off, extra):
+        g = PermGroup(perms, d8.n_points, d8.generators, "d8")
         g._index = bad
-        with pytest.raises(InternalCheckError):
+        with pytest.raises(InternalCheckError,
+                           match="not inverse bijections"):
             verify_group_axioms(g)
 
 
 def test_perm_group_not_indexed_from_the_identity_fails_axioms():
-    """With perms[0] != 1 the table is a group, but not the product's."""
-    d8, perms, _ = _d8_perms()
-    moved = [compose(perms[3], p) for p in perms]  # a coset, not a group
-    g = PermGroup(moved, {p: i for i, p in enumerate(moved)}, d8.n_points,
-                  d8.generators, "coset")
-    assert g._table == d8._table
-    with pytest.raises(InternalCheckError):
+    """A coset of D8 in S4, with perms[0] != 1, is refused."""
+    d8, perms = _d8_perms()
+    moved = [compose(perms[3], p) for p in perms]
+    g = PermGroup(moved, d8.n_points, d8.generators, "coset")
+    with pytest.raises(InternalCheckError, match="not inverse bijections"):
+        verify_group_axioms(g)
+
+
+def test_perm_off_the_base_fails_axioms():
+    """C4xC2 on 4 + 2 points has base [0, 4], and its generators send the
+    base into {0, 1, 4, 5}.  An element's permutation with the images of
+    points 2 and 3 exchanged after construction keeps the base index and
+    every key the generator columns look up, and only the comparison with
+    composition finds it."""
+    g = group_from_permutations([(1, 2, 3, 0, 4, 5), (0, 1, 2, 3, 5, 4)])
+    assert g.order == 8 and g.base == [0, 4]
+    off = PermGroup(list(g.perms), g.n_points, g.generators, "off")
+    x = next(i for i in g.elements() if i not in (0, *g.generators))
+    p = off.perms[x]
+    off.perms[x] = (p[0], p[1], p[3], p[2], p[4], p[5])
+    with pytest.raises(InternalCheckError,
+                       match="disagree with composition by generator"):
+        verify_group_axioms(off)
+
+
+def test_perm_group_of_a_map_that_is_no_bijection_fails_axioms():
+    """The identity and a constant map on two points are closed under
+    composition and keyed apart by their base images, but no group."""
+    g = PermGroup([(0, 1), (0, 0)], 2, [1], "monoid")
+    assert g.base == [0, 1] and g.order == 2
+    with pytest.raises(InternalCheckError,
+                       match="disagree with composition by generator 1"):
         verify_group_axioms(g)
 
 
 def test_perm_group_axioms_make_no_products(monkeypatch):
-    """A tabled permutation group's law check calls no ``_mul_impl``."""
+    """A permutation group's law check calls no ``_mul_impl``: it reads
+    its generators' columns and a fresh inverse list."""
     groups = [named.dihedral(512), named.cyclic(256)]
-    calls = 0
-    mul = PermGroup._mul_impl
-
-    def counted(self, a, b):
-        nonlocal calls
-        calls += 1
-        return mul(self, a, b)
-
-    monkeypatch.setattr(PermGroup, "_mul_impl", counted)
+    calls = _counted(monkeypatch, (PermGroup, "_mul_impl"))
     for g in groups:
-        assert type(g) is PermGroup and g._table is not None
+        assert type(g) is PermGroup
         verify_group_axioms(g)
-    assert calls == 0
+    assert calls[PermGroup, "_mul_impl"] == 0
 
 
 def test_product_inverse_lists_match_construction(corpus, dense_corpus):
@@ -898,10 +1008,19 @@ def test_coset_groups_pass_axioms(corpus, dense_corpus):
         assert group_laws_by_elements(g), g.name
 
 
+def _s4_a4_by_v4():
+    """The chief factor A4/V4 of S4, from ``factor_group``."""
+    from chiefblocks.factors import factor_group, make_factor
+    s4, v4 = _s4_by_v4()
+    a4 = next(n for n in _normal_nodes(s4) if n.order == 12)
+    return factor_group(make_factor(s4, a4, v4))[0]
+
+
 @pytest.mark.parametrize("build", [
     lambda: quotient(*_s4_by_v4())[0],
     lambda: subgroup_as_group(_s4_by_v4()[1])[0],
-], ids=["quotient", "subgroup"])
+    _s4_a4_by_v4,
+], ids=["quotient", "subgroup", "factor"])
 def test_coset_map_with_a_moved_element_fails_axioms(build):
     """One element moved into the next coset breaks the split of K."""
     q = build()
@@ -928,8 +1047,8 @@ def test_coset_map_with_an_element_outside_k_fails_axioms():
 
 
 def test_coset_group_over_a_non_normal_kernel_fails_axioms():
-    """A C2 of S3 flagged normal, whose three left cosets still pass
-    Light's test at construction."""
+    """A C2 of S3 flagged normal: its three left cosets split S3, and
+    the generators reach all three."""
     s3 = named.symmetric(3)
     t = next(x for x in s3.generators if s3.mul(x, x) == 0)
     c2 = Subgroup(s3, frozenset((0, t)), [t], True)
@@ -941,12 +1060,12 @@ def test_coset_group_over_a_non_normal_kernel_fails_axioms():
 
 
 def test_quotient_of_a_corrupted_parent_fails_axioms():
-    """The parent is checked first: a swapped permutation index raises."""
+    """The parent is checked first: a swapped base index raises."""
     s4, v4 = _s4_by_v4()
     q = quotient(s4, v4)[0]
     verify_group_axioms(q)
-    perms = s4.perms
-    s4._index = {**s4._index, perms[5]: 6, perms[6]: 5}
+    k5, k6 = _base_key(s4, s4.perms[5]), _base_key(s4, s4.perms[6])
+    s4._index = {**s4._index, k5: 6, k6: 5}
     with pytest.raises(InternalCheckError, match="not inverse bijections"):
         verify_group_axioms(q)
 
@@ -955,19 +1074,39 @@ def test_quotient_axioms_make_few_products(monkeypatch):
     """The S5xS5 quotient is checked from its parent, its cosets and its
     kernel's generators, with at most 120 ``_mul_impl`` calls in all."""
     q = _s5xs5_by_left()
-    assert q.order == 120 and q.parent_group._table is None
+    assert q.order == 120
     calls = _counted(monkeypatch, *((cls, "_mul_impl") for cls in (
         PermGroup, DirectProductGroup, CosetGroup)))
     verify_group_axioms(q)
     assert sum(calls.values()) <= 120
 
 
-def test_generators_missing_an_element_raise_at_construction():
+def test_generators_missing_an_element_fail_axioms():
+    """C4 on the square of its generator: a ``Copy`` is refused by class,
+    and a ``PermGroup`` by the walk over its generator columns."""
     c4 = named.cyclic(4)
     square = c4.mul(c4.generators[0], c4.generators[0])
     with pytest.raises(InternalCheckError,
-                       match="generators of copy do not generate it"):
-        Copy(c4, [square])
+                       match="no exact group-law check for Copy copy"):
+        verify_group_axioms(Copy(c4, [square]))
+    g = PermGroup(c4.perms, c4.n_points, [square], "c4")
+    with pytest.raises(InternalCheckError,
+                       match="generators of c4 do not generate it"):
+        verify_group_axioms(g)
+
+
+def test_coset_generators_missing_a_coset_fail_axioms():
+    """S4 over the trivial kernel on one generator misses a coset; the ids
+    {0, 1, 2} of S3, no subgroup, on generator 2 leave K, though a walk
+    that counted the -1 of an element outside K would reach three ids."""
+    s4, s3 = named.symmetric(4), named.symmetric(3)
+    for q in (CosetGroup(s4, frozenset(s4.elements()), s4.trivial_subgroup(),
+                         s4.generators[:1], "s4/1"),
+              CosetGroup(s3, frozenset((0, 1, 2)), s3.trivial_subgroup(),
+                         [2], "s3|3")):
+        with pytest.raises(InternalCheckError,
+                           match=f"generators of {q.name} do not generate K"):
+            verify_group_axioms(q)
 
 
 def test_quotient_order_formula(corpus):
@@ -1032,10 +1171,9 @@ def _swap_off_generators(table, g):
 
 
 def test_column_check_rejects_swapped_action_entries():
-    """On untabled S5xS5 the generator images alone do not prove the map."""
+    """On S5xS5 the generator images alone do not prove the map."""
     s5 = named.symmetric(5)
     base = direct_product(s5, s5)
-    assert base._table is None
     swap = named.swap_action_table(base)
     semidirect_product(base, named.cyclic(2), [swap])
     with pytest.raises(ActionNotAutomorphism, match="not multiplicative"):
@@ -1046,7 +1184,6 @@ def test_column_check_rejects_swapped_action_entries():
 def test_column_check_rejects_swapped_identity_entries():
     a5 = named.alternating(5)
     g = direct_product(a5, a5)
-    assert g._table is None
     Homomorphism(g, g, list(range(g.order))).validate()
     with pytest.raises(HomomorphismError):
         Homomorphism(g, g, _swap_off_generators(range(g.order), g)).validate()

@@ -91,7 +91,7 @@ def test_least_node_over_a_class_is_its_normal_closure(corpus, dense_corpus):
     both the lattice and ``normal_closure``: ``normal_closure_by_mul`` up to
     order 7,200, and above it (S5wrC2, where the by-``mul`` oracle takes
     7.6 s) the element walk ``normal_closure_by_columns``.  Ambients: the
-    corpus, the dense corpus, and in A5wrC2 (untabled) its base of order
+    corpus, the dense corpus, and in A5wrC2 its base of order
     3,600 and an A5 of order 60, whose classes are too small to pay for
     columns.
     """
@@ -136,10 +136,9 @@ def test_join_with_an_atom_is_product(corpus, dense_corpus):
 def test_lattice_builds_each_column_once():
     """A class row reads its representative's column, built at most once.
 
-    A5xC2^4 (order 960) is untabled.  Its classes are computed first, so
-    every column counted here is built by ``normal_subgroups``: only for
-    class representatives, and at most once each, atoms and products
-    together.
+    A5xC2^4 has order 960.  Its classes are computed first, so every
+    column counted here is built by ``normal_subgroups``: only for class
+    representatives, and at most once each, atoms and products together.
     """
     c2 = named.cyclic(2)
     g = named.alternating(5)

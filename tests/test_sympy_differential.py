@@ -4,8 +4,7 @@ The same permutation generators build a group here and in sympy, and the
 two must agree on the group order, the number of conjugacy classes, the
 orders of the center and the derived subgroup, perfectness, and the order
 of the normal closure of one element of every class.  Degrees are at most
-6; S6, of order 720, is above the Cayley-table bound and runs the untabled
-path.
+6, so orders run up to 720 (S6).
 """
 
 import random
