@@ -1219,8 +1219,10 @@ def verify_group_axioms(g: FiniteGroup) -> None:
         else:
             raise InternalCheckError(
                 f"no exact group-law check for {kind.__name__} {g.name}")
-        inv, fresh = g.inverses(), g._inverses_impl()
-        if inv != fresh:
+        inv, fresh = g._inv, g._inverses_impl()
+        if inv is None:  # unfilled: the fresh list becomes the list
+            g._inv = fresh
+        elif inv != fresh:
             a = next(a for a, (x, y) in enumerate(zip(inv, fresh)) if x != y)
             raise InternalCheckError(f"inverse law fails at {a}")
 

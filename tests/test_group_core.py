@@ -823,9 +823,9 @@ def test_product_with_a_wrong_factor_fails_axioms(build):
 
 
 def test_untabled_factor_checks_its_inverse_law(monkeypatch):
-    """C1024 in C1024xC2 checks its inverse list against a fresh one, one
-    inverse per element found from the base, and makes no product; nor do
-    C2 and the product."""
+    """C1024 in C1024xC2 fills its inverse list once, one inverse per
+    element found from the base, and makes no product; nor do C2 and the
+    product.  A second check compares the list with a fresh one."""
     c1024 = named.cyclic(1024)
     g = direct_product(c1024, named.cyclic(2))
     assert len(c1024.generators) == 1
@@ -833,7 +833,7 @@ def test_untabled_factor_checks_its_inverse_law(monkeypatch):
                      (PermGroup, "_inv_impl"))
     verify_group_axioms(g)
     assert calls[PermGroup, "_mul_impl"] == 0
-    assert calls[PermGroup, "_inv_impl"] == 2 * (1024 + 2)
+    assert calls[PermGroup, "_inv_impl"] == 1024 + 2
     c1024.inverses()[5] = 6
     with pytest.raises(InternalCheckError, match="inverse law fails at 5"):
         verify_group_axioms(g)
