@@ -18,7 +18,9 @@ construction's product.  A permutation group looks each entry up by the
 images of its base, and a semidirect product asks its base for each slice
 already mapped to its own ids (``_rcol_affine``), which a direct product
 builds from its factors' columns in one assembly.  Breadth-first walks
-read each multiplier's column once.
+read each multiplier's column once.  A quotient K/L maps the parent's
+elements to cosets with one list over the parent, -1 outside K, each coset
+walked from its least member along the columns of L's generators.
 Conjugation reads one right column and the inverse list
 (``FiniteGroup.inverses``).  ``Homomorphism.validate`` checks a map on the
 columns of the source generators and of their images.
@@ -158,19 +160,22 @@ class FiniteGroup:
         """[a, b] = a b a^-1 b^-1."""
         return self.mul(self.mul(a, b), self.inv(self.mul(b, a)))
 
-    def element_order(self, a: int) -> int:
-        """The order o of a.  The walk a, a^2, ..., a^o = 1 records the
+    def powers(self, a: int) -> list[int]:
+        """a, a^2, ..., a^o = 1, o the order of a.  The walk records the
         order o/gcd(k, o) of every power a^k it passes, so one walk serves
-        the whole cyclic subgroup <a>."""
+        ``element_order`` on the whole cyclic subgroup <a>."""
+        powers = [a]
+        while powers[-1] != 0:
+            powers.append(self.mul(powers[-1], a))
+        r = len(powers)
+        for k, x in enumerate(powers, 1):
+            self._elt_order[x] = r // gcd(k, r)
+        return powers
+
+    def element_order(self, a: int) -> int:
+        """The order of a, recorded by the first ``powers`` walk past it."""
         r = self._elt_order[a]
-        if r is None:
-            powers = [a]
-            while powers[-1] != 0:
-                powers.append(self.mul(powers[-1], a))
-            r = len(powers)
-            for k, x in enumerate(powers, 1):
-                self._elt_order[x] = r // gcd(k, r)
-        return r
+        return len(self.powers(a)) if r is None else r
 
     def elements(self) -> range:
         return range(self.order)
@@ -661,33 +666,29 @@ class CosetGroup(FiniteGroup):
     """Quotient of a subgroup K of a parent group by a normal subgroup L <= K.
 
     Elements are cosets of L (``kernel``) with representatives ``reps`` in
-    K; coset 0 is L itself.  Multiplication lifts to representatives and
-    projects back.
+    K, each the least member of its coset; coset 0 is L itself.
+    ``coset_of`` is one list over the parent, -1 outside K.  A finite group
+    needs no inverses, so the coset m*L of each new representative m is
+    m*<gens of L>, walked from m along the parent's columns of L's
+    generators.  Multiplication lifts to representatives and projects back.
     """
 
     def __init__(self, parent: FiniteGroup, k_members: frozenset,
                  l_sub: Subgroup, k_gens: Sequence[int], name: str):
-        ordered = sorted(k_members)
-        self.parent_group = parent
+        cols = [parent.rcol(l) for l in l_sub.gens]
+        coset_of = [-1] * parent.order
         reps: list[int] = []
-        if len(k_members) == parent.order:
-            coset_of: list | dict = [-1] * parent.order
-
-            def assigned(x):
-                return coset_of[x] >= 0
-        else:
-            coset_of = {}
-
-            def assigned(x):
-                return x in coset_of
-        lmem = l_sub.members
-        for m in ordered:
-            if assigned(m):
-                continue
-            idx = len(reps)
-            reps.append(m)
-            for l in lmem:
-                coset_of[parent.mul(m, l)] = idx
+        for m in sorted(k_members):
+            if coset_of[m] < 0:
+                coset_of[m] = c = len(reps)
+                reps.append(m)
+                coset = [m]
+                for x in coset:  # the coset grows while it is walked
+                    for col in cols:
+                        if coset_of[y := col[x]] < 0:
+                            coset_of[y] = c
+                            coset.append(y)
+        self.parent_group = parent
         self.reps = reps
         self.coset_of = coset_of
         self.kernel = l_sub
@@ -885,8 +886,11 @@ def factor_centralizer_members(ambient, k_gens: Sequence[int],
 
 
 def conjugate_members(g: FiniteGroup, x: int, members: Iterable[int]) -> frozenset:
-    xi = g.inv(x)
-    return frozenset(g.mul(g.mul(x, m), xi) for m in members)
+    """x m x^-1 for each m: r[inv[r[inv[m]]]], r the column of x^-1
+    (``conjugacy_classes``)."""
+    inv = g.inverses()
+    r = g.rcol(inv[x])
+    return frozenset(r[inv[r[inv[m]]]] for m in members)
 
 
 def conjugacy_classes(ambient) -> list[list[int]]:
@@ -1163,10 +1167,12 @@ def verify_group_axioms(g: FiniteGroup) -> None:
       key: the product is composition, a group law with identity 0.
     - ``CosetGroup`` K/L, K the ids that ``coset_of`` maps and L its
       ``kernel``: the parent is checked first, recursively, so its product
-      is a group law.  Then ``reps[0]`` must be 0, ``coset_of[reps[i]]``
-      must be i for every i, K must have n*|L| elements, and the coset id,
-      -1 outside K, must be the same at x and x*l for every parent element x
-      and every generator l of L.  So each id holds whole cosets of L, and
+      is a group law.  ``coset_of`` is one list over the parent, -1
+      outside K, which construction swept along the columns of L's
+      generators.  Then ``reps[0]`` must be 0, ``coset_of[reps[i]]`` must
+      be i for every i, K must have n*|L| elements, and the coset id must
+      be the same at x and x*l for every parent element x and every
+      generator l of L.  So each id holds whole cosets of L, and
       id i holds exactly reps[i]*L.  Write R for the representatives of the
       generators of K/L.  Each r in R must conjugate each generator of L
       into L, so rL = Lr.  The parent's column of each r must send every
@@ -1258,10 +1264,7 @@ def _check_perm_index(g: PermGroup) -> None:
 
 def _check_cosets(q: CosetGroup) -> None:
     p, reps, kernel = q.parent_group, q.reps, q.kernel
-    # The coset id of every parent element, -1 outside K.
-    ids = q.coset_of
-    if isinstance(ids, dict):
-        ids = [ids.get(x, -1) for x in range(p.order)]
+    ids = q.coset_of  # the coset id of every parent element, -1 outside K
     if (reps[0] != 0 or [ids[r] for r in reps] != list(range(q.order))
             or p.order - ids.count(-1) != q.order * kernel.order
             or any([ids[y] for y in col] != ids

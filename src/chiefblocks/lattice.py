@@ -16,7 +16,7 @@ bitsets ``below`` its subnodes, and ``le``, ``join`` and ``meet`` the order.
 
 from __future__ import annotations
 
-from math import gcd, prod
+from math import prod
 from typing import Iterator
 
 from .errors import (
@@ -218,12 +218,9 @@ def _principal_subgroups(amb: Subgroup, rows: dict) -> dict[int, int]:
     for y in [cls[0] for cls in classes[1:]]:
         if index[y] in done:
             continue
-        powers = [y]  # up to y^o, the identity, whose id is 0
-        while powers[-1]:
-            powers.append(g.mul(powers[-1], y))
-        o = len(powers)
-        done.update(index[p] for k, p in enumerate(powers, 1)
-                    if gcd(k, o) == 1)
+        powers = g.powers(y)  # up to y^o, the identity, whose id is 0
+        o = len(powers)  # y^k generates <y> iff its order is o
+        done.update(index[p] for p in powers if g.element_order(p) == o)
         ps = {index[p] for p in powers}
         mask = sum(1 << p for p in ps)
         if any(a >> index[y] & 1

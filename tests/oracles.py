@@ -168,6 +168,27 @@ def closure_by_mul(g: FiniteGroup, seed: Sequence[int]) -> frozenset:
     return frozenset(members)
 
 
+def cosets_by_mul(q) -> tuple[list[int], list[int]]:
+    """The coset map and representatives of a ``CosetGroup`` K/L by the
+    definition: K is <R, L>, R the representatives of the generators of
+    K/L, and each element m of K, in rising order, that no coset holds yet
+    is the representative of the coset {m*l : l in L}, every product by
+    the parent's ``_mul_impl``.  The map is -1 outside K.  K is closed
+    from L's generators; were they to miss a member of L, these cosets,
+    taken over all of L, would not match the map's."""
+    p, lmem = q.parent_group, q.kernel.members
+    mul = p._mul_impl
+    k = closure_by_mul(p, [q.reps[c] for c in q.generators] + [
+        *q.kernel.gens])
+    coset_of, reps = [-1] * p.order, []
+    for m in sorted(k):
+        if coset_of[m] < 0:
+            for y in {mul(m, l) for l in lmem}:
+                coset_of[y] = len(reps)
+            reps.append(m)
+    return coset_of, reps
+
+
 def normal_closure_by_mul(ambient, seed: Sequence[int]) -> frozenset:
     """ncl(seed) in the ambient, through ``g.mul`` alone.
 

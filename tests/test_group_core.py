@@ -30,6 +30,7 @@ from chiefblocks.group import (
     close_under_mul,
     commutator_subgroup,
     conjugacy_classes,
+    conjugate_members,
     direct_product,
     group_from_permutations,
     normal_closure,
@@ -48,6 +49,7 @@ from oracles import (
     closure_by_mul,
     columns_match_mul,
     commutator_pairs,
+    cosets_by_mul,
     group_laws_by_elements,
     normal_closure_by_mul,
 )
@@ -251,6 +253,23 @@ def test_quotient_requires_normal_kernel():
         quotient(s4, sub)
 
 
+def test_powers_walk_records_the_order_of_every_power(corpus):
+    """``powers(y)`` is y, y^2, ..., 1 by ``_mul_impl``, and the walk
+    records for each y^k the order that its own walk to 1 finds."""
+    def walk(y):
+        out = [y]
+        while out[-1]:
+            out.append(g._mul_impl(out[-1], y))
+        return out
+
+    for g in corpus.values():
+        if g.order <= 120:
+            for y in g.elements():
+                assert g.powers(y) == walk(y), (g.name, y)
+                assert all(g._elt_order[x] == len(walk(x))
+                           for x in walk(y)), (g.name, y)
+
+
 def _normal_nodes(g):
     from chiefblocks.lattice import normal_subgroups
     return normal_subgroups(g).nodes
@@ -345,6 +364,24 @@ def test_centralizer_examples():
     prod = direct_product(a5, a5)
     c = centralizer_subgroup(prod, prod.left_factor.gens)
     assert c.members == prod.right_factor.members
+
+
+def test_conjugate_members_match_element_conjugation(corpus, monkeypatch):
+    """``conjugate_members`` equals ``conj`` element by element, and reads
+    one column and the inverse list: no ``mul`` and no ``_mul_impl``, but
+    on ES32, a quotient, whose columns are ``_mul_impl`` sweeps."""
+    rng = random.Random(7)
+    for g in corpus.values():
+        members = rng.sample(range(g.order), min(g.order, 200))
+        for x in {*g.generators, rng.randrange(g.order)}:
+            want = frozenset(g.conj(x, m) for m in members)
+            with monkeypatch.context() as mp:
+                calls = _counted(mp, (FiniteGroup, "mul"), *(
+                    (cls, "_mul_impl") for cls in (
+                        PermGroup, DirectProductGroup,
+                        SemidirectProductGroup)))
+                assert conjugate_members(g, x, members) == want, g.name
+            assert type(g) is CosetGroup or not any(calls.values()), g.name
 
 
 def test_conjugacy_class_sizes():
@@ -998,11 +1035,12 @@ def _s4_by_v4():
 
 
 def test_coset_groups_pass_axioms(corpus, dense_corpus):
-    """Quotients and a materialized subgroup, whose coset map is a dict,
-    pass the check and the element-wise oracle."""
+    """Quotients and a materialized subgroup pass the check and the
+    element-wise oracle; one of them is over a proper K, so its coset
+    map holds -1 outside K."""
     groups = [g for g in _built_groups(corpus, dense_corpus)
               if type(g) is CosetGroup]
-    assert any(isinstance(g.coset_of, dict) for g in groups)
+    assert any(-1 in g.coset_of for g in groups)
     for g in groups:
         verify_group_axioms(g)
         assert group_laws_by_elements(g), g.name
@@ -1016,6 +1054,50 @@ def _s4_a4_by_v4():
     return factor_group(make_factor(s4, a4, v4))[0]
 
 
+def _quotient_of_a_quotient():
+    """(D8xS4)/Z, of order 96, by a normal subgroup of order 4 of it."""
+    from chiefblocks.lattice import normal_subgroups
+    d8xs4 = direct_product(named.dihedral(8), named.symmetric(4))
+    q = quotient(d8xs4, center(d8xs4))[0]
+    return quotient(q, next(n for n in normal_subgroups(q).nodes
+                            if n.order == 4))[0]
+
+
+def _kernel_by_redundant_generators():
+    """S4 by V4, the kernel given by all of its members, the identity too."""
+    s4, v4 = _s4_by_v4()
+    kernel = Subgroup(s4, v4.members, sorted(v4.members), True)
+    return quotient(s4, kernel)[0]
+
+
+def test_coset_maps_match_products_by_definition(corpus, dense_corpus):
+    """Every coset map and its least representatives equal {m*l : l in L}
+    taken by the parent's ``_mul_impl`` (``cosets_by_mul``)."""
+    groups = [g for g in _built_groups(corpus, dense_corpus)
+              if type(g) is CosetGroup]
+    extra = [_s4_a4_by_v4(), _quotient_of_a_quotient(),
+             _kernel_by_redundant_generators()]
+    assert [g.order for g in extra] == [3, 24, 6]
+    assert type(extra[1].parent_group) is CosetGroup
+    assert -1 in extra[0].coset_of
+    for q in [*groups, *extra]:
+        assert (q.coset_of, q.reps) == cosets_by_mul(q), q.name
+        verify_group_axioms(q)
+
+
+def test_quotient_construction_makes_no_products(monkeypatch):
+    """S5xS5 by its left factor walks each coset along the columns of
+    the kernel's generators: building it calls no ``mul`` and no
+    ``_mul_impl`` of the parent or its factors."""
+    s5 = named.symmetric(5)
+    p = direct_product(s5, s5)
+    calls = _counted(monkeypatch, (FiniteGroup, "mul"), *(
+        (cls, "_mul_impl") for cls in (PermGroup, DirectProductGroup)))
+    q = quotient(p, p.left_factor)[0]
+    assert q.reps == list(range(120))  # (0, b) for each b
+    assert sum(calls.values()) == 0
+
+
 @pytest.mark.parametrize("build", [
     lambda: quotient(*_s4_by_v4())[0],
     lambda: subgroup_as_group(_s4_by_v4()[1])[0],
@@ -1026,7 +1108,7 @@ def test_coset_map_with_a_moved_element_fails_axioms(build):
     q = build()
     verify_group_axioms(q)
     coset_of = q.coset_of
-    x = max(coset_of) if isinstance(coset_of, dict) else len(coset_of) - 1
+    x = max(x for x, c in enumerate(coset_of) if c >= 0)  # the last of K
     coset_of[x] = (coset_of[x] + 1) % q.order
     with pytest.raises(InternalCheckError,
                        match="does not split K into cosets"):
