@@ -1056,11 +1056,9 @@ def _s4_a4_by_v4():
 
 def _quotient_of_a_quotient():
     """(D8xS4)/Z, of order 96, by a normal subgroup of order 4 of it."""
-    from chiefblocks.lattice import normal_subgroups
     d8xs4 = direct_product(named.dihedral(8), named.symmetric(4))
     q = quotient(d8xs4, center(d8xs4))[0]
-    return quotient(q, next(n for n in normal_subgroups(q).nodes
-                            if n.order == 4))[0]
+    return quotient(q, next(n for n in _normal_nodes(q) if n.order == 4))[0]
 
 
 def _kernel_by_redundant_generators():
