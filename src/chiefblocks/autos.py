@@ -52,7 +52,6 @@ def iter_isomorphisms(src: FiniteGroup, tgt: FiniteGroup,
     if any(not c for c in candidates):
         return
     budget = search_cap
-    cols = [src.rcol(g) for g in gens]
 
     def assign(k: int, partial: list[int]) -> Iterator[Homomorphism]:
         nonlocal budget
@@ -66,8 +65,7 @@ def iter_isomorphisms(src: FiniteGroup, tgt: FiniteGroup,
             budget -= 1
             # Partial-relation pruning: the assignment so far must already
             # extend consistently on the subgroup the chosen gens generate.
-            table = extend_by_images(src, gens[:k + 1], trial, tgt.mul, 0,
-                                     cols[:k + 1])
+            table = extend_by_images(src, gens[:k + 1], trial, tgt.mul, 0)
             if table is None:
                 continue
             if k + 1 == len(gens):

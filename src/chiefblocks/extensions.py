@@ -326,8 +326,8 @@ def antichain_orbit_analysis(ambient, h: Subgroup,
             ).members == a.centralizer.members
             for x in minimal)
         q, _ = factor_group(low)
-        images = [Subgroup(q, frozenset(q.coset_of[i] for i in x.members),
-                           None, None) for x in minimal]
+        images = [Subgroup(q, frozenset(q.coset_of[i] for i in x.members))
+                  for x in minimal]
         fact = classify_factorization(q, images)
         cond3 = reps_match and is_rep and fact.kind == "quasi-direct"
 

@@ -127,8 +127,7 @@ def factor_centralizer(f: NormalFactor) -> Subgroup:
                                                lat.index_of(f.l))]
         else:
             cached = Subgroup(g, factor_centralizer_members(
-                f.ambient, f.k.gens, f.l.members), None,
-                True if f.ambient.order == g.order else None)
+                f.ambient, f.k.gens, f.l.members))
         g._cache[key] = cached
     return cached
 

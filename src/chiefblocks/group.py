@@ -39,10 +39,11 @@ from the column of x on first use.  The center is the union of the
 one-element classes, and ``factor_centralizer_members`` tests one element
 per class.
 
-Groups and subgroups are not immutable.  ``is_normal_in`` records a verified
-normality verdict in ``Subgroup.is_normal``, a subgroup's generators are
-computed on first use, and every analysis memoizes its results (lattices,
-classes, factor groups, blocks, components) in the unbounded
+Normality is never stored: ``is_normal_in`` decides it on each call, by
+generators when the subgroup carries them, else as a union of the ambient's
+classes.  Groups and subgroups are not immutable: a subgroup's generators
+are computed on first use, and every analysis memoizes its results
+(lattices, classes, factor groups, blocks, components) in the unbounded
 ``FiniteGroup._cache`` dict.  Share a group between threads only with outside
 locking.
 """
@@ -198,14 +199,14 @@ class FiniteGroup:
         s = self._cache.get("whole")
         if s is None:
             s = Subgroup(self, frozenset(range(self.order)),
-                         self.generators or [0], True)
+                         self.generators or [0])
             self._cache["whole"] = s
         return s
 
     def trivial_subgroup(self) -> "Subgroup":
         s = self._cache.get("trivial")
         if s is None:
-            s = Subgroup(self, frozenset((0,)), [], True)
+            s = Subgroup(self, frozenset((0,)), [])
             self._cache["trivial"] = s
         return s
 
@@ -223,21 +224,20 @@ def ambient_subgroup(g) -> "Subgroup":
 class Subgroup:
     """A membership-queryable subset of a FiniteGroup closed under products.
 
-    ``is_normal`` records verified normality in the *parent group* (None when
-    unknown).  Closure under multiplication and inverses is the caller's
-    responsibility; constructors in this module only hand out genuine
-    subgroups.
+    A subgroup is its parent, its members and, when given or first asked
+    for, its generators; it records nothing else, normality included
+    (``is_normal_in`` decides it each time).  Closure under multiplication
+    and inverses is the caller's responsibility; constructors in this
+    module only hand out genuine subgroups.
     """
 
-    __slots__ = ("parent", "members", "_gens", "is_normal", "_hash")
+    __slots__ = ("parent", "members", "_gens", "_hash")
 
     def __init__(self, parent: FiniteGroup, members: frozenset,
-                 gens: Sequence[int] | None = None,
-                 is_normal: Optional[bool] = None):
+                 gens: Sequence[int] | None = None):
         self.parent = parent
         self.members = members
         self._gens = tuple(gens) if gens is not None else None
-        self.is_normal = is_normal
         self._hash = None
 
     @property
@@ -276,8 +276,7 @@ class Subgroup:
 
 
 def extend_by_images(src: FiniteGroup, gens: Sequence[int],
-                     images: Sequence, compose, identity,
-                     columns: Sequence | None = None) -> Optional[list]:
+                     images: Sequence, compose, identity) -> Optional[list]:
     """Extend gens -> images to a multiplicative table on <gens>, or None.
 
     Walks the Cayley graph of ``src`` breadth-first from the identity, which
@@ -287,14 +286,12 @@ def extend_by_images(src: FiniteGroup, gens: Sequence[int],
     table therefore satisfies f(x*g) = f(x)*f(g) on all of <gens>; entries
     outside <gens> are None.  The target is anything ``compose`` combines:
     element ids under ``tgt.mul`` or automorphism tables under composition.
-
-    The edges x -> x*g are read from ``columns`` (the right column of each
-    generator) when given, else from ``src.rcol``.
+    The edges x -> x*g are read from ``src.rcol``.
     """
     mapping: list = [None] * src.order
     mapping[0] = identity
     frontier = [0]
-    pairs = list(zip(columns or [src.rcol(g) for g in gens], images))
+    pairs = list(zip(map(src.rcol, gens), images))
     while frontier:
         nxt = []
         for x in frontier:
@@ -364,7 +361,7 @@ class Homomorphism:
 
     def kernel(self) -> Subgroup:
         members = frozenset(a for a, fa in enumerate(self.mapping) if fa == 0)
-        return Subgroup(self.source, members, None, True)
+        return Subgroup(self.source, members)
 
     def preimage(self, members: frozenset) -> frozenset:
         return frozenset(a for a, fa in enumerate(self.mapping)
@@ -519,7 +516,6 @@ class DirectProductGroup(FiniteGroup):
             right, self, list(right.elements()), "embed_right")
         self.left_factor = self.embed_left.image()
         self.right_factor = self.embed_right.image()
-        self.left_factor.is_normal = self.right_factor.is_normal = True
 
     def split(self, a: int) -> tuple:
         return divmod(a, self._r)
@@ -617,7 +613,6 @@ class SemidirectProductGroup(FiniteGroup):
         self.embed_top = Homomorphism(
             top, self, list(top.elements()), "embed_top")
         self.base_part = self.embed_base.image()
-        self.base_part.is_normal = True
         self.top_part = self.embed_top.image()
 
     def split(self, a: int) -> tuple:
@@ -812,25 +807,32 @@ def normal_closure(ambient, seed: Iterable[int]) -> Subgroup:
     for x in seed:
         if not s >> index[x] & 1:
             s = class_closure(amb, s, x, rows)
-    return Subgroup(g, frozenset(y for i in _bits(s) for y in classes[i]),
-                    None, True if len(amb.members) == g.order else None)
+    return Subgroup(g, frozenset(y for i in _bits(s) for y in classes[i]))
 
 
 def is_normal_in(s: Subgroup, ambient) -> bool:
+    """Whether s is normal in the ambient, decided exactly on each call.
+
+    A subgroup that carries generators is tested by conjugating each of
+    them by each ambient generator: s is normal iff every conjugate lies
+    in s.  A subgroup given by its members only, as lattice nodes and
+    kernels are, is normal iff it is a union of the ambient's conjugacy
+    classes: the classes whose least member lies in s must have |s|
+    members in all and each lie in s.  That reads the ambient's cached
+    classes and asks for no generating set.  Neither argument is written.
+    """
     amb = ambient_subgroup(ambient)
     g = s.parent
     if amb.parent is not g:
         raise DifferentParents("subgroup and ambient have different parents")
-    whole = len(amb.members) == g.order
-    if whole and s.is_normal is not None:
-        return s.is_normal
-    if not s.members <= amb.members:
+    members = s.members
+    if not members <= amb.members:
         return False
-    ok = all(g.conj(h, x) in s.members
-             for h in amb.gens for x in s.gens)
-    if whole and ok:
-        s.is_normal = True
-    return ok
+    if s._gens is not None:
+        return all(g.conj(h, x) in members for h in amb.gens for x in s._gens)
+    inside = [c for c in conjugacy_classes(amb) if c[0] in members]
+    return (sum(map(len, inside)) == len(members)
+            and all(map(members.issuperset, inside)))
 
 
 def centralizer_subgroup(g_or_ambient, s: Iterable[int]) -> Subgroup:
@@ -857,8 +859,7 @@ def center(ambient) -> Subgroup:
     amb = ambient_subgroup(ambient)
     g = amb.parent
     return Subgroup(g, frozenset(c[0] for c in conjugacy_classes(amb)
-                                 if len(c) == 1),
-                    None, True if len(amb.members) == g.order else None)
+                                 if len(c) == 1))
 
 
 def _iter_ambient(amb: Subgroup):
@@ -1178,10 +1179,9 @@ def verify_group_axioms(g: FiniteGroup) -> None:
       into L, so rL = Lr.  The parent's column of each r must send every
       representative into K, so K*r lies in K; and a walk from id 0 over
       these columns must reach every id, so each reps[i] lies in <R>L.
-      So K = <R>L is a subgroup with L normal in it; the ``is_normal``
-      flag of L is not read.  The product of cosets (xL)(yL) = xyL is then
-      the group K/L with identity L, and ``_mul_impl(a, b)``, the coset of
-      reps[a]*reps[b], computes it.
+      So K = <R>L is a subgroup with L normal in it.  The product of
+      cosets (xL)(yL) = xyL is then the group K/L with identity L, and
+      ``_mul_impl(a, b)``, the coset of reps[a]*reps[b], computes it.
     - An exact ``DirectProductGroup`` or ``SemidirectProductGroup``: each
       distinct factor is checked first, recursively.  Write (n, h) for the
       element n*|top| + h of base x| top; a direct product is the case of

@@ -193,9 +193,8 @@ def normal_subgroups(ambient) -> NormalLattice:
                 seen.add(m)
                 queue.append(m)
 
-    normal = True if amb.order == g.order else None
-    nodes = {n: Subgroup(g, frozenset(x for i in _bits(n) for x in classes[i]),
-                         None, normal) for n in queue}
+    nodes = {n: Subgroup(g, frozenset(x for i in _bits(n) for x in classes[i]))
+             for n in queue}
     queue.sort(key=lambda n: (nodes[n].order, nodes[n].sorted_members()))
     at = {n: i for i, n in enumerate(queue)}  # bitset -> node index
     return cached_lattice(amb, NormalLattice(amb, [nodes[n] for n in queue], [

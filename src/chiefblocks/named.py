@@ -147,11 +147,10 @@ def central_product(left: FiniteGroup, right: FiniteGroup,
     kernel = subgroup_generated(prod, seeds)
     if not kernel.members <= center(prod).members:
         raise SpecError("identified elements are not central")
-    kernel.is_normal = True
     q, proj = quotient(prod, kernel)
     q.name = name or f"{left.name}o{right.name}"
     images = [Subgroup(q, frozenset(proj(x) for x in f.members),
-                       [proj(x) for x in f.gens if proj(x) != 0], True)
+                       [proj(x) for x in f.gens if proj(x) != 0])
               for f in (prod.left_factor, prod.right_factor)]
     return CentralProductResult(q, proj, *images)
 

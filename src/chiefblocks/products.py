@@ -281,7 +281,7 @@ def central_quotient_factorization(ambient, parts: Sequence[Subgroup],
         if img in seen:
             continue
         seen.add(img)
-        images.append(Subgroup(q, img, None, True))
+        images.append(Subgroup(q, img))
     fact = classify_factorization(q, images)
     if fact.kind != "quasi-direct":
         raise InternalCheckError(

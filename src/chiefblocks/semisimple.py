@@ -62,7 +62,8 @@ def components(ambient) -> list[Subgroup]:
     The image of ncl(M_i) in N/L is normal and non-trivial, so
     N = ncl(M_i)*L, and N perfect gives ncl(M_i) = N.
 
-    Components of a whole group record ``is_normal``: True iff the closure.
+    A component is normal iff it is its own closure; ``is_normal_in``
+    decides that from its members, as a union of the ambient's classes.
     """
     amb = ambient_subgroup(ambient)
     g = amb.parent
@@ -76,8 +77,6 @@ def components(ambient) -> list[Subgroup]:
         z = sub.index_of(lat.nodes[lat.down[i][0]])  # L = Z(N)
         for j, m in enumerate(sub.nodes):  # the minimal nodes outside L
             if not sub.le(j, z) and all(sub.le(k, z) for k in sub.down[j]):
-                if amb.order == g.order:
-                    m.is_normal = j == len(sub) - 1
                 result.append(m)
     result.sort(key=lambda s: (s.order, s.sorted_members()))
     g._cache[key] = result

@@ -35,7 +35,6 @@ from chiefblocks.group import (
     close_under_mul,
     commutator_subgroup,
     conjugacy_classes,
-    is_normal_in,
     subgroup_as_group,
 )
 from chiefblocks.lattice import (
@@ -80,9 +79,20 @@ def oracle_all_subgroups(g: FiniteGroup) -> list[Subgroup]:
 
 
 def oracle_normal_subgroups(g: FiniteGroup) -> list[Subgroup]:
-    """Brute-force normal subgroups: the oracle list filtered by normality."""
-    whole = g.whole()
-    return [s for s in oracle_all_subgroups(g) if is_normal_in(s, whole)]
+    """Brute-force normal subgroups: the oracle list filtered by
+    ``normal_by_conjugation``."""
+    return [s for s in oracle_all_subgroups(g)
+            if normal_by_conjugation(g, s.members)]
+
+
+def normal_by_conjugation(ambient, members: frozenset) -> bool:
+    """Whether the subgroup ``members`` is normal in the ambient, by
+    conjugating every member by every ambient element through ``g.mul``."""
+    amb = ambient_subgroup(ambient)
+    g = amb.parent
+    return members <= amb.members and all(
+        g.mul(g.mul(h, x), g.inv(h)) in members
+        for h in amb.members for x in members)
 
 
 def product_of_subgroups(a: Subgroup, b: Subgroup) -> frozenset:

@@ -33,6 +33,7 @@ from chiefblocks.group import (
     conjugate_members,
     direct_product,
     group_from_permutations,
+    is_normal_in,
     normal_closure,
     quotient,
     semidirect_product,
@@ -51,7 +52,9 @@ from oracles import (
     commutator_pairs,
     cosets_by_mul,
     group_laws_by_elements,
+    normal_by_conjugation,
     normal_closure_by_mul,
+    oracle_all_subgroups,
 )
 
 
@@ -158,7 +161,6 @@ def test_product_with_trivial_keeps_order():
 
 
 def test_a5_squared_embeddings_are_normal():
-    from chiefblocks.group import is_normal_in
     a5 = named.alternating(5)
     prod = direct_product(a5, a5)
     assert prod.order == 3600
@@ -191,7 +193,6 @@ def test_inversion_action_gives_s3():
 def test_wreath_swap_conjugation():
     wr = named.a5_wr_c2()
     assert wr.order == 7200
-    from chiefblocks.group import is_normal_in
     assert is_normal_in(wr.base_part, wr.whole())
     base = wr.base
     swap = wr.embed_top(1)
@@ -251,6 +252,56 @@ def test_quotient_requires_normal_kernel():
         and normal_closure(s4, [x]).order > 4)])
     with pytest.raises(NotNormal):
         quotient(s4, sub)
+
+
+@pytest.mark.parametrize("build", [
+    lambda s3, t: Homomorphism(s3, named.cyclic(2), [
+        0 if x in (0, t) else 1 for x in s3.elements()]).kernel(),
+    lambda s3, t: Subgroup(s3, frozenset((0, t))),
+], ids=["kernel-of-unvalidated-map", "members-only"])
+def test_non_normal_c2_of_s3_is_refused(build, monkeypatch):
+    """{1, t}, t a transposition of S3, as the kernel of a map S3 -> C2
+    that is no homomorphism, and as a subgroup given by its members: it is
+    no union of S3's classes, so ``quotient`` refuses it; the verdict asks
+    for no generating set."""
+    s3 = named.symmetric(3)
+    t = next(x for x in s3.generators if s3.element_order(x) == 2)
+    c2 = build(s3, t)
+    assert c2.members == {0, t}
+    monkeypatch.setattr(group_module, "generating_ids", None)
+    assert not is_normal_in(c2, s3.whole())
+    with pytest.raises(NotNormal):
+        quotient(s3, c2)
+
+
+def _normality_cases(small_corpus):
+    """(subgroup, ambient) pairs: every subgroup of each small corpus group
+    in the whole group, and each node of the base's lattice in S3 wr C2 in
+    the base and in the whole group."""
+    for g in small_corpus.values():
+        for s in oracle_all_subgroups(g):
+            yield s, g.whole()
+    wr = named.wreath_c2(named.symmetric(3))
+    for node in _normal_nodes(wr.base_part):
+        yield node, wr.base_part
+        yield node, wr.whole()
+
+
+def test_normality_tests_match_conjugation_by_every_element(small_corpus):
+    """The generator test and the class test each agree with conjugation
+    by every element of the ambient."""
+    verdicts = []
+    for s, amb in _normality_cases(small_corpus):
+        g = s.parent
+        want = normal_by_conjugation(amb, s.members)
+        by_gens = subgroup_generated(g, s.gens)
+        by_members = Subgroup(g, s.members)
+        assert by_gens.members == s.members
+        assert is_normal_in(by_gens, amb) == want, (g.name, s.order)
+        assert is_normal_in(by_members, amb) == want, (g.name, s.order)
+        assert by_members._gens is None  # the class test made none
+        verdicts.append(want)
+    assert True in verdicts and False in verdicts
 
 
 def test_powers_walk_records_the_order_of_every_power(corpus):
@@ -1064,7 +1115,7 @@ def _quotient_of_a_quotient():
 def _kernel_by_redundant_generators():
     """S4 by V4, the kernel given by all of its members, the identity too."""
     s4, v4 = _s4_by_v4()
-    kernel = Subgroup(s4, v4.members, sorted(v4.members), True)
+    kernel = Subgroup(s4, v4.members, sorted(v4.members))
     return quotient(s4, kernel)[0]
 
 
@@ -1085,15 +1136,24 @@ def test_coset_maps_match_products_by_definition(corpus, dense_corpus):
 
 def test_quotient_construction_makes_no_products(monkeypatch):
     """S5xS5 by its left factor walks each coset along the columns of
-    the kernel's generators: building it calls no ``mul`` and no
-    ``_mul_impl`` of the parent or its factors."""
+    the kernel's generators: building the cosets calls no ``mul`` and no
+    ``_mul_impl`` of the parent or its factors.  ``quotient`` tests the
+    kernel's normality first, by ``conj``, outside ``CosetGroup``."""
     s5 = named.symmetric(5)
     p = direct_product(s5, s5)
     calls = _counted(monkeypatch, (FiniteGroup, "mul"), *(
         (cls, "_mul_impl") for cls in (PermGroup, DirectProductGroup)))
+    made, init = [], CosetGroup.__init__
+
+    def counted_init(self, *args):
+        before = sum(calls.values())
+        init(self, *args)
+        made.append(sum(calls.values()) - before)
+
+    monkeypatch.setattr(CosetGroup, "__init__", counted_init)
     q = quotient(p, p.left_factor)[0]
     assert q.reps == list(range(120))  # (0, b) for each b
-    assert sum(calls.values()) == 0
+    assert made == [0]
 
 
 @pytest.mark.parametrize("build", [
@@ -1127,11 +1187,12 @@ def test_coset_map_with_an_element_outside_k_fails_axioms():
 
 
 def test_coset_group_over_a_non_normal_kernel_fails_axioms():
-    """A C2 of S3 flagged normal: its three left cosets split S3, and
-    the generators reach all three."""
+    """A C2 of S3 handed to ``CosetGroup`` past ``quotient``'s normality
+    test: its three left cosets split S3, and the generators reach all
+    three."""
     s3 = named.symmetric(3)
     t = next(x for x in s3.generators if s3.mul(x, x) == 0)
-    c2 = Subgroup(s3, frozenset((0, t)), [t], True)
+    c2 = Subgroup(s3, frozenset((0, t)), [t])
     assert any(s3.conj(y, t) != t for y in s3.generators)
     q = CosetGroup(s3, frozenset(s3.elements()), c2, s3.generators, "s3/c2")
     assert q.order == 3
