@@ -6,7 +6,9 @@ covering filter of a block is always principal, so every block is minimally
 covered and carries both canonical representatives; ``minimal_cover``
 verifies that its intersection covers the block each time it is asked.
 Chief-factor tests, covering filters and the block order read the normal
-lattice's covers and order by node index.
+lattice's covers and order by node index.  Every K and L here is a node of
+that lattice, so each factor is built as a ``NormalFactor`` directly and no
+normality is tested again.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from .errors import (
     InternalCheckError,
     NotAChain,
     NotChief,
+    NotNormal,
 )
 from .factors import (
     NormalFactor,
@@ -27,9 +30,8 @@ from .factors import (
     factor_centralizer,
     is_abelian_factor,
     is_internal_compression,
-    make_factor,
 )
-from .group import Subgroup, ambient_subgroup, is_normal_in
+from .group import Subgroup, ambient_subgroup
 from .lattice import chief_factors, normal_subgroups
 
 
@@ -168,8 +170,9 @@ def minimal_cover(ambient, a: ChiefBlock) -> Subgroup:
     intersection itself covers the block and the filter is principal.
     """
     lat = normal_subgroups(ambient)
-    m = lat.meet(*[lat.index_of(n) for n in covering_filter(ambient, a)])
-    if lat.le(m, lat.index_of(a.centralizer)):
+    c = lat.index_of(a.centralizer)
+    m = lat.meet(*[i for i in range(len(lat)) if not lat.le(i, c)])
+    if lat.le(m, c):
         raise InternalCheckError("filter intersection fails to cover")
     return lat.nodes[m]
 
@@ -187,7 +190,7 @@ def uppermost_representative(ambient, a: ChiefBlock) -> NormalFactor:
     if len(lat.up[c]) != 1:
         raise InternalCheckError(
             "quotient by a block centralizer must be monolithic")
-    rep = make_factor(amb, lat.nodes[lat.up[c][0]], lat.nodes[c])
+    rep = NormalFactor(amb, lat.nodes[lat.up[c][0]], lat.nodes[c])
     cf = factor_centralizer(rep)
     if cf.members != a.centralizer.members or is_abelian_factor(rep):
         raise InternalCheckError("uppermost representative not in the block")
@@ -202,9 +205,9 @@ def lowermost_representative(ambient, a: ChiefBlock) -> NormalFactor:
     """G_a / C_{G_a}(a) for the minimal cover G_a of the block."""
     amb = ambient_subgroup(ambient)
     lat = normal_subgroups(amb)
-    g_a = minimal_cover(amb, a)
-    bottom = lat.meet(lat.index_of(g_a), lat.index_of(a.centralizer))
-    rep = make_factor(amb, g_a, lat.nodes[bottom])
+    g_a = lat.index_of(minimal_cover(amb, a))
+    bottom = lat.meet(g_a, lat.index_of(a.centralizer))
+    rep = NormalFactor(amb, lat.nodes[g_a], lat.nodes[bottom])
     cf = factor_centralizer(rep)
     if cf.members != a.centralizer.members or is_abelian_factor(rep):
         raise InternalCheckError("lowermost representative not in the block")
@@ -230,8 +233,8 @@ def block_le(a: ChiefBlock, b: ChiefBlock) -> bool:
     lat = normal_subgroups(amb)
     ca, cb = lat.index_of(a.centralizer), lat.index_of(b.centralizer)
     verdict = lat.le(ca, cb)
-    by_covering = not any(lat.le(lat.index_of(n), ca)
-                          for n in covering_filter(amb, b))
+    by_covering = not any(lat.le(i, ca) for i in range(len(lat))
+                          if not lat.le(i, cb))
     if by_covering != verdict:
         raise InternalCheckError("covering characterization disagrees")
     # Stated for the reversed pair: x <= y iff the minimal cover of x is
@@ -266,61 +269,52 @@ def refine_series(ambient, series: Sequence[Subgroup], f: NormalFactor
     i is the least index with series[i+1] not inside C(K/L) and D/B is a
     chief factor associated to K/L with series[i] <= B < D <= series[i+1].
 
-    With C = C(K/L) and S = series[i+1], B = C meet S and D = KC meet S,
-    the node ``inner_action_members`` returns.  G/C is monolithic with
-    socle KC/C (``uppermost_representative`` checks it): K meet C = L, as
-    K/L has trivial center, so a normal N > C meeting KC in C would have
-    [N, K] <= K meet C = L and N <= C.  So SC > C holds KC, and by
-    Dedekind's law, as C <= KC, DC = KC meet SC = KC and D meet C =
-    S meet C = B: D/B is G-isomorphic to the chief factor KC/C, and
-    series[i] <= C gives series[i] <= B.
+    With C = C(K/L) and S = series[i+1], B = C meet S and D = KC meet S.
+    G/C is monolithic with socle KC/C (``uppermost_representative`` checks
+    it): K meet C = L, as K/L has trivial center, so a normal N > C meeting
+    KC in C would have [N, K] <= K meet C = L and N <= C.  So SC > C holds
+    KC, and by Dedekind's law, as C <= KC, DC = KC meet SC = KC and
+    D meet C = S meet C = B: D/B is G-isomorphic to the chief factor KC/C,
+    and series[i] <= C gives series[i] <= B.  The series is resolved to
+    node indices once; a member that is no node is not normal.
     """
     amb = ambient_subgroup(ambient)
-    g = amb.parent
     lat = normal_subgroups(amb)
-    if f.ambient.parent is not g or f.ambient.members != amb.members:
+    if f.ambient.parent is not amb.parent or f.ambient.members != amb.members:
         raise DifferentParents("factor belongs to a different ambient")
-    if not series or series[0].order != 1 or series[-1].members != amb.members:
+    try:
+        s = [lat.index_of(x) for x in series]
+    except NotNormal:
+        raise NotAChain(
+            "series members must be normal in the ambient") from None
+    if not s or s[0] != 0 or s[-1] != len(lat) - 1:
         raise NotAChain("series must run from the trivial subgroup to the ambient")
-    for lo, hi in zip(series, series[1:]):
-        if not lo.members <= hi.members:
-            raise NotAChain("series is not ascending")
-    for s in series:
-        if not is_normal_in(s, amb):
-            raise NotAChain("series members must be normal in the ambient")
+    if not all(lat.le(lo, hi) for lo, hi in zip(s, s[1:])):
+        raise NotAChain("series is not ascending")
     if not lat.is_cover(f.l.members, f.k.members):
         raise NotChief("input factor is not a chief factor")
     if is_abelian_factor(f):
         raise AbelianFactor("refinement needs a non-abelian chief factor")
 
-    c = factor_centralizer(f)
-    idx = None
-    for i in range(len(series) - 1):
-        if not series[i + 1].members <= c.members:
-            idx = i
-            break
+    c = lat.index_of(factor_centralizer(f))
+    idx = next((i for i in range(len(s) - 1) if not lat.le(s[i + 1], c)),
+               None)
     if idx is None:
         raise InternalCheckError("no series member escapes the centralizer")
 
-    upper = lat.index_of(series[idx + 1])
-    b = lat.meet(lat.index_of(c), upper)
-    d_node = lat.node_with_members(
-        inner_action_members(amb, series[idx + 1], f.k, c))
-    b_node, d = lat.nodes[b], lat.index_of(d_node)
-
-    if not (lat.le(lat.index_of(series[idx]), b) and b != d
-            and lat.le(d, upper)):
+    upper = s[idx + 1]
+    b = lat.meet(c, upper)
+    d = lat.meet(lat.join(c, lat.index_of(f.k)), upper)
+    if not (lat.le(s[idx], b) and b != d and lat.le(d, upper)):
         raise InternalCheckError("refinement landed outside its interval")
-    out = make_factor(amb, d_node, b_node)
-    if not lat.is_cover(b_node.members, d_node.members):
+    if b not in lat.down[d]:
         raise InternalCheckError("refined factor is not chief")
-    if not are_associated(out, f):
+    if not are_associated(NormalFactor(amb, lat.nodes[d], lat.nodes[b]), f):
         raise InternalCheckError("refined factor is not associated")
     # Uniqueness: intervals before idx sit below the centralizer and later
     # ones start above it, so exactly one interval covers the block of f.
-    for j in range(len(series) - 1):
-        lower, hi = series[j].members, series[j + 1].members
-        interval_covers = lower <= c.members and not hi <= c.members
+    for j in range(len(s) - 1):
+        interval_covers = lat.le(s[j], c) and not lat.le(s[j + 1], c)
         if (j == idx) != interval_covers:
             raise InternalCheckError("cover-uniqueness scan failed")
-    return idx, b_node, d_node
+    return idx, lat.nodes[b], lat.nodes[d]

@@ -32,7 +32,6 @@ from .factors import (
     factor_centralizer,
     factor_group,
     is_abelian_factor,
-    make_factor,
 )
 from .group import (
     Homomorphism,
@@ -92,23 +91,22 @@ def extend_block(ambient, h: Subgroup, a: ChiefBlock) -> ChiefBlock:
     the ambient; InternalCheckError is raised if it does not hold.
     """
     amb = ambient_subgroup(ambient)
-    _require_normal_sub(amb, h)
+    lat = normal_subgroups(amb)
+    lat.index_of(h)  # raises unless H is a node
     if a.ambient.members != h.members:
         raise DifferentParents("block does not belong to the given subgroup")
     h_a, c = minimal_cover(h, a).members, a.centralizer.members
-    lat = normal_subgroups(amb)
     m = lat.meet(*(i for i, k in enumerate(lat.nodes) if h_a <= k.members))
     core = lat.join(*(i for i, k in enumerate(lat.nodes) if k.members <= c))
-    m_node, n_node = lat.nodes[m], lat.nodes[lat.meet(m, core)]
-    factor = make_factor(amb, m_node, n_node)
-    if not lat.is_cover(n_node.members, m_node.members):
+    n = lat.meet(m, core)
+    if n not in lat.down[m]:
         raise InternalCheckError("extension factor is not chief")
+    factor = NormalFactor(amb, lat.nodes[m], lat.nodes[n])
     if is_abelian_factor(factor):
         raise InternalCheckError("extension factor came out abelian")
     out = chief_blocks(amb).by_centralizer(
         factor_centralizer(factor).members)
-    low = lowermost_representative(amb, out)
-    if low.k != m_node or low.l != n_node:
+    if lowermost_representative(amb, out) != factor:
         raise InternalCheckError(
             "extension factor is not the lowermost representative")
     if not _is_extension_checked(amb, h, a, out):
@@ -322,7 +320,7 @@ def antichain_orbit_analysis(ambient, h: Subgroup,
         # One minimal invariant over N must be a representative of a.
         is_rep = any(
             factor_centralizer(
-                make_factor(h, x, lat.nodes[bottom])
+                NormalFactor(h, x, lat.nodes[bottom])
             ).members == a.centralizer.members
             for x in minimal)
         q, _ = factor_group(low)
@@ -355,11 +353,10 @@ def quotient_block_pullback(phi: Homomorphism) -> dict:
         for f in b.representatives:
             pk = phi.preimage(f.k.members)
             pl = phi.preimage(f.l.members)
-            pk_node = lat.node_with_members(pk)
-            pl_node = lat.node_with_members(pl)
             if not lat.is_cover(pl, pk):
                 raise InternalCheckError("pullback factor is not chief")
-            pulled = make_factor(g, pk_node, pl_node)
+            pulled = NormalFactor(g.whole(), lat.node_with_members(pk),
+                                  lat.node_with_members(pl))
             _check_factor_isomorphic(phi, pulled, f)
             mapping[f] = pulled
             cents[f] = factor_centralizer(pulled).members

@@ -42,7 +42,8 @@ class NormalFactor:
     K and L are normal in the ambient (``make_factor`` does), but callers
     must guarantee it: ``factor_centralizer`` relies on it to test one
     element per conjugacy class, which is only sound for a centralizer that
-    is normal in the ambient.
+    is normal in the ambient.  Nodes of the ambient's lattice meet it by
+    construction, so factors of nodes are built directly.
     """
 
     __slots__ = ("ambient", "k", "l", "_hash")
@@ -76,7 +77,8 @@ class NormalFactor:
 
 
 def make_factor(ambient, k: Subgroup, l: Subgroup) -> NormalFactor:
-    """Validated factor handle; requires L < K with both normal."""
+    """Validated factor handle for subgroups from outside: requires L < K,
+    both normal by ``is_normal_in``, and builds no lattice."""
     amb = ambient_subgroup(ambient)
     if k.parent is not amb.parent or l.parent is not amb.parent:
         raise DifferentParents("factor pieces in a different group")

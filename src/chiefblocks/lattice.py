@@ -12,6 +12,9 @@ Every layer reads the lattice from the cache and asks ``NormalLattice``
 by node index: its public lists ``up`` and ``down`` give each node's upper
 and lower covers (L < K with no normal subgroup strictly between), the
 bitsets ``below`` its subnodes, and ``le``, ``join`` and ``meet`` the order.
+A subgroup of the same parent is normal in the ambient iff it is a node:
+``index_of`` resolves it once, and no layer holding the lattice tests
+normality again.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from math import prod
 from typing import Iterator
 
 from .errors import (
+    DifferentParents,
     InternalCheckError,
     NodeCapExceeded,
     NotNested,
@@ -33,7 +37,6 @@ from .group import (
     class_index,
     class_row,
     conjugacy_classes,
-    is_normal_in,
 )
 
 
@@ -72,10 +75,17 @@ class NormalLattice:
         return len(self.nodes)
 
     def index_of(self, s: Subgroup) -> int:
-        try:
-            return self._index[s.members]
-        except KeyError:
-            raise KeyError("subgroup is not a lattice node") from None
+        """The node index of s, which is normal in the ambient iff a node.
+
+        Raises DifferentParents for a subgroup of another group and
+        NotNormal for one that is not a node.
+        """
+        if s.parent is not self.ambient.parent:
+            raise DifferentParents("subgroup belongs to a different group")
+        i = self._index.get(s.members)
+        if i is None:
+            raise NotNormal("subgroup is not normal in the ambient")
+        return i
 
     def node_with_members(self, members: frozenset) -> Subgroup:
         return self.nodes[self._index[members]]
@@ -282,12 +292,11 @@ def is_perfect(lat: NormalLattice, i: int) -> bool:
 
 def is_chief_factor(ambient, k: Subgroup, l: Subgroup) -> bool:
     """True iff no normal subgroup of the ambient sits strictly between."""
-    amb = ambient_subgroup(ambient)
-    if not is_normal_in(k, amb) or not is_normal_in(l, amb):
-        raise NotNormal("chief-factor test needs normal subgroups")
-    if not l.members < k.members:
+    lat = normal_subgroups(ambient)
+    ki, li = lat.index_of(k), lat.index_of(l)
+    if li == ki or not lat.le(li, ki):
         raise NotNested("need L < K")
-    return normal_subgroups(amb).is_cover(l.members, k.members)
+    return li in lat.down[ki]
 
 
 def chief_factors(ambient) -> list:

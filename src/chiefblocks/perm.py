@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from operator import itemgetter
+
 from .errors import InvalidPermutation
 
 Perm = tuple
@@ -26,7 +28,9 @@ def check_perm(p, n: int | None = None) -> Perm:
 
 def compose(p: Perm, q: Perm) -> Perm:
     """(p*q)(i) = p(q(i)): apply q first."""
-    return tuple([p[i] for i in q])
+    if len(q) < 2:  # itemgetter of one index returns no tuple
+        return tuple([p[i] for i in q])
+    return itemgetter(*q)(p)
 
 
 def perm_from_cycles(cycles, n: int) -> Perm:

@@ -5,7 +5,9 @@ generalized central factorization when the parts generate and pairwise
 commute; it is quasi-direct when additionally the complements G_{S minus N}
 intersect trivially, which for at least two parts is equivalent to the full
 independence property over subsets of the power set.  Joins and meets are
-node-index lookups in the ambient's normal lattice, built on first use.
+node-index lookups in the ambient's normal lattice, built on first use; a
+part is normal iff it is a node, so the parts are resolved to node indices
+once and not tested for normality again.
 """
 
 from __future__ import annotations
@@ -54,26 +56,14 @@ class Factorization:
         return f"<Factorization {self.kind} parts=[{orders}]>"
 
 
-def _check_parts(amb: Subgroup, parts: Sequence[Subgroup]) -> list[Subgroup]:
-    for p in parts:
-        if p.parent is not amb.parent:
-            raise NotNormal("factorization part lives in a different group")
-        if not is_normal_in(p, amb):
-            raise NotNormal("factorization parts must be normal")
-    return list(parts)
-
-
-def _meet_index(amb: Subgroup, subs: Sequence[Subgroup]) -> int:
-    lat = normal_subgroups(amb)
-    return lat.meet(*[lat.index_of(s) for s in subs])
-
-
-def complements_of(amb: Subgroup, parts: Sequence[Subgroup]) -> list[Subgroup]:
-    """G_{S minus N} for each part N, in part order."""
+def _resolve_parts(amb: Subgroup, parts: Sequence[Subgroup]) -> tuple:
+    """The lattice, the parts' node indices and those of G_{S minus N} for
+    each part N, in part order; ``index_of`` refuses a part that is no node.
+    """
     lat = normal_subgroups(amb)
     idx = [lat.index_of(p) for p in parts]
-    return [lat.nodes[lat.join(*idx[:i], *idx[i + 1:])]
-            for i in range(len(parts))]
+    return lat, idx, [lat.join(*idx[:i], *idx[i + 1:])
+                      for i in range(len(idx))]
 
 
 def parts_commute(amb: Subgroup, parts: Sequence[Subgroup]) -> bool:
@@ -96,18 +86,15 @@ def classify_factorization(ambient, parts: Sequence[Subgroup]
     generate, so a single part is quasi-direct exactly when it is the
     ambient.
     """
-    amb = ambient_subgroup(ambient)
-    parts = _check_parts(amb, parts)
-    lat = normal_subgroups(amb)
-    comps = complements_of(amb, parts)
-    span = lat.join(*[lat.index_of(p) for p in parts])
-    if span != len(lat) - 1 or not parts_commute(amb, parts):
+    amb, parts = ambient_subgroup(ambient), list(parts)
+    lat, idx, comps = _resolve_parts(amb, parts)
+    if lat.join(*idx) != len(lat) - 1 or not parts_commute(amb, parts):
         kind = "neither"
-    elif _meet_index(amb, comps) == 0:
+    elif lat.meet(*comps) == 0:
         kind = "quasi-direct"
     else:
         kind = "generalized-central"
-    return Factorization(amb, parts, kind, comps)
+    return Factorization(amb, parts, kind, [lat.nodes[c] for c in comps])
 
 
 def is_generalized_central_factorization(ambient, parts: Sequence[Subgroup]
@@ -117,8 +104,8 @@ def is_generalized_central_factorization(ambient, parts: Sequence[Subgroup]
 
 
 def single_intersection_trivial(ambient, parts: Sequence[Subgroup]) -> bool:
-    amb = ambient_subgroup(ambient)
-    return _meet_index(amb, complements_of(amb, _check_parts(amb, parts))) == 0
+    lat, _, comps = _resolve_parts(ambient_subgroup(ambient), parts)
+    return lat.meet(*comps) == 0
 
 
 def is_quasi_direct_factorization(ambient, parts: Sequence[Subgroup]) -> bool:
@@ -157,7 +144,8 @@ def diagonal_map(ambient, parts: Sequence[Subgroup],
     if fact.kind == "neither":
         raise NotGeneralizedCentral(
             "diagonal map needs a generalized central factorization")
-    kernel = normal_subgroups(amb).nodes[_meet_index(amb, comps)]
+    lat = normal_subgroups(amb)
+    kernel = lat.nodes[lat.meet(*map(lat.index_of, comps))]
     injective = kernel.order == 1
     if injective != (fact.kind == "quasi-direct"):
         raise InternalCheckError("kernel triviality must match quasi-directness")
@@ -253,11 +241,12 @@ def central_quotient_factorization(ambient, parts: Sequence[Subgroup],
         raise NotGeneralizedCentral("need a non-trivial factorization")
     if fact.kind == "neither":
         raise NotGeneralizedCentral("parts are not generalized central")
-    if not is_normal_in(n, amb) or not n.members < amb.members:
+    lat = normal_subgroups(amb)
+    ni = lat.index_of(n)
+    if ni == len(lat) - 1:
         raise NotNormal("need a proper normal subgroup to quotient by")
     g = amb.parent
-    lat = normal_subgroups(amb)
-    m = lat.nodes[lat.meet(*[lat.join(lat.index_of(c), lat.index_of(n))
+    m = lat.nodes[lat.meet(*[lat.join(lat.index_of(c), ni)
                              for c in fact.complements])]
     # M/N central in G/N: [M, ambient] must land in N.
     for x in m.gens:

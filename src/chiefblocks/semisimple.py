@@ -9,7 +9,6 @@ from .blocks import chief_blocks
 from .errors import (
     InternalCheckError,
     NotCharacteristicallySimple,
-    NotNormal,
     NotSemisimpleType,
 )
 from .factors import NormalFactor, factor_centralizer, factor_group
@@ -18,7 +17,6 @@ from .group import (
     Subgroup,
     ambient_subgroup,
     center,
-    is_normal_in,
     quotient,
 )
 from .lattice import is_prime_power, normal_subgroups
@@ -131,9 +129,7 @@ def quotient_components(g: FiniteGroup, k: Subgroup) -> tuple:
     """
     if semisimple_type(g) == NOT_SEMISIMPLE:
         raise NotSemisimpleType("quotient-components needs semisimple type")
-    if not is_normal_in(k, g.whole()):
-        raise NotNormal("can only quotient by a normal subgroup")
-    q, proj = quotient(g, k)
+    q, proj = quotient(g, k)  # raises NotNormal unless K is normal
     predicted = {frozenset(proj(x) for x in m.members) for m in components(g)
                  if all(g.comm(a, b) == 0 for a in m.gens for b in k.gens)}
     direct = components(q)

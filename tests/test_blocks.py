@@ -19,6 +19,7 @@ from chiefblocks.blocks import (
 )
 from chiefblocks.errors import (
     AbelianFactor,
+    DifferentParents,
     InternalCheckError,
     NotAChain,
     NotChief,
@@ -29,7 +30,7 @@ from chiefblocks.factors import (
     is_abelian_factor,
     make_factor,
 )
-from chiefblocks.group import direct_product
+from chiefblocks.group import direct_product, subgroup_generated
 from chiefblocks.lattice import (
     NormalLattice,
     chief_factors,
@@ -258,6 +259,19 @@ def test_refine_series_validation(corpus):
         refine_series(s4, series, make_factor(s4, a4, v4))
     with pytest.raises(NotAChain):
         refine_series(s4, [v4, s4.whole()], make_factor(s4, a4, v4))
+    # An ascending chain from 1 to S4 through the non-normal D8 > V4, in
+    # place of A4, and one through the non-normal C4.
+    x = next(x for x in s4.elements() if s4.element_order(x) == 4)
+    d8 = subgroup_generated(s4, [*v4.members, x])
+    c4 = subgroup_generated(s4, [x])
+    for chain in ([v4, d8], [c4]):
+        with pytest.raises(NotAChain):
+            refine_series(s4, [s4.trivial_subgroup(), *chain, s4.whole()],
+                          make_factor(s4, a4, v4))
+    other = named.symmetric(4)  # a separately built copy of S4
+    with pytest.raises(DifferentParents):
+        refine_series(s4, [other.trivial_subgroup(), other.whole()],
+                      make_factor(s4, a4, v4))
     prod = corpus["A5xA5"]
     plat = normal_subgroups(prod)
     left = plat.node_with_members(prod.left_factor.members)
@@ -367,3 +381,13 @@ def test_block_check_refuses_least_node_centralizers(build, monkeypatch):
     monkeypatch.setattr(NormalLattice, "centralizer", least)
     with pytest.raises(InternalCheckError, match="associated"):
         chief_blocks(build())
+
+
+def test_blocks_of_another_group_are_refused():
+    """A block of one A5 object is no block of a separately built A5."""
+    a, b = named.alternating(5), named.alternating(5)
+    blk = chief_blocks(a).blocks[0]
+    with pytest.raises(DifferentParents):
+        minimal_cover(b, blk)
+    with pytest.raises(DifferentParents):
+        covering_filter(b, blk)

@@ -515,3 +515,35 @@ def test_cli_c2_6_refused_at_association_stage(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: association stage: 23562 chief factors")
     assert "277572141 pairs," in err
+
+
+@pytest.mark.parametrize("spec, options, counts", [
+    ({"kind": "named", "name": "A5wrC2"},
+     AnalyzeOptions(extend_normal=[[0], [1], [2], [3]]), (0, 1, 2)),
+    ({"kind": "direct", "left": {"kind": "named", "name": "S5"},
+      "right": {"kind": "named", "name": "S5"}},
+     AnalyzeOptions(components=True), (2,)),
+], ids=["A5wrC2-extend-normal", "S5xS5-components"])
+def test_normality_is_tested_at_entry_points_only(spec, options, counts,
+                                                  monkeypatch):
+    """Below the entry points a subgroup is normal iff it is a lattice node.
+
+    A5 wr C2 ``--extend-normal`` tests normality in the CLI's check and in
+    ``stacking_structure``; S5xS5 ``--components`` only for the two
+    ``normal=`` verdicts.  No call comes from blocks.py.
+    """
+    import chiefblocks.group as group_mod
+
+    original, callers = group_mod.is_normal_in, []
+
+    def counted(s, ambient):
+        callers.append(sys._getframe(1).f_globals["__name__"])
+        return original(s, ambient)
+
+    for name, mod in list(sys.modules.items()):
+        if (name.split(".")[0] == "chiefblocks"
+                and getattr(mod, "is_normal_in", None) is original):
+            monkeypatch.setattr(mod, "is_normal_in", counted)
+    analyze(spec, options)
+    assert len(callers) in counts, callers
+    assert "chiefblocks.blocks" not in callers

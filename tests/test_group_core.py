@@ -1337,3 +1337,14 @@ def test_subgroup_as_group_roundtrip():
     assert grp.order == 12
     embed.validate()
     assert set(embed.mapping) == set(a4.members)
+
+
+@pytest.mark.parametrize("points", [1, 2, 6, 512])
+def test_compose_applies_the_right_permutation_first(points):
+    """compose(p, q) is i -> p(q(i)), a tuple, for one point and more."""
+    rng = random.Random(points)
+    for _ in range(20):
+        p, q = (tuple(rng.sample(range(points), points)) for _ in range(2))
+        pq = compose(p, q)
+        assert type(pq) is tuple
+        assert pq == tuple(p[q[i]] for i in range(points))

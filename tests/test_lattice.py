@@ -6,9 +6,11 @@ import pytest
 
 from chiefblocks import named
 from chiefblocks.errors import (
+    DifferentParents,
     InternalCheckError,
     NodeCapExceeded,
     NotNested,
+    NotNormal,
 )
 import chiefblocks.lattice as lattice_mod
 from chiefblocks.group import (
@@ -212,6 +214,28 @@ def test_is_chief_factor_examples():
     assert is_chief_factor(a5, a5.whole(), a5.trivial_subgroup())
     with pytest.raises(NotNested):
         is_chief_factor(s4, v4, a4)
+    c4 = subgroup_generated(
+        s4, [next(x for x in s4.elements() if s4.element_order(x) == 4)])
+    with pytest.raises(NotNormal):
+        is_chief_factor(s4, s4.whole(), c4)
+
+
+def test_index_of_resolves_normal_subgroups_only():
+    """A subgroup of the same parent is normal iff it is a node; a subgroup
+    of a separately built copy of the group is refused, equal members or
+    not."""
+    s4, copy = named.symmetric(4), named.symmetric(4)
+    lat = normal_subgroups(s4)
+    assert [lat.index_of(n) for n in lat.nodes] == list(range(len(lat)))
+    for h in (copy.trivial_subgroup(), copy.whole()):
+        with pytest.raises(DifferentParents):
+            lat.index_of(h)
+    for h in oracle_all_subgroups(s4):
+        if is_normal_in(h, s4):
+            assert lat.nodes[lat.index_of(h)].members == h.members
+        else:
+            with pytest.raises(NotNormal):
+                lat.index_of(h)
 
 
 def test_chief_factor_counts(corpus):
