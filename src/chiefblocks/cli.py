@@ -213,11 +213,13 @@ def _fingerprint(members) -> str:
     """CRC-32 of the sorted ids joined by commas, in hex.
 
     The CRC runs over chunks of the string, so a large node never holds a
-    string per member at once.
+    string per member at once.  One ``%`` format writes each chunk's
+    decimals, with no ``str()`` call per member.
     """
     ids, crc = sorted(members), 0
     for i in range(0, len(ids), _FINGERPRINT_CHUNK):
-        text = ",".join([str(x) for x in ids[i:i + _FINGERPRINT_CHUNK]])
+        chunk = ids[i:i + _FINGERPRINT_CHUNK]
+        text = ("%d," * len(chunk))[:-1] % tuple(chunk)
         crc = zlib.crc32(("," + text if i else text).encode(), crc)
     return f"{crc:08x}"
 

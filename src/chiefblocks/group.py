@@ -34,10 +34,12 @@ classes under the top's action and walks only the elements outside the
 base, and a factor image takes its factor's.  ``class_closure`` takes a
 normal subgroup N, as a bitset over the classes, to N*ncl(x); the normal
 lattice and ``normal_closure`` are built with it.  It reads the class row
-of x, whose entry i (the classes that C_i*x meets) ``class_row`` fills
-from the column of x on first use.  The center is the union of the
-one-element classes, and ``factor_centralizer_members`` tests one element
-per class.
+of x, whose entry i (the classes that C_i*x meets) ``class_row`` fills on
+first use: over an exact direct product from its factors' rows, over the
+base of a semidirect product by fusing its base's rows, and elsewhere, or
+where that costs fewer steps, from the column of x.  The center is the
+union of the one-element classes, and ``factor_centralizer_members`` tests
+one element per class.
 
 Normality is never stored: ``is_normal_in`` decides it on each call, by
 generators when the subgroup carries them, else as a union of the ambient's
@@ -802,7 +804,7 @@ def normal_closure(ambient, seed: Iterable[int]) -> Subgroup:
     seed = list(seed)
     if not amb.members.issuperset(seed):
         raise NotNested("normal closure needs a seed inside the ambient")
-    classes, index = _class_space(amb)
+    classes, index, _ = _class_space(amb)
     s, rows = 1, {}
     for x in seed:
         if not s >> index[x] & 1:
@@ -908,7 +910,9 @@ def conjugacy_classes(ambient) -> list[list[int]]:
       {a*|R| + b : a in A, b in B} listed a-major is sorted when A and B
       are, its least member is min A * |R| + min B, and the class pairs in
       lexicographic order come in least-member order.  The class index of
-      (a, b) is i_L(a) * (number of R's classes) + i_R(b).
+      (a, b) is i_L(a) * (number of R's classes) + i_R(b), the index
+      arithmetic by which ``class_row`` reads the product's class rows
+      from its factors' rows.
     - Semidirect product N x| H, the whole group, (n, h) with id
       n*|H| + h and phi the action.  N is normal, so N and its complement
       are unions of classes.  (m, k) conjugates (n, 1) to
@@ -919,7 +923,9 @@ def conjugacy_classes(ambient) -> list[list[int]]:
       representative per class: the orbits of a finite group are those of
       its generators.  Only the classes outside N are walked, from
       elements outside N.  The ids n*|H| rise with n, so a union of
-      classes of N stays sorted once merged.
+      classes of N stays sorted once merged.  The orbits and each N-class's
+      class in the product are cached with the classes, and ``class_row``
+      fuses N's rows through them.
     - A recorded factor image (``left_factor``, ``right_factor``,
       ``base_part``, ``top_part``) as the ambient, equal to it as a set.
       Its embedding is an isomorphism from the factor onto it, so its
@@ -948,7 +954,9 @@ def class_index(ambient) -> Sequence[int] | dict[int, int]:
 
 
 def _class_space(ambient) -> tuple:
-    """The ambient's classes and class index, cached as one entry."""
+    """The ambient's classes, class index and, for the whole of a
+    semidirect product, the fusion of its base's classes (else None),
+    cached as one entry."""
     amb = ambient_subgroup(ambient)
     g = amb.parent
     key = ("classes", amb.members)
@@ -960,7 +968,7 @@ def _class_space(ambient) -> tuple:
             classes = _factor_image_classes(amb) or _conjugation_orbits(
                 g, amb.gens, sorted(amb.members))
             cached = classes, {x: i for i, cls in enumerate(classes)
-                               for x in cls}
+                               for x in cls}, None
         g._cache[key] = cached
     return cached
 
@@ -968,10 +976,11 @@ def _class_space(ambient) -> tuple:
 def _group_classes(g: FiniteGroup, k: int = 1) -> tuple:
     """The classes of the whole of g, members scaled x -> x*k, uncached.
 
-    Beside them comes the class index list over g's own ids.  A product
-    asks each factor for its classes at the scale of the factor's ids in
-    the product, so each member is made once, at its final value.  Nothing
-    is cached on g or its factors.
+    Beside them come the class index list over g's own ids and, for a
+    semidirect product, the fusion of its base's classes that ``class_row``
+    reads (else None).  A product asks each factor for its classes at the
+    scale of the factor's ids in the product, so each member is made once,
+    at its final value.  Nothing is cached on g or its factors.
     """
     if type(g) is DirectProductGroup:
         return _direct_classes(g, k)
@@ -984,7 +993,7 @@ def _group_classes(g: FiniteGroup, k: int = 1) -> tuple:
             index[x] = i
     if k != 1:
         classes = [[x * k for x in cls] for cls in classes]
-    return classes, index
+    return classes, index, None
 
 
 def _direct_classes(g: DirectProductGroup, k: int) -> tuple:
@@ -992,20 +1001,22 @@ def _direct_classes(g: DirectProductGroup, k: int) -> tuple:
     # {a + b} over the scaled factor classes, sorted as they are, and its
     # least member rises with (i, j).
     r = g._r
-    rcls, ridx = _group_classes(g.right, k)
+    rcls, ridx, _ = _group_classes(g.right, k)
     lcls, lidx = (([[x * r for x in cls] for cls in rcls], ridx)
-                  if g.left is g.right else _group_classes(g.left, r * k))
+                  if g.left is g.right else _group_classes(g.left, r * k)[:2])
     m = len(rcls)
     return ([[a + b for a in lc for b in rc] for lc in lcls for rc in rcls],
-            [i + j for i in [i * m for i in lidx] for j in ridx])
+            [i + j for i in [i * m for i in lidx] for j in ridx], None)
 
 
 def _semidirect_classes(g: SemidirectProductGroup, k: int) -> tuple:
     # The base's classes, scaled to the ids n*t, fused by the top
     # generators' tables; then the orbits walked from the elements outside
-    # the base; the two merged by least member.
+    # the base; the two merged by least member.  The fusion is returned
+    # too: for each class of g the base classes in it (None outside the
+    # base), and for each base class its class in g.
     t = g._t
-    ncls, nidx = _group_classes(g.base, t * k)
+    ncls, nidx, _ = _group_classes(g.base, t * k)
     tables = [g.action[h] for h in g.top.generators]
     fused = [-1] * len(ncls)  # base class -> its orbit
     orbits: list[list[int]] = []
@@ -1028,12 +1039,14 @@ def _semidirect_classes(g: SemidirectProductGroup, k: int) -> tuple:
     at = [0] * len(classes)
     for p, i in enumerate(order):
         at[i] = p
+    fuse = [at[o] for o in fused]  # base class -> its class in g
     index = [0] * g.order
-    index[::t] = [at[fused[j]] for j in nidx]
+    index[::t] = [fuse[j] for j in nidx]
     for i, cls in enumerate(outer, len(orbits)):
         for x in cls:
             index[x] = at[i]
-    return [classes[i] for i in order], index
+    inside = [orbits[i] if i < len(orbits) else None for i in order]
+    return [classes[i] for i in order], index, (inside, fuse)
 
 
 def _factor_image_classes(amb: Subgroup) -> Optional[list[list[int]]]:
@@ -1086,9 +1099,10 @@ def class_closure(amb: Subgroup, s: int, x: int, rows: dict) -> int:
     """The class bitset of N*ncl(x), for N normal in ``amb`` with bitset s.
 
     Bit i is ``conjugacy_classes(amb)[i]``.  The class row R_x maps i to
-    the classes that C_i*x meets, each entry read from the column of x when
-    first needed (``class_row``); ``rows`` keeps R_x and the column for
-    calls on amb.  A union of classes S with S*x in S has S*x^h = (S*x)^h
+    the classes that C_i*x meets, each entry filled when first needed
+    (``class_row``), from the column of x or, over an exact product, from
+    its factors' rows; ``rows`` keeps R_x, the column and the factors' rows
+    for calls on amb.  A union of classes S with S*x in S has S*x^h = (S*x)^h
     in S for every h; N*ncl(x) is such an S, and every such S holding N
     holds N*ncl(x), so that is the closure of N's classes under
     i -> R_x[i].
@@ -1109,16 +1123,152 @@ def class_closure(amb: Subgroup, s: int, x: int, rows: dict) -> int:
 def class_row(amb: Subgroup, x: int, i: int, rows: dict) -> int:
     """R_x[i], the bitset of the classes that C_i*x meets, filled on first use.
 
-    ``rows`` maps x to R_x (0 marks an entry not yet read) and the column
-    of x, made on the first call for x; a filled entry is never 0.
+    ``rows`` maps x to [R_x, the column of x or None, the spreads of R_x]
+    (0 marks an entry not yet read; a filled entry is never 0), and each
+    factor of an exact product, below the ambient, to the same kind of
+    dict for the factor's own rows.  An entry over a subgroup ambient is
+    read from the column of x, {index[col[c]] : c in C_i}.  Over the whole
+    of an exact product an entry may come from the factors' rows instead:
+
+    - Direct product A x B, x = (x1, x2) and m the number of classes of B.
+      Class (i1, i2) = C1_i1 x C2_i2 has index i1*m + i2, and its product
+      with x is (C1_i1 x1) x (C2_i2 x2), which meets exactly the classes
+      (p, q) with p in R1_x1[i1] and q in R2_x2[i2].  So R_x[i] is the
+      union over p in R1_x1[i1] of R2_x2[i2] << p*m.  As q < m, these
+      blocks never overlap, and the union is the integer product of
+      R2_x2[i2] with the spread of R1_x1[i1], the sum of 2^(p*m) over its
+      bits: popcount(R1_x1[i1]) shifts, made once and kept with the left
+      factor's row.  The factors' rows follow the same rules.
+    - Semidirect product N x| H, x = (n, 1) in the base and C_i inside it.
+      C_i is the union of the N-classes C_j, j in the orbit of H that
+      ``_semidirect_classes`` fused into C_i, and (c, 1)(n, 1) = (cn, 1)
+      lies in the class that fuses the N-class of cn.  So R_x[i] is the
+      union over j in the orbit of the fused classes of R^N_n[j].  An entry
+      with x or C_i outside the base reads the column of x.
+
+    Each entry takes the cheaper way, counted in element steps from sizes
+    known before either is taken.  The column costs |C_i| lookups, plus,
+    while x has none, this entry's share |G|/k of building one for the k
+    entries of the row.  The factors cost one product and, for a spread
+    not kept yet, at most min(|C1_i1|, k1) shifts; a base entry costs the
+    sum of min(|C_j|, k_N) over its orbit.  A tie reads the column.  So a
+    product with large classes (S5xS5, A5xA5xC2^3) never builds a column
+    of its own.  An abelian product reads columns throughout: each entry
+    is one product either way, and a column serves the whole row.
     """
-    if x not in rows:
-        rows[x] = [0] * len(conjugacy_classes(amb)), amb.parent.rcol(x)
-    row, col = rows[x]
+    g = amb.parent
+    if len(amb.members) == g.order:
+        return _group_row(g, x, i, rows)
+    entry = rows.get(x)
+    if entry is None:
+        entry = rows[x] = [[0] * len(conjugacy_classes(amb)), None, None]
+    row = entry[0]
     if not row[i]:
-        classes, index = _class_space(amb)
-        row[i] = sum({1 << index[col[c]] for c in classes[i]})
+        row[i] = _column_entry(amb, entry, x, i)
     return row[i]
+
+
+def _group_row(g: FiniteGroup, x: int, i: int, rows: dict) -> int:
+    # ``class_row`` over the whole of g, which may be a factor of the
+    # ambient: no subgroup or class list of g is made for its size.
+    entry = rows.get(x)
+    if entry is None:
+        entry = rows[x] = [[0] * len(_class_sizes(g)), None, None]
+    row = entry[0]
+    if not row[i]:
+        row[i] = ((_from_factors(g) and _factor_entry(g, entry, x, i, rows))
+                  or _column_entry(g, entry, x, i))
+    return row[i]
+
+
+def _column_entry(amb, entry: list, x: int, i: int) -> int:
+    col = entry[1]
+    if col is None:
+        col = entry[1] = ambient_subgroup(amb).parent.rcol(x)
+    classes, index, _ = _class_space(amb)
+    return sum({1 << index[col[c]] for c in classes[i]})
+
+
+def _factor_entry(g: FiniteGroup, entry: list, x: int, i: int,
+                  rows: dict) -> int:
+    # R_x[i] from the factors' rows, or 0 where the column is cheaper or
+    # needed (see ``class_row``).  Costs are scaled by k to stay integers.
+    if type(g) is DirectProductGroup:
+        sizes = _class_sizes(g)
+        k = len(sizes)
+        lookups = sizes[i] * k + (0 if entry[1] is not None else g.order)
+        if lookups <= k:  # one lookup in a column in hand: none is cheaper
+            return 0
+        lsizes = _class_sizes(g.left)
+        m = k // len(lsizes)
+        i1, i2 = divmod(i, m)
+        x1, x2 = divmod(x, g._r)
+        lrows = _factor_rows(g.left, rows)
+        left = lrows.get(x1)
+        s = left[2][i1] if left and left[2] else 0
+        if lookups <= (1 + (0 if s else min(lsizes[i1], len(lsizes)))) * k:
+            return 0
+        if not s:
+            a = _group_row(g.left, x1, i1, lrows)
+            left = lrows[x1]
+            if left[2] is None:
+                left[2] = [0] * len(lsizes)
+            while a:
+                low = a & -a
+                s |= 1 << (low.bit_length() - 1) * m
+                a ^= low
+            left[2][i1] = s
+        return _group_row(g.right, x2, i2, _factor_rows(g.right, rows)) * s
+    if x % g._t:  # semidirect, x outside the base
+        return 0
+    classes, _, (inside, fuse) = _class_space(g)
+    orbit = inside[i]
+    if orbit is None:
+        return 0
+    nsizes = _class_sizes(g.base)
+    k = len(classes)
+    if (len(classes[i]) * k + (0 if entry[1] is not None else g.order)
+            <= sum(min(nsizes[j], len(nsizes)) for j in orbit) * k):
+        return 0
+    n, nrows, v = x // g._t, _factor_rows(g.base, rows), 0
+    for j in orbit:
+        b = _group_row(g.base, n, j, nrows)
+        while b:
+            low = b & -b
+            v |= 1 << fuse[low.bit_length() - 1]
+            b ^= low
+    return v
+
+
+def _from_factors(g: FiniteGroup) -> bool:
+    """Whether g is an exact product with a class of two or more elements."""
+    f = g._cache.get("from_factors")
+    if f is None:
+        f = g._cache["from_factors"] = (
+            type(g) in (DirectProductGroup, SemidirectProductGroup)
+            and len(_class_sizes(g)) < g.order)
+    return f
+
+
+def _factor_rows(h: FiniteGroup, rows: dict) -> dict:
+    f = rows.get(h)
+    if f is None:
+        f = rows[h] = {}
+    return f
+
+
+def _class_sizes(g: FiniteGroup) -> list[int]:
+    """The sizes of g's classes, in class order; a direct product's from its
+    factors' sizes, with no class list made for it."""
+    sizes = g._cache.get("class_sizes")
+    if sizes is None:
+        if type(g) is DirectProductGroup:
+            sizes = [a * b for a in _class_sizes(g.left)
+                     for b in _class_sizes(g.right)]
+        else:
+            sizes = [len(cls) for cls in conjugacy_classes(g)]
+        g._cache["class_sizes"] = sizes
+    return sizes
 
 
 def _bits(n: int) -> Iterator[int]:

@@ -8,10 +8,14 @@ trivial subgroup, and caches it per ambient.  The search runs in class
 space: a node is a bitset over the ambient's conjugacy classes, and a
 product N*ncl(x), with ncl(x) the principal normal subgroup of x, is the
 closure of N's classes under the class row of x (``group.class_closure``).
-Every layer reads the lattice from the cache and asks ``NormalLattice``
-by node index: its public lists ``up`` and ``down`` give each node's upper
-and lower covers (L < K with no normal subgroup strictly between), the
-bitsets ``below`` its subnodes, and ``le``, ``join`` and ``meet`` the order.
+An exact product reads its class rows from its factors' rows and builds a
+product column only where an entry needs it or reads it more cheaply
+(``group.class_row``).  Nodes are ordered by order and class indices,
+which is their order by sorted members.  Every layer reads the lattice
+from the cache and asks ``NormalLattice`` by node index: its public lists
+``up`` and ``down`` give each node's upper and lower covers (L < K with no
+normal subgroup strictly between), the bitsets ``below`` its subnodes, and
+``le``, ``join`` and ``meet`` the order.
 A subgroup of the same parent is normal in the ambient iff it is a node:
 ``index_of`` resolves it once, and no layer holding the lattice tests
 normality again.
@@ -43,7 +47,7 @@ from .group import (
 class NormalLattice:
     """All subgroups of the ambient that are normal in it, with covers.
 
-    Nodes are deduplicated and sorted by (order, member tuple), so node
+    Nodes are deduplicated and sorted by (order, sorted members), so node
     indices are deterministic and rise along the order.  The public
     ``up[i]`` and ``down[i]`` (derived from ``up``) are the sorted indices of
     the nodes covering node i and covered by it, the Hasse edges that
@@ -168,6 +172,17 @@ def normal_subgroups(ambient) -> NormalLattice:
     A = ncl(x) <= ncl(y).  Without a certificate y is closed in full, so
     the result is exact either way.
 
+    Nodes are sorted by (order, class indices in ascending order), which is
+    their order by (order, sorted members).  Classes are indexed in
+    least-member order.  For two nodes of equal order, let d be the lowest
+    class of their symmetric difference, in N say, and c its least member.
+    The class tuples agree below d, and there N's has d and the other's a
+    higher class (it has one more, being of the same order), so the class
+    key puts N first.  A member below c lies in a class whose least member
+    is below c, so in a class below d, which both nodes hold.  So both
+    nodes have the same members below c; N has c next, and the other has a
+    next member, not c, so above it: the member key puts N first too.
+
     The lattice is cached per ambient.  The ``node_cap`` of the ambient's
     parent group bounds a build, which raises NodeCapExceeded as soon as the
     lattice would exceed it: before any class row if its central subgroups
@@ -205,7 +220,7 @@ def normal_subgroups(ambient) -> NormalLattice:
 
     nodes = {n: Subgroup(g, frozenset(x for i in _bits(n) for x in classes[i]))
              for n in queue}
-    queue.sort(key=lambda n: (nodes[n].order, nodes[n].sorted_members()))
+    queue.sort(key=lambda n: (nodes[n].order, tuple(_bits(n))))
     at = {n: i for i, n in enumerate(queue)}  # bitset -> node index
     return cached_lattice(amb, NormalLattice(amb, [nodes[n] for n in queue], [
         sorted(at[m] for m in up[n]) for n in queue]))

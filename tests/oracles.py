@@ -259,6 +259,15 @@ def principal_subgroups_closing_every_class(ambient) -> dict[int, int]:
     return principal
 
 
+def class_row_by_column(ambient, x: int) -> list[int]:
+    """R_x by its definition: entry i is the bitset of {index[col[c]] : c
+    in C_i}, the classes of the products c*x, with col the column of x."""
+    amb = ambient_subgroup(ambient)
+    col, index = amb.parent.rcol(x), class_index(amb)
+    return [sum({1 << index[col[c]] for c in cls})
+            for cls in conjugacy_classes(amb)]
+
+
 def classes_by_mul(ambient) -> list[list[int]]:
     """Orbits of conjugation by the ambient's generators, through ``g.mul``."""
     amb = ambient_subgroup(ambient)

@@ -12,6 +12,7 @@ import pytest
 import chiefblocks
 
 from chiefblocks import cli as cli_module
+from chiefblocks import named
 from chiefblocks.cli import (
     AnalyzeOptions,
     analyze,
@@ -27,6 +28,8 @@ from chiefblocks.errors import (
     SectionMissing,
     UnknownName,
 )
+from chiefblocks.group import direct_product
+from chiefblocks.lattice import normal_subgroups
 
 V4_SPEC = '{"kind":"named","name":"V4"}'
 A5A5_SPEC = ('{"kind":"direct","left":{"kind":"named","name":"A5"},'
@@ -41,6 +44,24 @@ def test_fingerprint_is_the_crc_of_the_whole_string():
         whole = ",".join(str(i) for i in sorted(members)).encode()
         assert cli_module._fingerprint(members) \
             == f"{zlib.crc32(whole):08x}", n
+
+
+def test_fingerprints_of_nodes_below_and_above_a_chunk():
+    """Node fingerprints equal the CRC of the str() of each sorted id.
+
+    S5wrC2's nodes run from 1 to 28,800 members, on both sides of the
+    4,096-id chunk; A5xC2's stay below it.
+    """
+    a5c2 = direct_product(named.alternating(5), named.cyclic(2))
+    nodes = [n for g in (named.s5_wr_c2(), a5c2)
+             for n in normal_subgroups(g).nodes]
+    sizes = [n.order for n in nodes]
+    chunk = cli_module._FINGERPRINT_CHUNK
+    assert min(sizes) < chunk < max(sizes) == 28_800
+    for n in nodes:
+        whole = ",".join(str(x) for x in sorted(n.members)).encode()
+        assert cli_module._fingerprint(n.members) \
+            == f"{zlib.crc32(whole):08x}", n.order
 
 
 def test_parse_named_and_direct():

@@ -12,6 +12,7 @@ from chiefblocks.errors import (
     NotNested,
     NotNormal,
 )
+import chiefblocks.group as group_mod
 import chiefblocks.lattice as lattice_mod
 from chiefblocks.group import (
     commutator_subgroup,
@@ -138,27 +139,85 @@ def test_join_with_an_atom_is_product(corpus, dense_corpus):
 def test_lattice_builds_each_column_once():
     """A class row reads its representative's column, built at most once.
 
-    A5xC2^4 has order 960.  Its classes are computed first, so every
-    column counted here is built by ``normal_subgroups``: only for class
-    representatives, and at most once each, atoms and products together.
+    A5xC2^4 (order 960) reads its rows from its factors' rows and builds
+    no column of its own.  S5wrC2 builds columns for the rows of elements
+    outside the base: only for class representatives, and at most once
+    each, atoms and products together.  The classes are computed first,
+    so every column counted here is built by ``normal_subgroups``.
     """
     c2 = named.cyclic(2)
-    g = named.alternating(5)
+    a5c2pow4 = named.alternating(5)
     for _ in range(4):
-        g = direct_product(g, c2)
-    reps = [cls[0] for cls in conjugacy_classes(g)[1:]]
-    calls: Counter = Counter()
-    build = g._rcol_impl
+        a5c2pow4 = direct_product(a5c2pow4, c2)
+    for g, nodes in [(a5c2pow4, 134), (named.s5_wr_c2(), 7)]:
+        reps = [cls[0] for cls in conjugacy_classes(g)[1:]]
+        calls: Counter = Counter()
+        build = g._rcol_impl
 
-    def counted(s):
-        calls[s] += 1
-        return build(s)
+        def counted(s):
+            calls[s] += 1
+            return build(s)
 
-    g._rcol_impl = counted
-    assert len(normal_subgroups(g)) == 134
-    del g._rcol_impl
-    assert calls and set(calls) <= set(reps)
-    assert max(calls.values()) == 1, calls
+        g._rcol_impl = counted
+        assert len(normal_subgroups(g)) == nodes
+        del g._rcol_impl
+        assert set(calls) <= set(reps)
+        assert max(calls.values(), default=1) == 1, calls
+        assert bool(calls) == (g.order == 28_800), g.name
+
+
+def _product_columns(monkeypatch, g) -> list[int]:
+    """Record s for each column of g itself built by ``_rcol_impl`` or
+    ``_rcol_affine``, not those of its factors."""
+    built: list[int] = []
+    for name in ("_rcol_impl", "_rcol_affine"):
+        def recorded(self, s, *args, f=getattr(type(g), name)):
+            if self is g:
+                built.append(s)
+            return f(self, s, *args)
+
+        monkeypatch.setattr(type(g), name, recorded)
+    return built
+
+
+@pytest.mark.parametrize("factors", [("S5", "S5"),
+                                     ("A5", "A5", "C2", "C2", "C2")],
+                         ids=["S5xS5", "A5^2xC2^3"])
+def test_direct_product_lattice_builds_no_product_column(factors,
+                                                         monkeypatch):
+    """Every class row of these products comes from the factors' rows."""
+    groups = {n: named.build_named(n) for n in set(factors)}
+    g = groups[factors[0]]
+    for name in factors[1:]:
+        g = direct_product(g, groups[name])
+    conjugacy_classes(g)
+    built = _product_columns(monkeypatch, g)
+    assert len(normal_subgroups(g)) == {3600 * 4: 10, 28_800: 64}[g.order]
+    assert built == []
+
+
+def test_semidirect_lattice_builds_base_columns_only_where_read(monkeypatch):
+    """S5wrC2 builds the column of a base element only when its row is
+    read at a class outside the base; inside it, the base's rows fuse."""
+    wr = named.s5_wr_c2()
+    classes = conjugacy_classes(wr)
+    built = _product_columns(monkeypatch, wr)
+    reads: list[tuple[int, int]] = []
+    row = group_mod.class_row
+
+    def recorded(amb, x, i, rows):
+        reads.append((x, i))
+        return row(amb, x, i, rows)
+
+    monkeypatch.setattr(group_mod, "class_row", recorded)
+    monkeypatch.setattr(lattice_mod, "class_row", recorded)
+    assert len(normal_subgroups(wr)) == 7
+    t = wr.top.order
+    outside = {x for x, i in reads if classes[i][0] % t}
+    base_built = [x for x in built if x % t == 0]
+    assert set(base_built) <= outside
+    assert any(x % t == 0 for x, _ in reads)
+    assert built  # the elements outside the base read their columns
 
 
 def test_lattice_node_orders():
@@ -169,6 +228,14 @@ def test_lattice_node_orders():
     a5 = named.alternating(5)
     assert [n.order for n in normal_subgroups(direct_product(a5, a5)).nodes] \
         == [1, 60, 60, 3600]
+
+
+def test_node_order_is_order_then_sorted_members(corpus, dense_corpus):
+    """Nodes sorted by their class indices are sorted by their members."""
+    for g in [*corpus.values(), *dense_corpus.values()]:
+        nodes = normal_subgroups(g).nodes
+        assert nodes == sorted(
+            nodes, key=lambda n: (n.order, n.sorted_members())), g.name
 
 
 def test_lattice_closed_under_join_and_meet(small_corpus, dense_corpus):

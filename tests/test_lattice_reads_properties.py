@@ -17,7 +17,8 @@ automorphisms.  On the same draws, every group that passes
 parent and its cosets) must pass the element-wise group-law oracle, and
 the class spaces of the group and of its recorded factor images, which a
 product takes from its factors, must equal the orbits found through
-``mul``.
+``mul``.  The nodes come in (order, sorted members) order, and every
+class row equals its definition by the column of its element.
 """
 
 import pytest
@@ -38,6 +39,7 @@ from chiefblocks.factors import (  # noqa: E402
 )
 from chiefblocks.group import (  # noqa: E402
     centralizer_subgroup,
+    class_row,
     direct_product,
     factor_centralizer_members,
     group_from_permutations,
@@ -56,6 +58,7 @@ from oracles import (  # noqa: E402
     association_edges_pairwise,
     characteristically_simple_by_automorphisms,
     class_ambients,
+    class_row_by_column,
     class_space_matches_mul,
     components_all_nodes,
     group_laws_by_elements,
@@ -133,6 +136,21 @@ def test_group_law_check_matches_elements(g):
 @given(products_and_quotients())
 def test_classes_match_mul_oracle(g):
     assert all(class_space_matches_mul(a) for a in class_ambients(g))
+
+
+@settings(max_examples=50, deadline=None, database=None, derandomize=True)
+@given(products_and_quotients())
+def test_node_order_and_class_rows_match_definitions(g):
+    """Nodes come in (order, sorted members) order, and every class row
+    of every element equals the column definition."""
+    nodes = normal_subgroups(g).nodes
+    assert nodes == sorted(nodes,
+                           key=lambda n: (n.order, n.sorted_members()))
+    rows: dict = {}
+    for x in g.elements():
+        want = class_row_by_column(g, x)
+        assert [class_row(g.whole(), x, i, rows)
+                for i in range(len(want))] == want, x
 
 
 def test_wreath_components_match_all_nodes():
