@@ -1157,15 +1157,19 @@ def class_row(amb: Subgroup, x: int, i: int, rows: dict) -> int:
     is one product either way, and a column serves the whole row.
     """
     g = amb.parent
-    if len(amb.members) == g.order:
+    if (type(g) in _PRODUCTS and len(amb.members) == g.order
+            and _from_factors(g)):
         return _group_row(g, x, i, rows)
-    entry = rows.get(x)
-    if entry is None:
-        entry = rows[x] = [[0] * len(conjugacy_classes(amb)), None, None]
-    row = entry[0]
+    if x not in rows:
+        rows[x] = [[0] * len(conjugacy_classes(amb)), g.rcol(x), None]
+    row, col, _ = rows[x]
     if not row[i]:
-        row[i] = _column_entry(amb, entry, x, i)
+        classes, index, _ = _class_space(amb)
+        row[i] = sum({1 << index[col[c]] for c in classes[i]})
     return row[i]
+
+
+_PRODUCTS = (DirectProductGroup, SemidirectProductGroup)
 
 
 def _group_row(g: FiniteGroup, x: int, i: int, rows: dict) -> int:
@@ -1181,11 +1185,11 @@ def _group_row(g: FiniteGroup, x: int, i: int, rows: dict) -> int:
     return row[i]
 
 
-def _column_entry(amb, entry: list, x: int, i: int) -> int:
+def _column_entry(g: FiniteGroup, entry: list, x: int, i: int) -> int:
     col = entry[1]
     if col is None:
-        col = entry[1] = ambient_subgroup(amb).parent.rcol(x)
-    classes, index, _ = _class_space(amb)
+        col = entry[1] = g.rcol(x)
+    classes, index, _ = _class_space(g)
     return sum({1 << index[col[c]] for c in classes[i]})
 
 
@@ -1241,12 +1245,11 @@ def _factor_entry(g: FiniteGroup, entry: list, x: int, i: int,
 
 
 def _from_factors(g: FiniteGroup) -> bool:
-    """Whether g is an exact product with a class of two or more elements."""
+    """Whether g is an exact product that is not abelian."""
     f = g._cache.get("from_factors")
     if f is None:
-        f = g._cache["from_factors"] = (
-            type(g) in (DirectProductGroup, SemidirectProductGroup)
-            and len(_class_sizes(g)) < g.order)
+        f = g._cache["from_factors"] = (type(g) in _PRODUCTS
+                                        and not g.is_abelian)
     return f
 
 
