@@ -35,9 +35,9 @@ base, and a factor image takes its factor's.  ``class_closure`` takes a
 normal subgroup N, as a bitset over the classes, to N*ncl(x); the normal
 lattice and ``normal_closure`` are built with it.  It reads the class row
 of x, whose entry i (the classes that C_i*x meets) ``class_row`` fills on
-first use: over an exact direct product from its factors' rows, over the
-base of a semidirect product by fusing its base's rows, and elsewhere, or
-where that costs fewer steps, from the column of x.  The center is the
+first use: over a non-abelian exact direct product from its factors'
+rows, over the base of a non-abelian semidirect product by fusing its
+base's rows, and elsewhere from the column of x.  The center is the
 union of the one-element classes, and ``factor_centralizer_members`` tests
 one element per class.
 
@@ -1126,9 +1126,9 @@ def class_row(amb: Subgroup, x: int, i: int, rows: dict) -> int:
     ``rows`` maps x to [R_x, the column of x or None, the spreads of R_x]
     (0 marks an entry not yet read; a filled entry is never 0), and each
     factor of an exact product, below the ambient, to the same kind of
-    dict for the factor's own rows.  An entry over a subgroup ambient is
-    read from the column of x, {index[col[c]] : c in C_i}.  Over the whole
-    of an exact product an entry may come from the factors' rows instead:
+    dict for the factor's own rows.  An entry is read from the column of x,
+    {index[col[c]] : c in C_i}, except over the whole of a non-abelian
+    exact product, where it comes from the factors' rows:
 
     - Direct product A x B, x = (x1, x2) and m the number of classes of B.
       Class (i1, i2) = C1_i1 x C2_i2 has index i1*m + i2, and its product
@@ -1137,35 +1137,33 @@ def class_row(amb: Subgroup, x: int, i: int, rows: dict) -> int:
       union over p in R1_x1[i1] of R2_x2[i2] << p*m.  As q < m, these
       blocks never overlap, and the union is the integer product of
       R2_x2[i2] with the spread of R1_x1[i1], the sum of 2^(p*m) over its
-      bits: popcount(R1_x1[i1]) shifts, made once and kept with the left
-      factor's row.  The factors' rows follow the same rules.
+      bits, made once and kept with the left factor's row.  The factors'
+      rows follow the same rules, so every entry is read this way and the
+      product builds no column of its own.
     - Semidirect product N x| H, x = (n, 1) in the base and C_i inside it.
       C_i is the union of the N-classes C_j, j in the orbit of H that
       ``_semidirect_classes`` fused into C_i, and (c, 1)(n, 1) = (cn, 1)
       lies in the class that fuses the N-class of cn.  So R_x[i] is the
       union over j in the orbit of the fused classes of R^N_n[j].  An entry
-      with x or C_i outside the base reads the column of x.
+      with x or C_i outside the base reads the column of x.  Once that
+      column is built, a base entry reads it too where its |C_i| lookups
+      are no more than the sum of min(|C_j|, k_N) over the orbit, k_N the
+      number of N's classes, which bounds the base rows' steps; that is,
+      where every C_j of the orbit has at most k_N members.  No column is
+      built for an entry that the base rows can fill.
 
-    Each entry takes the cheaper way, counted in element steps from sizes
-    known before either is taken.  The column costs |C_i| lookups, plus,
-    while x has none, this entry's share |G|/k of building one for the k
-    entries of the row.  The factors cost one product and, for a spread
-    not kept yet, at most min(|C1_i1|, k1) shifts; a base entry costs the
-    sum of min(|C_j|, k_N) over its orbit.  A tie reads the column.  So a
-    product with large classes (S5xS5, A5xA5xC2^3) never builds a column
-    of its own.  An abelian product reads columns throughout: each entry
-    is one product either way, and a column serves the whole row.
+    An abelian product reads columns throughout: each entry is one product
+    either way, and a column serves the whole row.
     """
     g = amb.parent
-    if (type(g) in _PRODUCTS and len(amb.members) == g.order
-            and _from_factors(g)):
+    if len(amb.members) == g.order and _from_factors(g):
         return _group_row(g, x, i, rows)
-    if x not in rows:
-        rows[x] = [[0] * len(conjugacy_classes(amb)), g.rcol(x), None]
-    row, col, _ = rows[x]
+    entry = rows.get(x)
+    if entry is None:
+        entry = rows[x] = [[0] * len(conjugacy_classes(amb)), None, None]
+    row = entry[0]
     if not row[i]:
-        classes, index, _ = _class_space(amb)
-        row[i] = sum({1 << index[col[c]] for c in classes[i]})
+        row[i] = _column_entry(g, amb, entry, x, i)
     return row[i]
 
 
@@ -1174,49 +1172,44 @@ _PRODUCTS = (DirectProductGroup, SemidirectProductGroup)
 
 def _group_row(g: FiniteGroup, x: int, i: int, rows: dict) -> int:
     # ``class_row`` over the whole of g, which may be a factor of the
-    # ambient: no subgroup or class list of g is made for its size.
+    # ambient: no subgroup of g is made, nor, for a direct product, a class
+    # list.
     entry = rows.get(x)
     if entry is None:
         entry = rows[x] = [[0] * len(_class_sizes(g)), None, None]
     row = entry[0]
     if not row[i]:
         row[i] = ((_from_factors(g) and _factor_entry(g, entry, x, i, rows))
-                  or _column_entry(g, entry, x, i))
+                  or _column_entry(g, g, entry, x, i))
     return row[i]
 
 
-def _column_entry(g: FiniteGroup, entry: list, x: int, i: int) -> int:
+def _column_entry(g: FiniteGroup, amb, entry: list, x: int, i: int) -> int:
+    # {index[col[c]] : c in C_i} over amb, g or a subgroup of it; the
+    # column of x is built on the row's first read of it.
     col = entry[1]
     if col is None:
         col = entry[1] = g.rcol(x)
-    classes, index, _ = _class_space(g)
+    classes, index, _ = _class_space(amb)
     return sum({1 << index[col[c]] for c in classes[i]})
 
 
 def _factor_entry(g: FiniteGroup, entry: list, x: int, i: int,
                   rows: dict) -> int:
-    # R_x[i] from the factors' rows, or 0 where the column is cheaper or
-    # needed (see ``class_row``).  Costs are scaled by k to stay integers.
+    # R_x[i] from the factors' rows, or 0 where the column is read (see
+    # ``class_row``).
     if type(g) is DirectProductGroup:
-        sizes = _class_sizes(g)
-        k = len(sizes)
-        lookups = sizes[i] * k + (0 if entry[1] is not None else g.order)
-        if lookups <= k:  # one lookup in a column in hand: none is cheaper
-            return 0
-        lsizes = _class_sizes(g.left)
-        m = k // len(lsizes)
+        m = len(_class_sizes(g.right))
         i1, i2 = divmod(i, m)
         x1, x2 = divmod(x, g._r)
         lrows = _factor_rows(g.left, rows)
         left = lrows.get(x1)
         s = left[2][i1] if left and left[2] else 0
-        if lookups <= (1 + (0 if s else min(lsizes[i1], len(lsizes)))) * k:
-            return 0
         if not s:
             a = _group_row(g.left, x1, i1, lrows)
             left = lrows[x1]
             if left[2] is None:
-                left[2] = [0] * len(lsizes)
+                left[2] = [0] * len(left[0])
             while a:
                 low = a & -a
                 s |= 1 << (low.bit_length() - 1) * m
@@ -1229,11 +1222,11 @@ def _factor_entry(g: FiniteGroup, entry: list, x: int, i: int,
     orbit = inside[i]
     if orbit is None:
         return 0
-    nsizes = _class_sizes(g.base)
-    k = len(classes)
-    if (len(classes[i]) * k + (0 if entry[1] is not None else g.order)
-            <= sum(min(nsizes[j], len(nsizes)) for j in orbit) * k):
-        return 0
+    if entry[1] is not None:
+        nsizes = _class_sizes(g.base)
+        k = len(nsizes)
+        if len(classes[i]) <= sum(min(nsizes[j], k) for j in orbit):
+            return 0
     n, nrows, v = x // g._t, _factor_rows(g.base, rows), 0
     for j in orbit:
         b = _group_row(g.base, n, j, nrows)
@@ -1245,12 +1238,9 @@ def _factor_entry(g: FiniteGroup, entry: list, x: int, i: int,
 
 
 def _from_factors(g: FiniteGroup) -> bool:
-    """Whether g is an exact product that is not abelian."""
-    f = g._cache.get("from_factors")
-    if f is None:
-        f = g._cache["from_factors"] = (type(g) in _PRODUCTS
-                                        and not g.is_abelian)
-    return f
+    """Whether g is an exact product that is not abelian, whose class rows
+    ``class_row`` reads from its factors' rows."""
+    return type(g) in _PRODUCTS and not g.is_abelian
 
 
 def _factor_rows(h: FiniteGroup, rows: dict) -> dict:

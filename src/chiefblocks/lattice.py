@@ -8,9 +8,10 @@ trivial subgroup, and caches it per ambient.  The search runs in class
 space: a node is a bitset over the ambient's conjugacy classes, and a
 product N*ncl(x), with ncl(x) the principal normal subgroup of x, is the
 closure of N's classes under the class row of x (``group.class_closure``).
-An exact product reads its class rows from its factors' rows and builds a
-product column only where an entry needs it or reads it more cheaply
-(``group.class_row``).  Nodes are ordered by order and class indices,
+A non-abelian exact product reads its class rows from its factors' rows:
+a direct product builds no column of its own, and a semidirect product
+the column of x only where x or a class of the row lies outside its base
+(``group.class_row``).  Nodes are ordered by order and class bitset,
 which is their order by sorted members.  Every layer reads the lattice
 from the cache and asks ``NormalLattice`` by node index: its public lists
 ``up`` and ``down`` give each node's upper and lower covers (L < K with no
@@ -42,6 +43,10 @@ from .group import (
     class_row,
     conjugacy_classes,
 )
+
+# The digits of a bitset swapped, so that a held class sorts first
+# (``normal_subgroups``).
+_SWAP = str.maketrans("01", "10")
 
 
 class NormalLattice:
@@ -172,16 +177,19 @@ def normal_subgroups(ambient) -> NormalLattice:
     A = ncl(x) <= ncl(y).  Without a certificate y is closed in full, so
     the result is exact either way.
 
-    Nodes are sorted by (order, class indices in ascending order), which is
-    their order by (order, sorted members).  Classes are indexed in
+    Nodes are sorted by order, then by their class bitset written lowest
+    class first with its digits swapped (``_SWAP``), so that at the first
+    class where two bitsets differ the node holding it comes first.  That
+    is their order by (order, sorted members).  Classes are indexed in
     least-member order.  For two nodes of equal order, let d be the lowest
     class of their symmetric difference, in N say, and c its least member.
-    The class tuples agree below d, and there N's has d and the other's a
-    higher class (it has one more, being of the same order), so the class
-    key puts N first.  A member below c lies in a class whose least member
-    is below c, so in a class below d, which both nodes hold.  So both
-    nodes have the same members below c; N has c next, and the other has a
-    next member, not c, so above it: the member key puts N first too.
+    The strings agree before place d, and there N's has a 0 and the
+    other's a 1: the other holds a class above d, else all its classes
+    would lie in N and it would be smaller.  So the class key puts N
+    first.  A member below c lies in a class whose least member is below
+    c, so in a class below d, which both nodes hold.  So both nodes have
+    the same members below c; N has c next, and the other has a next
+    member, not c, so above it: the member key puts N first too.
 
     The lattice is cached per ambient.  The ``node_cap`` of the ambient's
     parent group bounds a build, which raises NodeCapExceeded as soon as the
@@ -220,7 +228,8 @@ def normal_subgroups(ambient) -> NormalLattice:
 
     nodes = {n: Subgroup(g, frozenset(x for i in _bits(n) for x in classes[i]))
              for n in queue}
-    queue.sort(key=lambda n: (nodes[n].order, tuple(_bits(n))))
+    queue.sort(key=lambda n: (nodes[n].order,
+                              bin(n)[:1:-1].translate(_SWAP)))
     at = {n: i for i, n in enumerate(queue)}  # bitset -> node index
     return cached_lattice(amb, NormalLattice(amb, [nodes[n] for n in queue], [
         sorted(at[m] for m in up[n]) for n in queue]))

@@ -231,7 +231,7 @@ def test_lattice_node_orders():
 
 
 def test_node_order_is_order_then_sorted_members(corpus, dense_corpus):
-    """Nodes sorted by their class indices are sorted by their members."""
+    """Nodes sorted by their class bitsets are sorted by their members."""
     for g in [*corpus.values(), *dense_corpus.values()]:
         nodes = normal_subgroups(g).nodes
         assert nodes == sorted(
