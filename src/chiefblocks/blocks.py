@@ -31,7 +31,7 @@ from .factors import (
     is_abelian_factor,
     is_internal_compression,
 )
-from .group import Subgroup, ambient_subgroup
+from .group import Subgroup, ambient_subgroup, subgroup_key
 from .lattice import chief_factors, normal_subgroups
 
 
@@ -49,13 +49,11 @@ class ChiefBlock:
 
     def __eq__(self, other):
         return (isinstance(other, ChiefBlock)
-                and self.ambient.parent is other.ambient.parent
-                and self.ambient.members == other.ambient.members
-                and self.centralizer.members == other.centralizer.members)
+                and self.ambient == other.ambient
+                and self.centralizer == other.centralizer)
 
     def __hash__(self):
-        return hash((id(self.ambient.parent), self.ambient.members,
-                     self.centralizer.members))
+        return hash((self.ambient, self.centralizer))
 
     def __repr__(self):
         r = self.representatives[0]
@@ -64,12 +62,18 @@ class ChiefBlock:
 
 
 class BlockPoset:
-    """The chief blocks of an ambient, ordered by centralizer inclusion."""
+    """The chief blocks of an ambient, ordered by centralizer inclusion.
+
+    Each centralizer is a node of the ambient's lattice, and the poset
+    keeps the blocks by node index.
+    """
 
     def __init__(self, ambient: Subgroup, blocks: list[ChiefBlock]):
         self.ambient = ambient
         self.blocks = blocks
-        self._by_centralizer = {b.centralizer.members: b for b in blocks}
+        self._lattice = normal_subgroups(ambient)
+        self._by_centralizer = {self._lattice.index_of(b.centralizer): b
+                                for b in blocks}
 
     def __len__(self):
         return len(self.blocks)
@@ -78,19 +82,19 @@ class BlockPoset:
         return iter(self.blocks)
 
     def by_centralizer(self, members: frozenset) -> ChiefBlock:
-        b = self._by_centralizer.get(members)
-        if b is None:
-            raise KeyError("no block with the given centralizer")
-        return b
+        try:
+            return self._by_centralizer[self._lattice.index_of(
+                Subgroup(self.ambient.parent, members))]
+        except (NotNormal, KeyError):
+            raise KeyError("no block with the given centralizer") from None
 
     def relation_pairs(self) -> list[tuple[int, int]]:
         """All strict order pairs (a.block_id, b.block_id) with a < b."""
-        out = []
-        for a in self.blocks:
-            for b in self.blocks:
-                if a is not b and a.centralizer.members < b.centralizer.members:
-                    out.append((a.block_id, b.block_id))
-        return sorted(out)
+        le = self._lattice.le
+        return sorted((a.block_id, b.block_id)
+                      for i, a in self._by_centralizer.items()
+                      for j, b in self._by_centralizer.items()
+                      if i != j and le(i, j))
 
 
 def chief_blocks(ambient) -> BlockPoset:
@@ -103,7 +107,7 @@ def chief_blocks(ambient) -> BlockPoset:
     """
     amb = ambient_subgroup(ambient)
     g = amb.parent
-    key = ("blocks", amb.members)
+    key = ("blocks", subgroup_key(amb))
     cached = g._cache.get(key)
     if cached is not None:
         return cached
@@ -135,15 +139,14 @@ def cover_status(x: Union[NormalFactor, Subgroup], a: ChiefBlock) -> str:
     """
     amb = a.ambient
     if isinstance(x, NormalFactor):
-        if (x.ambient.parent is not amb.parent
-                or x.ambient.members != amb.members):
+        if x.ambient != amb:
             raise DifferentParents("factor and block in different ambients")
-        upper, lower = x.k.members, x.l.members
+        upper, lower = x.k, x.l
     elif x.parent is not amb.parent:
         raise DifferentParents("subgroup and block in different groups")
     else:
-        upper, lower = x.members, frozenset((0,))
-    c = a.centralizer.members
+        upper, lower = x, x.parent.trivial_subgroup()
+    c = a.centralizer
     if not lower <= c:
         return "above"
     if upper <= c:
@@ -191,8 +194,7 @@ def uppermost_representative(ambient, a: ChiefBlock) -> NormalFactor:
         raise InternalCheckError(
             "quotient by a block centralizer must be monolithic")
     rep = NormalFactor(amb, lat.nodes[lat.up[c][0]], lat.nodes[c])
-    cf = factor_centralizer(rep)
-    if cf.members != a.centralizer.members or is_abelian_factor(rep):
+    if factor_centralizer(rep) != a.centralizer or is_abelian_factor(rep):
         raise InternalCheckError("uppermost representative not in the block")
     for r in a.representatives:
         if not is_internal_compression(r, rep):
@@ -208,8 +210,7 @@ def lowermost_representative(ambient, a: ChiefBlock) -> NormalFactor:
     g_a = lat.index_of(minimal_cover(amb, a))
     bottom = lat.meet(g_a, lat.index_of(a.centralizer))
     rep = NormalFactor(amb, lat.nodes[g_a], lat.nodes[bottom])
-    cf = factor_centralizer(rep)
-    if cf.members != a.centralizer.members or is_abelian_factor(rep):
+    if factor_centralizer(rep) != a.centralizer or is_abelian_factor(rep):
         raise InternalCheckError("lowermost representative not in the block")
     for r in a.representatives:
         if not is_internal_compression(rep, r):
@@ -226,8 +227,7 @@ def block_le(a: ChiefBlock, b: ChiefBlock) -> bool:
     of a, stated in the reversed order) must agree with the centralizer test.
     All three compare lattice nodes by index.
     """
-    if (a.ambient.parent is not b.ambient.parent
-            or a.ambient.members != b.ambient.members):
+    if a.ambient != b.ambient:
         raise DifferentParents("blocks of different ambients")
     amb = a.ambient
     lat = normal_subgroups(amb)
@@ -280,7 +280,7 @@ def refine_series(ambient, series: Sequence[Subgroup], f: NormalFactor
     """
     amb = ambient_subgroup(ambient)
     lat = normal_subgroups(amb)
-    if f.ambient.parent is not amb.parent or f.ambient.members != amb.members:
+    if f.ambient != amb:
         raise DifferentParents("factor belongs to a different ambient")
     try:
         s = [lat.index_of(x) for x in series]
@@ -291,7 +291,7 @@ def refine_series(ambient, series: Sequence[Subgroup], f: NormalFactor
         raise NotAChain("series must run from the trivial subgroup to the ambient")
     if not all(lat.le(lo, hi) for lo, hi in zip(s, s[1:])):
         raise NotAChain("series is not ascending")
-    if not lat.is_cover(f.l.members, f.k.members):
+    if not lat.is_cover(f.l, f.k):
         raise NotChief("input factor is not a chief factor")
     if is_abelian_factor(f):
         raise AbelianFactor("refinement needs a non-abelian chief factor")

@@ -293,7 +293,7 @@ def analyze(spec: dict, options: Optional[AnalyzeOptions] = None
     out.append("normal_lattice:")
     out.append(f"  node_count: {len(lat)}")
     for i, node in enumerate(lat.nodes):
-        out.append(f"  n{i}: order={node.order} fp={_fingerprint(node.members)}")
+        out.append(f"  n{i}: order={node.order} fp={_fingerprint(node.ids())}")
     edges = lat.covers()
     out.append(f"  hasse_edge_count: {len(edges)}")
     out.append("  hasse_edges: " + " ".join(f"n{i}<n{j}" for i, j in edges))
@@ -327,11 +327,11 @@ def analyze(spec: dict, options: Optional[AnalyzeOptions] = None
         lower = lowermost_representative(g, b)
         out.append(f"  b{b.block_id}:")
         out.append(f"    centralizer: order={cm.order}"
-                   f" fp={_fingerprint(cm.members)}")
+                   f" fp={_fingerprint(cm.ids())}")
         out.append(f"    representatives: {len(b.representatives)}")
         out.append("    minimally_covered: True")
         out.append(f"    minimal_cover: order={mc.order}"
-                   f" fp={_fingerprint(mc.members)}")
+                   f" fp={_fingerprint(mc.ids())}")
         out.append(f"    uppermost: {upper.k.order}/{upper.l.order}")
         out.append(f"    lowermost: {lower.k.order}/{lower.l.order}")
     rels = set(bp.relation_pairs())
@@ -353,7 +353,7 @@ def analyze(spec: dict, options: Optional[AnalyzeOptions] = None
         out.append("components:")
         out.append(f"  count: {len(cr.components)}")
         for i, c in enumerate(cr.components):
-            out.append(f"  m{i}: order={c.order} fp={_fingerprint(c.members)}"
+            out.append(f"  m{i}: order={c.order} fp={_fingerprint(c.ids())}"
                        f" normal={is_normal_in(c, g.whole())}")
         out.append(f"  layer_order: {cr.layer.order}")
         out.append(f"  semisimple_type: {cr.type}")

@@ -48,7 +48,7 @@ from .products import classify_factorization
 def _require_normal_sub(amb: Subgroup, h: Subgroup) -> None:
     if h.parent is not amb.parent:
         raise DifferentParents("subgroup belongs to a different group")
-    if not h.members <= amb.members or not is_normal_in(h, amb):
+    if not is_normal_in(h, amb):
         raise NotNormal("block extension needs a normal subgroup")
 
 
@@ -63,7 +63,7 @@ def block_action(ambient, h: Subgroup, elem: int,
     """
     amb = ambient_subgroup(ambient)
     _require_normal_sub(amb, h)
-    if elem not in amb.members:
+    if elem not in amb:
         raise NotNested("the acting element must lie in the ambient")
     g = amb.parent
     bp = chief_blocks(h)
@@ -93,11 +93,11 @@ def extend_block(ambient, h: Subgroup, a: ChiefBlock) -> ChiefBlock:
     amb = ambient_subgroup(ambient)
     lat = normal_subgroups(amb)
     lat.index_of(h)  # raises unless H is a node
-    if a.ambient.members != h.members:
+    if a.ambient != h:
         raise DifferentParents("block does not belong to the given subgroup")
-    h_a, c = minimal_cover(h, a).members, a.centralizer.members
-    m = lat.meet(*(i for i, k in enumerate(lat.nodes) if h_a <= k.members))
-    core = lat.join(*(i for i, k in enumerate(lat.nodes) if k.members <= c))
+    h_a, c = minimal_cover(h, a), a.centralizer
+    m = lat.meet(*(i for i, k in enumerate(lat.nodes) if h_a <= k))
+    core = lat.join(*(i for i, k in enumerate(lat.nodes) if k <= c))
     n = lat.meet(m, core)
     if n not in lat.down[m]:
         raise InternalCheckError("extension factor is not chief")
@@ -351,12 +351,12 @@ def quotient_block_pullback(phi: Homomorphism) -> dict:
     cents: dict[NormalFactor, frozenset] = {}
     for b in chief_blocks(h):
         for f in b.representatives:
-            pk = phi.preimage(f.k.members)
-            pl = phi.preimage(f.l.members)
+            pk = Subgroup(g, phi.preimage(f.k.members))
+            pl = Subgroup(g, phi.preimage(f.l.members))
             if not lat.is_cover(pl, pk):
                 raise InternalCheckError("pullback factor is not chief")
-            pulled = NormalFactor(g.whole(), lat.node_with_members(pk),
-                                  lat.node_with_members(pl))
+            pulled = NormalFactor(g.whole(), lat.nodes[lat.index_of(pk)],
+                                  lat.nodes[lat.index_of(pl)])
             _check_factor_isomorphic(phi, pulled, f)
             mapping[f] = pulled
             cents[f] = factor_centralizer(pulled).members

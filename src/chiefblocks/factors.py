@@ -23,6 +23,7 @@ from .group import (
     factor_centralizer_members,
     is_normal_in,
     subgroup_as_group,
+    subgroup_key,
 )
 from .lattice import (NormalLattice, cached_lattice, chief_factors,
                       is_prime_power, normal_subgroups)
@@ -60,15 +61,12 @@ class NormalFactor:
 
     def __eq__(self, other):
         return (isinstance(other, NormalFactor)
-                and self.ambient.parent is other.ambient.parent
-                and self.ambient.members == other.ambient.members
-                and self.k.members == other.k.members
-                and self.l.members == other.l.members)
+                and self.ambient == other.ambient
+                and self.k == other.k and self.l == other.l)
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((id(self.ambient.parent), self.ambient.members,
-                               self.k.members, self.l.members))
+            self._hash = hash((self.ambient, self.k, self.l))
         return self._hash
 
     def __repr__(self):
@@ -84,7 +82,7 @@ def make_factor(ambient, k: Subgroup, l: Subgroup) -> NormalFactor:
         raise DifferentParents("factor pieces in a different group")
     if not is_normal_in(k, amb) or not is_normal_in(l, amb):
         raise NotNormal("factor pieces must be normal in the ambient")
-    if not l.members < k.members:
+    if not l < k:
         raise NotStrictlyNested("need L < K")
     return NormalFactor(amb, k, l)
 
@@ -109,8 +107,7 @@ def factor_group(f: NormalFactor) -> tuple[CosetGroup, Homomorphism]:
 def _built_cover(f: NormalFactor) -> NormalLattice | None:
     """The ambient's lattice if it is built and K/L is one of its covers."""
     lat = cached_lattice(f.ambient)
-    return (lat if lat is not None and lat.is_cover(f.l.members, f.k.members)
-            else None)
+    return lat if lat is not None and lat.is_cover(f.l, f.k) else None
 
 
 def factor_centralizer(f: NormalFactor) -> Subgroup:
@@ -119,18 +116,16 @@ def factor_centralizer(f: NormalFactor) -> Subgroup:
     A non-abelian cover of the built lattice reads the node from the order;
     any other factor tests one element per conjugacy class.
     """
+    lat = _built_cover(f)
+    if lat is not None and not is_prime_power(f.order):
+        return lat.nodes[lat.centralizer(lat.index_of(f.k), lat.index_of(f.l))]
     g = f.ambient.parent
-    key = ("factor_centralizer", f.ambient.members, f.k.members, f.l.members)
+    key = ("factor_centralizer", subgroup_key(f.ambient), f.k.members,
+           f.l.members)
     cached = g._cache.get(key)
     if cached is None:
-        lat = _built_cover(f)
-        if lat is not None and not is_prime_power(f.order):
-            cached = lat.nodes[lat.centralizer(lat.index_of(f.k),
-                                               lat.index_of(f.l))]
-        else:
-            cached = Subgroup(g, factor_centralizer_members(
-                f.ambient, f.k.gens, f.l.members))
-        g._cache[key] = cached
+        cached = g._cache[key] = Subgroup(g, factor_centralizer_members(
+            f.ambient, f.k.gens, f.l.members))
     return cached
 
 
@@ -150,8 +145,7 @@ def is_abelian_factor(f: NormalFactor) -> bool:
 def _lattice_nodes(f1: NormalFactor, f2: NormalFactor) -> tuple:
     """The common ambient's lattice and the node indices K1, L1, K2, L2."""
     a1, a2 = f1.ambient, f2.ambient
-    if a1 is not a2 and (a1.parent is not a2.parent
-                         or a1.members != a2.members):
+    if a1 != a2:
         raise DifferentParents("factors live in different ambient groups")
     lat = normal_subgroups(f1.ambient)
     return lat, [lat.index_of(s) for s in (f1.k, f1.l, f2.k, f2.l)]

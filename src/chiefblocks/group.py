@@ -44,7 +44,9 @@ one element per class.
 Normality is never stored: ``is_normal_in`` decides it on each call, by
 generators when the subgroup carries them, else as a union of the ambient's
 classes.  Groups and subgroups are not immutable: a subgroup's generators
-are computed on first use, and every analysis memoizes its results
+are computed on first use, as are the members of one made from an
+ambient's classes (``Subgroup.of_classes``: lattice nodes, normal
+closures and the whole group), and every analysis memoizes its results
 (lattices, classes, factor groups, blocks, components) in the unbounded
 ``FiniteGroup._cache`` dict.  Share a group between threads only with outside
 locking.
@@ -198,11 +200,12 @@ class FiniteGroup:
         return cached
 
     def whole(self) -> "Subgroup":
+        """The group as a subgroup of itself, cached.  Its ``members`` are
+        filled from ``range(order)`` only when first read."""
         s = self._cache.get("whole")
         if s is None:
-            s = Subgroup(self, frozenset(range(self.order)),
-                         self.generators or [0])
-            self._cache["whole"] = s
+            s = self._cache["whole"] = Subgroup.of_classes(
+                self, (range(self.order),), 1, self.generators or [0])
         return s
 
     def trivial_subgroup(self) -> "Subgroup":
@@ -226,25 +229,53 @@ def ambient_subgroup(g) -> "Subgroup":
 class Subgroup:
     """A membership-queryable subset of a FiniteGroup closed under products.
 
-    A subgroup is its parent, its members and, when given or first asked
-    for, its generators; it records nothing else, normality included
-    (``is_normal_in`` decides it each time).  Closure under multiplication
-    and inverses is the caller's responsibility; constructors in this
-    module only hand out genuine subgroups.
+    A subgroup is its parent, its members, its order and, when given or
+    first asked for, its generators; it records nothing else, normality
+    included (``is_normal_in`` decides it each time).  A lattice node, a
+    normal closure and the whole group are made by ``of_classes`` as a
+    union of an ambient's conjugacy classes, given by a class bitset, and
+    leave the ``members`` slot empty: ``__getattr__`` fills it once, the
+    first time it is read, and ``ids`` walks the classes without filling
+    it.  Closure under multiplication and inverses is the caller's
+    responsibility; constructors in this module only hand out genuine
+    subgroups.
     """
 
-    __slots__ = ("parent", "members", "_gens", "_hash")
+    __slots__ = ("parent", "members", "order", "_gens", "_classes", "_bits")
 
     def __init__(self, parent: FiniteGroup, members: frozenset,
                  gens: Sequence[int] | None = None):
         self.parent = parent
         self.members = members
+        self.order = len(members)
         self._gens = tuple(gens) if gens is not None else None
-        self._hash = None
+        self._classes = None
 
-    @property
-    def order(self) -> int:
-        return len(self.members)
+    @classmethod
+    def of_classes(cls, parent: FiniteGroup, classes: Sequence, bits: int,
+                   gens: Sequence[int] | None = None) -> "Subgroup":
+        """The union of the classes whose bits are set in ``bits``; its
+        ``members`` stay empty until first read."""
+        s = cls.__new__(cls)
+        s.parent, s._classes, s._bits = parent, classes, bits
+        s.order = sum(map(len, itertools.compress(classes, _bit_flags(bits))))
+        s._gens = tuple(gens) if gens is not None else None
+        return s
+
+    def __getattr__(self, name: str):
+        # Reached only while the ``members`` slot of an ``of_classes``
+        # subgroup is empty: fill it once.
+        if name != "members":
+            raise AttributeError(name)
+        self.members = members = frozenset(self.ids())
+        return members
+
+    def ids(self) -> Iterable[int]:
+        """The members, class by class for an ``of_classes`` subgroup,
+        whose ``members`` this leaves as it is."""
+        if self._classes is None:
+            return self.members
+        return class_members(self._classes, self._bits)
 
     @property
     def gens(self) -> tuple:
@@ -252,29 +283,61 @@ class Subgroup:
             self._gens = generating_ids(self.parent, self.members)
         return self._gens
 
+    @property
+    def is_whole(self) -> bool:
+        return self.order == self.parent.order
+
     def __contains__(self, a: int) -> bool:
-        return a in self.members
+        return a in (range(self.order) if self.is_whole else self.members)
 
     def __le__(self, other: "Subgroup") -> bool:
-        return self.members <= other.members
+        return other.is_whole or (self.order <= other.order
+                                  and self.members <= other.members)
 
     def __lt__(self, other: "Subgroup") -> bool:
-        return self.members < other.members
+        return self.order < other.order and self <= other
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, Subgroup) and other.parent is self.parent
-                and other.members == self.members)
+        if other is self:
+            return True
+        if (not isinstance(other, Subgroup) or other.parent is not self.parent
+                or other.order != self.order):
+            return False
+        if self._classes is not None and other._classes is self._classes:
+            return other._bits == self._bits
+        return self.is_whole or other.members == self.members
 
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((id(self.parent), self.members))
-        return self._hash
+    def __hash__(self):  # a frozenset keeps its own hash
+        return hash((id(self.parent), subgroup_key(self)))
 
     def sorted_members(self) -> tuple:
-        return tuple(sorted(self.members))
+        return tuple(sorted(self.ids()))
 
     def __repr__(self):
         return f"<Subgroup order={self.order} of {self.parent.name}>"
+
+
+def subgroup_key(s: Subgroup):
+    """A cache key for s within its parent: None for the whole group, whose
+    members it does not fill, else the members."""
+    return None if s.is_whole else s.members
+
+
+# The bytes of a binary numeral mapped to 0 and 1 (``class_members``).
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+
+
+def class_members(classes: Sequence, bits: int) -> Iterator[int]:
+    """The members of the classes whose bits are set, class by class."""
+    return itertools.chain.from_iterable(
+        itertools.compress(classes, _bit_flags(bits)))
+
+
+def _bit_flags(bits: int) -> bytes:
+    """Byte i is bit i of ``bits``, lowest first: the selectors of
+    ``itertools.compress``, read from the reversed binary numeral, so no
+    Python step runs per bit."""
+    return bin(bits)[:1:-1].encode().translate(_BIT_BYTES)
 
 
 def extend_by_images(src: FiniteGroup, gens: Sequence[int],
@@ -796,20 +859,20 @@ def normal_closure(ambient, seed: Iterable[int]) -> Subgroup:
 
     The ambient may be a FiniteGroup or a Subgroup.  From the identity's
     class, each seed element x outside the closure so far takes its class
-    bitset N to N*ncl(x) (``class_closure``).  A seed element outside the
-    ambient raises NotNested.
+    bitset N to N*ncl(x) (``class_closure``), which the result keeps
+    (``Subgroup.of_classes``).  A seed element outside the ambient raises
+    NotNested.
     """
     amb = ambient_subgroup(ambient)
-    g = amb.parent
     seed = list(seed)
-    if not amb.members.issuperset(seed):
+    if not all(map(amb.__contains__, seed)):
         raise NotNested("normal closure needs a seed inside the ambient")
     classes, index, _ = _class_space(amb)
     s, rows = 1, {}
     for x in seed:
         if not s >> index[x] & 1:
             s = class_closure(amb, s, x, rows)
-    return Subgroup(g, frozenset(y for i in _bits(s) for y in classes[i]))
+    return Subgroup.of_classes(amb.parent, classes, s)
 
 
 def is_normal_in(s: Subgroup, ambient) -> bool:
@@ -827,13 +890,13 @@ def is_normal_in(s: Subgroup, ambient) -> bool:
     g = s.parent
     if amb.parent is not g:
         raise DifferentParents("subgroup and ambient have different parents")
-    members = s.members
-    if not members <= amb.members:
+    if not s <= amb:
         return False
     if s._gens is not None:
-        return all(g.conj(h, x) in members for h in amb.gens for x in s._gens)
+        return all(g.conj(h, x) in s for h in amb.gens for x in s._gens)
+    members = s.members
     inside = [c for c in conjugacy_classes(amb) if c[0] in members]
-    return (sum(map(len, inside)) == len(members)
+    return (sum(map(len, inside)) == s.order
             and all(map(members.issuperset, inside)))
 
 
@@ -865,7 +928,7 @@ def center(ambient) -> Subgroup:
 
 
 def _iter_ambient(amb: Subgroup):
-    if len(amb.members) == amb.parent.order:
+    if amb.is_whole:
         return amb.parent.elements()
     return sorted(amb.members)
 
@@ -959,10 +1022,10 @@ def _class_space(ambient) -> tuple:
     cached as one entry."""
     amb = ambient_subgroup(ambient)
     g = amb.parent
-    key = ("classes", amb.members)
+    key = ("classes", subgroup_key(amb))
     cached = g._cache.get(key)
     if cached is None:
-        if len(amb.members) == g.order:
+        if amb.is_whole:
             cached = _group_classes(g)
         else:
             classes = _factor_image_classes(amb) or _conjugation_orbits(
@@ -1065,7 +1128,7 @@ def _factor_image_classes(amb: Subgroup) -> Optional[list[list[int]]]:
     else:
         return None
     for part, factor, k in parts:
-        if amb.members == part.members:
+        if amb == part:
             return _group_classes(factor, k)[0]
     return None
 
@@ -1113,8 +1176,11 @@ def class_closure(amb: Subgroup, s: int, x: int, rows: dict) -> int:
     fresh = s
     while fresh:
         reach = 0
-        for i in _bits(fresh):
+        while fresh:
+            low = fresh & -fresh
+            i = low.bit_length() - 1
             reach |= row[i] or class_row(amb, x, i, rows)
+            fresh ^= low
         fresh = reach & ~s
         s |= fresh
     return s
@@ -1156,7 +1222,7 @@ def class_row(amb: Subgroup, x: int, i: int, rows: dict) -> int:
     either way, and a column serves the whole row.
     """
     g = amb.parent
-    if len(amb.members) == g.order and _from_factors(g):
+    if amb.is_whole and _from_factors(g):
         return _group_row(g, x, i, rows)
     entry = rows.get(x)
     if entry is None:
@@ -1264,13 +1330,6 @@ def _class_sizes(g: FiniteGroup) -> list[int]:
     return sizes
 
 
-def _bits(n: int) -> Iterator[int]:
-    """The indices of the set bits of n, lowest first."""
-    while n:
-        yield (n & -n).bit_length() - 1
-        n &= n - 1
-
-
 def commutator_subgroup(g: FiniteGroup, a: Subgroup, b: Subgroup) -> Subgroup:
     """Subgroup generated by all commutators [x, y], x in A, y in B.
 
@@ -1280,7 +1339,7 @@ def commutator_subgroup(g: FiniteGroup, a: Subgroup, b: Subgroup) -> Subgroup:
     """
     if a.parent is not g or b.parent is not g:
         raise DifferentParents("operands live in different groups")
-    span = (a if b.members <= a.members
+    span = (a if b <= a
             else subgroup_generated(g, [*a.gens, *b.gens]))
     seed = sorted({g.comm(x, y) for x in a.gens for y in b.gens})
     return normal_closure(span, seed)

@@ -11,15 +11,18 @@ closure of N's classes under the class row of x (``group.class_closure``).
 A non-abelian exact product reads its class rows from its factors' rows:
 a direct product builds no column of its own, and a semidirect product
 the column of x only where x or a class of the row lies outside its base
-(``group.class_row``).  Nodes are ordered by order and class bitset,
-which is their order by sorted members.  Every layer reads the lattice
-from the cache and asks ``NormalLattice`` by node index: its public lists
-``up`` and ``down`` give each node's upper and lower covers (L < K with no
-normal subgroup strictly between), the bitsets ``below`` its subnodes, and
-``le``, ``join`` and ``meet`` the order.
+(``group.class_row``).  A node keeps its class bitset and its order, the
+sum of its class sizes, and fills its member frozenset only when first
+read (``Subgroup.of_classes``).  Nodes are ordered by order and class
+bitset, which is their order by sorted members.  Every layer reads the
+lattice from the cache and asks ``NormalLattice`` by node index: its
+public lists ``up`` and ``down`` give each node's upper and lower covers
+(L < K with no normal subgroup strictly between), the bitsets ``below``
+its subnodes, and ``le``, ``join`` and ``meet`` the order.
 A subgroup of the same parent is normal in the ambient iff it is a node:
-``index_of`` resolves it once, and no layer holding the lattice tests
-normality again.
+``index_of`` resolves it once, by its class bitset, and no layer holding
+the lattice tests normality again.  The cache keys of the lattice and of
+the analyses over it name the whole group by None, not by its members.
 """
 
 from __future__ import annotations
@@ -36,12 +39,12 @@ from .errors import (
 )
 from .group import (
     Subgroup,
-    _bits,
     ambient_subgroup,
     class_closure,
     class_index,
     class_row,
     conjugacy_classes,
+    subgroup_key,
 )
 
 # The digits of a bitset swapped, so that a held class sorts first
@@ -60,7 +63,10 @@ class NormalLattice:
     ``_above[i]`` say that node i lies in node j.  These bitsets answer
     ``le``, ``join`` and ``join_row`` (products, a lowest common bit) and
     ``meet`` (the intersection, a highest common bit).  Only ``index_of``,
-    ``node_with_members`` and ``is_cover`` take subgroups or member sets.
+    ``node_with_members`` and ``is_cover`` take subgroups or member sets,
+    and they find a node by its class bitset over the ambient's classes
+    (``_at``): a node of this lattice carries it, and any other subgroup
+    is mapped to it through ``class_index``, reading its members once.
     """
 
     def __init__(self, ambient: Subgroup, nodes: list[Subgroup],
@@ -68,7 +74,8 @@ class NormalLattice:
         self.ambient = ambient
         self.nodes = nodes
         self.up = up
-        self._index = {n.members: i for i, n in enumerate(nodes)}
+        self._classes = conjugacy_classes(ambient)
+        self._at = {self._bitset(n): i for i, n in enumerate(nodes)}
         self.down: list[list[int]] = [[] for _ in nodes]
         self.below = [1 << i for i in range(len(nodes))]
         for i, js in enumerate(up):  # lower covers come first
@@ -83,21 +90,46 @@ class NormalLattice:
     def __len__(self):
         return len(self.nodes)
 
+    def _bitset(self, s: Subgroup) -> int | None:
+        # The classes of the ambient that s meets, or None if s leaves
+        # the ambient.
+        if s._classes is self._classes:
+            return s._bits
+        if s.is_whole:
+            return (1 << len(self._classes)) - 1 if self.ambient.is_whole \
+                else None
+        index = class_index(self.ambient)
+        try:
+            return sum(1 << i for i in set(map(index.__getitem__, s.members)))
+        except KeyError:
+            return None
+
+    def _find(self, s: Subgroup) -> int | None:
+        # A node carries its bitset; any other subgroup is node i iff it
+        # lies in the classes of node i and has its order.
+        if s._classes is self._classes:
+            return self._at.get(s._bits)
+        if s.parent is not self.ambient.parent:
+            return None
+        i = self._at.get(self._bitset(s))
+        return i if i is not None and self.nodes[i].order == s.order else None
+
     def index_of(self, s: Subgroup) -> int:
         """The node index of s, which is normal in the ambient iff a node.
 
         Raises DifferentParents for a subgroup of another group and
         NotNormal for one that is not a node.
         """
-        if s.parent is not self.ambient.parent:
-            raise DifferentParents("subgroup belongs to a different group")
-        i = self._index.get(s.members)
+        i = self._find(s)
         if i is None:
+            if s.parent is not self.ambient.parent:
+                raise DifferentParents("subgroup belongs to a different group")
             raise NotNormal("subgroup is not normal in the ambient")
         return i
 
     def node_with_members(self, members: frozenset) -> Subgroup:
-        return self.nodes[self._index[members]]
+        return self.nodes[self.index_of(Subgroup(self.ambient.parent,
+                                                 members))]
 
     def le(self, i: int, j: int) -> bool:
         """True iff node i is contained in node j."""
@@ -139,15 +171,15 @@ class NormalLattice:
         """Hasse edges (i, j) with node i covered by node j, sorted."""
         return [(i, j) for i, js in enumerate(self.up) for j in js]
 
-    def is_cover(self, lower: frozenset, upper: frozenset) -> bool:
+    def is_cover(self, lower: Subgroup, upper: Subgroup) -> bool:
         """True iff both are nodes and ``upper`` covers ``lower``."""
-        j = self._index.get(upper)
-        return j is not None and self._index.get(lower) in self.down[j]
+        j = self._find(upper)
+        return j is not None and self._find(lower) in self.down[j]
 
 
 def cached_lattice(amb: Subgroup, built=None) -> NormalLattice | None:
     """The ambient's lattice if built already, else None; caches ``built``."""
-    key = ("lattice", amb.members)
+    key = ("lattice", subgroup_key(amb))
     if built is not None:
         amb.parent._cache[key] = built
     return amb.parent._cache.get(key)
@@ -226,8 +258,7 @@ def normal_subgroups(ambient) -> NormalLattice:
                 seen.add(m)
                 queue.append(m)
 
-    nodes = {n: Subgroup(g, frozenset(x for i in _bits(n) for x in classes[i]))
-             for n in queue}
+    nodes = {n: Subgroup.of_classes(g, classes, n) for n in queue}
     queue.sort(key=lambda n: (nodes[n].order,
                               bin(n)[:1:-1].translate(_SWAP)))
     at = {n: i for i, n in enumerate(queue)}  # bitset -> node index

@@ -145,7 +145,7 @@ def central_product(left: FiniteGroup, right: FiniteGroup,
         qid = prod.embed_right(right.inv(b))
         seeds.append(prod.mul(pid, qid))
     kernel = subgroup_generated(prod, seeds)
-    if not kernel.members <= center(prod).members:
+    if not kernel <= center(prod):
         raise SpecError("identified elements are not central")
     q, proj = quotient(prod, kernel)
     q.name = name or f"{left.name}o{right.name}"

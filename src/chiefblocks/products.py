@@ -150,7 +150,7 @@ def diagonal_map(ambient, parts: Sequence[Subgroup],
     if injective != (fact.kind == "quasi-direct"):
         raise InternalCheckError("kernel triviality must match quasi-directness")
     # Central kernel: every part centralizes it, and the parts generate.
-    if not kernel.members <= center(amb).members:
+    if not kernel <= center(amb):
         raise InternalCheckError("diagonal-map kernel must be central")
 
     amb_group, embed = subgroup_as_group(amb)
@@ -253,7 +253,7 @@ def central_quotient_factorization(ambient, parts: Sequence[Subgroup],
         for y in amb.gens:
             if g.comm(x, y) not in n.members:
                 raise InternalCheckError("M/N must be central in G/N")
-    if m.members == amb.members:
+    if m == amb:
         return m, None
     amb_group, embed = subgroup_as_group(amb)
 
@@ -264,7 +264,7 @@ def central_quotient_factorization(ambient, parts: Sequence[Subgroup],
     images = []
     seen = set()
     for p in parts:
-        if p.members <= m.members:
+        if p <= m:
             continue
         img = frozenset(proj(x) for x in local(p.members))
         if img in seen:

@@ -18,6 +18,7 @@ from .group import (
     ambient_subgroup,
     center,
     quotient,
+    subgroup_key,
 )
 from .lattice import is_prime_power, normal_subgroups
 
@@ -65,7 +66,7 @@ def components(ambient) -> list[Subgroup]:
     """
     amb = ambient_subgroup(ambient)
     g = amb.parent
-    key = ("components", amb.members)
+    key = ("components", subgroup_key(amb))
     if (cached := g._cache.get(key)) is not None:
         return cached
     lat = normal_subgroups(amb)
@@ -87,7 +88,7 @@ def _closures(lat) -> list[int]:
     return [i for i, (n, down) in enumerate(zip(lat.nodes, lat.down))
             if len(down) == 1
             and not is_prime_power(n.order // lat.nodes[down[0]].order)
-            and lat.nodes[down[0]].members <= center(n).members]
+            and lat.nodes[down[0]] <= center(n)]
 
 
 def layer(ambient) -> Subgroup:
@@ -113,7 +114,7 @@ def component_report(ambient) -> ComponentReport:
     """
     amb = ambient_subgroup(ambient)
     e = layer(amb)
-    if e.members != amb.members:
+    if e != amb:
         type_ = NOT_SEMISIMPLE
     else:
         type_ = STRICT_SEMISIMPLE if center(amb).order == 1 else SEMISIMPLE

@@ -49,6 +49,10 @@ def small_corpus(corpus):
 
 @pytest.fixture(scope="session")
 def dense_corpus():
+    return _build_dense_corpus()
+
+
+def _build_dense_corpus() -> dict:
     """p-groups and a product with many normal subgroups and chief factors."""
     c2 = named.cyclic(2)
     return {

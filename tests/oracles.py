@@ -10,11 +10,13 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import zlib
 from typing import Sequence
 
 from chiefblocks.autos import iter_isomorphisms
 from chiefblocks.blocks import inner_action_members
-from chiefblocks.errors import CapError, SearchCapExceeded
+from chiefblocks.cli import _fingerprint
+from chiefblocks.errors import CapError, NotNormal, SearchCapExceeded
 from chiefblocks.factors import (
     NormalFactor,
     are_associated,
@@ -610,3 +612,37 @@ def characteristically_simple_by_automorphisms(g: FiniteGroup) -> bool:
             if not unfused:
                 break
     return not unfused
+
+
+def lazy_nodes_match_classes(ambient) -> bool:
+    """Each node of the ambient's lattice against its class definition.
+
+    The fingerprint is taken from the node's classes, before its
+    ``members`` are read; then the members must be the union of the
+    classes of the node's bitset, the order their count, the fingerprint
+    the CRC-32 of the sorted ids joined by commas, and ``index_of`` on a
+    new subgroup with those members the node's index.  The first
+    non-normal cyclic subgroup <x>, x a least member of a class, must
+    raise NotNormal.
+    """
+    amb = ambient_subgroup(ambient)
+    g, lat = amb.parent, normal_subgroups(amb)
+    classes = conjugacy_classes(amb)
+    for i, node in enumerate(lat.nodes):
+        fp = _fingerprint(node.ids())
+        want = frozenset(x for j, cls in enumerate(classes)
+                         if node._bits >> j & 1 for x in cls)
+        text = ",".join(map(str, sorted(want))).encode()
+        if (node.members != want or node.order != len(want)
+                or fp != f"{zlib.crc32(text):08x}"
+                or lat.index_of(Subgroup(g, want)) != i):
+            return False
+    for cls in classes[1:]:
+        s = close_under_mul(g, [cls[0]])
+        if any(c & s and not c <= s for c in map(frozenset, classes)):
+            try:
+                lat.index_of(Subgroup(g, s))
+            except NotNormal:
+                return True
+            return False
+    return True

@@ -356,8 +356,8 @@ def test_ungraded_lattice_raises():
         x for x in d8.elements()
         if d8.element_order(x) == 2 and x not in rot.members)])
     one, whole = d8.trivial_subgroup(), d8.whole()
-    d8._cache[("lattice", whole.members)] = NormalLattice(
-        whole, [one, z, s, rot, whole], [[1, 2], [3], [4], [4], []])
+    cached_lattice(whole, NormalLattice(
+        whole, [one, z, s, rot, whole], [[1, 2], [3], [4], [4], []]))
     with pytest.raises(InternalCheckError, match="not graded"):
         jordan_holder_length(d8)
 
@@ -563,7 +563,7 @@ def test_covers_match_triple_loop(corpus):
         edge_set = set(edges)
         for i, lo in enumerate(lat.nodes):
             for j, hi in enumerate(lat.nodes):
-                assert lat.is_cover(lo.members, hi.members) \
+                assert lat.is_cover(lo, hi) \
                     == ((i, j) in edge_set)
             assert lat.up[i] == [j for a, j in edges if a == i]
             assert lat.down[i] == sorted(a for a, j in edges if j == i)

@@ -1,7 +1,9 @@
 """Lattice reads against element constructions on random products.
 
 Each input is a direct product of two random permutation groups of degree
-at most 5, or its quotient by a random lattice node, of order at most 200.
+at most 5, or its quotient by a random lattice node, of order at most 200,
+or the wreath product B wr C2 of one of order at most 10 (C2 swapping the
+coordinates of B x B), whose base class rows are fused from its base's.
 On it the lattice reads are compared with the constructions they replaced:
 ``refine_series`` with the commutator construction on up to 20 chief
 series, ``layer`` with the closure of the components, the centralizer of
@@ -17,8 +19,9 @@ automorphisms.  On the same draws, every group that passes
 parent and its cosets) must pass the element-wise group-law oracle, and
 the class spaces of the group and of its recorded factor images, which a
 product takes from its factors, must equal the orbits found through
-``mul``.  The nodes come in (order, sorted members) order, and every
-class row equals its definition by the column of its element.
+``mul``.  The nodes come in (order, sorted members) order, every class
+row equals its definition by the column of its element, and every node's
+members, filled on first read, are the union of its classes.
 """
 
 import pytest
@@ -63,6 +66,7 @@ from oracles import (  # noqa: E402
     components_all_nodes,
     group_laws_by_elements,
     layer_by_closure,
+    lazy_nodes_match_classes,
     normal_closure_by_mul,
     principal_subgroups_closing_every_class,
     refine_series_by_commutators,
@@ -82,8 +86,12 @@ generator_lists = st.one_of(
 
 @st.composite
 def products_and_quotients(draw):
-    """G x H of order <= 200, or its quotient by a node other than 1."""
+    """G x H of order <= 200, or its quotient by a node other than 1, or
+    G wr C2 for |G| <= 10, whose class rows over the base are fused from
+    the rows of G x G."""
     left = group_from_permutations(draw(generator_lists))
+    if left.order <= 10 and draw(st.booleans()):
+        return wreath_c2(left)
     right = group_from_permutations(draw(generator_lists))
     assume(left.order * right.order <= 200)
     g = direct_product(left, right)
@@ -142,7 +150,10 @@ def test_classes_match_mul_oracle(g):
 @given(products_and_quotients())
 def test_node_order_and_class_rows_match_definitions(g):
     """Nodes come in (order, sorted members) order, and every class row
-    of every element equals the column definition."""
+    of every element equals the column definition: read in class order,
+    where the first entry outside a semidirect base builds the column of
+    x, and each entry alone, where a base entry is fused from the base's
+    rows."""
     nodes = normal_subgroups(g).nodes
     assert nodes == sorted(nodes,
                            key=lambda n: (n.order, n.sorted_members()))
@@ -151,6 +162,14 @@ def test_node_order_and_class_rows_match_definitions(g):
         want = class_row_by_column(g, x)
         assert [class_row(g.whole(), x, i, rows)
                 for i in range(len(want))] == want, x
+        assert [class_row(g.whole(), x, i, {})
+                for i in range(len(want))] == want, x
+
+
+@settings(max_examples=50, deadline=None, database=None, derandomize=True)
+@given(products_and_quotients())
+def test_lazy_nodes_match_classes(g):
+    assert lazy_nodes_match_classes(g)
 
 
 def test_wreath_components_match_all_nodes():
