@@ -62,11 +62,8 @@ class ChiefBlock:
 
 
 class BlockPoset:
-    """The chief blocks of an ambient, ordered by centralizer inclusion.
-
-    Each centralizer is a node of the ambient's lattice, and the poset
-    keeps the blocks by node index.
-    """
+    """The chief blocks of an ambient, ordered by centralizer inclusion,
+    kept by the centralizers' node indices in the ambient's lattice."""
 
     def __init__(self, ambient: Subgroup, blocks: list[ChiefBlock]):
         self.ambient = ambient

@@ -231,14 +231,12 @@ class Subgroup:
 
     A subgroup is its parent, its members, its order and, when given or
     first asked for, its generators; it records nothing else, normality
-    included (``is_normal_in`` decides it each time).  A lattice node, a
-    normal closure and the whole group are made by ``of_classes`` as a
-    union of an ambient's conjugacy classes, given by a class bitset, and
-    leave the ``members`` slot empty: ``__getattr__`` fills it once, the
-    first time it is read, and ``ids`` walks the classes without filling
-    it.  Closure under multiplication and inverses is the caller's
-    responsibility; constructors in this module only hand out genuine
-    subgroups.
+    included (``is_normal_in`` decides it each time).  Lattice nodes,
+    normal closures and the whole group are unions of an ambient's
+    classes (``of_classes``), whose ``members`` slot ``__getattr__`` fills
+    on first read; ``ids`` walks their classes instead.  Closure under
+    multiplication and inverses is the caller's responsibility;
+    constructors in this module only hand out genuine subgroups.
     """
 
     __slots__ = ("parent", "members", "order", "_gens", "_classes", "_bits")
@@ -258,7 +256,7 @@ class Subgroup:
         ``members`` stay empty until first read."""
         s = cls.__new__(cls)
         s.parent, s._classes, s._bits = parent, classes, bits
-        s.order = sum(map(len, itertools.compress(classes, _bit_flags(bits))))
+        s.order = sum(map(len, _selected(classes, bits)))
         s._gens = tuple(gens) if gens is not None else None
         return s
 
@@ -275,7 +273,8 @@ class Subgroup:
         whose ``members`` this leaves as it is."""
         if self._classes is None:
             return self.members
-        return class_members(self._classes, self._bits)
+        return itertools.chain.from_iterable(
+            _selected(self._classes, self._bits))
 
     @property
     def gens(self) -> tuple:
@@ -323,21 +322,15 @@ def subgroup_key(s: Subgroup):
     return None if s.is_whole else s.members
 
 
-# The bytes of a binary numeral mapped to 0 and 1 (``class_members``).
+# The bytes of a binary numeral mapped to 0 and 1 (``_selected``).
 _BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
 
 
-def class_members(classes: Sequence, bits: int) -> Iterator[int]:
-    """The members of the classes whose bits are set, class by class."""
-    return itertools.chain.from_iterable(
-        itertools.compress(classes, _bit_flags(bits)))
-
-
-def _bit_flags(bits: int) -> bytes:
-    """Byte i is bit i of ``bits``, lowest first: the selectors of
-    ``itertools.compress``, read from the reversed binary numeral, so no
-    Python step runs per bit."""
-    return bin(bits)[:1:-1].encode().translate(_BIT_BYTES)
+def _selected(classes: Sequence, bits: int) -> Iterator:
+    """The classes whose bits are set, lowest first.  Byte i of the reversed
+    binary numeral selects class i, so no Python step runs per bit."""
+    return itertools.compress(
+        classes, bin(bits)[:1:-1].encode().translate(_BIT_BYTES))
 
 
 def extend_by_images(src: FiniteGroup, gens: Sequence[int],
